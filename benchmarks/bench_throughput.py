@@ -421,9 +421,9 @@ def run_batched_sweep_comparison(width: int = 16, max_designs: int = 16,
     Expands a width-``width`` design-space sweep (``max_designs``
     quadruples plus the exact baseline x ``workloads`` workload traces x
     the four default clock points) into one job batch and runs it twice:
-    once per-job on a bare serial backend (the reference path), once
-    through the execution planner (grouped by design + clock plan,
-    clock-specialised lowering, stacked multi-trace evaluation).  The
+    once per job through ``execute_job`` (the reference kernel), once on
+    the serial backend, whose planner groups by design + clock plan
+    (clock-specialised lowering, stacked multi-trace evaluation).  The
     two result sets are asserted bit-identical; the record carries both
     wall times and sweep throughputs in (design x workload x clock)
     points per second.  CI asserts the batched path is no slower; the
@@ -432,7 +432,8 @@ def run_batched_sweep_comparison(width: int = 16, max_designs: int = 16,
     import numpy as np  # noqa: F811 - keep the section self-contained
 
     from repro.explore import DesignSpace, SweepSpec, sweep_clock_plan
-    from repro.runtime import PlannedBackend, SerialBackend
+    from repro.runtime import SerialBackend, execute_job
+    from repro.runtime.plan import _GROUP_SIMULATORS
     from repro.workloads.generators import WorkloadSpec
 
     entries = DesignSpace(width=width).entries(max_designs=max_designs)
@@ -447,10 +448,12 @@ def run_batched_sweep_comparison(width: int = 16, max_designs: int = 16,
     jobs = spec.jobs()
 
     def per_job():
-        return SerialBackend().run(jobs)
+        return [execute_job(job) for job in jobs]
 
     def batched():
-        return PlannedBackend(SerialBackend()).run(jobs)
+        # Lower afresh each repeat, as the per-job side does.
+        _GROUP_SIMULATORS.clear()
+        return SerialBackend().run(jobs)
 
     # Repeats interleave the two paths so slow host phases (shared
     # runners, thermal drift) hit both sides equally instead of
@@ -629,7 +632,8 @@ def run_telemetry_overhead_comparison(width: int = 16, max_designs: int = 16,
 
     from repro.explore import DesignSpace, SweepSpec, sweep_clock_plan
     from repro.obs import telemetry_run
-    from repro.runtime import PlannedBackend, SerialBackend
+    from repro.runtime import SerialBackend
+    from repro.runtime.plan import _GROUP_SIMULATORS
     from repro.utils.phases import collect_phases
     from repro.workloads.generators import WorkloadSpec
 
@@ -644,14 +648,18 @@ def run_telemetry_overhead_comparison(width: int = 16, max_designs: int = 16,
     )
     jobs = spec.jobs()
 
+    # Each run lowers its simulators afresh, so the overhead is measured
+    # on a whole batch, not on simulation alone.
     def plain():
-        return PlannedBackend(SerialBackend()).run(jobs)
+        _GROUP_SIMULATORS.clear()
+        return SerialBackend().run(jobs)
 
     def traced(directory):
+        _GROUP_SIMULATORS.clear()
         with telemetry_run(directory, command="bench-telemetry",
                            config={"jobs": len(jobs)}):
             with collect_phases():
-                return PlannedBackend(SerialBackend()).run(jobs)
+                return SerialBackend().run(jobs)
 
     telemetry_dir = tempfile.mkdtemp(prefix="repro-bench-telemetry-")
     plain_s = traced_s = float("inf")

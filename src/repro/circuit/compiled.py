@@ -67,25 +67,25 @@ def packed_word_count(length: int) -> int:
     return (int(length) + WORD_BITS - 1) // WORD_BITS
 
 
-def transition_chunks(transitions: int, chunk_transitions: int) -> List[Tuple[int, int]]:
+def transition_chunks(transitions: int, chunk_size: int) -> List[Tuple[int, int]]:
     """Word-aligned ``[start, stop)`` spans covering ``transitions`` cycles.
 
-    ``chunk_transitions`` is rounded up to a multiple of :data:`WORD_BITS`
+    ``chunk_size`` is rounded up to a multiple of :data:`WORD_BITS`
     so every chunk starts on a packed word boundary and fills whole words
     except possibly the last (ragged) one.  Because the timing simulators
     are transition-local, simulating the spans independently — each span
     reads input vectors ``[start, stop]`` — and concatenating the results
     in span order is bit-identical to one full-trace run.  This is the
     chunk-level unit of work shared by the packed engine's internal
-    chunking and the runtime's multiprocess backend.
+    chunking, the planner's trace slices and the result cache's shards.
     """
     transitions = int(transitions)
     if transitions < 1:
         raise SimulationError(f"need at least one transition, got {transitions}")
-    if chunk_transitions < 1:
+    if chunk_size < 1:
         raise SimulationError(
-            f"chunk size must be at least one transition, got {chunk_transitions}")
-    aligned = -(-int(chunk_transitions) // WORD_BITS) * WORD_BITS
+            f"chunk size must be at least one transition, got {chunk_size}")
+    aligned = -(-int(chunk_size) // WORD_BITS) * WORD_BITS
     return [(start, min(start + aligned, transitions))
             for start in range(0, transitions, aligned)]
 

@@ -34,7 +34,6 @@ from repro.runtime import (
     CachingBackend,
     CharacterizationJob,
     DesignCharacterization,
-    PlannedBackend,
     get_backend,
 )
 from repro.synth.flow import SynthesisOptions
@@ -112,10 +111,6 @@ def _env_cache_limit() -> Optional[float]:
 #: multiprocess pool (and its per-worker caches) alive between calls.
 _BACKEND_INSTANCES: dict = {}
 
-#: Shared execution planners per (backend, workers) pair, each wrapping
-#: the shared raw backend above.
-_PLANNED_INSTANCES: dict = {}
-
 #: Shared caching wrappers per (backend, workers, cache dir) triple, so
 #: hit/miss counters accumulate over a whole study run.
 _CACHING_INSTANCES: dict = {}
@@ -128,7 +123,7 @@ def shutdown_backends() -> None:
     the interpreter silently; tests call it directly to assert clean
     pool teardown and to reset the shared-instance registry.
     """
-    for registry in (_CACHING_INSTANCES, _PLANNED_INSTANCES, _BACKEND_INSTANCES):
+    for registry in (_CACHING_INSTANCES, _BACKEND_INSTANCES):
         instances = list(registry.values())
         registry.clear()
         for backend in instances:
@@ -238,30 +233,25 @@ class StudyConfig:
         Backend instances are shared per (backend, workers) pair so that
         the multiprocess worker pool — and with it the per-worker design
         caches — stays warm across successive characterisation calls.
-        Every study schedules through the execution planner
-        (:class:`~repro.runtime.PlannedBackend`), which batches jobs
-        sharing a design and clock plan bit-identically; with
-        ``cache_dir`` set the planner is fronted by the persistent
-        on-disk result cache (also shared, so hit/miss counters span a
-        whole study run) — planner *under* cache, so cache entries stay
-        per-job and warm runs execute zero jobs.
+        Every backend plans its batches itself, grouping jobs that share
+        a design and clock plan; with ``cache_dir`` set the backend is
+        fronted by the persistent on-disk result cache (also shared, so
+        hit/miss counters span a whole study run), whose entries stay
+        per-job, so warm runs execute zero jobs.
         """
         key = (self.backend, self.workers)
         backend = _BACKEND_INSTANCES.get(key)
         if backend is None:
             backend = _BACKEND_INSTANCES[key] = get_backend(self.backend,
                                                             workers=self.workers)
-        planned = _PLANNED_INSTANCES.get(key)
-        if planned is None or planned.inner is not backend:
-            planned = _PLANNED_INSTANCES[key] = PlannedBackend(backend)
         if self.cache_dir is None:
-            return planned
+            return backend
         cache_key = key + (os.path.abspath(os.path.expanduser(self.cache_dir)),
                            self.cache_limit_mb)
         caching = _CACHING_INSTANCES.get(cache_key)
-        if caching is None or caching.inner is not planned:
+        if caching is None or caching.inner is not backend:
             caching = _CACHING_INSTANCES[cache_key] = CachingBackend(
-                planned, self.cache_dir, limit_mb=self.cache_limit_mb)
+                backend, self.cache_dir, limit_mb=self.cache_limit_mb)
         return caching
 
 
@@ -271,7 +261,7 @@ def characterize_design(entry: DesignEntry, trace: OperandTrace, config: StudyCo
 
     Thin wrapper over the runtime: builds a single job and submits it to
     the study's backend (the multiprocess backend still parallelises a
-    single job across its trace chunks).
+    single job across its trace slices).
     """
     job = config.job(entry, trace, collect_structural_stats=collect_structural_stats)
     return config.runtime_backend().run([job])[0]

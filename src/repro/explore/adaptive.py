@@ -462,7 +462,7 @@ def select_batch(surrogate: _Surrogate, features: np.ndarray,
 # The active-learning loop
 # --------------------------------------------------------------------- #
 def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = None,
-                 cache_dir: Optional[str] = None, plan: bool = True,
+                 cache_dir: Optional[str] = None,
                  progress: Optional[Callable[[RoundLog], None]] = None,
                  checkpoint_dir: Optional[str] = None,
                  resume: bool = False) -> AdaptiveResult:
@@ -484,7 +484,6 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
     from repro.explore.checkpoint import require_checkpoint_dir
     checkpoint_dir = require_checkpoint_dir(checkpoint_dir, resume)
     from repro.runtime import CachingBackend, get_backend
-    from repro.runtime.plan import PlannedBackend
 
     from repro.families import get_family
 
@@ -503,11 +502,7 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
 
     inner = get_backend(backend, workers=workers)
     owns_inner = inner is not backend
-    resolved = inner
-    if plan and not isinstance(inner, (PlannedBackend, CachingBackend)):
-        resolved = PlannedBackend(resolved)
-    if cache_dir is not None:
-        resolved = CachingBackend(resolved, cache_dir)
+    resolved = inner if cache_dir is None else CachingBackend(inner, cache_dir)
 
     remaining = np.ones(candidates, dtype=bool)
     points: List[SweepPoint] = []

@@ -7,8 +7,8 @@ overclocking points, and one or more workload generators — and expands
 into a single batch of
 :class:`~repro.runtime.CharacterizationJob` submitted through
 :mod:`repro.runtime` in one call.  That single-batch shape is deliberate:
-the multiprocess backend schedules whole jobs across its pool only when
-the batch is at least one job per worker, and the
+the backend's planner groups the whole sweep at once (one group per
+design and clock plan) and fills its pool from it, and the
 :class:`~repro.runtime.CachingBackend` plans hits and misses over the
 entire sweep at once, so a resumed sweep re-simulates exactly the
 missing designs.
@@ -242,7 +242,7 @@ CHECKPOINT_BATCH = 16
 
 
 def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
-              cache_dir: Optional[str] = None, plan: bool = True,
+              cache_dir: Optional[str] = None,
               telemetry_dir: Optional[str] = None,
               checkpoint_dir: Optional[str] = None, resume: bool = False,
               checkpoint_batch: int = CHECKPOINT_BATCH) -> SweepResult:
@@ -254,12 +254,9 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
     persistent result cache so re-running a sweep — or growing it with
     more designs — only simulates the unseen jobs.
 
-    ``plan`` (default on) schedules the batch through the execution
-    planner: the sweep's (design x clock plan) groups each run as one
-    multi-trace batched evaluation, bit-identical to per-job execution.
-    The planner is inserted *under* a cache built here from
-    ``cache_dir``; a caller-supplied backend that is already a
-    caching/planned stack is used as given.  The stacking (and the
+    Every backend plans the batch itself: the sweep's (design x clock
+    plan) groups each run as one multi-trace batched evaluation,
+    bit-identical to per-job execution.  The stacking (and the
     ownership of backends constructed from names) is exactly
     :func:`~repro.runtime.run_jobs`.
 
@@ -287,7 +284,6 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
                                "backend": getattr(backend, "name", str(backend)),
                                "workers": workers,
                                "cache_dir": str(cache_dir) if cache_dir else None,
-                               "plan": plan,
                                "checkpoint_dir": resolved_checkpoint,
                                "resume": resume}):
         jobs = spec.jobs()
@@ -299,7 +295,7 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
 
         if resolved_checkpoint is None:
             characterizations = run_jobs(jobs, backend=backend, workers=workers,
-                                         cache_dir=cache_dir, plan=plan)
+                                         cache_dir=cache_dir)
             points: List[SweepPoint] = []
             for index, characterization in enumerate(characterizations):
                 points.extend(score_characterization(
@@ -323,21 +319,16 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
         # (and its caches) stays warm across checkpoints; ownership and
         # stacking mirror run_jobs.
         from repro.runtime import CachingBackend, get_backend
-        from repro.runtime.plan import PlannedBackend
         inner = get_backend(backend, workers=workers)
         owns_inner = inner is not backend
-        resolved = inner
-        if plan and not isinstance(inner, (PlannedBackend, CachingBackend)):
-            resolved = PlannedBackend(resolved)
-        if cache_dir is not None:
-            resolved = CachingBackend(resolved, cache_dir)
+        resolved = inner if cache_dir is None else CachingBackend(inner, cache_dir)
 
         scored: dict = dict(completed)
         try:
             for start in range(0, len(pending), max(1, checkpoint_batch)):
                 batch = pending[start:start + max(1, checkpoint_batch)]
                 characterizations = run_jobs([jobs[index] for index in batch],
-                                             backend=resolved, plan=plan)
+                                             backend=resolved)
                 for index, characterization in zip(batch, characterizations):
                     job_points = score_characterization(
                         characterization, spec.clock_plan, spec.width,

@@ -98,8 +98,7 @@ def dataset_summary(datasets: List[BitDataset]) -> Dict[int, float]:
 
 def collect_bit_datasets(jobs: Sequence["CharacterizationJob"], backend="serial",
                          workers: Optional[int] = None,
-                         cache_dir: Optional[str] = None,
-                         plan: bool = True
+                         cache_dir: Optional[str] = None
                          ) -> List[Dict[float, List[BitDataset]]]:
     """Characterise a batch of jobs and assemble their per-bit datasets.
 
@@ -109,16 +108,15 @@ def collect_bit_datasets(jobs: Sequence["CharacterizationJob"], backend="serial"
     ``{clock_period: [BitDataset, ...]}`` dict per job, in submission
     order — ready for :meth:`BitLevelTimingModel.fit` at any CPR level.
     ``cache_dir`` fronts the backend with the persistent result cache,
-    so re-collecting the same jobs skips simulation entirely; ``plan``
-    (default on) batches jobs sharing a design and clock plan through
-    the execution planner — dataset collection for one design over many
-    traces is a single stacked simulation.
+    so re-collecting the same jobs skips simulation entirely.  Jobs
+    sharing a design and clock plan are batched by the backend's
+    planner — dataset collection for one design over many traces is a
+    single stacked simulation.
     """
     from repro.families import family_of  # deferred: keeps repro.ml importable standalone
     from repro.runtime import run_jobs
 
-    results = run_jobs(jobs, backend=backend, workers=workers, cache_dir=cache_dir,
-                       plan=plan)
+    results = run_jobs(jobs, backend=backend, workers=workers, cache_dir=cache_dir)
     collected: List[Dict[float, List[BitDataset]]] = []
     for job, characterization in zip(jobs, results):
         family = family_of(job.entry)

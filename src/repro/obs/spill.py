@@ -22,8 +22,8 @@ extra IPC machinery:
   folds it into the ambient tracers/registries
   (:meth:`Tracer.merge_spill` / :meth:`MetricsRegistry.merge_snapshot`).
   Offsets — not deletion — make draining safe to run while later tasks
-  are still appending (the planner's interleaved pass-through batch):
-  anything unconsumed is picked up by the next drain.
+  are still appending (a pool recovery drains mid-batch): anything
+  unconsumed is picked up by the next drain.
 
 The spill directory is owned by the backend instance (created lazily,
 removed on ``close()``), mirroring the planner's trace spill.

@@ -1,20 +1,24 @@
-"""Unified characterization runtime: jobs plus pluggable backends.
+"""Unified characterization runtime: jobs, one planner, pluggable backends.
 
 Every heavy operation of the reproduction — synthesize a design, compute
 its golden references, simulate an operand trace at a set of clock
-periods — is modelled as a :class:`CharacterizationJob` and scheduled by
-a :class:`Backend`:
+periods — is modelled as a :class:`CharacterizationJob` and run by a
+:class:`Backend`.  Every backend runs a batch the same way: the planner
+(:mod:`repro.runtime.plan`) groups jobs sharing a design and clock plan,
+each group runs as one call of the fast-tier kernel
+:func:`execute_group` (event-tier groups run :func:`execute_job` per
+job), and the results come back in submission order.  Backends differ
+only in where the calls run:
 
-* ``serial`` executes jobs in-process (the reference behaviour),
-* ``multiprocess`` fans independent jobs *and* independent word-aligned
-  trace chunks out across worker processes, with per-worker caching of
-  synthesized designs and compiled programs, merging chunks in trace
-  order so results are bit-identical to serial at any worker count.
+* ``serial`` runs them in-process,
+* ``multiprocess`` fans them out across worker processes; when a batch
+  has fewer groups than workers, groups are halved and single jobs cut
+  into word-aligned trace slices, merged back in trace order.
 
-The experiment drivers (`repro.experiments`), the dataset assembly
-(`repro.ml.dataset`), the ``repro-experiments`` CLI and the throughput
-benchmarks all characterise through this runtime; future scaling work
-(async, remote workers) plugs in here as additional backends.
+Results are bit-identical to :func:`execute_job`, the reference kernel,
+on any backend and at any worker count.  The experiment drivers
+(`repro.experiments`), the dataset assembly (`repro.ml.dataset`), the
+CLIs and the benchmarks all characterise through this runtime.
 
 :mod:`repro.runtime.cache` adds persistence on top: wrapping any
 backend in a :class:`CachingBackend` stores every result in a
@@ -35,12 +39,9 @@ Quick start::
 from repro.runtime.backends import (
     BACKENDS,
     Backend,
-    GoldenTask,
     MultiprocessBackend,
+    PlannedBackend,
     SerialBackend,
-    Task,
-    TimingChunkTask,
-    execute_tasks,
     get_backend,
     run_jobs,
 )
@@ -71,7 +72,7 @@ from repro.runtime.jobs import (
     synthesize_entry,
     synthesize_job,
 )
-from repro.runtime.plan import PlannedBackend, execute_group
+from repro.runtime.plan import execute_group, plan_groups
 from repro.runtime.resilience import (
     RETRIES_ENV,
     RETRYABLE_EXCEPTIONS,
@@ -101,15 +102,12 @@ __all__ = [
     "DesignCharacterization",
     "FaultPlan",
     "FaultSpec",
-    "GoldenTask",
     "MultiprocessBackend",
     "PlannedBackend",
     "ResultStore",
     "RetryPolicy",
     "SerialBackend",
     "SynthesisCache",
-    "Task",
-    "TimingChunkTask",
     "active_fault_plan",
     "active_synth_cache",
     "build_simulator",
@@ -117,17 +115,17 @@ __all__ = [
     "configure_synth_cache",
     "deterministic_jitter",
     "execute_group",
-    "synth_digest",
     "execute_job",
-    "execute_tasks",
     "fault_point",
     "get_backend",
     "job_digest",
     "merge_timing_chunks",
     "parse_fault_plan",
+    "plan_groups",
     "reset_fault_plan",
     "retry_call",
     "run_jobs",
+    "synth_digest",
     "synthesize_entry",
     "synthesize_job",
     "trace_digest",

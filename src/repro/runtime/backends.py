@@ -1,35 +1,39 @@
-"""Pluggable execution backends for characterization jobs.
+"""Execution backends: where the planned calls of a batch run.
+
+Every backend runs a batch through the same :meth:`Backend.run`: plan
+it with :func:`~repro.runtime.plan.plan_groups`, execute one
+:func:`~repro.runtime.plan.run_group` call per group through
+:meth:`Backend.run_calls`, and fan the results back in with
+:func:`~repro.runtime.plan.gather_results`.  The backends differ only in
+``run_calls``:
 
 ``serial``
-    Executes jobs one after the other in the calling process — the
-    reference behaviour, identical to calling
-    :func:`~repro.runtime.jobs.execute_job` in a loop.
+    Runs the calls one after the other in the calling process, each
+    under :func:`~repro.runtime.resilience.retry_call`.
 
 ``multiprocess``
-    Fans jobs out across worker processes with
-    :class:`concurrent.futures.ProcessPoolExecutor`.  Each job is split
-    into one *golden* task (synthesis cross-check, diamond/golden words,
-    structural statistics) plus one timing task per word-aligned trace
-    chunk (see :func:`repro.circuit.compiled.transition_chunks`), so a
-    single large job parallelises as well as a batch of small ones.
-    Workers cache the synthesized design, its compiled programs and the
-    simulator per :meth:`CharacterizationJob.cache_key`, so lowering
-    happens once per process no matter how many chunks it executes.
-    Chunks are merged strictly in trace order, and both simulator tiers
-    are transition-local, so results are **bit-identical to the serial
-    backend at any worker count**.
+    Fans the calls out across worker processes with
+    :class:`concurrent.futures.ProcessPoolExecutor` through one resilient
+    gather loop, and ships each batch's traces through a digest-named
+    spill (:func:`~repro.runtime.plan.spill_traces`).  The pool width
+    feeds the planner, so a batch with fewer groups than workers is
+    split — groups halved, then single jobs cut into word-aligned trace
+    slices — and still keeps every worker busy.  Workers memoise designs
+    and simulators per process, so lowering happens once per worker and
+    design.
 
-Backends raise whatever the job execution raises (e.g. the golden-model
-cross-check failure) — scheduling does not swallow errors.  *Transient*
-failures, however, are survived rather than raised: both backends retry
-individual tasks under a :class:`~repro.runtime.resilience.RetryPolicy`
-(safe because every task is deterministic and transition-local, so a
-retried task is bit-identical by construction), and the multiprocess
-backend recovers from a broken pool by rebuilding its executor and
-re-dispatching only the tasks whose futures did not complete — after
-``max_rebuilds`` consecutive rebuilds without progress it degrades to
-in-process execution with a :class:`RuntimeWarning` instead of failing
-the batch.
+Results are **bit-identical to** :func:`~repro.runtime.jobs.execute_job`
+**at any worker count**.  Backends raise whatever the job execution
+raises (e.g. the golden-model cross-check failure) — scheduling does not
+swallow errors.  *Transient* failures, however, are survived rather than
+raised: both backends retry individual calls under a
+:class:`~repro.runtime.resilience.RetryPolicy` (safe because every call
+is deterministic, so a retried call is bit-identical by construction),
+and the multiprocess backend recovers from a broken pool by rebuilding
+its executor and re-dispatching only the calls whose futures did not
+complete — after ``max_rebuilds`` consecutive rebuilds without progress
+it degrades to in-process execution with a :class:`RuntimeWarning`
+instead of failing the batch.
 """
 
 from __future__ import annotations
@@ -42,125 +46,74 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as _wait_futures
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.circuit.compiled import WORD_BITS, transition_chunks
 from repro.exceptions import ConfigurationError, TaskTimeoutError
 from repro.obs.manifest import resolve_telemetry_dir, telemetry_run
-from repro.obs.metrics import metric_count
+from repro.obs.metrics import metric_count, metric_observe
 from repro.obs.spill import drain_spill_dir, spilled_call, telemetry_active
-from repro.runtime.faultinject import POINT_TASK, fault_point, reset_fault_plan
-from repro.runtime.resilience import RetryPolicy, retry_call
-from repro.runtime.jobs import (
-    CharacterizationJob,
-    DesignCharacterization,
-    build_simulator,
-    execute_job,
-    golden_reference,
-    merge_timing_chunks,
-    run_timing,
-    synthesize_job,
+from repro.runtime.faultinject import reset_fault_plan
+from repro.runtime.jobs import CharacterizationJob, DesignCharacterization
+from repro.runtime.plan import (
+    _GROUP_SIMULATORS,
+    gather_results,
+    group_spec,
+    plan_groups,
+    run_group,
+    spill_traces,
 )
+from repro.runtime.resilience import RetryPolicy, retry_call
+from repro.utils.lru import IdentityMemo
 from repro.utils.phases import phase
 
 #: Names accepted by :func:`get_backend` (and ``StudyConfig.backend``).
 BACKENDS = ("serial", "multiprocess")
 
-
-# --------------------------------------------------------------------- #
-# Sub-job tasks: the finer scheduling granularity below a whole job
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class GoldenTask:
-    """Sub-job unit: the golden half of one job, no timing simulation.
-
-    Executing it yields the 5-tuple ``(synthesized, diamond_words,
-    gold_words, structural_stats, netlist_words)`` over the job's full
-    trace — exactly what :func:`~repro.runtime.jobs.golden_reference`
-    returns, prefixed with the synthesized design.
-    """
-
-    job: CharacterizationJob
-
-
-@dataclass(frozen=True)
-class TimingChunkTask:
-    """Sub-job unit: timing simulation of one (typically sliced) trace.
-
-    The job's trace *is* the chunk — callers slice before building the
-    task.  Executing it yields the ``{clock_period: TimingErrorTrace}``
-    dict of :func:`~repro.runtime.jobs.run_timing`; no golden words are
-    derived, which is the point: a caller that only needs timing shards
-    (the result cache's cold sharded path) no longer pays for
-    chunk-local golden references it would discard.
-    """
-
-    job: CharacterizationJob
-
-
-#: A schedulable sub-job unit.
-Task = Union[GoldenTask, TimingChunkTask]
-
-
-def execute_tasks(tasks: Sequence[Task],
-                  designs: Optional[Dict[tuple, object]] = None,
-                  simulators: Optional[Dict[tuple, object]] = None) -> List[object]:
-    """Execute sub-job tasks in the calling process, in order.
-
-    ``designs`` / ``simulators`` are per-``cache_key`` reuse maps (the
-    same sharing the serial backend applies to whole jobs); passing
-    dicts in lets a caller keep them warm across batches.
-    """
-    designs = designs if designs is not None else {}
-    simulators = simulators if simulators is not None else {}
-    results: List[object] = []
-    for task in tasks:
-        job = task.job
-        key = job.cache_key()
-        synthesized = designs.get(key)
-        if synthesized is None:
-            synthesized = designs[key] = synthesize_job(job)
-        if isinstance(task, GoldenTask):
-            results.append((synthesized,) + golden_reference(job, synthesized))
-            continue
-        # Simulators are clock-specialised, so their reuse key carries
-        # the clock plan on top of the design identity.
-        simulator_key = (key, job.clock_periods)
-        simulator = simulators.get(simulator_key)
-        if simulator is None:
-            simulator = simulators[simulator_key] = build_simulator(
-                job.simulator, synthesized, engine=job.engine,
-                clock_periods=job.clock_periods)
-        results.append(run_timing(job, simulator))
-    return results
+#: The one per-process simulator memo, also reachable under this name
+#: for callers that clear or size it from this module.
+_SIMULATOR_CACHE = _GROUP_SIMULATORS
 
 
 class Backend:
-    """Interface of an execution backend: run a batch of jobs in order.
-
-    Besides whole jobs, every backend also schedules *sub-job tasks*
-    (:class:`GoldenTask` / :class:`TimingChunkTask`) through
-    :meth:`run_tasks` — the granularity the result cache's sharded path
-    and the execution planner use.  The base implementation executes
-    tasks serially in the calling process; concrete backends override it
-    with their own scheduling.
-    """
+    """An execution backend: plan a batch, run its calls, fan results in."""
 
     name = "abstract"
 
-    #: The task-level retry policy; concrete backends resolve it from
+    #: Pool width the planner fills (1: the calling process).
+    workers = 1
+
+    #: The call-level retry policy; concrete backends resolve it from
     #: the environment at construction (``REPRO_MAX_RETRIES`` /
     #: ``REPRO_TASK_TIMEOUT``) unless one is passed in.
     retry_policy: RetryPolicy = RetryPolicy()
 
     def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:
         """Execute ``jobs`` and return their results in submission order."""
+        jobs = list(jobs)
+        if not jobs:
+            return []
+        groups = plan_groups(jobs, self.workers)
+        metric_count("jobs.simulated", len(jobs))
+        metric_count("plan.groups", len(groups))
+        for group in groups:
+            metric_observe("plan.group_size", len(group))
+        with self.ship_traces() as ship:
+            outcomes = self.run_calls([
+                (run_group, (group_spec(jobs, group, ship),),
+                 f"{jobs[group[0][0]].name}:{number}")
+                for number, group in enumerate(groups)])
+        self.drain_telemetry()
+        return gather_results(jobs, groups, outcomes)
+
+    def run_calls(self, calls: Sequence[Tuple[Callable, tuple, str]]) -> List[object]:
+        """Execute ``(function, args, key)`` calls; results in call order."""
         raise NotImplementedError
 
-    def run_tasks(self, tasks: Sequence[Task]) -> List[object]:
-        """Execute sub-job tasks and return their results in order."""
-        return execute_tasks(tasks)
+    def ship_traces(self):
+        """Context yielding how a call carries a trace (in-process: as is)."""
+        return nullcontext(lambda trace: trace)
 
     def describe(self) -> str:
         """Short human-readable backend description (recorded in reports)."""
@@ -174,16 +127,11 @@ class Backend:
 
 
 class SerialBackend(Backend):
-    """Run every job in the calling process, one after the other.
+    """Run every call in the calling process, one after the other.
 
-    Like the multiprocess workers, a batch shares one synthesized design
-    and one simulator per :meth:`CharacterizationJob.cache_key`, so a
-    study submitting several traces of the same design (e.g. the
-    prediction study's training + evaluation pair) lowers it only once.
-
-    Each job runs under the backend's :class:`RetryPolicy`: transient
-    failures are retried in place, and — since an in-process task cannot
-    be preempted — the per-task timeout is enforced post-hoc (an attempt
+    Each call runs under the backend's :class:`RetryPolicy`: transient
+    failures are retried in place, and — since an in-process call cannot
+    be preempted — the per-call timeout is enforced post-hoc (an attempt
     finishing over budget counts as a retryable timeout).
     """
 
@@ -193,93 +141,9 @@ class SerialBackend(Backend):
         self.retry_policy = (retry_policy if retry_policy is not None
                              else RetryPolicy.from_env())
 
-    def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:
-        metric_count("jobs.simulated", len(jobs))
-        simulators: Dict[tuple, object] = {}
-        results: List[DesignCharacterization] = []
-        for index, job in enumerate(jobs):
-            def body(job=job):
-                fault_point(POINT_TASK, job.name)
-                # synthesize_job memoises process-wide (and reads through
-                # the persistent synthesis cache), so a batch shares one
-                # design per synthesis identity without a batch-local dict.
-                synthesized = synthesize_job(job)
-                simulator_key = (job.cache_key(), job.clock_periods)
-                if simulator_key not in simulators:
-                    simulators[simulator_key] = build_simulator(
-                        job.simulator, synthesized, engine=job.engine,
-                        clock_periods=job.clock_periods)
-                return execute_job(job, synthesized=synthesized,
-                                   simulator=simulators[simulator_key])
-            results.append(retry_call(self.retry_policy,
-                                      f"{job.name}:{index}", body))
-        return results
-
-    def run_tasks(self, tasks: Sequence[Task]) -> List[object]:
-        designs: Dict[tuple, object] = {}
-        simulators: Dict[tuple, object] = {}
-        results: List[object] = []
-        for index, task in enumerate(tasks):
-            def body(task=task):
-                fault_point(POINT_TASK, task.job.name)
-                return execute_tasks([task], designs, simulators)[0]
-            results.append(retry_call(self.retry_policy,
-                                      f"{task.job.name}:{index}", body))
-        return results
-
-
-# --------------------------------------------------------------------- #
-# Worker-side machinery of the multiprocess backend
-# --------------------------------------------------------------------- #
-#: Per-process simulator cache by (job cache key, clock plan).  The
-#: design-side cache lives in :func:`repro.runtime.jobs.synthesize_job`
-#: (the read-through path of the persistent synthesis cache), so
-#: lowering happens once per worker process and design, no matter how
-#: many trace chunks the worker executes.
-_SIMULATOR_CACHE: Dict[tuple, object] = {}
-
-
-def _cached_design(job: CharacterizationJob):
-    return synthesize_job(job)
-
-
-def _cached_simulator(job: CharacterizationJob):
-    # Clock plan in the key: simulators are specialised to the periods
-    # the job samples, so two plans over one design need two programs.
-    key = (job.cache_key(), job.clock_periods)
-    simulator = _SIMULATOR_CACHE.get(key)
-    if simulator is None:
-        simulator = _SIMULATOR_CACHE[key] = build_simulator(
-            job.simulator, _cached_design(job), engine=job.engine,
-            clock_periods=job.clock_periods)
-    return simulator
-
-
-def _golden_task(job: CharacterizationJob):
-    """Worker task: synthesize (cached) and compute the golden references."""
-    fault_point(POINT_TASK, job.name)
-    synthesized = _cached_design(job)
-    diamond, gold, stats, netlist_words = golden_reference(job, synthesized)
-    return synthesized, diamond, gold, stats, netlist_words
-
-
-def _timing_chunk_task(chunk_job: CharacterizationJob):
-    """Worker task: simulate one trace chunk (the job's trace is the slice)."""
-    fault_point(POINT_TASK, chunk_job.name)
-    return run_timing(chunk_job, _cached_simulator(chunk_job))
-
-
-def _whole_job_task(job: CharacterizationJob) -> DesignCharacterization:
-    """Worker task: one complete job, with the worker's design/simulator cache.
-
-    The trace is stripped from the result before it is pickled back —
-    the parent already holds it on the job and restores it on receipt.
-    """
-    fault_point(POINT_TASK, job.name)
-    result = execute_job(job, synthesized=_cached_design(job),
-                         simulator=_cached_simulator(job))
-    result.trace = None
-    return result
+    def run_calls(self, calls: Sequence[Tuple[Callable, tuple, str]]) -> List[object]:
+        return [retry_call(self.retry_policy, key, function, *args)
+                for function, args, key in calls]
 
 
 @dataclass
@@ -306,32 +170,23 @@ class MultiprocessBackend(Backend):
         the workload is compute-bound, so extra processes only add
         scheduling overhead (a 1-CPU bench host measured 0.92x with 4
         workers).
-    chunk_transitions:
-        Transitions per timing chunk.  ``None`` picks a word-aligned
-        size splitting each job into about ``workers`` chunks; explicit
-        values are rounded up to the packed word size (64), which keeps
-        chunked execution bit-identical to a full-trace run.
     retry_policy:
-        Task-level :class:`RetryPolicy` (default: from the environment —
+        Call-level :class:`RetryPolicy` (default: from the environment —
         ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``).
     max_rebuilds:
-        Consecutive pool rebuilds without a single completed task before
+        Consecutive pool rebuilds without a single completed call before
         the backend degrades to in-process execution (with a
         :class:`RuntimeWarning`) instead of thrashing a pool whose
-        workers die on every task.
+        workers die on every call.
     """
 
     name = "multiprocess"
 
     def __init__(self, workers: Optional[int] = None,
-                 chunk_transitions: Optional[int] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  max_rebuilds: int = 3) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be at least 1, got {workers}")
-        if chunk_transitions is not None and chunk_transitions < 1:
-            raise ConfigurationError(
-                f"chunk_transitions must be at least 1, got {chunk_transitions}")
         if max_rebuilds < 1:
             raise ConfigurationError(
                 f"max_rebuilds must be at least 1, got {max_rebuilds}")
@@ -343,7 +198,6 @@ class MultiprocessBackend(Backend):
                 RuntimeWarning, stacklevel=2)
             workers = cpus
         self.workers = workers if workers is not None else cpus
-        self.chunk_transitions = chunk_transitions
         self.retry_policy = (retry_policy if retry_policy is not None
                              else RetryPolicy.from_env())
         self.max_rebuilds = max_rebuilds
@@ -356,9 +210,16 @@ class MultiprocessBackend(Backend):
         # drain already consumed, so draining is safe mid-batch.
         self._spill_dir: Optional[str] = None
         self._spill_offsets: Dict[str, int] = {}
+        # Trace digest memo; modest capacity on purpose — entries pin
+        # their trace (for the identity check), and recomputing a
+        # SHA-256 is far cheaper than keeping large dead traces alive.
+        self._digests: "IdentityMemo[str]" = IdentityMemo(64)
 
     def describe(self) -> str:
         return f"multiprocess[{self.workers}]"
+
+    def ship_traces(self):
+        return spill_traces(self._digests)
 
     # ------------------------------------------------------------------ #
     # Pool lifecycle.  The executor persists across run() calls so the
@@ -368,11 +229,8 @@ class MultiprocessBackend(Backend):
     # ------------------------------------------------------------------ #
     def _executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # Workers drop any fault-plan instance inherited via fork:
-            # fault event counters are per-process by contract, and an
-            # inherited driver counter would otherwise let a plan like
-            # "kill every 40th task" kill every fresh worker on its
-            # first task.
+            # Workers drop any fault-plan instance inherited via fork, so
+            # each arms the plan afresh from the environment.
             self._pool = ProcessPoolExecutor(max_workers=self.workers,
                                              initializer=reset_fault_plan)
         return self._pool
@@ -400,13 +258,6 @@ class MultiprocessBackend(Backend):
         self.close()
 
     # ------------------------------------------------------------------ #
-    def _chunk_size(self, transitions: int) -> int:
-        if self.chunk_transitions is not None:
-            return self.chunk_transitions
-        # About one chunk per worker, word-aligned, at least one word.
-        per_worker = -(-transitions // self.workers)
-        return max(WORD_BITS, -(-per_worker // WORD_BITS) * WORD_BITS)
-
     def submit(self, function: Callable, *args):
         """Submit one callable to the worker pool (a raw future).
 
@@ -441,13 +292,14 @@ class MultiprocessBackend(Backend):
         completed workers' telemetry is drained before their processes
         are reaped; stuck workers are terminated best-effort — a pool
         rebuilt around them would otherwise inherit their task queue.
+        The process map is read *before* ``shutdown``, which clears it.
         """
         self.drain_telemetry()
         pool, self._pool = self._pool, None
         if pool is not None:
+            processes = list((getattr(pool, "_processes", None) or {}).values())
             pool.shutdown(wait=False, cancel_futures=True)
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
+            for process in processes:
                 try:
                     process.terminate()
                 except Exception:
@@ -463,13 +315,11 @@ class MultiprocessBackend(Backend):
                 f"{self._rebuilds_without_progress} consecutive pool rebuilds "
                 f"without progress", RuntimeWarning, stacklevel=3)
 
-    def run_calls(self, calls: Sequence[Tuple[Callable, tuple, str]],
-                  interleave: Optional[Callable[[], None]] = None) -> List[object]:
+    def run_calls(self, calls: Sequence[Tuple[Callable, tuple, str]]) -> List[object]:
         """Resiliently execute ``(function, args, key)`` callables in order.
 
-        The scheduling substrate under :meth:`run` / :meth:`run_tasks`
-        and the planner's group tasks.  Per round: every outstanding
-        call is submitted, then the driver waits for completions —
+        Per round: every outstanding call is submitted, then the driver
+        waits for completions —
 
         * a transient task failure is retried (with the policy's
           deterministic backoff) up to ``max_attempts``; the original
@@ -485,10 +335,6 @@ class MultiprocessBackend(Backend):
           :class:`TaskTimeoutError` instead of re-dispatching forever;
         * after ``max_rebuilds`` consecutive rebuilds without progress
           the backend degrades to in-process execution (warned once).
-
-        ``interleave`` is invoked once after the first submission —
-        the planner hook that overlaps pass-through jobs with group
-        tasks on the same pool.
         """
         policy = self.retry_policy
         pending = [_PendingCall(index, function, args, key)
@@ -497,9 +343,6 @@ class MultiprocessBackend(Backend):
         outstanding = pending
         while outstanding:
             if self._degraded:
-                if interleave is not None:
-                    interleave, hook = None, interleave
-                    hook()
                 for call in outstanding:
                     results[call.index] = retry_call(
                         policy, call.key, call.function, *call.args)
@@ -514,9 +357,6 @@ class MultiprocessBackend(Backend):
                     unresolved[call.future] = call
             except BrokenProcessPool:
                 broken = True
-            if interleave is not None:
-                interleave, hook = None, interleave
-                hook()
             retries: List[_PendingCall] = []
             if not broken:
                 with phase("schedule.wait"):
@@ -571,82 +411,23 @@ class MultiprocessBackend(Backend):
             outstanding = []
         return results
 
-    def run_tasks(self, tasks: Sequence[Task]) -> List[object]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        results = self.run_calls([
-            (_golden_task if isinstance(task, GoldenTask) else _timing_chunk_task,
-             (task.job,), f"{task.job.name}:{index}")
-            for index, task in enumerate(tasks)])
-        self.drain_telemetry()
-        return results
+
+class PlannedBackend(Backend):
+    """Pass-through kept for old stacks: every backend plans its own batches."""
+
+    name = "planned"
+
+    def __init__(self, inner="serial") -> None:
+        self.inner = get_backend(inner)
 
     def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:
-        jobs = list(jobs)
-        if not jobs:
-            return []
+        return self.inner.run(jobs)
 
-        # Scheduling granularity.  A batch with at least one job per
-        # worker parallelises best as whole jobs: every design is
-        # synthesized exactly once somewhere in the pool.  A small batch
-        # (fewer jobs than workers) is instead split into one golden task
-        # plus per-chunk timing tasks, trading a little duplicated
-        # lowering for intra-job parallelism.  An explicit
-        # ``chunk_transitions`` always forces the split (the determinism
-        # tests rely on it).  Either way results are bit-identical.
-        split = self.chunk_transitions is not None or len(jobs) < self.workers
-        metric_count("jobs.simulated", len(jobs))
-        if not split:
-            results = self.run_calls([
-                (_whole_job_task, (job,), f"{job.name}:{index}")
-                for index, job in enumerate(jobs)])
-            for job, result in zip(jobs, results):
-                result.trace = job.trace
-        else:
-            results = self._run_split(jobs)
-        self.drain_telemetry()
-        return results
+    def describe(self) -> str:
+        return self.inner.describe()
 
-    def _run_split(self, jobs: List[CharacterizationJob]) -> List[DesignCharacterization]:
-        # Plan: per job, one golden task plus one timing task per chunk.
-        # A chunk over transitions [start, stop) needs input vectors
-        # [start, stop] — one vector of overlap with its predecessor.
-        spans: List[List[Tuple[int, int]]] = [
-            transition_chunks(job.trace.transitions, self._chunk_size(job.trace.transitions))
-            for job in jobs
-        ]
-        # One flat resilient gather: goldens first, then every chunk in
-        # job order (the chunk merge below is local compute, not waiting).
-        calls: List[Tuple[Callable, tuple, str]] = [
-            (_golden_task, (job,), f"golden:{job.name}:{index}")
-            for index, job in enumerate(jobs)]
-        chunk_slices: List[Tuple[int, int]] = []
-        for index, job in enumerate(jobs):
-            start_call = len(calls)
-            calls.extend(
-                (_timing_chunk_task, (job.with_trace(job.trace.slice(start, stop + 1)),),
-                 f"chunk:{job.name}:{index}:{start}")
-                for start, stop in spans[index])
-            chunk_slices.append((start_call, len(calls)))
-        outcomes = self.run_calls(calls)
-        golden_results = outcomes[:len(jobs)]
-        chunk_results = [outcomes[start:stop] for start, stop in chunk_slices]
-        results: List[DesignCharacterization] = []
-        for index, job in enumerate(jobs):
-            synthesized, diamond, gold, stats, netlist_words = golden_results[index]
-            timing_traces = merge_timing_chunks(iter(chunk_results[index]))
-            results.append(DesignCharacterization(
-                entry=job.entry,
-                synthesized=synthesized,
-                trace=job.trace,
-                diamond_words=diamond,
-                gold_words=gold,
-                timing_traces=timing_traces,
-                structural_stats=stats,
-                netlist_words=netlist_words,
-            ))
-        return results
+    def close(self) -> None:
+        self.inner.close()
 
 
 # --------------------------------------------------------------------- #
@@ -671,7 +452,6 @@ def get_backend(backend, workers: Optional[int] = None) -> Backend:
 def run_jobs(jobs: Sequence[CharacterizationJob], backend="serial",
              workers: Optional[int] = None,
              cache_dir: Optional[str] = None,
-             plan: bool = True,
              telemetry_dir: Optional[str] = None) -> List[DesignCharacterization]:
     """Run a batch of characterization jobs on the requested backend.
 
@@ -685,14 +465,6 @@ def run_jobs(jobs: Sequence[CharacterizationJob], backend="serial",
     telemetry session is already active (a CLI, or ``run_sweep``), the
     batch is observed by it and no extra manifest is written.
 
-    ``plan`` (default on) routes the batch through the execution planner
-    of :mod:`repro.runtime.plan`: jobs sharing a design and clock plan
-    are grouped and simulated as one multi-trace batch, bit-identically
-    to per-job execution.  The planner slots *under* the cache, so cache
-    entries stay per-job and warm batches still execute zero jobs; pass
-    ``plan=False`` to schedule every job individually (the reference
-    path the planner is benchmarked against).
-
     This is the one-shot convenience entry point: a backend constructed
     here from a *name* (and its worker pool, if any) is closed before
     returning.  To keep a pool and its per-worker caches warm across
@@ -702,22 +474,15 @@ def run_jobs(jobs: Sequence[CharacterizationJob], backend="serial",
     inner = get_backend(backend, workers=workers)
     owns_inner = inner is not backend  # constructed here, not caller-supplied
     resolved = inner
-    # A caller-supplied caching or planned stack is used as given —
-    # wrapping it in another planner would route grouped jobs around
-    # the caller's cache (or double-plan).
-    from repro.runtime.cache import CachingBackend  # deferred: cache builds on backends
-    from repro.runtime.plan import PlannedBackend  # deferred: plan builds on backends
-    if plan and not isinstance(inner, (PlannedBackend, CachingBackend)):
-        resolved = PlannedBackend(resolved)
     if cache_dir is not None:
-        resolved = CachingBackend(resolved, cache_dir)
+        from repro.runtime.cache import CachingBackend  # deferred: cache builds on backends
+        resolved = CachingBackend(inner, cache_dir)
     jobs = list(jobs)
     with telemetry_run(resolve_telemetry_dir(telemetry_dir),
                        command="run_jobs",
                        config={"backend": resolved.describe(),
                                "jobs": len(jobs),
-                               "cache_dir": str(cache_dir) if cache_dir else None,
-                               "plan": plan}):
+                               "cache_dir": str(cache_dir) if cache_dir else None}):
         try:
             return resolved.run(jobs)
         finally:

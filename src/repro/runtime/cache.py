@@ -29,22 +29,19 @@ adds a content-addressed store so that work survives across processes:
   store fits, so unbounded sweeps cannot fill the disk.
 * :class:`CachingBackend` decorates any execution backend: hits
   deserialise stored :class:`~repro.runtime.jobs.DesignCharacterization`
-  results bit-identically, misses delegate to the inner backend in one
-  batch (preserving its scheduling) and persist on return.  Because
-  both simulator tiers are transition-local, a sharded entry merges via
-  :func:`~repro.runtime.jobs.merge_timing_chunks` into exactly the
-  full-trace result, and a partially-populated entry (an interrupted
-  run) resumes chunk by chunk — only the missing shards are simulated.
+  results bit-identically, and every miss runs through the inner
+  backend's ``run`` in one batch, persisted on return.
 
-The cold sharded path schedules at *sub-job* granularity: one
-:class:`~repro.runtime.backends.GoldenTask` for the missing golden
-references plus one :class:`~repro.runtime.backends.TimingChunkTask`
-per missing shard, delegated to the inner backend as one golden batch
-(persisted immediately, so interrupted runs resume with it) followed by
-one timing batch.  Timing chunks therefore never re-derive chunk-local
-golden words only to discard them, the golden pass parallelises (and
-batches) like any other task, and the execution planner can stack the
-chunks of one sharded job into a single multi-trace evaluation.
+Misses are plain jobs, so the inner backend plans them like any batch.
+A plain miss is the job itself.  A sharded entry without its golden
+pass runs the whole job; its timing is then split into shards when
+stored.  A sharded entry whose golden pass is on disk runs one *slice
+job* per missing shard (the job over that shard's vectors, without
+structural statistics), so an interrupted run resumes shard by shard —
+only the missing shards are simulated.  Because both simulator tiers
+are transition-local, shards merge via
+:func:`~repro.runtime.jobs.merge_timing_chunks` into exactly the
+full-trace result.
 """
 
 from __future__ import annotations
@@ -57,13 +54,7 @@ from repro._version import __version__
 from repro.circuit.compiled import transition_chunks
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import record_counter_deltas
-from repro.runtime.backends import (
-    Backend,
-    GoldenTask,
-    Task,
-    TimingChunkTask,
-    get_backend,
-)
+from repro.runtime.backends import Backend, get_backend
 from repro.runtime.jobs import (
     CharacterizationJob,
     DesignCharacterization,
@@ -78,6 +69,7 @@ from repro.runtime.store import (  # noqa: F401 - re-exported cache machinery
     digest_of,
     trace_digest,
 )
+from repro.timing.errors import TimingErrorTrace
 
 #: Format counter of the job-result payloads; tracks :data:`STORE_FORMAT`
 #: (kept as a distinct name so the two can diverge if only one payload
@@ -114,19 +106,18 @@ def job_digest(job: CharacterizationJob) -> str:
     return digest_of(payload)
 
 
+
+
 # --------------------------------------------------------------------- #
 # The caching decorator backend
 # --------------------------------------------------------------------- #
 @dataclass
 class _JobPlan:
-    """What one job of a batch needs: nothing (hit), or delegated work.
+    """What one job of a batch needs: nothing (hit), or delegated jobs.
 
-    Plain (unsharded) misses delegate the whole job (``pending`` /
-    ``computed``); sharded misses delegate sub-job tasks (``pending_tasks``
-    / ``task_results``) — a golden task when ``golden`` is absent, plus
-    one timing task per missing shard.  Golden tasks are batched and
-    persisted *before* the timing batch runs, so a run interrupted
-    mid-simulation resumes with its golden pass already on disk.
+    ``pending`` holds the jobs sent to the inner backend — the job
+    itself, or one slice job per missing shard — and ``computed`` their
+    results, in the same order.
     """
 
     job: CharacterizationJob
@@ -138,8 +129,23 @@ class _JobPlan:
     missing: List[Tuple[int, int]] = field(default_factory=list)
     pending: List[CharacterizationJob] = field(default_factory=list)
     computed: List[DesignCharacterization] = field(default_factory=list)
-    pending_tasks: List[Task] = field(default_factory=list)
-    task_results: List[object] = field(default_factory=list)
+
+
+def _timing_shards(timing: Dict[float, TimingErrorTrace],
+                   spans: List[Tuple[int, int]]) -> List[Dict[float, TimingErrorTrace]]:
+    """Split full-trace timing results into per-span shard payloads.
+
+    Every clock of a shard shares one settled slice, as every clock of a
+    simulator run shares one settled array.
+    """
+    shards = []
+    for start, stop in spans:
+        settled = next(iter(timing.values())).settled_words[start:stop]
+        shards.append({clk: TimingErrorTrace(
+            clock_period=clk, sampled_words=trace.sampled_words[start:stop],
+            settled_words=settled, output_width=trace.output_width)
+            for clk, trace in timing.items()})
+    return shards
 
 
 class CachingBackend(Backend):
@@ -200,41 +206,14 @@ class CachingBackend(Backend):
         stats_before = self.stats.snapshot()
         plans = [self._plan(job) for job in jobs]
 
-        # One delegated batch per granularity covering every miss —
-        # whole jobs for plain misses, sub-job tasks for sharded ones —
-        # so the inner backend schedules at its full batch width.  A
-        # fully warm batch delegates nothing.
-        pending: List[CharacterizationJob] = []
-        owners: List[_JobPlan] = []
-        golden_tasks: List[Task] = []
-        golden_owners: List[_JobPlan] = []
-        timing_tasks: List[Task] = []
-        timing_owners: List[_JobPlan] = []
-        for plan in plans:
-            pending.extend(plan.pending)
-            owners.extend([plan] * len(plan.pending))
-            for task in plan.pending_tasks:
-                if isinstance(task, GoldenTask):
-                    golden_tasks.append(task)
-                    golden_owners.append(plan)
-                else:
-                    timing_tasks.append(task)
-                    timing_owners.append(plan)
-        if golden_tasks:
-            # Golden passes run and persist first — before any other
-            # simulation of the batch — so an interrupted run resumes
-            # with them on disk (the PR 3 sharded-resume guarantee).
-            for plan, outcome in zip(golden_owners,
-                                     self.inner.run_tasks(golden_tasks)):
-                plan.golden = outcome
-                self.store.store(self.store.golden_path(plan.digest), outcome)
+        # One delegated batch covering every miss, so the inner backend
+        # plans at its full batch width.  A fully warm batch delegates
+        # nothing.
+        pending = [job for plan in plans for job in plan.pending]
         if pending:
-            for plan, computed in zip(owners, self.inner.run(pending)):
-                plan.computed.append(computed)
-        if timing_tasks:
-            for plan, outcome in zip(timing_owners,
-                                     self.inner.run_tasks(timing_tasks)):
-                plan.task_results.append(outcome)
+            computed = iter(self.inner.run(pending))
+            for plan in plans:
+                plan.computed = [next(computed) for _ in plan.pending]
 
         results = [self._assemble(plan) for plan in plans]
         if self.stats.misses > misses_before:
@@ -284,19 +263,14 @@ class CachingBackend(Backend):
             return
         self.stats.misses += 1
         if plan.golden is None:
-            # The golden pass (synthesis cross-check + behavioural
-            # references) is one sub-job task on the inner backend, so
-            # it schedules — and, under the planner, batches — exactly
-            # like the timing shards it accompanies.
-            plan.pending_tasks.append(GoldenTask(job))
+            plan.pending.append(job)
+            return
         for start, stop in plan.missing:
-            # A chunk over transitions [start, stop) simulates vectors
-            # [start, stop] — one vector of overlap, exactly as the
-            # multiprocess backend splits.  Timing tasks derive no golden
-            # words at all; the golden task covers the full trace.
-            plan.pending_tasks.append(TimingChunkTask(dataclasses.replace(
+            # Transitions [start, stop) need vectors [start, stop]: one
+            # vector of overlap with the previous shard.
+            plan.pending.append(dataclasses.replace(
                 job, trace=job.trace.slice(start, stop + 1),
-                collect_structural_stats=False)))
+                collect_structural_stats=False))
 
     def _assemble(self, plan: _JobPlan) -> DesignCharacterization:
         if plan.result is not None:
@@ -307,9 +281,20 @@ class CachingBackend(Backend):
                              dataclasses.replace(result, trace=None))
             self._write_meta(plan, sharded=False)
             return result
-        for span, payload in zip(plan.missing, plan.task_results):
-            self.store.store(self.store.shard_path(plan.digest, *span), payload)
-            plan.shard_payloads[span] = payload
+        if plan.golden is None:
+            [result] = plan.computed
+            self.store.store(self.store.golden_path(plan.digest), (
+                result.synthesized, result.diamond_words, result.gold_words,
+                result.structural_stats, result.netlist_words))
+            for span, shard in zip(plan.missing,
+                                   _timing_shards(result.timing_traces, plan.missing)):
+                self.store.store(self.store.shard_path(plan.digest, *span), shard)
+            self._write_meta(plan, sharded=True)
+            return result
+        for span, result in zip(plan.missing, plan.computed):
+            self.store.store(self.store.shard_path(plan.digest, *span),
+                             result.timing_traces)
+            plan.shard_payloads[span] = result.timing_traces
         self._write_meta(plan, sharded=True)
         synthesized, diamond, gold, structural_stats, netlist_words = plan.golden
         return DesignCharacterization(

@@ -21,16 +21,23 @@ Plan format::
      ],
      "state_dir": "/tmp/faults"}
 
-Each fault spec counts the events of its point **per process** and
-fires on the ``at``-th event (once) or on every ``every``-th event;
-``match`` restricts the count to events whose key (job name, store
-path) contains the substring.  ``times`` caps the *global* firings
-across all processes through atomically-claimed token files in
-``state_dir`` (default: a temp directory derived from the plan text, so
-every process of one run shares it).  Everything else is a pure
-function of the plan and the per-process event sequence, which is what
-makes injected failures reproducible: the same plan against the same
-deterministic task stream kills the same worker on the same task.
+Each fault spec counts the events of its point **globally**, across
+every process of a run: an event claims the next ordinal of the spec
+through a token file created with ``O_CREAT | O_EXCL`` in ``state_dir``.
+A spec fires on the ``at``-th event (once) or on every ``every``-th
+event; ``match`` restricts the count to events whose key (job name,
+store path) contains the substring.  ``times`` caps the firings across
+all processes through the same kind of token files.  A firing that
+takes effect leaves a ``fault<index>-fired<ordinal>`` marker in
+``state_dir``, so a run can prove that its faults were injected (a
+``kill-worker`` spec leaves none in the immune driver).
+
+``state_dir`` defaults to a temp directory derived from the plan text
+and the driver's pid: every process of one run shares it, and every run
+starts its ordinals afresh.  Runs that must fire identically each need
+their own ``state_dir``.  Because ordinals are global, the same plan
+against the same deterministic task stream fires on the same event
+whatever the worker count or the way the planner splits the batch.
 
 Fault kinds
 -----------
@@ -145,11 +152,12 @@ def _parse_spec(index: int, raw, value: str) -> FaultSpec:
 
 
 class FaultPlan:
-    """An armed fault plan: per-process event counters plus injection.
+    """An armed fault plan: global event ordinals plus injection.
 
-    Event counters are process-local state; the global ``times`` budget
-    of a spec is shared across processes through token files claimed
-    with ``O_CREAT | O_EXCL`` in :attr:`state_dir`.
+    Ordinals, ``times`` budgets and fired markers are shared across
+    processes as token files claimed with ``O_CREAT | O_EXCL`` in
+    :attr:`state_dir`; each process only remembers the last ordinal it
+    claimed per spec, where its next scan starts.
     """
 
     def __init__(self, specs: List[FaultSpec], state_dir: str) -> None:
@@ -158,31 +166,56 @@ class FaultPlan:
         self._counters: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
+    def _token(self, name: str) -> bool:
+        """Atomically create token ``name``; False if it already exists."""
+        os.makedirs(self.state_dir, exist_ok=True)
+        try:
+            os.close(os.open(os.path.join(self.state_dir, name),
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return False
+        return True
+
+    def _ordinal(self, index: int) -> int:
+        """Claim the next global event ordinal of spec ``index``.
+
+        Ordinals are claimed densely from 1, so the first free token at
+        or after this process's last claim is the next event.  Without
+        a usable state directory the count falls back to this process.
+        """
+        ordinal = self._counters.get(index, 0) + 1
+        try:
+            while not self._token(f"fault{index}-event{ordinal}"):
+                ordinal += 1
+        except OSError:
+            pass
+        self._counters[index] = ordinal
+        return ordinal
+
     def _claim(self, index: int) -> bool:
         """Claim one firing of spec ``index`` against its global budget."""
         spec = self.specs[index]
         if spec.times is None:
             return True
-        os.makedirs(self.state_dir, exist_ok=True)
-        for slot in range(spec.times):
-            token = os.path.join(self.state_dir, f"fault{index}-slot{slot}")
-            try:
-                os.close(os.open(token, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-                return True
-            except FileExistsError:
-                continue
-            except OSError:
-                return False
-        return False
+        try:
+            return any(self._token(f"fault{index}-slot{slot}")
+                       for slot in range(spec.times))
+        except OSError:
+            return False
 
-    def _inject(self, spec: FaultSpec, key: str, counter: int) -> None:
+    def _inject(self, index: int, key: str, ordinal: int) -> None:
+        spec = self.specs[index]
         metric_count("faults.injected")
-        if spec.kind == "kill-worker":
+        if spec.kind == "kill-worker" and multiprocessing.parent_process() is None:
             # Only worker processes die; the driver (tests, CLIs) shrugs
             # the fault off so a suite-wide plan cannot kill the runner.
-            if multiprocessing.parent_process() is not None:
-                os._exit(1)
             return
+        try:
+            self._token(f"fault{index}-fired{ordinal}")
+        except OSError:
+            pass
+        if spec.kind == "kill-worker":
+            os._exit(1)
         if spec.kind == "delay":
             time.sleep(spec.seconds)
             return
@@ -196,7 +229,7 @@ class FaultPlan:
             return
         # task-error / store-error: a transient, retryable OSError.
         raise OSError(f"injected {spec.kind} fault "
-                      f"(event #{counter} at {spec.point}: {key})")
+                      f"(event #{ordinal} at {spec.point}: {key})")
 
     def fire(self, point: str, key: str = "") -> None:
         """Count one event at ``point`` and inject whatever falls due."""
@@ -205,10 +238,9 @@ class FaultPlan:
                 continue
             if spec.match is not None and spec.match not in key:
                 continue
-            counter = self._counters.get(index, 0) + 1
-            self._counters[index] = counter
-            if spec.due(counter) and self._claim(index):
-                self._inject(spec, key, counter)
+            ordinal = self._ordinal(index)
+            if spec.due(ordinal) and self._claim(index):
+                self._inject(index, key, ordinal)
 
 
 # --------------------------------------------------------------------- #
@@ -257,18 +289,21 @@ def parse_fault_plan(value: str) -> Tuple[List[FaultSpec], Optional[str]]:
 
 
 def _default_state_dir(value: str) -> str:
-    # Derived from the plan text, so every process of one run (workers
-    # inherit the same environment value) shares one budget directory.
+    # Derived from the plan text and the driver's pid, so every process
+    # of one run (workers inherit the environment value and know their
+    # parent) shares one directory, and the next run starts afresh.
     digest = hashlib.sha256(value.encode("utf-8")).hexdigest()[:12]
-    return os.path.join(tempfile.gettempdir(), f"repro-faults-{digest}")
+    parent = multiprocessing.parent_process()
+    driver = parent.pid if parent is not None else os.getpid()
+    return os.path.join(tempfile.gettempdir(), f"repro-faults-{digest}-{driver}")
 
 
 def active_fault_plan() -> Optional[FaultPlan]:
     """The process-wide plan named by ``REPRO_FAULT_PLAN``, or ``None``.
 
-    Rebuilt whenever the environment value changes (fresh per-process
-    event counters), so tests monkeypatching the variable and worker
-    processes inheriting it both see the right plan.
+    Rebuilt whenever the environment value changes, so tests
+    monkeypatching the variable and worker processes inheriting it both
+    see the right plan.
     """
     global _ACTIVE, _ACTIVE_KEY
     value = os.environ.get(FAULT_PLAN_ENV, "").strip()

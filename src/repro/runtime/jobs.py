@@ -6,8 +6,8 @@ trace, the clock periods to sample, the simulator tier (``event`` or
 ``fast``) and the execution engine of the fast tier (``auto`` /
 ``compiled`` / ``reference``).  :func:`execute_job` performs the job in
 the calling process; the backends in :mod:`repro.runtime.backends`
-schedule batches of jobs, possibly splitting each trace into independent
-chunks.
+run planned batches of jobs, possibly splitting each trace into
+independent slices.
 
 Both timing tiers are *transition-local*: the outcome of cycle ``t``
 depends only on the input vectors ``t-1`` and ``t`` (the event-driven
@@ -100,7 +100,7 @@ class CharacterizationJob:
         """Key under which workers cache the synthesized design and simulator.
 
         Everything that determines the synthesized design and the
-        simulator construction — but *not* the trace, so chunk tasks of
+        simulator construction — but *not* the trace, so trace slices of
         the same job (and jobs re-running a design on another trace) hit
         the same cache entry and lowering happens once per process.
         """
@@ -223,40 +223,6 @@ def build_simulator(kind: str, synthesized: SynthesizedDesign, engine: str = "au
     raise ConfigurationError(f"unknown simulator kind {kind!r}")
 
 
-def golden_reference(job: CharacterizationJob, synthesized: SynthesizedDesign):
-    """Diamond/golden words, structural stats and the gate-level cross-check.
-
-    Returns ``(diamond, gold, structural_stats, netlist_words)``; raises
-    :class:`~repro.exceptions.ConfigurationError` when the synthesized
-    netlist disagrees with the behavioural golden model.
-    """
-    trace = job.trace
-    family = family_of(job.entry)
-    with phase("simulate", design=job.name, transitions=trace.length):
-        diamond = family.exact_words(job.width, trace.a, trace.b)
-        gold, structural_stats = family.golden_words(
-            job.entry, job.width, trace.a, trace.b,
-            collect_stats=job.collect_structural_stats, diamond=diamond)
-
-        # Gate-level settled outputs from the compiled packed engine: the
-        # netlist's own golden reference, checked against the behavioural one.
-        netlist_words = synthesized.netlist.compute_words(trace.as_operands(),
-                                                          output_bus=job.output_bus)
-    if not np.array_equal(netlist_words, gold):
-        raise ConfigurationError(
-            f"synthesized netlist of {job.name} disagrees with its behavioural "
-            "golden model; the synthesis flow is unfaithful")
-    return diamond, gold, structural_stats, netlist_words
-
-
-def run_timing(job: CharacterizationJob, simulator) -> Dict[float, TimingErrorTrace]:
-    """Run the job's timing simulation over its (possibly sliced) trace."""
-    with phase("simulate", transitions=job.trace.length,
-               clocks=len(job.clock_periods)):
-        return simulator.run_trace_multi(job.trace.as_operands(), job.clock_periods,
-                                         output_bus=job.output_bus)
-
-
 def merge_timing_chunks(chunks) -> Dict[float, TimingErrorTrace]:
     """Concatenate per-chunk timing results back into full-trace traces.
 
@@ -288,17 +254,36 @@ def execute_job(job: CharacterizationJob,
                 simulator=None) -> DesignCharacterization:
     """Perform one characterization job in the calling process.
 
-    This is the reference execution path (the serial backend calls it
-    per job); ``synthesized`` and ``simulator`` may be supplied to reuse
-    work cached by the caller (they must match the job's ``cache_key``).
+    This is the event tier's kernel and the reference kernel every
+    backend is checked against (the fast tier's scheduled kernel is
+    :func:`repro.runtime.plan.execute_group`); ``synthesized`` and
+    ``simulator`` may be supplied to reuse work cached by the caller
+    (they must match the job's ``cache_key``).  It pays two logic
+    passes: the gate-level golden words, then the timing run.
     """
     if synthesized is None:
         synthesized = synthesize_job(job)
-    diamond, gold, structural_stats, netlist_words = golden_reference(job, synthesized)
+    trace = job.trace
+    family = family_of(job.entry)
+    with phase("simulate", design=job.name, transitions=trace.length):
+        diamond = family.exact_words(job.width, trace.a, trace.b)
+        gold, structural_stats = family.golden_words(
+            job.entry, job.width, trace.a, trace.b,
+            collect_stats=job.collect_structural_stats, diamond=diamond)
+        # Gate-level settled outputs: the netlist's own golden reference,
+        # checked against the behavioural one.
+        netlist_words = synthesized.netlist.compute_words(trace.as_operands(),
+                                                          output_bus=job.output_bus)
+    if not np.array_equal(netlist_words, gold):
+        raise ConfigurationError(
+            f"synthesized netlist of {job.name} disagrees with its behavioural "
+            "golden model; the synthesis flow is unfaithful")
     if simulator is None:
         simulator = build_simulator(job.simulator, synthesized, engine=job.engine,
                                     clock_periods=job.clock_periods)
-    timing_traces = run_timing(job, simulator)
+    with phase("simulate", transitions=trace.length, clocks=len(job.clock_periods)):
+        timing_traces = simulator.run_trace_multi(trace.as_operands(), job.clock_periods,
+                                                  output_bus=job.output_bus)
     return DesignCharacterization(
         entry=job.entry,
         synthesized=synthesized,

@@ -1,37 +1,41 @@
-"""Structure-aware execution planner: batched sweep kernels.
+"""Execution planning: one pure planner, one fast-tier kernel, one fan-in.
 
-A design-space sweep submits many :class:`CharacterizationJob` units
-that share almost everything — the same design, the same clock plan,
-often the same workload trace — yet per-job execution pays the Python
-dispatch of every gate batch, every arrival-threshold application and
-every trace packing once *per job*.  The planner restores the economics:
+Every backend runs a batch of :class:`CharacterizationJob` units the same
+way (:meth:`repro.runtime.backends.Backend.run`); backends differ only in
+where the planned calls execute.
 
-* **Grouping** — jobs are grouped by design identity + clock plan
-  (:meth:`CharacterizationJob.cache_key` plus ``clock_periods``).  Each
-  group synthesizes once, lowers one *clock-specialised* timing program
-  (only the arrival-threshold cone the group's clocks sample is
-  compiled), and simulates every trace of the group in one stacked
-  multi-trace pass (:meth:`FastTimingSimulator.run_traces_multi`), so
-  one bitwise operation per gate batch covers the whole group.
-* **Trace interning** — traces are identified by content digest.
-  In-process, operand expansion and packing happen once per unique
-  trace (shared across every design of a sweep); under the multiprocess
-  backend each unique trace is spilled to disk once and loaded once per
-  worker, instead of being pickled into every job.
-* **Fan-out/fan-in** — per-job results are sliced back out of the
-  batched arrays in submission order.  Because packed words of
-  different traces never mix and the behavioural golden models are
-  elementwise, every result is **bit-identical** to per-job execution
-  (asserted by ``tests/test_plan.py`` across serial, multiprocess and
-  cached backends).
+* **Plan** — :func:`plan_groups` is a pure function from a batch and a
+  pool width to *groups*.  Jobs sharing a design identity and clock plan
+  (:func:`group_key`) form one group, so they synthesize once, lower one
+  clock-specialised simulator and simulate together.  When the pool is
+  wider than the group count, the largest groups are halved, and then
+  one-job groups are cut into word-aligned trace slices (the spans of
+  :func:`~repro.circuit.compiled.transition_chunks`), until every worker
+  has a task.
+* **Execute** — each group is one call of :func:`run_group`.  Fast-tier
+  groups run :func:`execute_group`: one stacked multi-trace pass
+  (:meth:`FastTimingSimulator.run_traces_multi`) whose settled values
+  double as the gate-level golden words, so a job costs one logic pass.
+  Event-tier groups run :func:`~repro.runtime.jobs.execute_job` per job.
+  Designs are memoised per process by
+  :func:`~repro.runtime.jobs.synthesize_job`, simulators in
+  :data:`_GROUP_SIMULATORS`.
+* **Fan in** — :func:`gather_results` returns results in submission
+  order and merges the slices of a cut job: per-vector words drop the
+  one vector of overlap, timing concatenates in trace order, and
+  structural statistics are recomputed over the full trace.
 
-Jobs that cannot batch — the event-driven simulator tier, or groups
-smaller than ``min_group_size`` — pass through to the wrapped backend
-unchanged, preserving its whole-job/split scheduling (a single-design
-batch behaves exactly as before the planner existed).  The planner
-slots *under* :class:`~repro.runtime.cache.CachingBackend`: the cache
-keys and stores per-job entries, and only its misses reach the planner,
-so warm sweeps still execute zero jobs.
+Packed words of different traces never mix, the behavioural golden
+models are elementwise and both timing tiers are transition-local, so
+every result is **bit-identical** to :func:`~repro.runtime.jobs.execute_job`
+on the job alone, whatever the pool width or split.
+
+A group reaches its call as a :class:`_GroupSpec`: the shared job fields
+plus one trace per member.  In-process backends put the traces in the
+spec as they are; the multiprocess backend ships them through
+:func:`spill_traces` — each unique trace is written once per batch,
+named by content digest, and loaded once per worker
+(:data:`_WORKER_TRACES`).
 """
 
 from __future__ import annotations
@@ -40,39 +44,48 @@ import os
 import pickle
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.circuit.compiled import transition_chunks
 from repro.exceptions import ConfigurationError
 from repro.families import family_of
-from repro.obs.metrics import metric_count, metric_observe
-from repro.runtime.backends import (
-    Backend,
-    MultiprocessBackend,
-    Task,
-    TimingChunkTask,
-    _cached_design,
-    get_backend,
-)
+from repro.obs.metrics import metric_count
 from repro.runtime.faultinject import POINT_TASK, fault_point
-from repro.runtime.resilience import retry_call
-from repro.runtime.cache import trace_digest
 from repro.runtime.jobs import (
     CharacterizationJob,
     DesignCharacterization,
+    build_simulator,
+    execute_job,
+    merge_timing_chunks,
     synthesize_job,
 )
-from repro.timing.fast_sim import FastTimingSimulator
+from repro.runtime.store import trace_digest
 from repro.utils.lru import IdentityMemo, LRUDict
 from repro.utils.phases import phase
 from repro.workloads.traces import OperandTrace
+
+#: One member of a planned group: a batch index, and the transition
+#: span ``(start, stop)`` of a trace slice or ``None`` for the whole trace.
+Member = Tuple[int, Optional[Tuple[int, int]]]
 
 #: Traces whose operand dicts are memoised per object identity, so the
 #: interned expansion cache in :mod:`repro.timing.operands` sees stable
 #: array identities across the many groups of one sweep.
 _OPERAND_CACHE: "IdentityMemo[dict]" = IdentityMemo(64)
+
+#: Per-process interned traces by digest (LRU; traces can be large).
+_WORKER_TRACES: "LRUDict[str, OperandTrace]" = LRUDict(32)
+
+#: Per-process simulators per synthesized design object and
+#: :func:`group_key`, so a re-synthesized design never reuses a program
+#: lowered from another instance.  LRU-bounded: a sweep touches each
+#: group once, so entries beyond the working set are dead weight in a
+#: long-lived process or warm pool.
+_GROUP_SIMULATORS: "IdentityMemo[object]" = IdentityMemo(16)
 
 
 def _operands_of(trace: OperandTrace) -> dict:
@@ -92,38 +105,63 @@ def group_key(job: CharacterizationJob) -> tuple:
     return (job.cache_key(), job.clock_periods)
 
 
-def build_group_simulator(job: CharacterizationJob,
-                          synthesized) -> FastTimingSimulator:
-    """The clock-specialised fast simulator of one planner group.
+# --------------------------------------------------------------------- #
+# Planning
+# --------------------------------------------------------------------- #
+def plan_groups(jobs: Sequence[CharacterizationJob], width: int = 1) -> List[List[Member]]:
+    """Group a batch by :func:`group_key` and fill a pool of ``width``.
 
-    Grouping by clock plan is what makes the specialisation safe: every
-    job of the group samples exactly these periods, so the compiled
-    program only needs their arrival-threshold cone.
+    Groups appear in the order of their first job.  While there are
+    fewer groups than ``width``, the largest group is halved; once every
+    group holds one job, each job's trace is cut into about
+    ``width / groups`` word-aligned slices.  Splitting is always safe:
+    a sub-group is itself a valid group, and the fan-in merges slices
+    back in trace order.
     """
-    with phase("lower"):
-        return FastTimingSimulator(synthesized.netlist, synthesized.annotation,
-                                   engine=job.engine,
-                                   clock_periods=job.clock_periods)
+    grouped: Dict[tuple, List[Member]] = {}
+    for index, job in enumerate(jobs):
+        grouped.setdefault(group_key(job), []).append((index, None))
+    groups = list(grouped.values())
+    while groups and len(groups) < width:
+        largest = max(range(len(groups)), key=lambda i: len(groups[i]))
+        members = groups[largest]
+        if len(members) < 2:
+            break
+        middle = len(members) // 2
+        groups[largest:largest + 1] = [members[:middle], members[middle:]]
+    if not groups or len(groups) >= width:
+        return groups
+    pieces = -(-width // len(groups))
+    sliced: List[List[Member]] = []
+    for [(index, _)] in groups:
+        transitions = jobs[index].trace.transitions
+        spans = transition_chunks(transitions, -(-transitions // pieces))
+        sliced.extend([[(index, span)] for span in spans] if len(spans) > 1
+                      else [[(index, None)]])
+    return sliced
 
 
+# --------------------------------------------------------------------- #
+# Kernels
+# --------------------------------------------------------------------- #
 def execute_group(jobs: Sequence[CharacterizationJob],
                   synthesized=None, simulator=None) -> List[DesignCharacterization]:
-    """Execute one same-design, same-clock-plan group in a batched pass.
+    """Execute one same-design, same-clock-plan fast-tier group in one pass.
 
     Behavioural golden references run as **one** vectorised pass over
     the concatenated operand arrays (both models are elementwise, so
     slicing the result per job is bit-identical to per-job calls); the
     gate-level golden words fall out of the same packed evaluation that
     feeds the timing masks, so the group pays a single logic pass where
-    per-job execution pays two per job.
+    :func:`~repro.runtime.jobs.execute_job` pays two per job.
     """
     jobs = list(jobs)
     job0 = jobs[0]
-    metric_count("jobs.simulated", len(jobs))
     if synthesized is None:
         synthesized = synthesize_job(job0)
     if simulator is None:
-        simulator = build_group_simulator(job0, synthesized)
+        simulator = build_simulator(job0.simulator, synthesized, engine=job0.engine,
+                                    clock_periods=job0.clock_periods)
     traces = [job.trace for job in jobs]
     bounds = np.cumsum([0] + [trace.length for trace in traces])
 
@@ -134,8 +172,8 @@ def execute_group(jobs: Sequence[CharacterizationJob],
         b = np.concatenate([trace.b for trace in traces])
         diamond_all = family.exact_words(job0.width, a, b)
         # golden_words copies the exact baseline's diamond buffer, like
-        # golden_reference() does: a result must never alias its gold
-        # and diamond words to one buffer.
+        # execute_job() does: a result must never alias its gold and
+        # diamond words to one buffer.
         gold_all, _ = family.golden_words(job0.entry, job0.width, a, b,
                                           diamond=diamond_all)
 
@@ -172,25 +210,26 @@ def execute_group(jobs: Sequence[CharacterizationJob],
     return results
 
 
-# --------------------------------------------------------------------- #
-# Multiprocess group execution: interned traces, one task per group
-# --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class _TraceRef:
-    """One group member's trace, by content digest and spill path.
-
-    Presentational trace names ride along in the spill payload; results
-    never depend on them (jobs report their *design* name).
-    """
+    """A spilled trace, by content digest and spill path."""
 
     digest: str
     path: str
+
+
+@dataclass(frozen=True)
+class _GroupMember:
+    """One member of a group call: its trace or spill ref, and its slice."""
+
+    trace: Union[OperandTrace, _TraceRef]
+    span: Optional[Tuple[int, int]]
     collect_structural_stats: bool
 
 
 @dataclass(frozen=True)
 class _GroupSpec:
-    """A planner group as shipped to a worker: jobs minus their traces."""
+    """A planned group as one call: the shared job fields plus its members."""
 
     entry: object
     width: int
@@ -199,21 +238,75 @@ class _GroupSpec:
     engine: str
     output_bus: str
     clock_periods: Tuple[float, ...]
-    members: Tuple[_TraceRef, ...]
-    timing_only: bool = False
+    members: Tuple[_GroupMember, ...]
+
+    def jobs(self) -> List[CharacterizationJob]:
+        jobs = []
+        for member in self.members:
+            trace = member.trace
+            if isinstance(trace, _TraceRef):
+                trace = _load_trace(trace)
+            if member.span is not None:
+                start, stop = member.span
+                # Transitions [start, stop) need vectors [start, stop].
+                trace = trace.slice(start, stop + 1)
+            jobs.append(CharacterizationJob(
+                entry=self.entry, trace=trace, clock_periods=self.clock_periods,
+                simulator=self.simulator, engine=self.engine, synthesis=self.synthesis,
+                width=self.width, collect_structural_stats=member.collect_structural_stats,
+                output_bus=self.output_bus))
+        return jobs
 
 
-#: Worker-side interned traces by digest (LRU; traces can be large).
-_WORKER_TRACES: "LRUDict[str, OperandTrace]" = LRUDict(32)
+def group_spec(jobs: Sequence[CharacterizationJob], group: List[Member],
+               ship: Callable[[OperandTrace], object]) -> _GroupSpec:
+    """The call payload of one planned group; ``ship`` maps each trace.
 
-#: Worker-side clock-specialised simulators per (cache key, clock plan).
-#: LRU-bounded: a sweep touches each group once, so entries beyond the
-#: working set are dead weight in a long-lived warm pool.
-_GROUP_SIMULATORS: "LRUDict[tuple, FastTimingSimulator]" = LRUDict(16)
+    A slice never collects structural statistics: they are recomputed
+    over the full trace when the slices are merged.
+    """
+    job0 = jobs[group[0][0]]
+    return _GroupSpec(
+        entry=job0.entry, width=job0.width, synthesis=job0.synthesis,
+        simulator=job0.simulator, engine=job0.engine, output_bus=job0.output_bus,
+        clock_periods=job0.clock_periods,
+        members=tuple(_GroupMember(
+            trace=ship(jobs[index].trace), span=span,
+            collect_structural_stats=jobs[index].collect_structural_stats and span is None)
+            for index, span in group))
 
 
+def run_group(spec: _GroupSpec) -> List[DesignCharacterization]:
+    """One planned group, in whichever process runs it.
+
+    Results come back in member order with their traces stripped — the
+    caller still holds them, and restores them in :func:`gather_results`.
+    """
+    jobs = spec.jobs()
+    job0 = jobs[0]
+    fault_point(POINT_TASK, job0.name)
+    synthesized = synthesize_job(job0)
+    key = group_key(job0)
+    simulator = _GROUP_SIMULATORS.get((synthesized,), key)
+    if simulator is None:
+        simulator = _GROUP_SIMULATORS.put((synthesized,), build_simulator(
+            job0.simulator, synthesized, engine=job0.engine,
+            clock_periods=job0.clock_periods), key)
+    if job0.simulator == "fast":
+        results = execute_group(jobs, synthesized=synthesized, simulator=simulator)
+    else:
+        results = [execute_job(job, synthesized=synthesized, simulator=simulator)
+                   for job in jobs]
+    for result in results:
+        result.trace = None
+    return results
+
+
+# --------------------------------------------------------------------- #
+# Trace shipping: one spill file per unique trace and batch
+# --------------------------------------------------------------------- #
 def _load_trace(ref: _TraceRef) -> OperandTrace:
-    """Resolve a trace ref in the worker: one disk load per digest."""
+    """Resolve a trace ref: one disk load per digest and process."""
     trace = _WORKER_TRACES.get(ref.digest)
     if trace is None:
         with open(ref.path, "rb") as handle:
@@ -224,276 +317,84 @@ def _load_trace(ref: _TraceRef) -> OperandTrace:
     return trace
 
 
-def _group_jobs(spec: _GroupSpec) -> List[CharacterizationJob]:
-    return [CharacterizationJob(
-        entry=spec.entry,
-        trace=_load_trace(ref),
-        clock_periods=spec.clock_periods,
-        simulator=spec.simulator,
-        engine=spec.engine,
-        synthesis=spec.synthesis,
-        width=spec.width,
-        collect_structural_stats=ref.collect_structural_stats,
-        output_bus=spec.output_bus,
-    ) for ref in spec.members]
+@contextmanager
+def spill_traces(digests: "IdentityMemo[str]") -> Iterator[Callable[[OperandTrace], _TraceRef]]:
+    """Yield a ``trace -> _TraceRef`` shipper backed by a temp spill dir.
 
-
-def _group_simulator(job: CharacterizationJob, synthesized) -> FastTimingSimulator:
-    key = group_key(job)
-    simulator = _GROUP_SIMULATORS.get(key)
-    if simulator is None:
-        simulator = _GROUP_SIMULATORS.put(key,
-                                          build_group_simulator(job, synthesized))
-    return simulator
-
-
-def _planned_group_task(spec: _GroupSpec):
-    """Worker task: one whole planner group, batched.
-
-    Returns per-member results in member order; traces are stripped
-    before pickling back (the parent restores them), and ``timing_only``
-    groups return just the per-member timing dicts.
+    Each unique trace (by content digest, memoised per trace object in
+    ``digests``) is written once; the directory is removed on exit.
+    Presentational trace names ride along; results never depend on them.
     """
-    jobs = _group_jobs(spec)
-    job0 = jobs[0]
-    fault_point(POINT_TASK, job0.name)
-    synthesized = _cached_design(job0)
-    simulator = _group_simulator(job0, synthesized)
-    if spec.timing_only:
-        return simulator.run_traces_multi(
-            [_operands_of(job.trace) for job in jobs], job0.clock_periods,
-            output_bus=job0.output_bus).timing
-    results = execute_group(jobs, synthesized=synthesized, simulator=simulator)
-    for result in results:
-        result.trace = None
-    return results
+    spill_dir = tempfile.mkdtemp(prefix="repro-plan-traces-")
+    refs: Dict[str, _TraceRef] = {}
 
-
-class PlannedBackend(Backend):
-    """Decorate a backend with grouping, interning and batched execution.
-
-    Parameters
-    ----------
-    inner:
-        The backend (or backend name) the plan executes on.  Serial
-        inners run batched groups in the calling process; a
-        :class:`MultiprocessBackend` receives one task per group on its
-        own pool (traces spilled once per unique digest, loaded once per
-        worker).  Anything the planner cannot batch is passed through to
-        ``inner`` untouched, in one batch, preserving its scheduling.
-    min_group_size:
-        Smallest group worth batching (default 2); smaller groups pass
-        through, so the single-job split path of the multiprocess
-        backend is never regressed.
-    """
-
-    name = "planned"
-
-    def __init__(self, inner="serial", min_group_size: int = 2) -> None:
-        if min_group_size < 2:
-            raise ConfigurationError(
-                f"min_group_size must be at least 2, got {min_group_size}")
-        self.inner = get_backend(inner)
-        self.min_group_size = min_group_size
-        # Digest memo; modest capacity on purpose — entries pin their
-        # trace (for the identity check), and recomputing a SHA-256 is
-        # far cheaper than keeping large dead traces alive.
-        self._digests: "IdentityMemo[str]" = IdentityMemo(64)
-
-    def describe(self) -> str:
-        return f"planned[{self.inner.describe()}]"
-
-    def close(self) -> None:
-        self.inner.close()
-
-    # ------------------------------------------------------------------ #
-    def _digest(self, trace: OperandTrace) -> str:
-        digest = self._digests.get((trace,))
+    def ship(trace: OperandTrace) -> _TraceRef:
+        digest = digests.get((trace,))
         if digest is None:
-            digest = self._digests.put((trace,), trace_digest(trace))
-        return digest
+            digest = digests.put((trace,), trace_digest(trace))
+        ref = refs.get(digest)
+        if ref is None:
+            ref = refs[digest] = _TraceRef(digest, os.path.join(spill_dir, f"{digest}.pkl"))
+            with open(ref.path, "wb") as handle:
+                pickle.dump({"a": trace.a, "b": trace.b, "width": trace.width,
+                             "name": trace.name}, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        return ref
 
-    def _split(self, jobs: Sequence[CharacterizationJob]
-               ) -> Tuple[List[List[int]], List[int]]:
-        """Indices of batchable groups, and pass-through indices in order."""
-        grouped: Dict[tuple, List[int]] = {}
-        for index, job in enumerate(jobs):
-            grouped.setdefault(group_key(job), []).append(index)
-        batched: List[List[int]] = []
-        passthrough: List[int] = []
-        for key, indices in grouped.items():
-            job = jobs[indices[0]]
-            if job.simulator == "fast" and len(indices) >= self.min_group_size:
-                batched.append(indices)
-            else:
-                passthrough.extend(indices)
-        passthrough.sort()
-        return batched, passthrough
+    try:
+        yield ship
+    finally:
+        metric_count("plan.traces_interned", len(refs))
+        shutil.rmtree(spill_dir, ignore_errors=True)
 
-    def _spill_specs(self, jobs: Sequence[CharacterizationJob],
-                     batched: List[List[int]], spill_dir: str,
-                     timing_only: bool) -> List[_GroupSpec]:
-        """Write each unique trace once, build one spec per group."""
-        paths: Dict[str, str] = {}
-        specs: List[_GroupSpec] = []
-        for indices in batched:
-            members = []
-            for index in indices:
-                job = jobs[index]
-                digest = self._digest(job.trace)
-                path = paths.get(digest)
-                if path is None:
-                    path = paths[digest] = os.path.join(spill_dir, f"{digest}.pkl")
-                    with open(path, "wb") as handle:
-                        pickle.dump({"a": job.trace.a, "b": job.trace.b,
-                                     "width": job.trace.width,
-                                     "name": job.trace.name}, handle,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-                members.append(_TraceRef(
-                    digest=digest, path=path,
-                    collect_structural_stats=job.collect_structural_stats))
-            job0 = jobs[indices[0]]
-            specs.append(_GroupSpec(
-                entry=job0.entry, width=job0.width, synthesis=job0.synthesis,
-                simulator=job0.simulator, engine=job0.engine,
-                output_bus=job0.output_bus, clock_periods=job0.clock_periods,
-                members=tuple(members), timing_only=timing_only))
-        metric_count("plan.traces_interned", len(paths))
-        return specs
 
-    @staticmethod
-    def _subdivide(batched: List[List[int]], target: int) -> List[List[int]]:
-        """Split index groups until at least ``target`` tasks exist.
+# --------------------------------------------------------------------- #
+# Fan-in
+# --------------------------------------------------------------------- #
+def _merge_slices(job: CharacterizationJob,
+                  parts: List[DesignCharacterization]) -> DesignCharacterization:
+    """One job's result from its trace slices, in trace order."""
+    def vectors(name: str) -> np.ndarray:
+        # Consecutive slices share one boundary vector; keep it once.
+        return np.concatenate([getattr(parts[0], name)]
+                              + [getattr(part, name)[1:] for part in parts[1:]])
 
-        One task per group starves a wide pool when a batch has few
-        groups (a single design over many traces, or the chunk tasks of
-        one sharded cache entry).  Splitting a group is always safe —
-        each sub-group is itself a valid same-design, same-clock-plan
-        group, and concatenating sub-group results in index order is
-        the group's result — so the largest group is halved until the
-        task count reaches the pool width (or nothing is left to split).
-        """
-        groups = [list(indices) for indices in batched]
-        while len(groups) < target:
-            largest = max(range(len(groups)), key=lambda i: len(groups[i]))
-            if len(groups[largest]) < 2:
-                break
-            indices = groups[largest]
-            middle = len(indices) // 2
-            groups[largest:largest + 1] = [indices[:middle], indices[middle:]]
-        return groups
+    structural_stats = None
+    if job.collect_structural_stats:
+        with phase("simulate", design=job.name, transitions=job.trace.length):
+            _, structural_stats = family_of(job.entry).golden_words(
+                job.entry, job.width, job.trace.a, job.trace.b, collect_stats=True)
+    return DesignCharacterization(
+        entry=job.entry,
+        synthesized=parts[0].synthesized,
+        trace=job.trace,
+        diamond_words=vectors("diamond_words"),
+        gold_words=vectors("gold_words"),
+        timing_traces=merge_timing_chunks(part.timing_traces for part in parts),
+        structural_stats=structural_stats,
+        netlist_words=vectors("netlist_words"),
+    )
 
-    def _run_grouped(self, jobs: Sequence[CharacterizationJob],
-                     batched: List[List[int]], timing_only: bool,
-                     results: List, passthrough_fn: Callable[[], None]) -> None:
-        """Execute the batched groups, interleaving the pass-through batch.
 
-        On a multiprocess inner the group tasks are submitted first so
-        the pass-through jobs (scheduled by the inner backend itself)
-        overlap with them on the same pool; groups are subdivided until
-        the pool has one task per worker, so a batch with fewer groups
-        than workers still parallelises.
-        """
-        if batched:
-            metric_count("plan.groups", len(batched))
-            for indices in batched:
-                metric_observe("plan.group_size", len(indices))
-        if isinstance(self.inner, MultiprocessBackend) and batched:
-            batched = self._subdivide(batched, self.inner.workers)
-            spill_dir = tempfile.mkdtemp(prefix="repro-plan-traces-")
-            try:
-                specs = self._spill_specs(jobs, batched, spill_dir, timing_only)
-                # Group tasks go through the inner backend's resilient
-                # gather: transient group failures retry, a killed worker
-                # re-dispatches only unfinished groups, and the
-                # pass-through batch interleaves on the same pool.
-                gathered = self.inner.run_calls(
-                    [(_planned_group_task, (spec,), f"group:{index}")
-                     for index, spec in enumerate(specs)],
-                    interleave=passthrough_fn)
-                for indices, outcomes in zip(batched, gathered):
-                    for index, outcome in zip(indices, outcomes):
-                        results[index] = outcome
-                self.inner.drain_telemetry()
-                if not timing_only:
-                    for indices in batched:
-                        for index in indices:
-                            results[index].trace = jobs[index].trace
-            finally:
-                shutil.rmtree(spill_dir, ignore_errors=True)
-            return
+def gather_results(jobs: Sequence[CharacterizationJob], groups: List[List[Member]],
+                   outcomes: Sequence[List[DesignCharacterization]]
+                   ) -> List[DesignCharacterization]:
+    """Per-job results in submission order, slices merged, traces restored."""
+    parts: List[List[DesignCharacterization]] = [[] for _ in jobs]
+    for group, results in zip(groups, outcomes):
+        for (index, _), result in zip(group, results):
+            parts[index].append(result)
+    gathered = []
+    for job, pieces in zip(jobs, parts):
+        result = pieces[0] if len(pieces) == 1 else _merge_slices(job, pieces)
+        result.trace = job.trace
+        gathered.append(result)
+    return gathered
 
-        designs: Dict[tuple, object] = {}
-        simulators: Dict[tuple, FastTimingSimulator] = {}
-        policy = self.inner.retry_policy
-        for group_index, indices in enumerate(batched):
-            group = [jobs[index] for index in indices]
-            job0 = group[0]
 
-            def body(group=group, job0=job0):
-                fault_point(POINT_TASK, job0.name)
-                design_key = job0.cache_key()
-                synthesized = designs.get(design_key)
-                if synthesized is None:
-                    synthesized = designs[design_key] = synthesize_job(job0)
-                simulator_key = group_key(job0)
-                simulator = simulators.get(simulator_key)
-                if simulator is None:
-                    simulator = simulators[simulator_key] = \
-                        build_group_simulator(job0, synthesized)
-                if timing_only:
-                    return simulator.run_traces_multi(
-                        [_operands_of(job.trace) for job in group],
-                        job0.clock_periods, output_bus=job0.output_bus).timing
-                return execute_group(group, synthesized=synthesized,
-                                     simulator=simulator)
-            outcomes = retry_call(policy, f"group:{job0.name}:{group_index}", body)
-            for index, outcome in zip(indices, outcomes):
-                results[index] = outcome
-        passthrough_fn()
-
-    # ------------------------------------------------------------------ #
-    def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:
-        jobs = list(jobs)
-        batched, passthrough = self._split(jobs)
-        if not batched:
-            # Nothing groups: hand the whole batch to the inner backend so
-            # its scheduling heuristics (whole-job vs split) see the full
-            # picture — the planner leaves no trace on this path.
-            return self.inner.run(jobs)
-        results: List = [None] * len(jobs)
-
-        def passthrough_fn() -> None:
-            if passthrough:
-                outcomes = self.inner.run([jobs[index] for index in passthrough])
-                for index, outcome in zip(passthrough, outcomes):
-                    results[index] = outcome
-
-        self._run_grouped(jobs, batched, False, results, passthrough_fn)
-        return results
-
-    def run_tasks(self, tasks: Sequence[Task]) -> List[object]:
-        tasks = list(tasks)
-        timing_indices = [index for index, task in enumerate(tasks)
-                          if isinstance(task, TimingChunkTask)]
-        timing_jobs = [tasks[index].job for index in timing_indices]
-        batched, passthrough_local = self._split(timing_jobs)
-        if not batched:
-            return self.inner.run_tasks(tasks)
-        # Map the grouping (computed over timing tasks only) back to the
-        # full task list; golden tasks always pass through.
-        batched = [[timing_indices[local] for local in group] for group in batched]
-        passthrough = sorted(
-            set(range(len(tasks)))
-            - {index for group in batched for index in group})
-        results: List = [None] * len(tasks)
-
-        def passthrough_fn() -> None:
-            if passthrough:
-                outcomes = self.inner.run_tasks([tasks[index] for index in passthrough])
-                for index, outcome in zip(passthrough, outcomes):
-                    results[index] = outcome
-
-        self._run_grouped([task.job for task in tasks], batched, True, results,
-                          passthrough_fn)
-        return results
+def __getattr__(name: str):
+    # PlannedBackend is defined in repro.runtime.backends, which imports
+    # this module, so this import path resolves it lazily.
+    if name == "PlannedBackend":
+        from repro.runtime.backends import PlannedBackend
+        return PlannedBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

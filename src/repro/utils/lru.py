@@ -83,3 +83,9 @@ class IdentityMemo(Generic[V]):
     def put(self, anchors: tuple, value: V, extra=None) -> V:
         self._entries.put(self._key(anchors, extra), (tuple(anchors), value))
         return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()

@@ -7,6 +7,8 @@ the whole suite stays fast while still exercising real code paths.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,29 @@ def _fresh_design_cache():
     clear_design_cache()
     reset_synth_cache()
     yield
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Factory of multiprocess backends with exactly the requested workers.
+
+    ``MultiprocessBackend`` clamps a request to ``os.cpu_count()``; the
+    count is patched up so a pool has the asked-for size on any host,
+    and tests of worker-count independence test the count they name.
+    Every backend made here is closed on teardown.
+    """
+    from repro.runtime import MultiprocessBackend
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    backends = []
+
+    def make(workers, **kwargs):
+        backend = MultiprocessBackend(workers=workers, **kwargs)
+        backends.append(backend)
+        return backend
+
+    yield make
+    for backend in backends:
+        backend.close()
 
 
 @pytest.fixture(scope="session")

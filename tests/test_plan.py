@@ -1,31 +1,29 @@
-"""Tests of the execution planner: grouping, batching, bit-identity.
+"""Tests of the execution planner: grouping, pool filling, bit-identity.
 
-The planner's contract is that batched execution is **bit-identical** to
-per-job execution on every backend — grouped multi-trace evaluation,
-clock-specialised lowering and interned traces included — and that
-whatever cannot batch (event-tier jobs, single-job groups) passes
-through to the wrapped backend untouched.
+The planner's contract is that every backend's batched execution is
+**bit-identical** to the ``execute_job`` reference kernel — grouped
+multi-trace evaluation, clock-specialised lowering, interned traces and
+trace slices merged back in order included — and that a scheduled
+fast-tier job costs one logic pass.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.circuit.compiled import PackedTimingProgram
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.circuit.compiled import CompiledProgram, PackedTimingProgram, transition_chunks
+from repro.circuit.netlist import Netlist
+from repro.exceptions import SimulationError
+from repro.obs.metrics import metrics_run
 from repro.runtime import (
     CachingBackend,
     CharacterizationJob,
-    GoldenTask,
-    MultiprocessBackend,
     PlannedBackend,
     SerialBackend,
-    TimingChunkTask,
     execute_group,
+    execute_job,
+    plan_groups,
     run_jobs,
 )
 from repro.experiments.designs import exact_entry, isa_entry
@@ -73,61 +71,54 @@ def assert_bit_identical(reference, candidate):
         assert timing.output_width == other.output_width
     assert ((reference.structural_stats is None)
             == (candidate.structural_stats is None))
+    if reference.structural_stats is not None:
+        assert candidate.structural_stats.cycles == reference.structural_stats.cycles
+        assert np.array_equal(candidate.structural_stats.position_counts,
+                              reference.structural_stats.position_counts)
 
 
 class CountingSerial(SerialBackend):
-    """Serial backend counting the whole jobs and tasks that reach it."""
+    """Serial backend counting the jobs that reach it."""
 
     def __init__(self):
+        super().__init__()
         self.jobs_run = 0
-        self.tasks_run = 0
 
     def run(self, jobs):
         jobs = list(jobs)
         self.jobs_run += len(jobs)
         return super().run(jobs)
 
-    def run_tasks(self, tasks):
-        tasks = list(tasks)
-        self.tasks_run += len(tasks)
-        return super().run_tasks(tasks)
-
 
 class TestPlannedBitIdentity:
-    def test_planned_serial_identical(self):
+    def test_serial_matches_execute_job(self):
         jobs = sweep_batch()
-        reference = run_jobs(jobs, plan=False)
-        planned = run_jobs(jobs, plan=True)
-        for want, got in zip(reference, planned):
-            assert_bit_identical(want, got)
+        for job, got in zip(jobs, run_jobs(jobs)):
+            assert_bit_identical(execute_job(job), got)
 
-    def test_planned_multiprocess_identical(self):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_multiprocess_matches_execute_job(self, pool_of, workers):
         jobs = sweep_batch()
-        reference = run_jobs(jobs, plan=False)
-        planned = run_jobs(jobs, backend="multiprocess", workers=2, plan=True)
-        for want, got in zip(reference, planned):
-            assert_bit_identical(want, got)
-        # the parent restores the original trace objects on group results
-        for job, got in zip(jobs, planned):
-            assert got.trace is job.trace
+        got = pool_of(workers).run(jobs)
+        for job, result in zip(jobs, got):
+            assert_bit_identical(execute_job(job), result)
+            # the parent restores the original trace objects
+            assert result.trace is job.trace
 
-    def test_planned_cached_identical_and_warm_zero_jobs(self, tmp_path):
+    def test_cached_identical_and_warm_zero_jobs(self, tmp_path):
         jobs = sweep_batch()
-        reference = run_jobs(jobs, plan=False)
+        reference = [execute_job(job) for job in jobs]
         inner = CountingSerial()
-        cache = CachingBackend(PlannedBackend(inner), tmp_path)
+        cache = CachingBackend(inner, tmp_path)
         cold = cache.run(jobs)
         for want, got in zip(reference, cold):
             assert_bit_identical(want, got)
         assert cache.stats.misses == len(jobs)
-        # batched groups execute inside the planner; the inner backend
-        # only sees the pass-through (event-tier) job
-        executed_cold = inner.jobs_run + inner.tasks_run
-        assert executed_cold == 1
+        assert inner.jobs_run == len(jobs)  # every miss is one planned batch
         warm = cache.run(jobs)
         for want, got in zip(reference, warm):
             assert_bit_identical(want, got)
-        assert inner.jobs_run + inner.tasks_run == executed_cold  # zero on warm
+        assert inner.jobs_run == len(jobs)  # zero on warm
         assert cache.stats.hits == len(jobs)
 
     def test_same_design_two_clock_plans_stay_separate(self):
@@ -139,121 +130,118 @@ class TestPlannedBitIdentity:
                 jobs.append(CharacterizationJob(
                     entry=isa_entry((4, 0, 0, 2), width=16), trace=tr,
                     clock_periods=periods, simulator="fast", width=16))
-        reference = run_jobs(jobs, plan=False)
-        planned = run_jobs(jobs, plan=True)
-        for want, got in zip(reference, planned):
-            assert_bit_identical(want, got)
+        assert plan_groups(jobs) == [[(0, None), (1, None)], [(2, None), (3, None)]]
+        for job, got in zip(jobs, run_jobs(jobs)):
+            assert_bit_identical(execute_job(job), got)
 
 
-class TestPlannedScheduling:
-    def test_single_job_batch_passes_through(self):
-        inner = CountingSerial()
-        planned = PlannedBackend(inner)
-        job = make_job()
-        [result] = planned.run([job])
-        assert inner.jobs_run == 1  # no grouping, inner saw the whole batch
-        assert_bit_identical(SerialBackend().run([job])[0], result)
+class TestPlanGroups:
+    def test_groups_by_design_and_clock_plan_in_first_seen_order(self):
+        jobs = sweep_batch()
+        groups = plan_groups(jobs)
+        assert groups == [[(0, None), (1, None), (2, None)],
+                          [(3, None), (4, None), (5, None), (10, None)],
+                          [(6, None), (7, None), (8, None)],
+                          [(9, None)]]  # the event job: same design, other tier
+        assert plan_groups(jobs) == groups  # pure: same batch, same plan
 
-    def test_single_design_batch_groups(self):
-        inner = CountingSerial()
-        planned = PlannedBackend(inner)
-        trace_a = uniform_workload(100, width=16, seed=7)
-        trace_b = uniform_workload(100, width=16, seed=8)
-        jobs = [make_job(trace=trace_a), make_job(trace=trace_b)]
-        results = planned.run(jobs)
-        assert inner.jobs_run == 0  # the group ran batched, in-process
-        for want, got in zip(SerialBackend().run(jobs), results):
-            assert_bit_identical(want, got)
+    def test_halves_groups_until_the_pool_is_full(self):
+        traces = [uniform_workload(100, width=16, seed=seed) for seed in range(8)]
+        jobs = [make_job(trace=trace) for trace in traces]
+        groups = plan_groups(jobs, 4)
+        assert [len(group) for group in groups] == [2, 2, 2, 2]
+        assert sorted(index for group in groups for index, _ in group) == list(range(8))
+        # Halving splits the largest group first: 6 -> 3 + 3 -> 1 + 2 + 3.
+        assert [len(group) for group in plan_groups(jobs[:6], 3)] == [1, 2, 3]
 
-    def test_event_jobs_pass_through(self):
-        inner = CountingSerial()
-        planned = PlannedBackend(inner)
+    def test_cuts_single_jobs_into_word_aligned_slices(self):
+        job = make_job(length=200)  # 199 transitions
+        assert plan_groups([job], 1) == [[(0, None)]]
+        assert plan_groups([job], 2) == [[(0, (0, 128))], [(0, (128, 199))]]
+        assert plan_groups([job], 4) == [[(0, span)] for span in transition_chunks(199, 64)]
+        # Two jobs on four workers: two slices each.
+        other = make_job(quadruple=(8, 0, 0, 4), length=200)
+        assert plan_groups([job, other], 4) == [
+            [(0, (0, 128))], [(0, (128, 199))], [(1, (0, 128))], [(1, (128, 199))]]
+
+    def test_a_trace_of_one_word_stays_whole(self):
+        job = make_job(length=65)  # 64 transitions: one packed word
+        assert plan_groups([job], 8) == [[(0, None)]]
+
+    def test_empty_batch(self):
+        assert plan_groups([], 4) == []
+
+
+class TestScheduling:
+    def test_one_long_job_on_two_workers_is_sliced_and_merged(self, pool_of):
+        job = make_job(quadruple=(8, 0, 0, 4), length=300, collect_structural_stats=True)
+        reference = execute_job(job)
+        with metrics_run() as registry:
+            [result] = pool_of(2).run([job])
+        assert registry.counters["plan.groups"] == 2
+        assert_bit_identical(reference, result)
+        # Stats cover the full trace once: the slices' shared boundary
+        # vector is not counted twice.
+        assert result.structural_stats.cycles == job.trace.length
+
+    def test_scheduled_fast_job_costs_one_logic_pass(self, monkeypatch):
+        calls = {"compute_words": 0, "run_packed": 0}
+
+        def counting(owner, name, counter):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[counter] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(Netlist, "compute_words", "compute_words")
+        counting(CompiledProgram, "run_packed", "run_packed")
+        counting(CompiledProgram, "run_packed_many", "run_packed")
+        SerialBackend().run([make_job(seed=40)])  # synthesize and lower first
+        calls.update(compute_words=0, run_packed=0)
+        [result] = SerialBackend().run([make_job(seed=41)])
+        assert calls == {"compute_words": 0, "run_packed": 1}
+        # The reference kernel pays a second pass for its golden words.
+        calls.update(compute_words=0, run_packed=0)
+        assert_bit_identical(execute_job(make_job(seed=41)), result)
+        assert calls == {"compute_words": 1, "run_packed": 2}
+
+    def test_event_groups_run_the_reference_kernel(self):
         trace = uniform_workload(64, width=16, seed=9)
-        jobs = [make_job(trace=trace, simulator="event", length=64),
-                make_job(trace=trace, simulator="event", length=64)]
-        planned.run(jobs)
-        assert inner.jobs_run == 2
-
-    def test_min_group_size_validation(self):
-        with pytest.raises(ConfigurationError):
-            PlannedBackend(SerialBackend(), min_group_size=1)
+        jobs = [make_job(trace=trace, simulator="event"),
+                make_job(trace=uniform_workload(48, width=16, seed=10),
+                         simulator="event")]
+        assert plan_groups(jobs) == [[(0, None), (1, None)]]
+        for job, got in zip(jobs, SerialBackend().run(jobs)):
+            assert_bit_identical(execute_job(job), got)
 
     def test_run_jobs_keeps_caller_supplied_cache_in_the_loop(self, tmp_path):
-        """run_jobs must not wrap a caller's caching stack in a planner.
-
-        A planner *above* the cache would execute grouped jobs in-process
-        and route them around the cache entirely.
-        """
         traces = [uniform_workload(100, width=16, seed=seed) for seed in (31, 32)]
         jobs = [make_job(trace=trace) for trace in traces]
-        caching = CachingBackend(PlannedBackend(SerialBackend()), tmp_path)
-        run_jobs(jobs, backend=caching)  # plan=True default
+        caching = CachingBackend(SerialBackend(), tmp_path)
+        run_jobs(jobs, backend=caching)
         assert caching.stats.misses == len(jobs)
         run_jobs(jobs, backend=caching)
         assert caching.stats.hits == len(jobs)
 
-    def test_describe(self):
-        assert PlannedBackend(SerialBackend()).describe() == "planned[serial]"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            backend = PlannedBackend(MultiprocessBackend(workers=2))
-        expected = min(2, os.cpu_count() or 1)
-        try:
-            assert backend.describe() == f"planned[multiprocess[{expected}]]"
-        finally:
-            backend.close()
-
-    def test_run_tasks_batches_timing_chunks(self):
-        job = make_job(length=200)
-        tasks = [GoldenTask(job)]
-        for start, stop in ((0, 64), (64, 128), (128, 199)):
-            tasks.append(TimingChunkTask(job.with_trace(job.trace.slice(start, stop + 1))))
-        reference = SerialBackend().run_tasks(tasks)
+    def test_planned_backend_is_a_pass_through(self, pool_of):
         inner = CountingSerial()
         planned = PlannedBackend(inner)
-        results = planned.run_tasks(tasks)
-        assert inner.tasks_run == 1  # only the golden task passed through
-        # golden tuples agree
-        want, got = reference[0], results[0]
-        for index in (1, 2, 4):
-            assert np.array_equal(want[index], got[index])
-        # timing chunks agree per clock
-        for want, got in zip(reference[1:], results[1:]):
-            assert set(want) == set(got)
-            for clk in want:
-                assert np.array_equal(want[clk].sampled_words, got[clk].sampled_words)
-                assert np.array_equal(want[clk].settled_words, got[clk].settled_words)
+        assert planned.describe() == "serial"
+        jobs = [make_job(seed=50), make_job(seed=51)]
+        for job, got in zip(jobs, planned.run(jobs)):
+            assert_bit_identical(execute_job(job), got)
+        assert inner.jobs_run == 2
+        assert PlannedBackend(pool_of(2)).describe() == "multiprocess[2]"
 
-    def test_subdivide_restores_pool_parallelism(self):
-        """Few large groups split until the pool has one task per worker."""
-        groups = PlannedBackend._subdivide([[0, 1, 2, 3, 4, 5, 6, 7]], 4)
-        assert len(groups) == 4
-        assert sorted(index for group in groups for index in group) == list(range(8))
-        groups = PlannedBackend._subdivide([[0, 1], [2, 3, 4, 5]], 3)
-        assert len(groups) == 3
-        # nothing left to split: single-job groups stay whole
-        assert PlannedBackend._subdivide([[0]], 8) == [[0]]
-
-    def test_single_design_many_traces_multiprocess_identical(self):
+    def test_single_design_many_traces_multiprocess_identical(self, pool_of):
         """One design x many traces splits across the pool bit-identically."""
         traces = [uniform_workload(100, width=16, seed=seed) for seed in range(6)]
         jobs = [make_job(trace=trace) for trace in traces]
-        want = SerialBackend().run(jobs)
-        backend = PlannedBackend(MultiprocessBackend(workers=3))
-        try:
-            got = backend.run(jobs)
-        finally:
-            backend.close()
-        for reference, candidate in zip(want, got):
-            assert_bit_identical(reference, candidate)
-
-    def test_run_tasks_all_passthrough(self):
-        job = make_job(length=80)
-        tasks = [GoldenTask(job), TimingChunkTask(job)]
-        inner = CountingSerial()
-        planned = PlannedBackend(inner, min_group_size=3)
-        planned.run_tasks(tasks)
-        assert inner.tasks_run == 2
+        got = pool_of(3).run(jobs)
+        for job, candidate in zip(jobs, got):
+            assert_bit_identical(execute_job(job), candidate)
 
 
 class TestExecuteGroup:
@@ -262,19 +250,35 @@ class TestExecuteGroup:
         jobs = [make_job(quadruple=(8, 0, 0, 4), trace=trace,
                          collect_structural_stats=True),
                 make_job(quadruple=(8, 0, 0, 4), length=90, seed=14)]
-        [want_stats, want_plain] = SerialBackend().run(jobs)
         [got_stats, got_plain] = execute_group(jobs)
-        assert_bit_identical(want_stats, got_stats)
-        assert_bit_identical(want_plain, got_plain)
-        assert got_stats.structural_stats.cycles == want_stats.structural_stats.cycles
-        assert np.array_equal(got_stats.structural_stats.position_counts,
-                              want_stats.structural_stats.position_counts)
+        assert_bit_identical(execute_job(jobs[0]), got_stats)
+        assert_bit_identical(execute_job(jobs[1]), got_plain)
 
     def test_exact_entry_group(self):
         jobs = [make_job(quadruple=None, length=100, seed=15),
                 make_job(quadruple=None, length=70, seed=16)]
-        for want, got in zip(SerialBackend().run(jobs), execute_group(jobs)):
-            assert_bit_identical(want, got)
+        for job, got in zip(jobs, execute_group(jobs)):
+            assert_bit_identical(execute_job(job), got)
+
+    @pytest.mark.parametrize("engine, quadruple, stats", [
+        ("compiled", (4, 0, 0, 2), False),
+        ("reference", (4, 0, 0, 2), False),
+        ("auto", None, False),
+        ("auto", (8, 0, 0, 4), True),
+    ], ids=["compiled", "reference", "exact", "structural-stats"])
+    def test_one_job_group_equals_execute_job(self, engine, quadruple, stats):
+        job = make_job(quadruple=quadruple, length=150, seed=17, engine=engine,
+                       collect_structural_stats=stats)
+        [got] = execute_group([job])
+        assert_bit_identical(execute_job(job), got)
+
+    def test_one_job_group_on_the_auto_fallback(self, monkeypatch):
+        # A zero threshold-row budget aborts the packed timing compiler,
+        # so engine="auto" falls back to the dense reference path.
+        monkeypatch.setattr(PackedTimingProgram, "DEFAULT_ROWS_PER_GATE", 0)
+        job = make_job(length=150, seed=18, engine="auto")
+        [got] = execute_group([job])
+        assert_bit_identical(execute_job(job), got)
 
 
 class TestClockSpecialisedSimulator:
@@ -334,7 +338,7 @@ class TestPhases:
         monkeypatch.delenv(SYNTH_CACHE_ENV, raising=False)
         jobs = [make_job(length=80, seed=21), make_job(length=80, seed=22)]
         with collect_phases() as phases:
-            PlannedBackend(SerialBackend()).run(jobs)
+            SerialBackend().run(jobs)
         assert phases.seconds.get("synthesize", 0) > 0
         assert phases.seconds.get("lower", 0) > 0
         assert phases.seconds.get("simulate", 0) > 0

@@ -1,18 +1,21 @@
 """Tests of the resilient execution layer (retries, recovery, checkpoints).
 
 The contract under test: a worker killed mid-batch recovers with results
-bit-identical to a fault-free serial run, across serial/multiprocess x
-planned/unplanned x cached/uncached; retry exhaustion propagates the
-original error; a pool whose workers die on every task degrades to
-in-process execution with a warning instead of failing; transient
-store-write failures warn once and continue as misses; checkpointed
-sweeps resume by replaying journaled scores and simulating only the
-unfinished jobs; and fault plans are deterministic across processes.
+bit-identical to the fault-free ``execute_job`` reference, at 1, 2 and 4
+workers, cached and uncached; a stalled worker is terminated on pool
+recovery; retry exhaustion propagates the original error; a pool whose
+workers die on every task degrades to in-process execution with a
+warning instead of failing; transient store-write failures warn once
+and continue as misses; checkpointed sweeps resume by replaying
+journaled scores and simulating only the unfinished jobs; and fault
+plans count one global event stream, so they fire identically whatever
+the process layout.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing.connection
 import os
 import subprocess
 import sys
@@ -45,6 +48,7 @@ from repro.runtime import (
     SerialBackend,
     active_fault_plan,
     deterministic_jitter,
+    execute_job,
     parse_fault_plan,
     reset_fault_plan,
     retry_call,
@@ -97,9 +101,10 @@ def multiprocess_backend(**kwargs):
 def arm_faults(monkeypatch, tmp_path):
     """Arm (and on teardown disarm) a fault plan with a fresh state dir.
 
-    The explicit per-test ``state_dir`` matters: ``times`` budgets are
-    claimed through token files that would otherwise persist in a
-    directory derived from the plan text, across tests and runs.
+    The explicit per-test ``state_dir`` matters: event ordinals and
+    ``times`` budgets are claimed through token files that would
+    otherwise be shared by every test of this process using the same
+    plan text.
     """
     def arm(faults, **extra):
         document = {"faults": faults, "state_dir": str(tmp_path / "fault-state")}
@@ -276,12 +281,24 @@ class TestFaultPlan:
         second.fire(POINT_TASK, "b")  # budget exhausted globally: no fire
         second.fire(POINT_TASK, "c")
 
+    def test_ordinals_count_one_stream_across_processes(self, tmp_path):
+        spec = FaultSpec(kind="task-error", point=POINT_TASK, at=3)
+        first = FaultPlan([spec], str(tmp_path))
+        second = FaultPlan([spec], str(tmp_path))  # another "process"
+        first.fire(POINT_TASK, "a")   # global event 1
+        second.fire(POINT_TASK, "b")  # global event 2
+        with pytest.raises(OSError, match="event #3"):
+            first.fire(POINT_TASK, "c")
+        second.fire(POINT_TASK, "d")  # event 4: at fires once
+        assert [path.name for path in tmp_path.glob("fault0-fired*")] == ["fault0-fired3"]
+
     def test_kill_worker_is_a_noop_in_the_driver(self, tmp_path):
         plan = FaultPlan([FaultSpec(kind="kill-worker", point=POINT_TASK,
                                     every=1)], str(tmp_path))
         with metrics_run() as registry:
             plan.fire(POINT_TASK, "driver-task")  # must not exit the test runner
         assert registry.counters["faults.injected"] == 1
+        assert not list(tmp_path.glob("fault0-fired*"))  # nothing was killed
 
     def test_plans_fire_identically_across_processes(self, tmp_path):
         script = (
@@ -300,7 +317,8 @@ class TestFaultPlan:
             "        events.append(str(error))\n"
             "print(json.dumps(events))\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        # The default state dir lands under TMPDIR, one per driver run.
+        env = dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmp_path))
         env.pop(FAULT_PLAN_ENV, None)
         runs = [subprocess.run([sys.executable, "-c", script], env=env,
                                capture_output=True, text=True, check=True)
@@ -308,6 +326,7 @@ class TestFaultPlan:
         first, second = (json.loads(run.stdout) for run in runs)
         assert first == second
         assert sum(1 for event in first if event != "ok") > 0
+        assert len(list(tmp_path.glob("repro-faults-*"))) == 2
 
 
 # --------------------------------------------------------------------- #
@@ -315,20 +334,19 @@ class TestFaultPlan:
 # --------------------------------------------------------------------- #
 class TestSerialResilience:
     def test_transient_task_fault_is_retried_transparently(self, arm_faults):
-        [reference] = run_jobs([small_job()], backend="serial", plan=False)
+        reference = execute_job(small_job())
         arm_faults([{"kind": "task-error", "at": 1, "times": 1}])
         with metrics_run() as registry:
-            [survived] = run_jobs([small_job()], backend="serial", plan=False)
+            [survived] = run_jobs([small_job()], backend="serial")
         assert_bit_identical(reference, survived)
         assert registry.counters["faults.injected"] == 1
         assert registry.counters["tasks.retried"] == 1
 
     def test_planned_serial_groups_retry_too(self, arm_faults):
-        jobs = job_batch()
-        reference = run_jobs(jobs, backend="serial", plan=False)
+        reference = [execute_job(job) for job in job_batch()]
         arm_faults([{"kind": "task-error", "at": 1, "times": 1}])
         with metrics_run() as registry:
-            survived = run_jobs(job_batch(), backend="serial", plan=True)
+            survived = run_jobs(job_batch(), backend="serial")
         for expected, got in zip(reference, survived):
             assert_bit_identical(expected, got)
         assert registry.counters["tasks.retried"] >= 1
@@ -345,30 +363,27 @@ class TestSerialResilience:
 # Multiprocess backend resilience
 # --------------------------------------------------------------------- #
 class TestMultiprocessResilience:
-    @pytest.mark.parametrize("plan, cached", [
-        (False, False), (True, False), (False, True), (True, True),
-    ], ids=["plain", "planned", "cached", "planned-cached"])
-    def test_killed_worker_recovers_bit_identically(self, arm_faults, tmp_path,
-                                                    plan, cached):
-        jobs = job_batch()
-        reference = run_jobs(jobs, backend="serial", plan=False)
+    @pytest.mark.parametrize("cached", [False, True], ids=["plain", "cached"])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_killed_worker_recovers_bit_identically(self, arm_faults, pool_of,
+                                                    tmp_path, workers, cached):
+        # The 4-job batch plans into 2 to 4 calls depending on the pool
+        # width; the global second task event is killed in every layout.
+        reference = [execute_job(job) for job in job_batch()]
         arm_faults([{"kind": "kill-worker", "at": 2, "times": 1}])
-        backend = multiprocess_backend(workers=2)
-        try:
-            with metrics_run() as registry:
-                survived = run_jobs(
-                    job_batch(), backend=backend, plan=plan,
-                    cache_dir=str(tmp_path / "cache") if cached else None)
-        finally:
-            backend.close()
+        backend = pool_of(workers)
+        with metrics_run() as registry:
+            survived = run_jobs(
+                job_batch(), backend=backend,
+                cache_dir=str(tmp_path / "cache") if cached else None)
         for expected, got in zip(reference, survived):
             assert_bit_identical(expected, got)
         assert registry.counters["pool.rebuilds"] >= 1
         assert registry.counters["tasks.retried"] >= 1
+        assert len(list((tmp_path / "fault-state").glob("fault0-fired*"))) == 1
 
     def test_stalled_task_is_redispatched_after_timeout(self, arm_faults):
-        job = small_job()
-        [reference] = run_jobs([job], backend="serial", plan=False)
+        reference = execute_job(small_job())
         arm_faults([{"kind": "delay", "at": 1, "seconds": 5.0, "times": 1}])
         policy = RetryPolicy(max_attempts=3, backoff_base=0.0, task_timeout=0.5)
         backend = multiprocess_backend(workers=1, retry_policy=policy)
@@ -380,9 +395,31 @@ class TestMultiprocessResilience:
         assert_bit_identical(reference, survived)
         assert registry.counters["pool.rebuilds"] >= 1
 
+    def test_stalled_worker_is_terminated_on_recovery(self, arm_faults, monkeypatch):
+        arm_faults([{"kind": "delay", "at": 1, "seconds": 20.0, "times": 1}])
+        policy = RetryPolicy(max_attempts=3, backoff_base=0.0, task_timeout=0.5)
+        backend = multiprocess_backend(workers=1, retry_policy=policy)
+        stalled = []
+        recover = backend._recover_pool
+
+        def spy(progressed):
+            stalled.extend(backend._pool._processes.values())
+            recover(progressed)
+
+        monkeypatch.setattr(backend, "_recover_pool", spy)
+        try:
+            [survived] = backend.run([small_job()])
+        finally:
+            backend.close()
+        assert_bit_identical(execute_job(small_job()), survived)
+        assert stalled
+        # Gone within moments of close(), not after the 20 s stall.
+        exited = multiprocessing.connection.wait(
+            [process.sentinel for process in stalled], timeout=5.0)
+        assert len(exited) == len(stalled)
+
     def test_hopeless_pool_degrades_to_in_process_with_warning(self, arm_faults):
-        jobs = job_batch()
-        reference = run_jobs(jobs, backend="serial", plan=False)
+        reference = [execute_job(job) for job in job_batch()]
         arm_faults([{"kind": "kill-worker", "every": 1}])
         backend = multiprocess_backend(workers=1, max_rebuilds=2)
         try:
@@ -416,7 +453,7 @@ class TestStoreResilience:
         assert "2 writes skipped on I/O errors" in store.stats.describe()
 
     def test_cached_run_survives_write_faults_as_misses(self, arm_faults, tmp_path):
-        [reference] = run_jobs([small_job()], backend="serial", plan=False)
+        reference = execute_job(small_job())
         arm_faults([{"kind": "store-error", "every": 1,
                      "match": str(tmp_path / "cache")}])
         backend = CachingBackend(SerialBackend(), tmp_path / "cache")
@@ -431,7 +468,7 @@ class TestStoreResilience:
         assert backend.stats.write_errors >= 2
 
     def test_truncated_entry_is_recomputed_as_corruption(self, arm_faults, tmp_path):
-        [reference] = run_jobs([small_job()], backend="serial", plan=False)
+        reference = execute_job(small_job())
         arm_faults([{"kind": "truncate", "at": 1}])
         backend = CachingBackend(SerialBackend(), tmp_path / "cache")
         [cold] = backend.run([small_job()])       # written, then torn in half

@@ -30,6 +30,7 @@ from repro.runtime import (
     CachingBackend,
     CharacterizationJob,
     MultiprocessBackend,
+    ResultStore,
     SerialBackend,
     job_digest,
     trace_digest,
@@ -65,24 +66,20 @@ def assert_bit_identical(reference, candidate):
 
 
 class CountingBackend(SerialBackend):
-    """Serial backend that counts the work units it actually executes.
+    """Serial backend that counts the jobs it actually executes.
 
-    Whole jobs and sub-job tasks (golden passes, timing chunks) both
-    count — the sharded cold path delegates tasks, not whole jobs.
+    Every miss reaches it as a job: a whole job, or one slice job per
+    missing timing shard of a sharded entry.
     """
 
     def __init__(self):
+        super().__init__()
         self.executed = 0
 
     def run(self, jobs):
         jobs = list(jobs)
         self.executed += len(jobs)
         return super().run(jobs)
-
-    def run_tasks(self, tasks):
-        tasks = list(tasks)
-        self.executed += len(tasks)
-        return super().run_tasks(tasks)
 
 
 class TestJobDigest:
@@ -189,13 +186,16 @@ class TestHitMissBitIdentity:
 
 
 class TestShardedEntries:
-    def test_sharded_round_trip_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool"])
+    def test_sharded_round_trip_bit_identical(self, tmp_path, pool_of, workers):
         job = small_job(length=200, collect_structural_stats=True)  # 199 transitions
         uncached = SerialBackend().run([job])[0]
-        cold_cache = CachingBackend(SerialBackend(), tmp_path, shard_transitions=64)
+        # On a 2-worker pool the cold job is itself cut into two slices.
+        inner = pool_of(workers) if workers else SerialBackend()
+        cold_cache = CachingBackend(inner, tmp_path, shard_transitions=64)
         [cold] = cold_cache.run([job])
         assert cold_cache.stats.shard_misses == 4  # 0-64, 64-128, 128-192, 192-199
-        warm_cache = CachingBackend(SerialBackend(), tmp_path, shard_transitions=64)
+        warm_cache = CachingBackend(inner, tmp_path, shard_transitions=64)
         [warm] = warm_cache.run([job])
         assert warm_cache.stats.shard_hits == 4
         assert warm_cache.stats.misses == 0
@@ -217,6 +217,27 @@ class TestShardedEntries:
         assert resume_cache.stats.shard_hits == 3
         assert resume_cache.stats.shard_misses == 1
         assert_bit_identical(cold, resumed)
+
+    def test_missing_golden_reruns_the_whole_job(self, tmp_path):
+        job = small_job(length=200, collect_structural_stats=True)
+        [cold] = CachingBackend(SerialBackend(), tmp_path, shard_transitions=64).run([job])
+        store = ResultStore(tmp_path)
+        store.golden_path(job_digest(job)).unlink()
+        store.shard_path(job_digest(job), 128, 192).unlink()
+        inner = CountingBackend()
+        resume_cache = CachingBackend(inner, tmp_path, shard_transitions=64)
+        [resumed] = resume_cache.run([job])
+        assert inner.executed == 1  # the whole job, once
+        assert (resume_cache.stats.shard_hits, resume_cache.stats.shard_misses) == (3, 1)
+        assert_bit_identical(cold, resumed)
+        inner = CountingBackend()
+        warm_cache = CachingBackend(inner, tmp_path, shard_transitions=64)
+        [warm] = warm_cache.run([job])
+        assert inner.executed == 0
+        assert warm_cache.stats.hits == 1
+        assert_bit_identical(cold, warm)
+        assert np.array_equal(warm.structural_stats.position_counts,
+                              cold.structural_stats.position_counts)
 
     def test_shard_threshold_boundary(self, tmp_path):
         # 65 vectors -> 64 transitions: not above a 64-transition
@@ -442,7 +463,7 @@ class TestStudyConfigIntegration:
             backend = config.runtime_backend()
             assert isinstance(backend, CachingBackend)
             assert backend is config.runtime_backend()  # shared instance
-            assert backend.describe() == "cache[planned[serial]]"
+            assert backend.describe() == "cache[serial]"
             uncached = StudyConfig(backend="serial", cache_dir=None)
             assert not isinstance(uncached.runtime_backend(), CachingBackend)
         finally:
@@ -505,7 +526,7 @@ class TestPoolLifecycle:
         backend = config.runtime_backend()
         job = small_job(length=70)
         backend.run([job])
-        pool_backend = backend.inner  # planner wraps the shared raw backend
+        pool_backend = backend  # the shared raw backend, no wrapper
         assert pool_backend._pool is not None
         assert _BACKEND_INSTANCES
         shutdown_backends()

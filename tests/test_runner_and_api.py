@@ -81,7 +81,7 @@ class TestRunnerCli:
         text = output.read_text()
         assert "Fig. 10" in text
         expected = min(2, os.cpu_count() or 1)
-        assert f"backend=planned[multiprocess[{expected}]]" in text
+        assert f"backend=multiprocess[{expected}]" in text
         assert "engine=compiled" in text
 
     def test_run_all_fig9_only(self):

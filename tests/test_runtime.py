@@ -1,10 +1,10 @@
-"""Tests of the execution runtime: jobs, backends, chunking, determinism.
+"""Tests of the execution runtime: jobs, backends, slicing, determinism.
 
-The backbone guarantee of the runtime is that the multiprocess backend
-is *bit-identical* to the serial one at any worker count, for every
-simulator tier and engine, including ragged traces whose transition
-count does not divide the chunk size.  These tests pin that down on
-small 16-bit designs so the suite stays fast.
+The backbone guarantee of the runtime is that every backend is
+*bit-identical* to the ``execute_job`` reference kernel at any worker
+count, for every simulator tier and engine, including ragged traces
+whose transition count does not divide the slice size.  These tests pin
+that down on small 16-bit designs so the suite stays fast.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.runtime import (
     SerialBackend,
     execute_job,
     get_backend,
+    plan_groups,
     run_jobs,
 )
 from repro.timing.clocking import ClockPlan
@@ -132,46 +133,51 @@ class TestTraceSlicing:
 
 
 class TestBackendDeterminism:
-    """Serial and multiprocess results must match bit for bit."""
+    """Every backend matches the execute_job reference bit for bit."""
 
     @pytest.fixture(scope="class")
     def fast_job(self):
-        # 200 vectors -> 199 transitions: ragged tail for any 64-aligned chunk.
+        # 200 vectors -> 199 transitions: ragged tail for any 64-aligned slice.
         return small_job(length=200, collect_structural_stats=True)
 
     @pytest.fixture(scope="class")
-    def serial_result(self, fast_job):
-        return SerialBackend().run([fast_job])[0]
+    def reference(self, fast_job):
+        return execute_job(fast_job)
+
+    def test_serial_matches_reference(self, fast_job, reference):
+        [result] = SerialBackend().run([fast_job])
+        assert_bit_identical(reference, result)
+        assert np.array_equal(result.structural_stats.position_counts,
+                              reference.structural_stats.position_counts)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_workers_sweep_bit_identical(self, fast_job, serial_result, workers):
-        [result] = MultiprocessBackend(workers=workers,
-                                       chunk_transitions=64).run([fast_job])
-        assert_bit_identical(serial_result, result)
+    def test_workers_sweep_bit_identical(self, fast_job, reference, pool_of, workers):
+        # One job on a wider pool is cut into one slice per worker.
+        assert len(plan_groups([fast_job], workers)) == workers
+        [result] = pool_of(workers).run([fast_job])
+        assert_bit_identical(reference, result)
         assert result.structural_stats is not None
+        assert result.structural_stats.cycles == reference.structural_stats.cycles
         assert np.array_equal(result.structural_stats.position_counts,
-                              serial_result.structural_stats.position_counts)
+                              reference.structural_stats.position_counts)
 
     @pytest.mark.parametrize("length", [65, 130, 200])
-    def test_ragged_trace_lengths(self, length):
+    def test_ragged_trace_lengths(self, pool_of, length):
         job = small_job(length=length, seed=length)
-        serial = SerialBackend().run([job])[0]
-        [parallel] = MultiprocessBackend(workers=2, chunk_transitions=64).run([job])
-        assert_bit_identical(serial, parallel)
+        [parallel] = pool_of(4).run([job])
+        assert_bit_identical(execute_job(job), parallel)
 
-    def test_event_simulator_jobs(self):
-        job = small_job(length=40, simulator="event")
-        serial = SerialBackend().run([job])[0]
-        [parallel] = MultiprocessBackend(workers=2, chunk_transitions=64).run([job])
-        assert_bit_identical(serial, parallel)
+    def test_event_simulator_jobs(self, pool_of):
+        job = small_job(length=140, simulator="event")
+        [parallel] = pool_of(2).run([job])
+        assert_bit_identical(execute_job(job), parallel)
 
-    def test_reference_engine_jobs(self):
+    def test_reference_engine_jobs(self, pool_of):
         job = small_job(length=96, engine="reference")
-        serial = SerialBackend().run([job])[0]
-        [parallel] = MultiprocessBackend(workers=2, chunk_transitions=64).run([job])
-        assert_bit_identical(serial, parallel)
+        [parallel] = pool_of(2).run([job])
+        assert_bit_identical(execute_job(job), parallel)
 
-    def test_auto_engine_fallback_path(self, monkeypatch):
+    def test_auto_engine_fallback_path(self, monkeypatch, pool_of):
         # With the threshold-row budget forced to zero the packed timing
         # compiler always aborts, so engine="auto" falls back to the
         # dense reference path; backends must still agree bit for bit.
@@ -184,9 +190,10 @@ class TestBackendDeterminism:
         job = small_job(length=96, engine="auto")
         assert build_simulator("fast", synthesize_job(job),
                                engine="auto").engine == "reference"
-        serial = SerialBackend().run([job])[0]
-        [parallel] = MultiprocessBackend(workers=2, chunk_transitions=64).run([job])
-        assert_bit_identical(serial, parallel)
+        reference = execute_job(job)
+        assert_bit_identical(reference, SerialBackend().run([job])[0])
+        [parallel] = pool_of(2).run([job])
+        assert_bit_identical(reference, parallel)
 
     def test_batch_order_preserved(self):
         jobs = [small_job(length=80, quadruple=(4, 0, 0, 2)),
@@ -230,7 +237,7 @@ class TestBackendApi:
         with pytest.raises(ConfigurationError):
             MultiprocessBackend(workers=0)
         with pytest.raises(ConfigurationError):
-            MultiprocessBackend(chunk_transitions=0)
+            MultiprocessBackend(max_rebuilds=0)
 
     def test_empty_batch(self):
         assert MultiprocessBackend(workers=2).run([]) == []

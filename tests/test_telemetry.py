@@ -87,11 +87,11 @@ class TestTimingsMerge:
     def test_worker_phases_merged_into_timings(self):
         jobs = small_jobs()
         with collect_phases() as serial_phases:
-            serial = run_jobs(jobs, backend="serial", plan=False)
+            serial = run_jobs(jobs, backend="serial")
         pool = multiprocess_pool()
         try:
             with collect_phases() as mp_phases:
-                multiprocess = run_jobs(jobs, backend=pool, plan=False)
+                multiprocess = run_jobs(jobs, backend=pool)
         finally:
             pool.close()
         for reference, candidate in zip(serial, multiprocess):
@@ -255,8 +255,7 @@ class TestCliIntegration:
                      telemetry_dir=str(telemetry))
         pool = multiprocess_pool()
         try:  # uncached, so the jobs actually reach the workers
-            run_jobs(jobs, backend=pool, plan=False,
-                     telemetry_dir=str(telemetry))
+            run_jobs(jobs, backend=pool, telemetry_dir=str(telemetry))
         finally:
             pool.close()
         assert stats_main([str(telemetry), "--cache-dir", str(cache)]) == 0
