@@ -522,9 +522,9 @@ def run_synth_flow_comparison(width: int = 16, max_designs: int = 64,
     its true cost.
     """
     from repro.explore import DesignSpace, SweepSpec, run_sweep, sweep_clock_plan
+    from repro.obs.trace import collect_phases
     from repro.runtime.jobs import clear_design_cache
     from repro.runtime.synth_cache import configure_synth_cache
-    from repro.utils.phases import collect_phases
     from repro.utils.vector import vector_override
     from repro.workloads.generators import WorkloadSpec
 
@@ -632,9 +632,9 @@ def run_telemetry_overhead_comparison(width: int = 16, max_designs: int = 16,
 
     from repro.explore import DesignSpace, SweepSpec, sweep_clock_plan
     from repro.obs import telemetry_run
+    from repro.obs.trace import collect_phases
     from repro.runtime import SerialBackend
     from repro.runtime.plan import _GROUP_SIMULATORS
-    from repro.utils.phases import collect_phases
     from repro.workloads.generators import WorkloadSpec
 
     entries = DesignSpace(width=width).entries(max_designs=max_designs)

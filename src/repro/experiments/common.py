@@ -6,6 +6,10 @@ backend, synthesis and model options) with defaults scaled so a full run
 finishes in minutes on a laptop; trace lengths can be raised towards the
 paper's ten-million-vector characterisation when more fidelity is wanted.
 
+The runtime knobs (backend, workers, trace scale, result cache) default
+to the active runtime settings (:mod:`repro.settings`), read once, when
+a :class:`StudyConfig` is constructed.
+
 Characterisation itself lives in :mod:`repro.runtime`: every figure
 driver turns its designs into :class:`~repro.runtime.CharacterizationJob`
 batches and submits them to the study's execution backend (``serial`` or
@@ -15,18 +19,24 @@ point; both return :class:`~repro.runtime.DesignCharacterization`
 objects bundling the synthesized design, the diamond/golden outputs, the
 gate-level cross-check words and the timing simulation at every clock
 period of the plan.
+
+Both CLIs share their front end here: :func:`observed_run` (one
+telemetry session, plus ``--timings``) and :class:`RunFooter`.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.designs import DesignEntry, paper_design_entries
 from repro.ml.model import TimingModelOptions
+from repro.obs.manifest import TelemetryHandle, telemetry_run
+from repro.obs.trace import collect_phases
 from repro.runtime import (
     BACKENDS,
     SIMULATORS,
@@ -34,78 +44,15 @@ from repro.runtime import (
     CachingBackend,
     CharacterizationJob,
     DesignCharacterization,
+    active_synth_cache,
     get_backend,
 )
+from repro.settings import active_settings
 from repro.synth.flow import SynthesisOptions
 from repro.timing.clocking import ClockPlan
 from repro.timing.fast_sim import ENGINES
 from repro.workloads.generators import uniform_workload
 from repro.workloads.traces import OperandTrace
-
-#: Environment variable that scales every default trace length (used by the
-#: benchmark harness to trade fidelity for runtime).  It is read **once**,
-#: when a :class:`StudyConfig` is constructed, into the explicit
-#: ``trace_scale`` field.
-TRACE_SCALE_ENV = "REPRO_TRACE_SCALE"
-
-#: Environment variables selecting the default execution backend and its
-#: worker count (used by CI to run the test suite under every backend).
-BACKEND_ENV = "REPRO_BACKEND"
-WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable naming the persistent on-disk result cache
-#: directory (empty or unset means no cache); read once at
-#: :class:`StudyConfig` construction into the ``cache_dir`` field.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable bounding the result cache in mebibytes (empty or
-#: unset means unbounded); read once at :class:`StudyConfig`
-#: construction into the ``cache_limit_mb`` field.
-CACHE_LIMIT_ENV = "REPRO_CACHE_LIMIT_MB"
-
-
-def _env_trace_scale() -> float:
-    value = os.environ.get(TRACE_SCALE_ENV, "")
-    if not value:
-        return 1.0
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"{TRACE_SCALE_ENV} must be a number (trace-length scale factor), "
-            f"got {value!r}") from None
-
-
-def _env_backend() -> str:
-    return os.environ.get(BACKEND_ENV, "serial")
-
-
-def _env_workers() -> Optional[int]:
-    value = os.environ.get(WORKERS_ENV, "")
-    if not value:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"{WORKERS_ENV} must be a positive integer worker count, "
-            f"got {value!r}") from None
-
-
-def _env_cache_dir() -> Optional[str]:
-    return os.environ.get(CACHE_DIR_ENV) or None
-
-
-def _env_cache_limit() -> Optional[float]:
-    value = os.environ.get(CACHE_LIMIT_ENV, "")
-    if not value:
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"{CACHE_LIMIT_ENV} must be a size in mebibytes, got {value!r}") from None
-
 
 #: Shared backend instances per (backend, workers) pair — keeps the
 #: multiprocess pool (and its per-worker caches) alive between calls.
@@ -144,11 +91,12 @@ class StudyConfig:
     seed: int = 7
     simulator: str = "event"
     engine: str = "auto"
-    backend: str = field(default_factory=_env_backend)
-    workers: Optional[int] = field(default_factory=_env_workers)
-    trace_scale: float = field(default_factory=_env_trace_scale)
-    cache_dir: Optional[str] = field(default_factory=_env_cache_dir)
-    cache_limit_mb: Optional[float] = field(default_factory=_env_cache_limit)
+    backend: str = field(default_factory=lambda: active_settings().backend)
+    workers: Optional[int] = field(default_factory=lambda: active_settings().workers)
+    trace_scale: float = field(default_factory=lambda: active_settings().trace_scale)
+    cache_dir: Optional[str] = field(default_factory=lambda: active_settings().cache_dir)
+    cache_limit_mb: Optional[float] = field(
+        default_factory=lambda: active_settings().cache_limit_mb)
     clock_plan: ClockPlan = field(default_factory=ClockPlan.paper)
     synthesis: SynthesisOptions = field(default_factory=SynthesisOptions)
     model: TimingModelOptions = field(default_factory=TimingModelOptions)
@@ -280,3 +228,56 @@ def characterize_designs(entries: Sequence[DesignEntry], trace: OperandTrace,
     jobs = [config.job(entry, trace, collect_structural_stats=entry.name in stats_for)
             for entry in entries]
     return config.runtime_backend().run(jobs)
+
+
+# --------------------------------------------------------------------- #
+# The CLIs' shared front end
+# --------------------------------------------------------------------- #
+def observed_run(arguments, command: str, config: dict, run: Callable[[], object],
+                 inline: bool = False) -> Tuple[object, str, TelemetryHandle]:
+    """Run a CLI's ``run()`` in one telemetry session, timing its phases
+    under ``--timings``.
+
+    Returns the result, the ``--timings`` footer line (empty without the
+    flag) and the session handle.
+    """
+    with telemetry_run(command=command, config=config, inline=inline) as telemetry:
+        if not arguments.timings:
+            return run(), "", telemetry
+        with collect_phases() as phases:
+            result = run()
+    return result, f"\n(timings: {phases.describe()})", telemetry
+
+
+class RunFooter:
+    """The closing line of a CLI report: what ran, in how many seconds,
+    under which knobs, and what the result and synthesis caches did.
+
+    Shared caching backends accumulate counters across every run of the
+    process, so the counters are snapshotted when the run starts and the
+    footer shows the difference.
+    """
+
+    def __init__(self, backend: Backend) -> None:
+        self.started = time.time()
+        self.backend = backend
+        self.result = (backend.stats.snapshot()
+                       if isinstance(backend, CachingBackend) else None)
+        self.synth_cache = active_synth_cache()
+        self.synth = (self.synth_cache.stats.snapshot()
+                      if self.synth_cache is not None else None)
+
+    def line(self, done: str, jobs: Optional[int] = None, **knobs) -> str:
+        """``(<done> in <seconds> s, <knob>=<value>..., <cache counters>)``;
+        with a result cache, ``jobs`` adds how many of them were simulated."""
+        parts = [f"{done} in {time.time() - self.started:.1f} s"]
+        parts += [f"{name}={value}" for name, value in knobs.items()]
+        if self.result is not None:
+            stats = self.backend.stats.since(self.result)
+            parts.append(f"cache={stats.describe()} [{self.backend.store.root}]")
+            if jobs is not None:
+                parts.append(f"simulated {stats.misses} of {jobs} jobs")
+        if self.synth is not None:
+            stats = self.synth_cache.stats.since(self.synth)
+            parts.append(f"synth-cache={stats.describe()} [{self.synth_cache.store.root}]")
+        return f"({', '.join(parts)})"

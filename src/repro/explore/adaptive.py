@@ -482,10 +482,9 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
     re-simulating.
     """
     from repro.explore.checkpoint import require_checkpoint_dir
-    checkpoint_dir = require_checkpoint_dir(checkpoint_dir, resume)
-    from repro.runtime import CachingBackend, get_backend
-
     from repro.families import get_family
+    from repro.runtime import backend_stack
+    checkpoint_dir = require_checkpoint_dir(checkpoint_dir, resume)
 
     family = get_family(getattr(spec.space, "family", "adder"))
     quadruples = candidate_matrix(spec.space)
@@ -499,10 +498,6 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
     surrogate = _Surrogate(spec.space.width, cpr_levels, spec.seed,
                            featurize=family.surrogate_features,
                            feature_names=family.surrogate_feature_names)
-
-    inner = get_backend(backend, workers=workers)
-    owns_inner = inner is not backend
-    resolved = inner if cache_dir is None else CachingBackend(inner, cache_dir)
 
     remaining = np.ones(candidates, dtype=bool)
     points: List[SweepPoint] = []
@@ -542,7 +537,7 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
         if progress is not None:
             progress(entry)
 
-    try:
+    with backend_stack(backend, workers, cache_dir) as resolved:
         # Round 0: strided seed batch (plus the exact baseline anchor).
         seed_count = min(spec.seed_batch or 2 * spec.batch_size, budget)
         seed_indices = np.array(
@@ -565,9 +560,6 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
             simulate(chosen, include_exact=False)
             close_round(round_index, simulated=len(chosen), scored=scored,
                         predicted_frontier=predicted_frontier)
-    finally:
-        if owns_inner:
-            inner.close()
 
     return AdaptiveResult(spec=spec, points=points, rounds=rounds,
                           frontier=frontier, candidates=candidates,

@@ -33,12 +33,14 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.metrics import ErrorStatistics, StructuralCost
 from repro.exceptions import ConfigurationError
 from repro.explore.sweep import SweepPoint
+from repro.settings import active_settings
 
 #: Bumped whenever the journal line layout changes; foreign-format
 #: journals are ignored (the sweep re-simulates) instead of misread.
 JOURNAL_FORMAT = 1
 
-#: Environment default for the checkpoint directory (CLI ``--checkpoint-dir``).
+#: Environment variable behind the settings' default checkpoint directory
+#: (CLI ``--checkpoint-dir``); named when ``resume`` finds none.
 CHECKPOINT_ENV = "REPRO_CHECKPOINT_DIR"
 
 
@@ -159,22 +161,15 @@ class SweepJournal:
             pass
 
 
-def resolve_checkpoint_dir(checkpoint_dir: Optional[str]) -> Optional[str]:
-    """An explicit checkpoint directory, or the ``REPRO_CHECKPOINT_DIR`` one."""
-    if checkpoint_dir is not None:
-        return str(checkpoint_dir)
-    value = os.environ.get(CHECKPOINT_ENV, "").strip()
-    return value or None
-
-
 def require_checkpoint_dir(checkpoint_dir: Optional[str],
                            resume: bool) -> Optional[str]:
-    """Validate the (resolved) checkpoint configuration.
+    """The checkpoint directory: ``checkpoint_dir``, else the active settings' one.
 
     ``resume`` without a checkpoint directory is a configuration error —
     there is nothing to resume from.
     """
-    resolved = resolve_checkpoint_dir(checkpoint_dir)
+    resolved = (str(checkpoint_dir) if checkpoint_dir is not None
+                else active_settings().checkpoint_dir)
     if resume and resolved is None:
         raise ConfigurationError(
             "resume requested without a checkpoint directory; pass "

@@ -29,29 +29,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.report import format_log_value, format_table
-from repro.experiments.common import StudyConfig
+from repro.experiments.common import RunFooter, StudyConfig, observed_run
 from repro.explore.adaptive import AdaptiveSpec, run_adaptive
 from repro.explore.pareto import (
     aggregate_points,
     pareto_frontier,
     rank_frontier,
 )
-from repro.explore.checkpoint import resolve_checkpoint_dir
 from repro.explore.sweep import SWEEP_CPR_LEVELS, SweepSpec, run_sweep
 from repro.families import family_ids, get_family
-from repro.obs.manifest import resolve_telemetry_dir, telemetry_run
+from repro.settings import runtime_arguments, settings_from_arguments, using_settings
 from repro.timing.clocking import ClockPlan
-from repro.runtime import BACKENDS, RETRIES_ENV, TIMEOUT_ENV, CachingBackend
-from repro.runtime.synth_cache import active_synth_cache, configure_synth_cache
 from repro.timing.fast_sim import ENGINES
-from repro.utils.phases import collect_phases
 from repro.workloads.generators import GENERATORS, WorkloadSpec
 
 #: Workload generator kinds the sweep may draw stimulus from (the
@@ -62,7 +57,7 @@ WORKLOAD_KINDS = tuple(GENERATORS)
 def build_parser() -> argparse.ArgumentParser:
     """Argument parser of the ``repro-explore`` entry point."""
     parser = argparse.ArgumentParser(
-        prog="repro-explore",
+        prog="repro-explore", parents=[runtime_arguments()],
         description="Enumerate, sweep and Pareto-rank approximate-operator "
                     "configurations through the cached characterization pipeline")
     parser.add_argument("--family", choices=family_ids(), default="adder",
@@ -95,30 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "glitch-aware reference and orders of magnitude slower)")
     parser.add_argument("--engine", choices=ENGINES, default="auto",
                         help="execution engine of the fast simulator (default auto)")
-    parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="execution backend scheduling the sweep's jobs "
-                             "(default: $REPRO_BACKEND or serial)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes of the multiprocess backend "
-                             "(default: $REPRO_WORKERS or one per CPU)")
-    parser.add_argument("--cache-dir", type=str, default=None, metavar="DIR",
-                        help="persistent result cache: a re-run (or a grown sweep) "
-                             "simulates only unseen jobs (default: $REPRO_CACHE_DIR, "
-                             "or no cache)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache even when $REPRO_CACHE_DIR is set")
     parser.add_argument("--cache-limit-mb", type=float, default=None, metavar="MB",
                         help="byte budget of the result cache; oldest entries are "
                              "pruned after writes (default: $REPRO_CACHE_LIMIT_MB, "
                              "or unbounded)")
-    parser.add_argument("--synth-cache-dir", type=str, default=None, metavar="DIR",
-                        help="persistent synthesis cache: designs synthesized by any "
-                             "run or process load from disk bit-identically instead "
-                             "of re-running the flow (default: $REPRO_SYNTH_CACHE, "
-                             "or no cache)")
-    parser.add_argument("--no-synth-cache", action="store_true",
-                        help="disable the synthesis cache even when $REPRO_SYNTH_CACHE "
-                             "is set")
     parser.add_argument("--checkpoint-dir", type=str, default=None, metavar="DIR",
                         help="journal completed job batches to DIR so an interrupted "
                              "exploration can resume (default: $REPRO_CHECKPOINT_DIR, "
@@ -128,15 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "journal: journaled scores are replayed and only "
                              "unfinished jobs are simulated (requires --checkpoint-dir "
                              "or $REPRO_CHECKPOINT_DIR)")
-    parser.add_argument("--max-retries", type=int, default=None, metavar="N",
-                        help="transient-failure retries per task, on top of the first "
-                             "attempt (exports $REPRO_MAX_RETRIES; default: "
-                             "$REPRO_MAX_RETRIES or 2)")
-    parser.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
-                        help="per-task wall-clock budget; stalled multiprocess tasks "
-                             "are re-dispatched, over-budget serial tasks retried "
-                             "(exports $REPRO_TASK_TIMEOUT; default: "
-                             "$REPRO_TASK_TIMEOUT or none)")
     parser.add_argument("--adaptive", action="store_true",
                         help="surrogate-directed search instead of a sweep: simulate "
                              "only a budgeted fraction of the space, steering each "
@@ -155,18 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="maximum adaptive acquisition rounds after the seed "
                              "batch (default 30)")
     parser.add_argument("--seed", type=int, default=7, help="master random seed")
-    parser.add_argument("--timings", action="store_true",
-                        help="append a phase breakdown (synthesize — split into "
-                             "synth.optimize / synth.sizing / synth.sta sub-phases — "
-                             "then lower / pack / simulate / score) to the footer; "
-                             "multiprocess worker phases are merged back into the "
-                             "breakdown, with the driver's blocked time reported "
-                             "as schedule.wait")
-    parser.add_argument("--telemetry-dir", type=str, default=None, metavar="DIR",
-                        help="append a run manifest (config, host, phases, worker "
-                             "utilisation, cache metrics) to DIR/manifests.jsonl; "
-                             "summarise with repro-stats "
-                             "(default: $REPRO_TELEMETRY_DIR, or no telemetry)")
     parser.add_argument("--json", action="store_true",
                         help="emit the exploration as structured JSON (frontier "
                              "rows plus the run manifest) instead of the text report")
@@ -175,23 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", type=str, default=None,
                         help="optional path for the report (stdout is always printed)")
     return parser
-
-
-def study_config(arguments) -> StudyConfig:
-    """The runtime study configuration implied by the CLI arguments."""
-    overrides = {"width": arguments.width, "simulator": arguments.simulator,
-                 "engine": arguments.engine, "seed": arguments.seed}
-    if arguments.backend is not None:
-        overrides["backend"] = arguments.backend
-    if arguments.jobs is not None:
-        overrides["workers"] = arguments.jobs
-    if arguments.no_cache:
-        overrides["cache_dir"] = None
-    elif arguments.cache_dir is not None:
-        overrides["cache_dir"] = arguments.cache_dir
-    if arguments.cache_limit_mb is not None:
-        overrides["cache_limit_mb"] = arguments.cache_limit_mb
-    return StudyConfig(**overrides)
 
 
 def design_space(arguments):
@@ -301,34 +238,16 @@ class ExplorationReport:
 
 
 def run_exploration(arguments) -> ExplorationReport:
-    """Run the full exploration; returns the report text and JSON payload."""
-    started = time.time()
-    config = study_config(arguments)
+    """Run the full exploration under the active runtime settings (which
+    :func:`main` derives from the flags); returns the report text and
+    JSON payload."""
+    config = StudyConfig(width=arguments.width, simulator=arguments.simulator,
+                         engine=arguments.engine, seed=arguments.seed)
     family = get_family(arguments.family)
     space = design_space(arguments)
     spec = build_sweep(arguments, config, space=space, template=arguments.adaptive)
-
-    if arguments.no_synth_cache:
-        configure_synth_cache(None)
-    elif arguments.synth_cache_dir is not None:
-        # Exports $REPRO_SYNTH_CACHE so multiprocess workers spawned by
-        # the backend read through the same on-disk cache.
-        configure_synth_cache(arguments.synth_cache_dir)
-    # Resilience knobs export through the environment for the same
-    # reason: backends resolve their RetryPolicy from it at construction,
-    # worker processes inherit it.
-    if arguments.max_retries is not None:
-        os.environ[RETRIES_ENV] = str(arguments.max_retries)
-    if arguments.task_timeout is not None:
-        os.environ[TIMEOUT_ENV] = str(arguments.task_timeout)
-    checkpoint_dir = resolve_checkpoint_dir(arguments.checkpoint_dir)
-    synth_cache = active_synth_cache()
-    synth_baseline = (synth_cache.stats.snapshot()
-                      if synth_cache is not None else None)
-
     backend = config.runtime_backend()
-    stats_baseline = (backend.stats.snapshot()
-                      if isinstance(backend, CachingBackend) else None)
+    footer = RunFooter(backend)
     if arguments.adaptive:
         adaptive_spec = AdaptiveSpec(
             space=space, sweep=spec, batch_size=arguments.batch_size,
@@ -337,7 +256,7 @@ def run_exploration(arguments) -> ExplorationReport:
         adaptive = run_adaptive(
             adaptive_spec, backend=backend,
             progress=lambda log: print(f"  {log.describe()}", file=sys.stderr),
-            checkpoint_dir=checkpoint_dir, resume=arguments.resume)
+            resume=arguments.resume)
         points = adaptive.points
         jobs_total = (adaptive.simulated + 1) * len(spec.workloads)
         mode_lines = [
@@ -346,8 +265,7 @@ def run_exploration(arguments) -> ExplorationReport:
         explored_note = (f"explored {adaptive.simulated} of {adaptive.candidates} "
                          f"designs in {len(adaptive.rounds)} rounds")
     else:
-        result = run_sweep(spec, backend=backend,
-                           checkpoint_dir=checkpoint_dir, resume=arguments.resume)
+        result = run_sweep(spec, backend=backend, resume=arguments.resume)
         points = result.points
         jobs_total = spec.job_count
         mode_lines = [f"sweep     : {spec.describe()}"]
@@ -373,21 +291,8 @@ def run_exploration(arguments) -> ExplorationReport:
                        family=family),
     ]
 
-    elapsed = time.time() - started
-    cache_note = ""
-    if stats_baseline is not None:
-        run_stats = backend.stats.since(stats_baseline)
-        simulated = run_stats.misses
-        cache_note = (f", cache={run_stats.describe()} [{backend.store.root}]"
-                      f", simulated {simulated} of {jobs_total} jobs")
-    if synth_baseline is not None:
-        synth_stats = synth_cache.stats.since(synth_baseline)
-        cache_note += (f", synth-cache={synth_stats.describe()} "
-                       f"[{synth_cache.store.root}]")
-    sections.append(
-        f"({explored_note} in "
-        f"{elapsed:.1f} s, backend={backend.describe()}, seed={arguments.seed}"
-        f"{cache_note})")
+    sections.append(footer.line(explored_note, jobs=jobs_total,
+                                backend=backend.describe(), seed=arguments.seed))
 
     payload = {
         "family": arguments.family,
@@ -399,7 +304,7 @@ def run_exploration(arguments) -> ExplorationReport:
         "frontier_size": len(ranked),
         "backend": backend.describe(),
         "seed": arguments.seed,
-        "elapsed_s": elapsed,
+        "elapsed_s": time.time() - footer.started,
         "frontier": frontier_rows(ranked, family),
     }
     return ExplorationReport(text="\n".join(sections), payload=payload)
@@ -409,10 +314,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Console-script entry point."""
     parser = build_parser()
     arguments = parser.parse_args(argv)
-    if arguments.no_cache and arguments.cache_dir:
-        parser.error("--no-cache and --cache-dir are mutually exclusive")
-    if arguments.no_synth_cache and arguments.synth_cache_dir:
-        parser.error("--no-synth-cache and --synth-cache-dir are mutually exclusive")
+    settings = settings_from_arguments(parser, arguments)
     if arguments.width < 2:
         parser.error("--width must be at least 2 (a 1-bit operand has no quadruple space)")
     family = get_family(arguments.family)
@@ -433,33 +335,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--batch-size must be at least 1 design")
     if arguments.rounds < 0:
         parser.error("--rounds must be non-negative")
-    if arguments.max_retries is not None and arguments.max_retries < 0:
-        parser.error("--max-retries must be non-negative")
-    if arguments.task_timeout is not None and arguments.task_timeout <= 0:
-        parser.error("--task-timeout must be positive")
-    if arguments.resume and resolve_checkpoint_dir(arguments.checkpoint_dir) is None:
+    if arguments.resume and settings.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir (or $REPRO_CHECKPOINT_DIR)")
-    with telemetry_run(resolve_telemetry_dir(arguments.telemetry_dir),
-                       command="repro-explore",
-                       config={"family": arguments.family,
-                               "width": arguments.width,
-                               "adaptive": arguments.adaptive,
-                               "workloads": list(arguments.workloads),
-                               "length": arguments.length},
-                       inline=arguments.json) as telemetry:
-        if arguments.timings:
-            with collect_phases() as phases:
-                report = run_exploration(arguments)
-            report.text += f"\n(timings: {phases.describe()})"
-        else:
-            report = run_exploration(arguments)
+    with using_settings(settings):
+        report, timings, telemetry = observed_run(
+            arguments, "repro-explore",
+            {"family": arguments.family, "width": arguments.width,
+             "adaptive": arguments.adaptive, "workloads": list(arguments.workloads),
+             "length": arguments.length},
+            lambda: run_exploration(arguments), inline=arguments.json)
     if arguments.json:
         payload = dict(report.payload)
         if telemetry.manifest is not None:
             payload["manifest"] = telemetry.manifest
         output = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        output = report.text
+        output = report.text + timings
     print(output)
     if arguments.output:
         with open(arguments.output, "w", encoding="utf-8") as handle:

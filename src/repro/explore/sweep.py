@@ -38,16 +38,17 @@ from repro.core.combination import combine_errors
 from repro.exceptions import ConfigurationError
 from repro.experiments.designs import DesignEntry
 from repro.families import family_of
+from repro.obs.trace import span
 from repro.runtime import (
     SIMULATORS,
     CharacterizationJob,
     DesignCharacterization,
+    backend_stack,
     run_jobs,
 )
 from repro.synth.flow import SynthesisOptions
 from repro.timing.clocking import ClockPlan
 from repro.timing.fast_sim import ENGINES
-from repro.utils.phases import phase
 from repro.workloads.generators import WorkloadSpec
 
 #: Default overclocking points of a sweep: the safe period (the frontier
@@ -200,7 +201,7 @@ def score_characterization(characterization: DesignCharacterization,
                            clock_plan: ClockPlan, width: int,
                            workload: str) -> List[SweepPoint]:
     """Score one finished job into its per-CPR sweep points."""
-    with phase("score"):
+    with span("score"):
         return _score_characterization(characterization, clock_plan, width, workload)
 
 
@@ -260,12 +261,12 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
     ownership of backends constructed from names) is exactly
     :func:`~repro.runtime.run_jobs`.
 
-    ``telemetry_dir`` (or ``$REPRO_TELEMETRY_DIR``) appends one run
+    ``telemetry_dir`` (or the active settings' one) appends one run
     manifest covering the whole sweep — expansion, execution *and*
     scoring — unless an outer telemetry session (a CLI) already
     observes it (see :mod:`repro.obs.manifest`).
 
-    ``checkpoint_dir`` (or ``$REPRO_CHECKPOINT_DIR``) journals each
+    ``checkpoint_dir`` (or the active settings' one) journals each
     completed batch of ``checkpoint_batch`` jobs — simulated *and*
     scored — into a :class:`~repro.explore.checkpoint.SweepJournal`;
     with ``resume=True`` a previously interrupted run replays journaled
@@ -275,11 +276,10 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
     an existing journal of the same sweep is discarded first.
     """
     from repro.explore.checkpoint import SweepJournal, require_checkpoint_dir
-    from repro.obs.manifest import resolve_telemetry_dir, telemetry_run
+    from repro.obs.manifest import telemetry_run
     from repro.obs.metrics import metric_count
     resolved_checkpoint = require_checkpoint_dir(checkpoint_dir, resume)
-    with telemetry_run(resolve_telemetry_dir(telemetry_dir),
-                       command="run_sweep",
+    with telemetry_run(telemetry_dir, command="run_sweep",
                        config={"sweep": spec.describe(),
                                "backend": getattr(backend, "name", str(backend)),
                                "workers": workers,
@@ -315,16 +315,10 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
         if resumed:
             metric_count("sweep.jobs_resumed", resumed)
 
-        # One resolved backend stack for every batch, so a worker pool
-        # (and its caches) stays warm across checkpoints; ownership and
-        # stacking mirror run_jobs.
-        from repro.runtime import CachingBackend, get_backend
-        inner = get_backend(backend, workers=workers)
-        owns_inner = inner is not backend
-        resolved = inner if cache_dir is None else CachingBackend(inner, cache_dir)
-
+        # One backend stack for every batch, so a worker pool (and its
+        # caches) stays warm across checkpoints.
         scored: dict = dict(completed)
-        try:
+        with backend_stack(backend, workers, cache_dir) as resolved:
             for start in range(0, len(pending), max(1, checkpoint_batch)):
                 batch = pending[start:start + max(1, checkpoint_batch)]
                 characterizations = run_jobs([jobs[index] for index in batch],
@@ -335,9 +329,6 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
                         workload=workload_of(index))
                     scored[digests[index]] = job_points
                     journal.record(digests[index], job_points)
-        finally:
-            if owns_inner:
-                inner.close()
 
         points = []
         for digest in digests:

@@ -4,9 +4,8 @@ Four pieces, layered bottom-up:
 
 * :mod:`repro.obs.trace` — hierarchical span tracing with ambient
   context-local activation (:func:`span`, :func:`trace_run`,
-  :class:`Tracer`).  :func:`repro.utils.phases.phase` is an alias of
-  :func:`span`, so the pipeline's existing phase instrumentation feeds
-  the tracer directly.
+  :class:`Tracer`), plus the per-phase breakdown behind ``--timings``
+  (:func:`collect_phases`, :class:`PhaseTimes`, :data:`PHASES`).
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with the same
   ambient activation (:func:`metric_count`, :func:`metrics_run`,
   :class:`MetricsRegistry`).
@@ -15,8 +14,9 @@ Four pieces, layered bottom-up:
   driver merges at batch end, so worker compute is attributed instead
   of silently dropped.
 * :mod:`repro.obs.manifest` — :func:`telemetry_run` sessions snapshot
-  everything into a run-manifest JSONL record appended to
-  ``$REPRO_TELEMETRY_DIR`` (or an explicit ``--telemetry-dir``).
+  everything into a run-manifest JSONL record appended to the telemetry
+  directory of the runtime settings (``$REPRO_TELEMETRY_DIR`` or
+  ``--telemetry-dir``).
 
 The ``repro-stats`` console script (:mod:`repro.obs.stats_cli`)
 summarises a telemetry directory and inspects cache inventories.
@@ -25,7 +25,6 @@ summarises a telemetry directory and inspects cache inventories.
 from repro.obs.manifest import (
     MANIFEST_FILE,
     MANIFEST_SCHEMA,
-    TELEMETRY_ENV,
     TelemetryHandle,
     append_manifest,
     load_manifests,
@@ -52,7 +51,6 @@ from repro.obs.trace import Tracer, active_tracers, span, trace_run
 __all__ = [
     "MANIFEST_FILE",
     "MANIFEST_SCHEMA",
-    "TELEMETRY_ENV",
     "MetricsRegistry",
     "TelemetryHandle",
     "Tracer",

@@ -17,10 +17,10 @@ and a CLI wraps both — only the outermost session writes a manifest
 run is one record no matter how many layers it crossed.
 
 Activation is driven by an explicit directory argument or the
-``REPRO_TELEMETRY_DIR`` environment variable
-(:func:`resolve_telemetry_dir`), mirroring the synthesis cache's
-env-activation pattern.  ``inline=True`` builds the manifest without a
-directory (``repro-explore --json`` embeds it in its payload).
+``telemetry_dir`` of the active runtime settings (:mod:`repro.settings`:
+``REPRO_TELEMETRY_DIR`` or ``--telemetry-dir``; see
+:func:`resolve_telemetry_dir`).  ``inline=True`` builds the manifest
+without a directory (``repro-explore --json`` embeds it in its payload).
 
 Manifests are additive observation only: they never influence job
 digests, cache keys or results — the regression tests pin that enabling
@@ -41,10 +41,7 @@ from typing import Iterator, List, Optional
 from repro._version import __version__
 from repro.obs.metrics import MetricsRegistry, metrics_run
 from repro.obs.trace import Tracer, trace_run
-
-#: Environment variable naming the telemetry directory; unset or empty
-#: means no manifests are written.
-TELEMETRY_ENV = "REPRO_TELEMETRY_DIR"
+from repro.settings import active_settings
 
 #: File every run manifest is appended to inside the telemetry dir.
 MANIFEST_FILE = "manifests.jsonl"
@@ -62,11 +59,10 @@ _RUN_SEQUENCE = 0
 
 
 def resolve_telemetry_dir(value=None) -> Optional[str]:
-    """The telemetry directory: explicit ``value``, else the environment."""
+    """The telemetry directory: explicit ``value``, else the active settings'."""
     if value:
         return str(value)
-    env = os.environ.get(TELEMETRY_ENV, "").strip()
-    return env or None
+    return active_settings().telemetry_dir or None
 
 
 def host_facts() -> dict:
@@ -183,7 +179,7 @@ def telemetry_run(directory=None, command: str = "run",
                   inline: bool = False) -> Iterator[TelemetryHandle]:
     """One observed run: ambient tracer + metrics, manifest on exit.
 
-    ``directory`` (or, if falsy, ``$REPRO_TELEMETRY_DIR``) receives the
+    ``directory`` (or, if falsy, the active settings' ``telemetry_dir``) receives the
     manifest; ``inline=True`` builds the manifest even without a
     directory.  When neither applies — or a session is already active
     in this context — the handle is a disabled pass-through and the

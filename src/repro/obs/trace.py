@@ -3,10 +3,8 @@
 A *span* attributes one timed region — wall seconds plus thread CPU
 seconds — to a name, nested under whatever spans are open in the same
 context: entering ``span("synthesize")`` inside ``span("plan.group")``
-records under the path ``plan.group/synthesize``.  The
-:func:`repro.utils.phases.phase` contextmanager is an alias of
-:func:`span`, so every phase the pipeline already records becomes a
-span for free.
+records under the path ``plan.group/synthesize``.  The pipeline's
+phases (:data:`PHASES`) are spans.
 
 Activation is ambient and context-local: :func:`trace_run` installs a
 :class:`Tracer` in a :mod:`contextvars` context variable, and
@@ -20,6 +18,14 @@ see the full picture.
 
 When no tracer is active, :func:`span` costs one context-variable read
 and yields immediately — instrumented hot paths pay nothing by default.
+
+:func:`collect_phases` installs a tracer whose sink is a
+:class:`PhaseTimes`: wall seconds and calls per phase name, the
+breakdown ``--timings`` prints.  Dotted names are *sub-phases*
+(``synth.optimize``, ``synth.sizing``, ``synth.sta``) or the driver's
+``schedule.wait`` on worker futures; :meth:`PhaseTimes.total` excludes
+them, since their time is already inside a parent phase or overlaps the
+worker compute merged into the top-level phases.
 
 Tracers *aggregate* rather than retain: spans are folded into per-path
 ``(wall, cpu, calls, attrs)`` records as they close, so a sweep
@@ -35,7 +41,7 @@ import numbers
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 #: Every tracer currently observing spans in this context (innermost last).
 _TRACERS: ContextVar[Tuple["Tracer", ...]] = ContextVar("repro_obs_tracers",
@@ -100,9 +106,8 @@ class Tracer:
 
     ``sink`` is an optional object with ``add(name, seconds)`` and
     ``merge(name, seconds, calls)`` methods — in practice a
-    :class:`repro.utils.phases.PhaseTimes` — that receives every span by
-    *leaf name*, which is how the legacy ``--timings`` breakdown keeps
-    working on top of the tracer.
+    :class:`PhaseTimes` — that receives every span by *leaf name*, which
+    is how the ``--timings`` breakdown is built on top of the tracer.
 
     ``workers`` accumulates the spill records of multiprocess workers
     (see :mod:`repro.obs.spill`): per worker pid, the busy seconds, task
@@ -172,7 +177,7 @@ class Tracer:
 
         Dotted leaf names (``synth.*`` sub-phases, ``schedule.wait``,
         ``plan.group``) are excluded, exactly like
-        :meth:`repro.utils.phases.PhaseTimes.total` — their time is
+        :meth:`PhaseTimes.total` — their time is
         either nested inside a parent phase or is bookkeeping wait.
         """
         return sum(record["wall_s"] for name, record in
@@ -235,3 +240,64 @@ def span(name: str, **attrs) -> Iterator[None]:
         _STACK.reset(token)
         for tracer in tracers:
             tracer.record(name, path, wall, cpu, attrs)
+
+
+#: Canonical report order of the pipeline phases (dotted names are
+#: sub-phases nested inside the phase before them; ``schedule.wait`` is
+#: the driver's blocked-on-workers time, overlapping merged worker
+#: phases rather than nesting in one).
+PHASES = ("synthesize", "synth.optimize", "synth.sizing", "synth.sta",
+          "lower", "pack", "simulate", "score", "schedule.wait")
+
+
+class PhaseTimes:
+    """Accumulated wall seconds (and call counts) per pipeline phase."""
+
+    def __init__(self) -> None:
+        self.seconds: Dict[str, float] = {}
+        self.calls: Dict[str, int] = {}
+
+    def add(self, name: str, elapsed: float) -> None:
+        """Record one timed region of phase ``name``."""
+        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
+        self.calls[name] = self.calls.get(name, 0) + 1
+
+    def merge(self, name: str, elapsed: float, calls: int) -> None:
+        """Fold a pre-aggregated batch of regions (worker spill merge)."""
+        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
+        self.calls[name] = self.calls.get(name, 0) + calls
+
+    def total(self) -> float:
+        """Sum of every attributed top-level phase.
+
+        Dotted sub-phases (``synth.*``, ``schedule.wait``) are excluded
+        — their time is already inside a parent phase, or overlaps the
+        worker compute merged into the top-level phases.
+        """
+        return sum(elapsed for name, elapsed in self.seconds.items()
+                   if "." not in name)
+
+    def describe(self, order: Sequence[str] = PHASES) -> str:
+        """Footer-ready one-line breakdown, canonical phases first."""
+        names = [name for name in order if name in self.seconds]
+        names += [name for name in sorted(self.seconds) if name not in order]
+        if not names:
+            return "no phases recorded"
+        parts = [f"{name} {self.seconds[name]:.2f} s" for name in names]
+        return " / ".join(parts) + f" (attributed {self.total():.2f} s)"
+
+
+@contextmanager
+def collect_phases() -> Iterator[PhaseTimes]:
+    """Install a phase collector for the duration of the ``with`` block.
+
+    Context-local and re-entrant: concurrent collectors in other
+    threads or contexts never interleave, and nested collectors stack —
+    the innermost block's phases are also observed by outer collectors.
+    The underlying tracer is exposed as ``phases.tracer`` (span paths,
+    CPU time, merged worker stats).
+    """
+    collector = PhaseTimes()
+    with trace_run(Tracer(sink=collector)) as tracer:
+        collector.tracer = tracer
+        yield collector

@@ -42,6 +42,7 @@ from repro.runtime.backends import (
     MultiprocessBackend,
     PlannedBackend,
     SerialBackend,
+    backend_stack,
     get_backend,
     run_jobs,
 )
@@ -59,7 +60,6 @@ from repro.runtime.faultinject import (
     active_fault_plan,
     fault_point,
     parse_fault_plan,
-    reset_fault_plan,
 )
 from repro.runtime.jobs import (
     SIMULATORS,
@@ -74,9 +74,7 @@ from repro.runtime.jobs import (
 )
 from repro.runtime.plan import execute_group, plan_groups
 from repro.runtime.resilience import (
-    RETRIES_ENV,
     RETRYABLE_EXCEPTIONS,
-    TIMEOUT_ENV,
     RetryPolicy,
     deterministic_jitter,
     retry_call,
@@ -91,10 +89,8 @@ from repro.runtime.synth_cache import (
 __all__ = [
     "BACKENDS",
     "FAULT_PLAN_ENV",
-    "RETRIES_ENV",
     "RETRYABLE_EXCEPTIONS",
     "SIMULATORS",
-    "TIMEOUT_ENV",
     "Backend",
     "CacheStats",
     "CachingBackend",
@@ -110,6 +106,7 @@ __all__ = [
     "SynthesisCache",
     "active_fault_plan",
     "active_synth_cache",
+    "backend_stack",
     "build_simulator",
     "clear_design_cache",
     "configure_synth_cache",
@@ -122,7 +119,6 @@ __all__ = [
     "merge_timing_chunks",
     "parse_fault_plan",
     "plan_groups",
-    "reset_fault_plan",
     "retry_call",
     "run_jobs",
     "synth_digest",

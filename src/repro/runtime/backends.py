@@ -20,7 +20,9 @@ it with :func:`~repro.runtime.plan.plan_groups`, execute one
     split — groups halved, then single jobs cut into word-aligned trace
     slices — and still keeps every worker busy.  Workers memoise designs
     and simulators per process, so lowering happens once per worker and
-    design.
+    design, and run under the runtime settings (:mod:`repro.settings`)
+    the driver had active when the pool started, which the pool
+    initializer hands them.
 
 Results are **bit-identical to** :func:`~repro.runtime.jobs.execute_job`
 **at any worker count**.  Backends raise whatever the job execution
@@ -46,15 +48,15 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as _wait_futures
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, TaskTimeoutError
-from repro.obs.manifest import resolve_telemetry_dir, telemetry_run
+from repro.obs.manifest import telemetry_run
 from repro.obs.metrics import metric_count, metric_observe
 from repro.obs.spill import drain_spill_dir, spilled_call, telemetry_active
-from repro.runtime.faultinject import reset_fault_plan
+from repro.obs.trace import span
 from repro.runtime.jobs import CharacterizationJob, DesignCharacterization
 from repro.runtime.plan import (
     _GROUP_SIMULATORS,
@@ -65,11 +67,8 @@ from repro.runtime.plan import (
     spill_traces,
 )
 from repro.runtime.resilience import RetryPolicy, retry_call
+from repro.settings import BACKENDS, activate_settings, active_settings
 from repro.utils.lru import IdentityMemo
-from repro.utils.phases import phase
-
-#: Names accepted by :func:`get_backend` (and ``StudyConfig.backend``).
-BACKENDS = ("serial", "multiprocess")
 
 #: The one per-process simulator memo, also reachable under this name
 #: for callers that clear or size it from this module.
@@ -84,10 +83,10 @@ class Backend:
     #: Pool width the planner fills (1: the calling process).
     workers = 1
 
-    #: The call-level retry policy; concrete backends resolve it from
-    #: the environment at construction (``REPRO_MAX_RETRIES`` /
-    #: ``REPRO_TASK_TIMEOUT``) unless one is passed in.
-    retry_policy: RetryPolicy = RetryPolicy()
+    #: The call-level retry policy; ``None`` runs each batch under the
+    #: policy of the active runtime settings (``REPRO_MAX_RETRIES`` /
+    #: ``REPRO_TASK_TIMEOUT``).
+    retry_policy: Optional[RetryPolicy] = None
 
     def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:
         """Execute ``jobs`` and return their results in submission order."""
@@ -99,13 +98,23 @@ class Backend:
         metric_count("plan.groups", len(groups))
         for group in groups:
             metric_observe("plan.group_size", len(group))
-        with self.ship_traces() as ship:
-            outcomes = self.run_calls([
-                (run_group, (group_spec(jobs, group, ship),),
-                 f"{jobs[group[0][0]].name}:{number}")
-                for number, group in enumerate(groups)])
-        self.drain_telemetry()
+        try:
+            with self.ship_traces() as ship:
+                outcomes = self.run_calls([
+                    (run_group, (group_spec(jobs, group, ship),),
+                     f"{jobs[group[0][0]].name}:{number}")
+                    for number, group in enumerate(groups)])
+        finally:
+            self.drain_telemetry()
         return gather_results(jobs, groups, outcomes)
+
+    def policy(self) -> RetryPolicy:
+        """The retry policy this batch runs under."""
+        if self.retry_policy is not None:
+            return self.retry_policy
+        settings = active_settings()
+        return RetryPolicy(max_attempts=settings.max_retries + 1,
+                           task_timeout=settings.task_timeout)
 
     def run_calls(self, calls: Sequence[Tuple[Callable, tuple, str]]) -> List[object]:
         """Execute ``(function, args, key)`` calls; results in call order."""
@@ -138,12 +147,11 @@ class SerialBackend(Backend):
     name = "serial"
 
     def __init__(self, retry_policy: Optional[RetryPolicy] = None) -> None:
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy.from_env())
+        self.retry_policy = retry_policy
 
     def run_calls(self, calls: Sequence[Tuple[Callable, tuple, str]]) -> List[object]:
-        return [retry_call(self.retry_policy, key, function, *args)
-                for function, args, key in calls]
+        policy = self.policy()
+        return [retry_call(policy, key, function, *args) for function, args, key in calls]
 
 
 @dataclass
@@ -171,8 +179,8 @@ class MultiprocessBackend(Backend):
         scheduling overhead (a 1-CPU bench host measured 0.92x with 4
         workers).
     retry_policy:
-        Call-level :class:`RetryPolicy` (default: from the environment —
-        ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``).
+        Call-level :class:`RetryPolicy` (default: the active runtime
+        settings' — ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``).
     max_rebuilds:
         Consecutive pool rebuilds without a single completed call before
         the backend degrades to in-process execution (with a
@@ -198,8 +206,7 @@ class MultiprocessBackend(Backend):
                 RuntimeWarning, stacklevel=2)
             workers = cpus
         self.workers = workers if workers is not None else cpus
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy.from_env())
+        self.retry_policy = retry_policy
         self.max_rebuilds = max_rebuilds
         self._pool: Optional[ProcessPoolExecutor] = None
         self._degraded = False
@@ -229,10 +236,12 @@ class MultiprocessBackend(Backend):
     # ------------------------------------------------------------------ #
     def _executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # Workers drop any fault-plan instance inherited via fork, so
-            # each arms the plan afresh from the environment.
+            # The initializer activates the driver's settings (synthesis
+            # cache, fault plan, kernel toggle) in every worker; workers
+            # keep the ones active when their pool started.
             self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                             initializer=reset_fault_plan)
+                                             initializer=activate_settings,
+                                             initargs=(active_settings(),))
         return self._pool
 
     def close(self) -> None:
@@ -336,7 +345,7 @@ class MultiprocessBackend(Backend):
         * after ``max_rebuilds`` consecutive rebuilds without progress
           the backend degrades to in-process execution (warned once).
         """
-        policy = self.retry_policy
+        policy = self.policy()
         pending = [_PendingCall(index, function, args, key)
                    for index, (function, args, key) in enumerate(calls)]
         results: List[object] = [None] * len(pending)
@@ -359,7 +368,7 @@ class MultiprocessBackend(Backend):
                 broken = True
             retries: List[_PendingCall] = []
             if not broken:
-                with phase("schedule.wait"):
+                with span("schedule.wait"):
                     while unresolved and not broken:
                         done, _ = _wait_futures(set(unresolved),
                                                 timeout=policy.task_timeout,
@@ -449,6 +458,30 @@ def get_backend(backend, workers: Optional[int] = None) -> Backend:
         f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
+@contextmanager
+def backend_stack(backend="serial", workers: Optional[int] = None,
+                  cache_dir: Optional[str] = None) -> Iterator[Backend]:
+    """The backend a one-shot run schedules on, for the ``with`` block.
+
+    ``backend`` is resolved by :func:`get_backend` and, with
+    ``cache_dir`` set, fronted by the persistent result cache of
+    :mod:`repro.runtime.cache`.  A backend built here from a *name* (and
+    its worker pool, if any) is closed on exit; a :class:`Backend`
+    instance the caller supplies stays open, its pool and per-worker
+    caches warm for the caller's next batch.
+    """
+    inner = get_backend(backend, workers=workers)
+    try:
+        if cache_dir is None:
+            yield inner
+        else:
+            from repro.runtime.cache import CachingBackend  # deferred: cache builds on backends
+            yield CachingBackend(inner, cache_dir)
+    finally:
+        if inner is not backend:
+            inner.close()
+
+
 def run_jobs(jobs: Sequence[CharacterizationJob], backend="serial",
              workers: Optional[int] = None,
              cache_dir: Optional[str] = None,
@@ -459,32 +492,22 @@ def run_jobs(jobs: Sequence[CharacterizationJob], backend="serial",
     cache of :mod:`repro.runtime.cache`: hits skip execution entirely,
     misses run on the backend and are persisted for the next call.
 
-    ``telemetry_dir`` (or ``$REPRO_TELEMETRY_DIR``) appends a run
-    manifest — phases, spans, worker utilisation, metrics — to the
-    given directory (see :mod:`repro.obs.manifest`).  When an outer
+    ``telemetry_dir`` (or the active settings' ``$REPRO_TELEMETRY_DIR``)
+    appends a run manifest — phases, spans, worker utilisation, metrics —
+    to the given directory (see :mod:`repro.obs.manifest`).  When an outer
     telemetry session is already active (a CLI, or ``run_sweep``), the
     batch is observed by it and no extra manifest is written.
 
     This is the one-shot convenience entry point: a backend constructed
     here from a *name* (and its worker pool, if any) is closed before
-    returning.  To keep a pool and its per-worker caches warm across
-    batches, pass a :class:`Backend` instance you own — it is left
-    open — or schedule through ``StudyConfig.runtime_backend()``.
+    returning (see :func:`backend_stack`).  To keep a pool and its
+    per-worker caches warm across batches, pass a :class:`Backend`
+    instance you own — it is left open — or schedule through
+    ``StudyConfig.runtime_backend()``.
     """
-    inner = get_backend(backend, workers=workers)
-    owns_inner = inner is not backend  # constructed here, not caller-supplied
-    resolved = inner
-    if cache_dir is not None:
-        from repro.runtime.cache import CachingBackend  # deferred: cache builds on backends
-        resolved = CachingBackend(inner, cache_dir)
     jobs = list(jobs)
-    with telemetry_run(resolve_telemetry_dir(telemetry_dir),
-                       command="run_jobs",
-                       config={"backend": resolved.describe(),
-                               "jobs": len(jobs),
-                               "cache_dir": str(cache_dir) if cache_dir else None}):
-        try:
-            return resolved.run(jobs)
-        finally:
-            if owns_inner:
-                inner.close()
+    with backend_stack(backend, workers, cache_dir) as resolved, \
+            telemetry_run(telemetry_dir, command="run_jobs",
+                          config={"backend": resolved.describe(), "jobs": len(jobs),
+                                  "cache_dir": str(cache_dir) if cache_dir else None}):
+        return resolved.run(jobs)

@@ -3,11 +3,12 @@
 A *fault plan* is a small JSON document naming faults to inject at
 instrumented points of the runtime — worker task entry
 (:data:`POINT_TASK`) and result-store writes (:data:`POINT_STORE_WRITE`
-/ :data:`POINT_STORE_WRITE_DONE`).  The plan is activated through the
+/ :data:`POINT_STORE_WRITE_DONE`).  The plan is the ``fault_plan`` field
+of the active runtime settings (:mod:`repro.settings`), set by the
 ``REPRO_FAULT_PLAN`` environment variable (either the JSON itself or a
-path to a file holding it), so multiprocess workers — which inherit the
-environment — arm the same plan without any explicit plumbing, exactly
-like the synthesis cache (:func:`repro.runtime.synth_cache.active_synth_cache`).
+path to a file holding it); multiprocess workers receive it with the
+rest of the driver's settings through the pool initializer, so they arm
+the same plan.
 
 Plan format::
 
@@ -59,12 +60,13 @@ Fault kinds
     path).
 
 Malformed plans raise :class:`~repro.exceptions.ConfigurationError`
-naming the variable and the offending value, consistent with every
-other ``REPRO_*`` knob.
+naming the variable and the offending value, like every ``REPRO_*``
+knob.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -76,9 +78,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import metric_count
+from repro.settings import active_settings
 
 #: Environment variable holding the fault plan (JSON text, or a path to
-#: a JSON file); unset or empty disables injection entirely.
+#: a JSON file); unset or empty disables injection entirely.  Named in
+#: the errors of malformed plans.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: Instrumented points a fault spec may attach to.
@@ -244,12 +248,8 @@ class FaultPlan:
 
 
 # --------------------------------------------------------------------- #
-# Environment-driven activation
+# Activation from the runtime settings
 # --------------------------------------------------------------------- #
-_ACTIVE: Optional[FaultPlan] = None
-_ACTIVE_KEY: Optional[str] = None
-
-
 def parse_fault_plan(value: str) -> Tuple[List[FaultSpec], Optional[str]]:
     """Parse a fault-plan document (JSON text or a path to one).
 
@@ -290,7 +290,7 @@ def parse_fault_plan(value: str) -> Tuple[List[FaultSpec], Optional[str]]:
 
 def _default_state_dir(value: str) -> str:
     # Derived from the plan text and the driver's pid, so every process
-    # of one run (workers inherit the environment value and know their
+    # of one run (workers receive the driver's plan and know their
     # parent) shares one directory, and the next run starts afresh.
     digest = hashlib.sha256(value.encode("utf-8")).hexdigest()[:12]
     parent = multiprocessing.parent_process()
@@ -298,29 +298,20 @@ def _default_state_dir(value: str) -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-faults-{digest}-{driver}")
 
 
+@functools.lru_cache(maxsize=1)
+def _armed(value: str) -> FaultPlan:
+    specs, state_dir = parse_fault_plan(value)
+    return FaultPlan(specs, state_dir or _default_state_dir(value))
+
+
 def active_fault_plan() -> Optional[FaultPlan]:
-    """The process-wide plan named by ``REPRO_FAULT_PLAN``, or ``None``.
+    """The plan the active runtime settings name, or ``None``.
 
-    Rebuilt whenever the environment value changes, so tests
-    monkeypatching the variable and worker processes inheriting it both
-    see the right plan.
+    Parsed and armed once per plan value: re-activated equal settings
+    keep the armed plan, another plan value arms afresh.
     """
-    global _ACTIVE, _ACTIVE_KEY
-    value = os.environ.get(FAULT_PLAN_ENV, "").strip()
-    if not value:
-        _ACTIVE, _ACTIVE_KEY = None, None
-        return None
-    if _ACTIVE is None or _ACTIVE_KEY != value:
-        specs, state_dir = parse_fault_plan(value)
-        _ACTIVE = FaultPlan(specs, state_dir or _default_state_dir(value))
-        _ACTIVE_KEY = value
-    return _ACTIVE
-
-
-def reset_fault_plan() -> None:
-    """Drop the process-wide plan instance (tests; the env decides the next)."""
-    global _ACTIVE, _ACTIVE_KEY
-    _ACTIVE, _ACTIVE_KEY = None, None
+    value = active_settings().fault_plan
+    return _armed(value) if value else None
 
 
 def fault_point(point: str, key: str = "") -> None:

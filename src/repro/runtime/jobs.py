@@ -29,12 +29,12 @@ import numpy as np
 from repro.core.isa import StructuralFaultStats
 from repro.exceptions import ConfigurationError
 from repro.families import family_of
+from repro.obs.trace import span
 from repro.runtime.synth_cache import active_synth_cache
 from repro.synth.flow import SynthesisOptions, SynthesizedDesign, synthesize
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.event_sim import EventDrivenSimulator
 from repro.timing.fast_sim import ENGINES, FastTimingSimulator
-from repro.utils.phases import phase
 from repro.utils.vector import use_vector
 from repro.workloads.traces import OperandTrace
 
@@ -150,7 +150,7 @@ def synthesize_entry(entry: "DesignEntry", width: int,
     behavioural configuration with a registered generator, or a ready
     netlist (the exact baselines and all multiplier designs).
     """
-    with phase("synthesize", design=entry.name, width=width):
+    with span("synthesize", design=entry.name, width=width):
         spec = family_of(entry).design_spec(entry, width, options)
         return synthesize(spec, options)
 
@@ -210,7 +210,7 @@ def build_simulator(kind: str, synthesized: SynthesizedDesign, engine: str = "au
     specialisation follows the ``REPRO_SYNTH_VECTOR`` toggle so the
     reference path reproduces the unspecialised lowering.
     """
-    with phase("lower", simulator=kind, engine=engine,
+    with span("lower", simulator=kind, engine=engine,
                clocks=len(clock_periods) if clock_periods else 0):
         if kind == "event":
             return EventDrivenSimulator(synthesized.netlist, synthesized.annotation)
@@ -265,7 +265,7 @@ def execute_job(job: CharacterizationJob,
         synthesized = synthesize_job(job)
     trace = job.trace
     family = family_of(job.entry)
-    with phase("simulate", design=job.name, transitions=trace.length):
+    with span("simulate", design=job.name, transitions=trace.length):
         diamond = family.exact_words(job.width, trace.a, trace.b)
         gold, structural_stats = family.golden_words(
             job.entry, job.width, trace.a, trace.b,
@@ -281,7 +281,7 @@ def execute_job(job: CharacterizationJob,
     if simulator is None:
         simulator = build_simulator(job.simulator, synthesized, engine=job.engine,
                                     clock_periods=job.clock_periods)
-    with phase("simulate", transitions=trace.length, clocks=len(job.clock_periods)):
+    with span("simulate", transitions=trace.length, clocks=len(job.clock_periods)):
         timing_traces = simulator.run_trace_multi(trace.as_operands(), job.clock_periods,
                                                   output_bus=job.output_bus)
     return DesignCharacterization(

@@ -54,6 +54,7 @@ from repro.circuit.compiled import transition_chunks
 from repro.exceptions import ConfigurationError
 from repro.families import family_of
 from repro.obs.metrics import metric_count
+from repro.obs.trace import span
 from repro.runtime.faultinject import POINT_TASK, fault_point
 from repro.runtime.jobs import (
     CharacterizationJob,
@@ -65,7 +66,6 @@ from repro.runtime.jobs import (
 )
 from repro.runtime.store import trace_digest
 from repro.utils.lru import IdentityMemo, LRUDict
-from repro.utils.phases import phase
 from repro.workloads.traces import OperandTrace
 
 #: One member of a planned group: a batch index, and the transition
@@ -166,7 +166,7 @@ def execute_group(jobs: Sequence[CharacterizationJob],
     bounds = np.cumsum([0] + [trace.length for trace in traces])
 
     family = family_of(job0.entry)
-    with phase("simulate", design=job0.name, jobs=len(jobs),
+    with span("simulate", design=job0.name, jobs=len(jobs),
                transitions=int(bounds[-1])):
         a = np.concatenate([trace.a for trace in traces])
         b = np.concatenate([trace.b for trace in traces])
@@ -188,7 +188,7 @@ def execute_group(jobs: Sequence[CharacterizationJob],
         gold = gold_all[low:high]
         structural_stats = None
         if job.collect_structural_stats and not job0.entry.is_exact:
-            with phase("simulate"):
+            with span("simulate"):
                 gold, structural_stats = family.golden_words(
                     job.entry, job.width, job.trace.a, job.trace.b,
                     collect_stats=True)
@@ -360,7 +360,7 @@ def _merge_slices(job: CharacterizationJob,
 
     structural_stats = None
     if job.collect_structural_stats:
-        with phase("simulate", design=job.name, transitions=job.trace.length):
+        with span("simulate", design=job.name, transitions=job.trace.length):
             _, structural_stats = family_of(job.entry).golden_words(
                 job.entry, job.width, job.trace.a, job.trace.b, collect_stats=True)
     return DesignCharacterization(

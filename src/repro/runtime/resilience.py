@@ -7,14 +7,16 @@ task-level retries safe to apply everywhere: a transient failure
 filesystem, a stalled task) costs one re-execution, never a changed
 result.  :class:`RetryPolicy` bundles the knobs:
 
-* ``max_attempts`` — total tries per task (1 = no retries), driven by
-  ``REPRO_MAX_RETRIES`` (retries *on top of* the first attempt);
+* ``max_attempts`` — total tries per task (1 = no retries); a backend
+  without an explicit policy takes it from the active runtime settings
+  (``REPRO_MAX_RETRIES`` / ``--max-retries`` count retries *on top of*
+  the first attempt);
 * exponential backoff whose jitter is a pure function of the task key
   and the attempt number (SHA-256, not :mod:`random`), so two runs of
   the same failing batch sleep identically — reproducibility extends
   to the failure path;
-* ``task_timeout`` — optional per-task wall-clock budget
-  (``REPRO_TASK_TIMEOUT`` seconds).  The multiprocess backend treats a
+* ``task_timeout`` — optional per-task wall-clock budget in seconds
+  (``REPRO_TASK_TIMEOUT`` / ``--task-timeout``).  The multiprocess backend treats a
   window with no completed task as a stall and re-dispatches
   (see :meth:`MultiprocessBackend.run_calls`); the serial backend
   checks post-hoc, since an in-process task cannot be preempted.
@@ -30,24 +32,13 @@ retrying them would repeat the same failure while hiding its origin.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.exceptions import ConfigurationError, TaskTimeoutError
 from repro.obs.metrics import metric_count
-
-#: Extra attempts per task on top of the first (``max_attempts - 1``).
-RETRIES_ENV = "REPRO_MAX_RETRIES"
-
-#: Per-task wall-clock budget, in seconds (float).
-TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-
-#: Default retries when the environment does not say otherwise: two
-#: retries (three attempts) absorb one transient fault plus one unlucky
-#: recurrence without masking a persistent failure for long.
-DEFAULT_RETRIES = 2
+from repro.settings import RuntimeSettings
 
 #: Exception types worth retrying — transient by nature.  Everything
 #: else (assertion-style cross-check failures, configuration errors)
@@ -61,41 +52,11 @@ def deterministic_jitter(key: str, attempt: int) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0 ** 64
 
 
-def _env_retries() -> int:
-    value = os.environ.get(RETRIES_ENV, "")
-    if not value.strip():
-        return DEFAULT_RETRIES
-    try:
-        retries = int(value)
-        if retries < 0:
-            raise ValueError
-    except ValueError:
-        raise ConfigurationError(
-            f"{RETRIES_ENV} must be a non-negative integer retry count, "
-            f"got {value!r}") from None
-    return retries
-
-
-def _env_timeout() -> Optional[float]:
-    value = os.environ.get(TIMEOUT_ENV, "")
-    if not value.strip():
-        return None
-    try:
-        timeout = float(value)
-        if timeout <= 0:
-            raise ValueError
-    except ValueError:
-        raise ConfigurationError(
-            f"{TIMEOUT_ENV} must be a positive number of seconds, "
-            f"got {value!r}") from None
-    return timeout
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How a backend retries one failed task."""
 
-    max_attempts: int = DEFAULT_RETRIES + 1
+    max_attempts: int = RuntimeSettings.max_retries + 1
     backoff_base: float = 0.05
     backoff_factor: float = 2.0
     task_timeout: Optional[float] = None
@@ -113,15 +74,6 @@ class RetryPolicy:
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ConfigurationError(
                 f"task_timeout must be positive, got {self.task_timeout}")
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """The policy named by ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``.
-
-        Malformed values raise :class:`ConfigurationError` naming the
-        variable and the value, like every other ``REPRO_*`` knob.
-        """
-        return cls(max_attempts=_env_retries() + 1, task_timeout=_env_timeout())
 
     def retryable(self, error: BaseException) -> bool:
         """Whether ``error`` is transient enough to be worth a re-run."""

@@ -19,12 +19,12 @@ This module persists the synthesis flow's output the same way
   delay annotation, sizing result and reports — through the shared
   :class:`~repro.runtime.store.ResultStore` machinery, inheriting its
   atomic writes, corruption-as-miss loads and LRU byte budget.
-* :func:`active_synth_cache` is the process-wide activation point,
-  driven by ``REPRO_SYNTH_CACHE`` (cache directory) and
-  ``REPRO_SYNTH_CACHE_LIMIT_MB`` (optional byte budget).
-  :func:`configure_synth_cache` activates it programmatically and — by
-  default — exports the environment variables so multiprocess workers
-  spawned later inherit the same cache directory.
+* :func:`active_synth_cache` is the cache the active runtime settings
+  name (:mod:`repro.settings`: ``REPRO_SYNTH_CACHE`` for the directory,
+  ``REPRO_SYNTH_CACHE_LIMIT_MB`` for the optional byte budget).
+  :func:`configure_synth_cache` activates one programmatically; a
+  multiprocess pool started afterwards hands it to its workers through
+  the pool initializer.
 
 :func:`repro.runtime.jobs.synthesize_job` is the single integration
 point: every backend (serial, multiprocess workers, the planner's
@@ -40,7 +40,8 @@ so an entry could never be validated); everything else is.
 
 from __future__ import annotations
 
-import os
+import functools
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from repro._version import __version__
@@ -53,17 +54,11 @@ from repro.runtime.store import (
     _canonical_synthesis,
     digest_of,
 )
+from repro.settings import activate_settings, active_settings
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.designs import DesignEntry
     from repro.synth.flow import SynthesisOptions, SynthesizedDesign
-
-#: Environment variable naming the synthesis-cache directory; unset or
-#: empty disables the cache.
-SYNTH_CACHE_ENV = "REPRO_SYNTH_CACHE"
-
-#: Environment variable bounding the synthesis cache in mebibytes.
-SYNTH_CACHE_LIMIT_ENV = "REPRO_SYNTH_CACHE_LIMIT_MB"
 
 #: Bumped whenever the synthesized-design payload layout changes; old
 #: entries then key differently and are silently recomputed.
@@ -158,70 +153,33 @@ class SynthesisCache:
 
 
 # --------------------------------------------------------------------- #
-# Process-wide activation
+# Activation from the runtime settings
 # --------------------------------------------------------------------- #
-_ACTIVE: Optional[SynthesisCache] = None
-_ACTIVE_KEY: Optional[tuple] = None
+@functools.lru_cache(maxsize=1)
+def _cache_at(root: str, limit_mb: Optional[float]) -> SynthesisCache:
+    return SynthesisCache(root, limit_mb=limit_mb)
 
 
 def active_synth_cache() -> Optional[SynthesisCache]:
-    """The process-wide cache named by ``REPRO_SYNTH_CACHE``, or ``None``.
+    """The cache the active runtime settings name, or ``None``.
 
-    The instance is rebuilt whenever the environment changes, so worker
-    processes (which inherit the exported environment) and tests (which
-    monkeypatch it) both see the right cache without explicit plumbing.
+    The instance persists, its stats accumulating, until the settings
+    name another cache or :func:`configure_synth_cache` runs.
     """
-    global _ACTIVE, _ACTIVE_KEY
-    root = os.environ.get(SYNTH_CACHE_ENV, "").strip()
-    if not root:
-        _ACTIVE, _ACTIVE_KEY = None, None
+    settings = active_settings()
+    if not settings.synth_cache:
         return None
-    raw_limit = os.environ.get(SYNTH_CACHE_LIMIT_ENV, "").strip()
-    limit_mb: Optional[float] = None
-    if raw_limit:
-        try:
-            limit_mb = float(raw_limit)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SYNTH_CACHE_LIMIT_ENV} must be a number of mebibytes, "
-                f"got {raw_limit!r}")
-        if limit_mb <= 0:
-            raise ConfigurationError(
-                f"{SYNTH_CACHE_LIMIT_ENV} must be positive, got {raw_limit!r}")
-    key = (root, limit_mb)
-    if _ACTIVE is None or _ACTIVE_KEY != key:
-        _ACTIVE = SynthesisCache(root, limit_mb=limit_mb)
-        _ACTIVE_KEY = key
-    return _ACTIVE
+    return _cache_at(settings.synth_cache, settings.synth_cache_limit_mb)
 
 
-def configure_synth_cache(root, limit_mb: Optional[float] = None,
-                          export_env: bool = True) -> Optional[SynthesisCache]:
+def configure_synth_cache(root, limit_mb: Optional[float] = None) -> Optional[SynthesisCache]:
     """Activate (or with a falsy ``root``, deactivate) the synthesis cache.
 
-    With ``export_env`` (the default) the configuration is also written
-    to the process environment, so multiprocess workers spawned later
-    activate the same cache directory.
+    The cache becomes part of the process's active runtime settings, so
+    multiprocess pools started afterwards hand it to their workers.
+    Returns a fresh instance (``None`` when deactivated).
     """
-    global _ACTIVE, _ACTIVE_KEY
-    if not root:
-        if export_env:
-            os.environ.pop(SYNTH_CACHE_ENV, None)
-            os.environ.pop(SYNTH_CACHE_LIMIT_ENV, None)
-        _ACTIVE, _ACTIVE_KEY = None, None
-        return None
-    if export_env:
-        os.environ[SYNTH_CACHE_ENV] = str(root)
-        if limit_mb is None:
-            os.environ.pop(SYNTH_CACHE_LIMIT_ENV, None)
-        else:
-            os.environ[SYNTH_CACHE_LIMIT_ENV] = repr(limit_mb)
-    _ACTIVE = SynthesisCache(root, limit_mb=limit_mb)
-    _ACTIVE_KEY = (str(root), limit_mb)
-    return _ACTIVE
-
-
-def reset_synth_cache() -> None:
-    """Drop the process-wide instance (tests; the env decides the next one)."""
-    global _ACTIVE, _ACTIVE_KEY
-    _ACTIVE, _ACTIVE_KEY = None, None
+    activate_settings(replace(active_settings(), synth_cache=str(root) if root else None,
+                              synth_cache_limit_mb=limit_mb))
+    _cache_at.cache_clear()
+    return active_synth_cache()

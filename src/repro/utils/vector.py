@@ -8,30 +8,22 @@ testing, benchmarking and debugging:
 
 * per call: every kernel entry point takes ``vector: Optional[bool]``
   (``None`` defers to the process default);
-* per process: the ``REPRO_SYNTH_VECTOR`` environment variable
-  (``0``/``false``/``off``/``no`` selects the reference path), read once
-  on first use like the other runtime knobs;
+* per process: the ``synth_vector`` field of the active runtime
+  settings (:mod:`repro.settings`; ``REPRO_SYNTH_VECTOR=0`` selects the
+  reference path), which multiprocess workers receive from the driver;
 * per block: :func:`vector_override` forces one path for a ``with``
   region (used by the equivalence tests and the benchmark).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-#: Environment knob selecting the kernel implementation.
-VECTOR_ENV = "REPRO_SYNTH_VECTOR"
-
-#: Values of :data:`VECTOR_ENV` that select the reference path.
-_FALSEY = ("0", "false", "off", "no")
-
-#: Resolved process default; ``None`` until the env var is first read.
-_DEFAULT: Optional[bool] = None
+from repro.settings import active_settings
 
 #: Active override installed by :func:`vector_override` (wins over both
-#: the env default and, deliberately, over explicit ``vector=`` call
+#: the settings default and, deliberately, over explicit ``vector=`` call
 #: arguments *resolved inside* the block — the override is what makes a
 #: whole flow run comparable end to end).
 _OVERRIDE: Optional[bool] = None
@@ -41,18 +33,13 @@ def use_vector(override: Optional[bool] = None) -> bool:
     """Resolve whether the vectorized kernels should run.
 
     Precedence: an active :func:`vector_override` block, then the
-    explicit per-call ``override``, then the ``REPRO_SYNTH_VECTOR``
-    process default (on unless set to a falsey value).
+    explicit per-call ``override``, then the active settings' default.
     """
     if _OVERRIDE is not None:
         return _OVERRIDE
     if override is not None:
         return override
-    global _DEFAULT
-    if _DEFAULT is None:
-        raw = os.environ.get(VECTOR_ENV, "").strip().lower()
-        _DEFAULT = raw not in _FALSEY if raw else True
-    return _DEFAULT
+    return active_settings().synth_vector
 
 
 @contextmanager
@@ -65,9 +52,3 @@ def vector_override(value: bool) -> Iterator[None]:
         yield
     finally:
         _OVERRIDE = previous
-
-
-def reset_vector_default() -> None:
-    """Forget the cached env default (test hook; re-read on next use)."""
-    global _DEFAULT
-    _DEFAULT = None

@@ -19,18 +19,47 @@ from repro.workloads.generators import uniform_workload
 
 
 @pytest.fixture(autouse=True)
-def _fresh_design_cache():
-    """Isolate the process-wide synthesized-design memo between tests.
+def _fresh_runtime_state():
+    """Isolate the design memo and the runtime settings between tests.
 
     ``synthesize_job`` memoises per synthesis identity, so without this
     a test asserting that synthesis *ran* (phase counters, cache
-    hit/miss accounting) would observe another test's warm memo.
+    hit/miss accounting) would observe another test's warm memo.  The
+    active runtime settings are restored after each test, so settings a
+    test activates (``configure_synth_cache``, fault plans, CLI runs)
+    never leak into the next one.
     """
     from repro.runtime.jobs import clear_design_cache
-    from repro.runtime.synth_cache import reset_synth_cache
+    from repro.settings import using_settings
     clear_design_cache()
-    reset_synth_cache()
-    yield
+    with using_settings():
+        yield
+
+
+@pytest.fixture
+def repro_env(monkeypatch):
+    """Set (or, with ``None``, unset) ``REPRO_*`` variables for one test
+    and re-resolve the active runtime settings from the environment."""
+    from repro.settings import RuntimeSettings, activate_settings
+
+    def apply(**variables):
+        for name, value in variables.items():
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        activate_settings(RuntimeSettings.from_env())
+
+    return apply
+
+
+@pytest.fixture
+def unresolved_settings(monkeypatch):
+    """Forget the active runtime settings for one test, so that — as in
+    a new process — the first consumer resolves them from the
+    environment as the test has set it."""
+    import repro.settings
+    monkeypatch.setattr(repro.settings, "_ACTIVE", None)
 
 
 @pytest.fixture

@@ -336,9 +336,8 @@ class TestExploreCli:
         with pytest.raises(SystemExit):
             explore_main(["--workloads", "noise"])
 
-    def test_uncached_run_reports_no_cache(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_SYNTH_CACHE", raising=False)
+    def test_uncached_run_reports_no_cache(self, tmp_path, repro_env):
+        repro_env(REPRO_CACHE_DIR=None, REPRO_SYNTH_CACHE=None)
         output = tmp_path / "plain.txt"
         assert explore_main(["--width", "16", "--max-designs", "2", "--length", "64",
                              "--no-cache", "--output", str(output)]) == 0
@@ -404,15 +403,6 @@ class TestCacheBudget:
             CachingBackend(SerialBackend(), tmp_path, limit_mb=0)
         with pytest.raises(ConfigurationError):
             StudyConfig(cache_limit_mb=-1)
-
-    def test_env_parsing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_LIMIT_MB", "128.5")
-        assert StudyConfig().cache_limit_mb == 128.5
-        monkeypatch.setenv("REPRO_CACHE_LIMIT_MB", "")
-        assert StudyConfig().cache_limit_mb is None
-        monkeypatch.setenv("REPRO_CACHE_LIMIT_MB", "big")
-        with pytest.raises(ConfigurationError, match="REPRO_CACHE_LIMIT_MB.*'big'"):
-            StudyConfig()
 
     def test_study_config_passes_budget_to_backend(self, tmp_path):
         try:

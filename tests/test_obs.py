@@ -33,15 +33,14 @@ from repro.obs import (
     telemetry_run,
     trace_run,
 )
-from repro.obs.manifest import TELEMETRY_ENV
 from repro.obs.stats_cli import main as stats_main
-from repro.utils.phases import PHASES, PhaseTimes, collect_phases, phase
+from repro.obs.trace import PHASES, PhaseTimes, collect_phases
 
 
 @pytest.fixture(autouse=True)
-def _isolated_telemetry_env(monkeypatch):
+def _isolated_telemetry_env(repro_env):
     """Shield these tests from a suite-wide $REPRO_TELEMETRY_DIR (CI leg)."""
-    monkeypatch.delenv(TELEMETRY_ENV, raising=False)
+    repro_env(REPRO_TELEMETRY_DIR=None)
 
 
 class TestSpans:
@@ -103,10 +102,10 @@ class TestSpans:
 class TestPhasesCompat:
     def test_collect_phases_records_names_and_calls(self):
         with collect_phases() as phases:
-            with phase("synthesize"):
-                with phase("synth.optimize"):
+            with span("synthesize"):
+                with span("synth.optimize"):
                     pass
-            with phase("simulate"):
+            with span("simulate"):
                 pass
         assert phases.calls == {"synthesize": 1, "synth.optimize": 1,
                                 "simulate": 1}
@@ -122,10 +121,10 @@ class TestPhasesCompat:
 
     def test_nested_collectors_stack(self):
         with collect_phases() as outer:
-            with phase("score"):
+            with span("score"):
                 pass
             with collect_phases() as inner:
-                with phase("simulate"):
+                with span("simulate"):
                     pass
         assert set(outer.seconds) == {"score", "simulate"}
         assert set(inner.seconds) == {"simulate"}
@@ -138,7 +137,7 @@ class TestPhasesCompat:
             try:
                 with collect_phases() as phases:
                     barrier.wait(timeout=5)
-                    with phase(name):
+                    with span(name):
                         barrier.wait(timeout=5)
                     assert set(phases.seconds) == {name}, phases.seconds
             except Exception as error:  # pragma: no cover - failure path
@@ -154,8 +153,8 @@ class TestPhasesCompat:
 
     def test_collector_exposes_tracer(self):
         with collect_phases() as phases:
-            with phase("synthesize"):
-                with phase("synth.sta"):
+            with span("synthesize"):
+                with span("synth.sta"):
                     pass
         assert "synthesize/synth.sta" in phases.tracer.spans
 
@@ -198,7 +197,7 @@ class TestMetrics:
 class TestSpill:
     def test_spilled_call_writes_record_and_drain_merges(self, tmp_path):
         def task(value):
-            with phase("simulate"):
+            with span("simulate"):
                 pass
             metric_count("jobs.simulated")
             return value * 2
@@ -222,7 +221,7 @@ class TestSpill:
         # The task runs in an empty context: the ambient tracer must not
         # observe the task's spans directly (only through the drain).
         def task():
-            with phase("simulate"):
+            with span("simulate"):
                 pass
 
         with trace_run() as tracer:
@@ -249,7 +248,7 @@ class TestManifests:
     def test_manifest_roundtrip_schema(self, tmp_path):
         with telemetry_run(tmp_path, command="unit-test",
                            config={"width": 16}) as handle:
-            with phase("simulate"):
+            with span("simulate"):
                 pass
             metric_count("jobs.simulated", 2)
             handle.annotate(note="hello")
@@ -273,7 +272,7 @@ class TestManifests:
     def test_nested_sessions_write_one_manifest(self, tmp_path):
         with telemetry_run(tmp_path, command="outer"):
             with telemetry_run(tmp_path, command="inner") as inner:
-                with phase("simulate"):
+                with span("simulate"):
                     pass
             assert not inner.enabled
         manifests = load_manifests(tmp_path)
@@ -294,8 +293,8 @@ class TestManifests:
         assert handle.manifest_path is None
         assert handle.manifest["metrics"]["counters"]["jobs.simulated"] == 1
 
-    def test_env_var_activates(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_ENV, str(tmp_path))
+    def test_env_var_activates(self, tmp_path, repro_env):
+        repro_env(REPRO_TELEMETRY_DIR=str(tmp_path))
         assert resolve_telemetry_dir(None) == str(tmp_path)
         with telemetry_run(resolve_telemetry_dir(None), command="env-run"):
             pass
@@ -312,12 +311,12 @@ class TestManifests:
 class TestStatsCli:
     def _write_runs(self, directory):
         with telemetry_run(directory, command="run_sweep"):
-            with phase("simulate"):
+            with span("simulate"):
                 pass
             metric_count("cache.hits", 3)
             metric_count("cache.misses", 1)
         with telemetry_run(directory, command="run_sweep"):
-            with phase("synthesize"):
+            with span("synthesize"):
                 pass
             metric_count("cache.hits", 4)
 

@@ -29,7 +29,7 @@ from repro.runtime import (
 from repro.experiments.designs import exact_entry, isa_entry
 from repro.timing.clocking import ClockPlan
 from repro.timing.fast_sim import FastTimingSimulator
-from repro.utils.phases import collect_phases, phase
+from repro.obs.trace import collect_phases, span
 from repro.workloads.generators import uniform_workload
 
 PERIODS = tuple(ClockPlan.paper().periods)
@@ -314,28 +314,27 @@ class TestClockSpecialisedSimulator:
 
 class TestPhases:
     def test_phase_noop_without_collector(self):
-        with phase("simulate"):
+        with span("simulate"):
             pass  # must not raise or record anywhere
 
     def test_collect_phases_records(self):
         with collect_phases() as phases:
-            with phase("simulate"):
+            with span("simulate"):
                 pass
-            with phase("score"):
+            with span("score"):
                 pass
-            with phase("simulate"):
+            with span("simulate"):
                 pass
         assert phases.calls["simulate"] == 2
         assert phases.calls["score"] == 1
         text = phases.describe()
         assert "simulate" in text and "score" in text
 
-    def test_planned_run_attributes_phases(self, monkeypatch):
+    def test_planned_run_attributes_phases(self, repro_env):
         # A warm persistent synthesis cache (the cache-enabled CI leg)
         # would legitimately skip the synthesize phase; disable it so
         # the attribution of a from-scratch run is what is asserted.
-        from repro.runtime.synth_cache import SYNTH_CACHE_ENV
-        monkeypatch.delenv(SYNTH_CACHE_ENV, raising=False)
+        repro_env(REPRO_SYNTH_CACHE=None)
         jobs = [make_job(length=80, seed=21), make_job(length=80, seed=22)]
         with collect_phases() as phases:
             SerialBackend().run(jobs)
@@ -343,14 +342,12 @@ class TestPhases:
         assert phases.seconds.get("lower", 0) > 0
         assert phases.seconds.get("simulate", 0) > 0
 
-    def test_explore_cli_timings_footer(self, capsys, monkeypatch):
+    def test_explore_cli_timings_footer(self, capsys, repro_env):
         # backend pinned to serial: phases are recorded in the process
         # that executes them, so the multiprocess CI leg would see none.
         # A warm shared synthesis or result cache would (correctly)
         # erase the synthesize phase asserted below, so run uncached.
-        from repro.runtime.synth_cache import SYNTH_CACHE_ENV
-        monkeypatch.delenv(SYNTH_CACHE_ENV, raising=False)
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        repro_env(REPRO_SYNTH_CACHE=None, REPRO_CACHE_DIR=None)
         from repro.explore.cli import main
         exit_code = main(["--width", "16", "--max-designs", "4", "--length", "32",
                           "--backend", "serial", "--timings"])

@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,6 @@ from repro.explore.sweep import SweepSpec, run_sweep
 from repro.obs.metrics import metrics_run
 from repro.runtime import (
     FAULT_PLAN_ENV,
-    RETRIES_ENV,
-    TIMEOUT_ENV,
     CachingBackend,
     CharacterizationJob,
     MultiprocessBackend,
@@ -50,12 +49,12 @@ from repro.runtime import (
     deterministic_jitter,
     execute_job,
     parse_fault_plan,
-    reset_fault_plan,
     retry_call,
     run_jobs,
 )
 from repro.runtime.faultinject import POINT_TASK, FaultPlan, FaultSpec
 from repro.runtime.store import ResultStore
+from repro.settings import using_settings
 from repro.timing.clocking import ClockPlan
 from repro.workloads.generators import WorkloadSpec, uniform_workload
 
@@ -98,7 +97,7 @@ def multiprocess_backend(**kwargs):
 
 
 @pytest.fixture
-def arm_faults(monkeypatch, tmp_path):
+def arm_faults(tmp_path):
     """Arm (and on teardown disarm) a fault plan with a fresh state dir.
 
     The explicit per-test ``state_dir`` matters: event ordinals and
@@ -106,15 +105,13 @@ def arm_faults(monkeypatch, tmp_path):
     otherwise be shared by every test of this process using the same
     plan text.
     """
-    def arm(faults, **extra):
-        document = {"faults": faults, "state_dir": str(tmp_path / "fault-state")}
-        document.update(extra)
-        monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(document))
-        reset_fault_plan()
-        return document
-    yield arm
-    monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-    reset_fault_plan()
+    with ExitStack() as armed:
+        def arm(faults, **extra):
+            document = {"faults": faults, "state_dir": str(tmp_path / "fault-state")}
+            document.update(extra)
+            armed.enter_context(using_settings(fault_plan=json.dumps(document)))
+            return document
+        yield arm
 
 
 # --------------------------------------------------------------------- #
@@ -122,31 +119,34 @@ def arm_faults(monkeypatch, tmp_path):
 # --------------------------------------------------------------------- #
 class TestEnvKnobs:
     @pytest.mark.parametrize("value", ["banana", "-1", "1.5"])
-    def test_malformed_retries_names_variable_and_value(self, monkeypatch, value):
-        monkeypatch.setenv(RETRIES_ENV, value)
+    def test_malformed_retries_names_variable_and_value(self, monkeypatch,
+                                                         unresolved_settings, value):
+        monkeypatch.setenv("REPRO_MAX_RETRIES", value)
         with pytest.raises(ConfigurationError) as excinfo:
-            RetryPolicy.from_env()
-        assert RETRIES_ENV in str(excinfo.value)
+            SerialBackend().policy()
+        assert "REPRO_MAX_RETRIES" in str(excinfo.value)
         assert repr(value) in str(excinfo.value)
 
     @pytest.mark.parametrize("value", ["soon", "0", "-2.5"])
-    def test_malformed_timeout_names_variable_and_value(self, monkeypatch, value):
-        monkeypatch.setenv(TIMEOUT_ENV, value)
+    def test_malformed_timeout_names_variable_and_value(self, monkeypatch,
+                                                        unresolved_settings, value):
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", value)
         with pytest.raises(ConfigurationError) as excinfo:
-            RetryPolicy.from_env()
-        assert TIMEOUT_ENV in str(excinfo.value)
+            SerialBackend().policy()
+        assert "REPRO_TASK_TIMEOUT" in str(excinfo.value)
         assert repr(value) in str(excinfo.value)
 
-    def test_env_policy_resolves_attempts_and_timeout(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "5")
-        monkeypatch.setenv(TIMEOUT_ENV, "2.5")
-        policy = RetryPolicy.from_env()
+    def test_env_policy_resolves_attempts_and_timeout(self, repro_env):
+        repro_env(REPRO_MAX_RETRIES="5", REPRO_TASK_TIMEOUT="2.5")
+        policy = SerialBackend().policy()
         assert policy.max_attempts == 6
         assert policy.task_timeout == 2.5
+        explicit = RetryPolicy(max_attempts=2)
+        assert SerialBackend(retry_policy=explicit).policy() is explicit
 
-    def test_zero_retries_means_single_attempt(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "0")
-        assert RetryPolicy.from_env().max_attempts == 1
+    def test_zero_retries_means_single_attempt(self, repro_env):
+        repro_env(REPRO_MAX_RETRIES="0")
+        assert SerialBackend().policy().max_attempts == 1
 
     @pytest.mark.parametrize("document, detail", [
         ("{not json", "must be JSON"),
@@ -518,16 +518,15 @@ class TestCheckpointing:
         assert list(loaded) == ["digest-1"]
         assert loaded["digest-1"] == result.points[:2]
 
-    def test_resume_without_checkpoint_dir_is_a_config_error(self, monkeypatch):
-        monkeypatch.delenv(CHECKPOINT_ENV, raising=False)
+    def test_resume_without_checkpoint_dir_is_a_config_error(self, repro_env):
+        repro_env(REPRO_CHECKPOINT_DIR=None)
         with pytest.raises(ConfigurationError, match=CHECKPOINT_ENV):
             require_checkpoint_dir(None, resume=True)
         with pytest.raises(ConfigurationError, match=CHECKPOINT_ENV):
             run_sweep(small_sweep_spec(), resume=True)
 
-    def test_checkpoint_dir_resolves_from_the_environment(self, monkeypatch,
-                                                          tmp_path):
-        monkeypatch.setenv(CHECKPOINT_ENV, str(tmp_path))
+    def test_checkpoint_dir_resolves_from_the_environment(self, repro_env, tmp_path):
+        repro_env(REPRO_CHECKPOINT_DIR=str(tmp_path))
         assert require_checkpoint_dir(None, resume=True) == str(tmp_path)
 
     def test_checkpointed_sweep_matches_plain_and_full_resume_is_free(
@@ -583,9 +582,9 @@ class TestCheckpointing:
 # CLI validation
 # --------------------------------------------------------------------- #
 class TestCLIValidation:
-    def test_resume_requires_a_checkpoint_dir(self, monkeypatch, capsys):
+    def test_resume_requires_a_checkpoint_dir(self, repro_env, capsys):
         from repro.explore.cli import main
-        monkeypatch.delenv(CHECKPOINT_ENV, raising=False)
+        repro_env(REPRO_CHECKPOINT_DIR=None)
         with pytest.raises(SystemExit):
             main(["--resume"])
         assert "--resume requires --checkpoint-dir" in capsys.readouterr().err

@@ -447,11 +447,11 @@ class TestInventoryIndex:
 
 
 class TestStudyConfigIntegration:
-    def test_cache_dir_env_read_once(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_cache_dir_env_read_once(self, tmp_path, repro_env):
+        repro_env(REPRO_CACHE_DIR=str(tmp_path))
         config = StudyConfig()
         assert config.cache_dir == str(tmp_path)
-        monkeypatch.delenv("REPRO_CACHE_DIR")
+        repro_env(REPRO_CACHE_DIR=None)
         assert config.cache_dir == str(tmp_path)  # read once at construction
         assert StudyConfig().cache_dir is None
 
@@ -500,17 +500,17 @@ class TestStudyConfigIntegration:
 class TestEnvParsingRegressions:
     """Malformed runtime env vars raise ConfigurationError, not ValueError."""
 
-    def test_malformed_workers(self, monkeypatch):
+    def test_malformed_workers(self, monkeypatch, unresolved_settings):
         monkeypatch.setenv("REPRO_WORKERS", "auto")
         with pytest.raises(ConfigurationError, match="REPRO_WORKERS.*'auto'"):
             StudyConfig()
 
-    def test_malformed_trace_scale(self, monkeypatch):
+    def test_malformed_trace_scale(self, monkeypatch, unresolved_settings):
         monkeypatch.setenv("REPRO_TRACE_SCALE", "fast")
         with pytest.raises(ConfigurationError, match="REPRO_TRACE_SCALE.*'fast'"):
             StudyConfig()
 
-    def test_empty_values_fall_back_to_defaults(self, monkeypatch):
+    def test_empty_values_fall_back_to_defaults(self, monkeypatch, unresolved_settings):
         monkeypatch.setenv("REPRO_WORKERS", "")
         monkeypatch.setenv("REPRO_TRACE_SCALE", "")
         monkeypatch.setenv("REPRO_CACHE_DIR", "")

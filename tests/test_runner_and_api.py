@@ -98,9 +98,9 @@ class TestRunnerCli:
         report = run_all(config, ["fig9", "fig10"])
         assert "Fig. 10" in report and "Fig. 9" in report
 
-    def test_main_writes_output_file(self, tmp_path, monkeypatch):
+    def test_main_writes_output_file(self, tmp_path, repro_env):
         output = tmp_path / "report.txt"
-        monkeypatch.setenv("REPRO_TRACE_SCALE", "1.0")
+        repro_env(REPRO_TRACE_SCALE="1.0")
         exit_code = main(["--scale", "0.05", "--simulator", "fast",
                           "--figures", "fig9", "--output", str(output)])
         assert exit_code == 0
@@ -133,9 +133,8 @@ class TestRunnerCli:
         assert "cache=0 hits / 12 misses" in cold
         assert "cache=12 hits / 0 misses" in warm
 
-    def test_no_cache_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_SYNTH_CACHE", raising=False)
+    def test_no_cache_overrides_env(self, tmp_path, repro_env):
+        repro_env(REPRO_CACHE_DIR=str(tmp_path / "cache"), REPRO_SYNTH_CACHE=None)
         output = tmp_path / "report.txt"
         assert main(["--scale", "0.05", "--simulator", "fast", "--figures", "fig9",
                      "--no-cache", "--output", str(output)]) == 0

@@ -282,26 +282,23 @@ class TestBackendApi:
 
 
 class TestStudyConfigRuntimeKnobs:
-    def test_defaults(self, monkeypatch):
-        for name in ("REPRO_BACKEND", "REPRO_WORKERS", "REPRO_TRACE_SCALE"):
-            monkeypatch.delenv(name, raising=False)
+    def test_defaults(self, repro_env):
+        repro_env(REPRO_BACKEND=None, REPRO_WORKERS=None, REPRO_TRACE_SCALE=None)
         config = StudyConfig()
         assert config.engine == "auto"
         assert config.backend == "serial"
         assert config.workers is None
         assert config.trace_scale == 1.0
 
-    def test_env_read_once_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_SCALE", "0.5")
-        monkeypatch.setenv("REPRO_BACKEND", "multiprocess")
-        monkeypatch.setenv("REPRO_WORKERS", "2")
+    def test_env_read_once_at_construction(self, repro_env):
+        repro_env(REPRO_TRACE_SCALE="0.5", REPRO_BACKEND="multiprocess", REPRO_WORKERS="2")
         config = StudyConfig(characterization_length=200)
         assert config.trace_scale == 0.5
         assert config.backend == "multiprocess"
         assert config.workers == 2
         assert config.characterization_trace().length == 100
         # mutating the environment after construction changes nothing
-        monkeypatch.setenv("REPRO_TRACE_SCALE", "2.0")
+        repro_env(REPRO_TRACE_SCALE="2.0")
         assert config.trace_scale == 0.5
         assert config.characterization_trace().length == 100
 

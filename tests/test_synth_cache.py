@@ -1,6 +1,7 @@
 """Tests of the persistent synthesis cache (repro.runtime.synth_cache)."""
 
 import dataclasses
+import os
 import struct
 
 import numpy as np
@@ -10,8 +11,6 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.designs import exact_entry, isa_entry
 from repro.runtime.jobs import CharacterizationJob, clear_design_cache, synthesize_job
 from repro.runtime.synth_cache import (
-    SYNTH_CACHE_ENV,
-    SYNTH_CACHE_LIMIT_ENV,
     SynthesisCache,
     active_synth_cache,
     cacheable,
@@ -19,7 +18,7 @@ from repro.runtime.synth_cache import (
     synth_digest,
 )
 from repro.synth.flow import SynthesisOptions
-from repro.utils.phases import collect_phases
+from repro.obs.trace import collect_phases
 from repro.workloads.generators import uniform_workload
 
 ENTRY = isa_entry((4, 2, 1, 4), width=16)
@@ -125,48 +124,33 @@ class TestSynthesisCache:
 
 
 class TestActivation:
-    def test_env_activates_and_deactivates(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(SYNTH_CACHE_ENV, raising=False)
+    def test_env_activates_and_deactivates(self, tmp_path, repro_env):
+        repro_env(REPRO_SYNTH_CACHE=None)
         assert active_synth_cache() is None
-        monkeypatch.setenv(SYNTH_CACHE_ENV, str(tmp_path))
+        repro_env(REPRO_SYNTH_CACHE=str(tmp_path), REPRO_SYNTH_CACHE_LIMIT_MB="2.5")
         cache = active_synth_cache()
         assert cache is not None
         assert cache.store.root == tmp_path
-        # Same env -> same instance (stats accumulate across calls).
-        assert active_synth_cache() is cache
-        monkeypatch.delenv(SYNTH_CACHE_ENV)
-        assert active_synth_cache() is None
-
-    def test_env_limit_parsed_and_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SYNTH_CACHE_ENV, str(tmp_path))
-        monkeypatch.setenv(SYNTH_CACHE_LIMIT_ENV, "2.5")
-        cache = active_synth_cache()
         assert cache.store.limit_bytes == int(2.5 * 1024 * 1024)
-        monkeypatch.setenv(SYNTH_CACHE_LIMIT_ENV, "not-a-number")
-        with pytest.raises(ConfigurationError):
-            active_synth_cache()
-        monkeypatch.setenv(SYNTH_CACHE_LIMIT_ENV, "-1")
-        with pytest.raises(ConfigurationError):
-            active_synth_cache()
-
-    def test_configure_exports_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(SYNTH_CACHE_ENV, raising=False)
-        cache = configure_synth_cache(tmp_path, limit_mb=4)
-        try:
-            import os
-            assert os.environ[SYNTH_CACHE_ENV] == str(tmp_path)
-            assert float(os.environ[SYNTH_CACHE_LIMIT_ENV]) == 4
-            assert active_synth_cache() is cache
-        finally:
-            configure_synth_cache(None)
-        import os
-        assert SYNTH_CACHE_ENV not in os.environ
+        # Same settings -> same instance (stats accumulate across calls).
+        assert active_synth_cache() is cache
+        repro_env(REPRO_SYNTH_CACHE=None)
         assert active_synth_cache() is None
+
+    def test_configure_activates_without_touching_env(self, tmp_path, repro_env):
+        repro_env(REPRO_SYNTH_CACHE=None)
+        environ = dict(os.environ)
+        cache = configure_synth_cache(tmp_path, limit_mb=4)
+        assert active_synth_cache() is cache
+        assert cache.store.limit_bytes == 4 * 1024 * 1024
+        assert configure_synth_cache(None) is None
+        assert active_synth_cache() is None
+        assert dict(os.environ) == environ
 
 
 class TestSynthesizeJobReadThrough:
-    def test_warm_cache_synthesizes_zero_designs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SYNTH_CACHE_ENV, str(tmp_path))
+    def test_warm_cache_synthesizes_zero_designs(self, tmp_path, repro_env):
+        repro_env(REPRO_SYNTH_CACHE=str(tmp_path))
         job = make_job()
         with collect_phases() as cold:
             first = synthesize_job(job)
@@ -185,8 +169,8 @@ class TestSynthesizeJobReadThrough:
         stats = active_synth_cache().stats
         assert stats.hits == 1 and stats.misses == 1
 
-    def test_memo_hit_skips_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SYNTH_CACHE_ENV, str(tmp_path))
+    def test_memo_hit_skips_disk(self, tmp_path, repro_env):
+        repro_env(REPRO_SYNTH_CACHE=str(tmp_path))
         job = make_job()
         first = synthesize_job(job)
         second = synthesize_job(job)
@@ -195,8 +179,8 @@ class TestSynthesizeJobReadThrough:
         assert active_synth_cache().stats.misses == 1
         assert active_synth_cache().stats.hits == 0
 
-    def test_jobs_differing_only_in_trace_share_entry(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SYNTH_CACHE_ENV, str(tmp_path))
+    def test_jobs_differing_only_in_trace_share_entry(self, tmp_path, repro_env):
+        repro_env(REPRO_SYNTH_CACHE=str(tmp_path))
         synthesize_job(make_job())
         clear_design_cache()
         other = make_job(trace=uniform_workload(64, width=16, seed=99),
@@ -206,11 +190,34 @@ class TestSynthesizeJobReadThrough:
         assert phases.calls.get("synthesize", 0) == 0
         assert active_synth_cache().stats.hits == 1
 
-    def test_non_cacheable_job_never_stored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SYNTH_CACHE_ENV, str(tmp_path))
+    def test_non_cacheable_job_never_stored(self, tmp_path, repro_env):
+        repro_env(REPRO_SYNTH_CACHE=str(tmp_path))
         job = make_job(synthesis=SynthesisOptions(
             variation_sigma=0.05, variation_seed=np.random.default_rng(7)))
         synthesize_job(job)
         cache = active_synth_cache()
         assert cache.store.total_bytes() == 0
         assert cache.stats.hits == 0 and cache.stats.misses == 0
+
+
+class TestWorkerActivation:
+    def test_cache_configured_in_code_reaches_pool_workers(self, tmp_path, pool_of,
+                                                           repro_env):
+        """Workers receive the driver's settings from the pool initializer:
+        a cache configured in code, with no variable in the environment,
+        is the one they store designs into and load them from."""
+        from repro.obs.metrics import metrics_run
+        repro_env(REPRO_SYNTH_CACHE=None)
+        configure_synth_cache(tmp_path)
+        assert "REPRO_SYNTH_CACHE" not in os.environ
+        jobs = [make_job(entry=isa_entry(quadruple, width=16))
+                for quadruple in ((4, 0, 0, 2), (4, 2, 1, 2), (4, 2, 1, 4), (8, 0, 0, 4))]
+        with metrics_run() as cold:
+            pool_of(2).run(jobs)
+        assert cold.counters["synth_cache.misses"] == len(jobs)
+        assert len(list(tmp_path.glob("*/*/result.pkl"))) == len(jobs)
+        clear_design_cache()
+        with metrics_run() as warm:
+            pool_of(2).run(jobs)  # fresh workers, empty design memos
+        assert warm.counters["synth_cache.hits"] == len(jobs)
+        assert "synth_cache.misses" not in warm.counters

@@ -33,17 +33,16 @@ from repro.runtime import (
 )
 from repro.experiments.designs import exact_entry, isa_entry
 from repro.timing.clocking import ClockPlan
-from repro.utils.phases import collect_phases
+from repro.obs.trace import collect_phases
 from repro.workloads.generators import WorkloadSpec, uniform_workload
 
 PERIODS = tuple(ClockPlan.paper().periods)
 
 
 @pytest.fixture(autouse=True)
-def _isolated_telemetry_env(monkeypatch):
+def _isolated_telemetry_env(repro_env):
     """Shield these tests from a suite-wide $REPRO_TELEMETRY_DIR (CI leg)."""
-    from repro.obs.manifest import TELEMETRY_ENV
-    monkeypatch.delenv(TELEMETRY_ENV, raising=False)
+    repro_env(REPRO_TELEMETRY_DIR=None)
 
 
 def assert_bit_identical(reference, candidate):
@@ -160,7 +159,10 @@ class TestBitIdentity:
 
 
 class TestManifests:
-    def test_run_jobs_writes_manifest(self, tmp_path):
+    def test_run_jobs_writes_manifest(self, tmp_path, repro_env):
+        # A warm suite-wide synthesis cache (the cache-enabled CI leg)
+        # would legitimately skip the synthesize phase asserted below.
+        repro_env(REPRO_SYNTH_CACHE=None)
         jobs = small_jobs()
         run_jobs(jobs, backend="serial", telemetry_dir=str(tmp_path))
         [manifest] = load_manifests(tmp_path)
