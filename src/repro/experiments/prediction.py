@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from repro.analysis.report import format_log_value, format_table
 from repro.experiments.common import StudyConfig
 from repro.experiments.designs import DesignEntry
-from repro.ml.metrics import classification_summary, floored
+from repro.ml.metrics import floored
 from repro.ml.model import BitLevelTimingModel
 from repro.runtime import DesignCharacterization
 from repro.workloads.traces import OperandTrace
@@ -114,19 +114,17 @@ def rows_from_characterizations(config: StudyConfig,
         model = BitLevelTimingModel(design=training.name, clock_period=period,
                                     output_width=config.width + 1, options=config.model)
         model.fit(training.trace, training.gold_words, training.timing_trace(period))
-        eval_timing = evaluation.timing_trace(period)
-        metrics = model.evaluate(evaluation.trace, evaluation.gold_words, eval_timing)
-        predicted_errors = model.predict_error_matrix(evaluation.trace, evaluation.gold_words)
-        summary = classification_summary(predicted_errors, eval_timing.error_bits())
+        metrics = model.evaluate(evaluation.trace, evaluation.gold_words,
+                                 evaluation.timing_trace(period))
         rows.append(PredictionRow(
             design=training.name,
             cpr=cpr,
             clock_period=period,
             abper=floored(metrics["abper"]),
             avpe=floored(metrics["avpe"]),
-            real_error_rate=summary["error_rate"],
-            precision=summary["precision"],
-            recall=summary["recall"],
+            real_error_rate=metrics["error_rate"],
+            precision=metrics["precision"],
+            recall=metrics["recall"],
             trained_bits=len(model.trained_bits),
         ))
     return rows

@@ -4,15 +4,15 @@ The paper trains one binary classifier per output bit (a scikit-learn
 random forest) on features derived from consecutive input vectors and the
 RTL outputs, to predict whether that bit is timing-erroneous at a given
 overclocked period.  Because this reproduction is fully self-contained,
-the decision-tree and random-forest learners are implemented from scratch
-on NumPy in :mod:`repro.ml.tree` and :mod:`repro.ml.forest`; the
+the learners are implemented from scratch on NumPy as one CART core: one
+node type, depth-first grower, per-split feature draw, predictor and
+walker (:mod:`repro.ml.tree`) and one bagging loop (:mod:`repro.ml.forest`).
+Each tree plugs in its criterion.  The classifier counts Gini impurity
+exactly over binary features; the regressor (:mod:`repro.ml.regress`),
+the surrogate the adaptive design-space explorer fits to quadruple
+features, scores squared error with prefix sums over sorted columns.  The
 feature construction, the per-bit model and the ABPER/AVPE evaluation
 metrics mirror Sections III and IV-B of the paper.
-
-:mod:`repro.ml.regress` extends the same machinery to regression
-(variance-reduction threshold splits on numeric features, identical
-seeding discipline): the surrogate mode the adaptive design-space
-explorer uses to predict sweep scores straight from quadruple features.
 """
 
 from repro.ml.tree import DecisionTreeClassifier

@@ -20,7 +20,7 @@ from repro.exceptions import ModelError
 from repro.ml.dataset import BitDataset, build_bit_datasets
 from repro.ml.features import build_feature_matrix
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.metrics import abper, avpe
+from repro.ml.metrics import abper, avpe, classification_summary
 from repro.timing.errors import TimingErrorTrace
 from repro.utils.rng import derive_seed
 from repro.workloads.traces import OperandTrace
@@ -130,7 +130,10 @@ class BitLevelTimingModel:
         value in that case (the same observation the feature set encodes).
         """
         gold_words = np.asarray(gold_words, dtype=np.uint64)
-        errors = self.predict_error_matrix(trace, gold_words)
+        return self._silver(self.predict_error_matrix(trace, gold_words), gold_words)
+
+    def _silver(self, errors: np.ndarray, gold_words: np.ndarray) -> np.ndarray:
+        """Silver words implied by predicted error flags (see :meth:`predict_silver`)."""
         current = gold_words[1:]
         previous = gold_words[:-1]
         silver = current.copy()
@@ -146,14 +149,20 @@ class BitLevelTimingModel:
     # ------------------------------------------------------------------ #
     def evaluate(self, trace: OperandTrace, gold_words: np.ndarray,
                  timing_trace: TimingErrorTrace) -> Dict[str, float]:
-        """ABPER and AVPE of the model on an evaluation trace."""
-        predicted_classes = self.predict_timing_classes(trace, gold_words)
-        real_classes = timing_trace.timing_classes()
-        predicted_silver = self.predict_silver(trace, gold_words)
-        real_silver = timing_trace.sampled_words
+        """Model quality on an evaluation trace, from one prediction.
+
+        Returns ABPER and AVPE plus the ``precision``, ``recall`` and
+        ``error_rate`` of :func:`~repro.ml.metrics.classification_summary`.
+        """
+        gold_words = np.asarray(gold_words, dtype=np.uint64)
+        errors = self.predict_error_matrix(trace, gold_words)
+        summary = classification_summary(errors, timing_trace.error_bits())
         return {
-            "abper": abper(predicted_classes, real_classes),
-            "avpe": avpe(predicted_silver, real_silver),
+            "abper": abper((1 - errors).astype(np.uint8), timing_trace.timing_classes()),
+            "avpe": avpe(self._silver(errors, gold_words), timing_trace.sampled_words),
+            "precision": summary["precision"],
+            "recall": summary["recall"],
+            "error_rate": summary["error_rate"],
         }
 
     def describe(self) -> str:

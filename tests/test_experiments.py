@@ -188,6 +188,30 @@ class TestPredictionStudy:
             assert 0.0 <= row.precision <= 1.0
             assert 0.0 <= row.recall <= 1.0
 
+    def test_study_predicts_each_cell_once(self, tiny_config, monkeypatch):
+        """Each (design, CPR) cell predicts its held-out trace once: one
+        error matrix, and one feature matrix per trained bit."""
+        import repro.ml.model as model_module
+        calls = {"matrix": 0, "features": 0}
+        predict, build = (model_module.BitLevelTimingModel.predict_error_matrix,
+                          model_module.build_feature_matrix)
+
+        def counted_predict(*args, **kwargs):
+            calls["matrix"] += 1
+            return predict(*args, **kwargs)
+
+        def counted_build(*args, **kwargs):
+            calls["features"] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(model_module.BitLevelTimingModel, "predict_error_matrix",
+                            counted_predict)
+        monkeypatch.setattr(model_module, "build_feature_matrix", counted_build)
+        rows = study_design(isa_entry((16, 1, 0, 2)), tiny_config,
+                            tiny_config.training_trace(), tiny_config.evaluation_trace())
+        assert calls["matrix"] == len(rows)
+        assert calls["features"] == sum(row.trained_bits for row in rows)
+
     def test_full_study_formatting(self, tiny_config):
         config = StudyConfig(characterization_length=100, training_length=120,
                              evaluation_length=100, seed=3, simulator="fast")

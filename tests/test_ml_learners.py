@@ -1,5 +1,8 @@
 """Tests for the from-scratch decision tree and random forest."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,3 +250,118 @@ class TestRandomForestRegressor:
             RandomForestRegressor(n_estimators=0)
         with pytest.raises(ModelError):
             RandomForestRegressor().fit(np.zeros((0, 2)), np.zeros(0))
+
+
+LEARNERS = [DecisionTreeClassifier, DecisionTreeRegressor,
+            RandomForestClassifier, RandomForestRegressor]
+
+
+class TestHyperparameterValidation:
+    """Every learner checks its tree parameters when it is constructed."""
+
+    @pytest.mark.parametrize("learner", LEARNERS, ids=lambda learner: learner.__name__)
+    @pytest.mark.parametrize("value", [0, -1, "log2", "SQRT", 2.5, True], ids=repr)
+    def test_bad_max_features_rejected_at_construction(self, learner, value):
+        with pytest.raises(ModelError, match=rf"^max_features .*got {re.escape(repr(value))}$"):
+            learner(max_features=value)
+
+    @pytest.mark.parametrize("learner", [RandomForestClassifier, RandomForestRegressor],
+                             ids=lambda learner: learner.__name__)
+    @pytest.mark.parametrize("name, value", [("max_depth", 0), ("min_samples_split", 1)])
+    def test_forest_rejects_bad_tree_parameters_at_construction(self, learner, name, value):
+        with pytest.raises(ModelError, match=rf"^{name} .*got {value}$"):
+            learner(**{name: value})
+
+    @pytest.mark.parametrize("learner", LEARNERS, ids=lambda learner: learner.__name__)
+    def test_integer_types_accepted_booleans_rejected(self, learner):
+        X, y = make_dataset(lambda X: X[:, 2] & X[:, 7])
+        grown = [learner(max_features=value, seed=4).fit(X, y)
+                 for value in (3, np.int64(3), np.uint8(3))]
+        digests = {_learner_digest(model, [X]) for model in grown}
+        assert len(digests) == 1
+        for value in (None, "sqrt"):
+            learner(max_features=value)
+        for value in (False, np.True_):
+            with pytest.raises(ModelError, match="^max_features "):
+                learner(max_features=value)
+
+
+def _adder_like_bits(samples, seed):
+    """Binary rows shaped like a 32-bit adder's features: 130 columns
+    (two operands now and one cycle earlier, plus two output bits) with
+    rare positives that depend on a carry-like run of operand bits."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2, size=(samples, 130)).astype(np.uint8)
+    carry = X[:, 10:20].sum(axis=1) + X[:, 42:52].sum(axis=1)
+    y = (carry >= 13) & (X[:, 128] != X[:, 129])
+    return X, (y ^ (rng.random(samples) < 0.02)).astype(np.uint8)
+
+
+def _quadruple_like(samples, seed):
+    """Small-integer rows with many ties, like the surrogate's quadruple
+    features, and a float target with a little noise."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.integers(1, 5, samples), rng.integers(0, 4, samples),
+                         rng.integers(0, 3, samples), rng.integers(0, 9, samples),
+                         rng.integers(0, 2, samples)]).astype(np.float64)
+    y = np.log2(1.0 + X[:, 0] * X[:, 3]) - 0.3 * X[:, 1] + 0.01 * rng.standard_normal(samples)
+    return X, y
+
+
+def _learner_digest(learner, rows):
+    """SHA-256 over public outputs: every tree's size and depth, then the
+    prediction bytes on each row block."""
+    digest = hashlib.sha256()
+    for tree in getattr(learner, "trees_", [learner]):
+        digest.update(f"{tree.node_count()}/{tree.depth()};".encode())
+    for X in rows:
+        if hasattr(learner, "predict_proba"):
+            output = learner.predict_proba(X)
+        elif hasattr(learner, "predict_all"):
+            output = learner.predict_all(X)
+        else:
+            output = learner.predict(X)
+        digest.update(np.ascontiguousarray(output, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+#: SHA-256 of each seeded learner's public outputs.  Any change to a grown
+#: tree, to a criterion's float arithmetic or to the order of the feature
+#: draws changes a digest; perfbench's stored digests pin the same trees end
+#: to end, so a digest here changes only with a deliberate model change.
+PINNED_LEARNERS = {
+    "forest-sqrt": (
+        "binary", lambda: RandomForestClassifier(n_estimators=6, max_features="sqrt", seed=2017),
+        "63bc9eae0c41f7b6db89c73edeeccdf2df3b6081bdf6bfbb0764be645c31b389"),
+    "forest-sqrt-balanced": (
+        "binary", lambda: RandomForestClassifier(n_estimators=6, max_features="sqrt",
+                                                 class_weight="balanced", seed=11),
+        "2b91dd7683032f483edf5cc6a3134e4386e2e4b56ad022c8f1817c98c3b15283"),
+    "tree-classifier": (
+        "binary", lambda: DecisionTreeClassifier(max_features="sqrt", seed=5),
+        "9d0953de4585cd1369f3ff5e9e34647dbbee240801dbcbfa4318a13b0c8b39a3"),
+    "forest-regressor": (
+        "numeric", lambda: RandomForestRegressor(n_estimators=8, seed=3),
+        "f292b8fcbea65679eb332eb097dce646a642fbd9b5cfb585ca007c6210c4b750"),
+    "forest-regressor-subsampled": (
+        "numeric", lambda: RandomForestRegressor(n_estimators=5, max_features=2, seed=4),
+        "2180451b853e0b010ff32739f1e7e16d3c7a118fb2ce2c7c6d08b0784fb7690b"),
+    "tree-regressor": (
+        "numeric", lambda: DecisionTreeRegressor(seed=0),
+        "7fd5cd333357e9418906629d1ecee8fb6c05f9195c6100d4b78fe811515b407a"),
+}
+
+
+class TestLearnersPinnedBitForBit:
+    @pytest.mark.parametrize("case", sorted(PINNED_LEARNERS))
+    def test_seeded_learner_matches_recorded_digest(self, case):
+        kind, make, expected = PINNED_LEARNERS[case]
+        if kind == "binary":
+            X, y = _adder_like_bits(640, seed=31)
+            probe = _adder_like_bits(96, seed=32)[0]
+        else:
+            X, y = _quadruple_like(180, seed=37)
+            grid = np.random.default_rng(38).integers(0, 10, size=(60, X.shape[1]))
+            probe = np.vstack([grid, grid + 0.5]).astype(np.float64)
+        learner = make().fit(X, y)
+        assert _learner_digest(learner, [X, probe]) == expected

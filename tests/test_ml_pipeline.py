@@ -156,6 +156,36 @@ class TestBitLevelTimingModel:
         assert metrics["abper"] <= baseline + 0.02
         assert metrics["avpe"] >= 0.0
 
+    def test_evaluate_predicts_once(self, trained_setup, monkeypatch):
+        """One evaluation is one prediction: the timing classes, the silver
+        words and the classification summary all come from one error matrix."""
+        from repro.ml.forest import RandomForestClassifier
+        model, adder, test, test_timing = trained_setup
+        gold = adder.add_many(test.a, test.b)
+        expected_summary = classification_summary(model.predict_error_matrix(test, gold),
+                                                  test_timing.error_bits())
+        expected_abper = abper(model.predict_timing_classes(test, gold),
+                               test_timing.timing_classes())
+        expected_avpe = avpe(model.predict_silver(test, gold), test_timing.sampled_words)
+        calls = {"matrix": 0, "forest": 0}
+
+        def counting(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(BitLevelTimingModel, "predict_error_matrix", "matrix")
+        counting(RandomForestClassifier, "predict_proba", "forest")
+        metrics = model.evaluate(test, gold, test_timing)
+        assert calls == {"matrix": 1, "forest": len(model.trained_bits)}
+        assert metrics["abper"] == expected_abper
+        assert metrics["avpe"] == expected_avpe
+        for key in ("precision", "recall", "error_rate"):
+            assert metrics[key] == expected_summary[key]
+
     def test_unfitted_model_rejected(self):
         model = BitLevelTimingModel(design="x", clock_period=1e-10, output_width=5)
         trace = uniform_workload(10, width=4, seed=0)
