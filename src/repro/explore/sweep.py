@@ -21,6 +21,12 @@ structural/timing RMS components, and the structural cost of the
 synthesized netlist (:func:`~repro.analysis.metrics.structural_cost`).
 The Pareto machinery in :mod:`repro.explore.pareto` consumes these
 points directly.
+
+Scoring happens where the job is simulated.  :func:`run_sweep` gives
+every job a :class:`SweepScoring` reduction, so each backend call
+returns the job's points (about 1 KB) rather than its per-vector words,
+and the result cache stores those points.  :meth:`SweepSpec.jobs` itself
+still yields word-level jobs, for callers that want characterizations.
 """
 
 from __future__ import annotations
@@ -104,7 +110,8 @@ class SweepSpec:
         return self.job_count * len(self.clock_plan.cpr_levels)
 
     def jobs(self) -> List[CharacterizationJob]:
-        """The sweep as one flat job batch, workload-major then entry order.
+        """The sweep as one flat word-level job batch, workload-major then
+        entry order.
 
         Traces are materialised once per workload and shared by every
         design's job, so the batch carries ``len(workloads)`` operand
@@ -205,6 +212,27 @@ def score_characterization(characterization: DesignCharacterization,
         return _score_characterization(characterization, clock_plan, width, workload)
 
 
+@dataclass(frozen=True)
+class SweepScoring:
+    """A sweep job's reduction: its characterization scored into points.
+
+    :func:`run_sweep` attaches one per workload to every job, so the
+    backend scores each job in the process that simulated it (see
+    :attr:`~repro.runtime.CharacterizationJob.reduction`).  It is part
+    of the job's cache key.  ``score_characterization`` is looked up in
+    this module at call time, so a wrapper installed on the module sees
+    every call, in forked workers too.
+    """
+
+    clock_plan: ClockPlan
+    width: int
+    workload: str
+
+    def __call__(self, characterization: DesignCharacterization) -> List[SweepPoint]:
+        return score_characterization(characterization, self.clock_plan,
+                                      self.width, self.workload)
+
+
 def _score_characterization(characterization: DesignCharacterization,
                             clock_plan: ClockPlan, width: int,
                             workload: str) -> List[SweepPoint]:
@@ -257,9 +285,11 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
 
     Every backend plans the batch itself: the sweep's (design x clock
     plan) groups each run as one multi-trace batched evaluation,
-    bit-identical to per-job execution.  The stacking (and the
-    ownership of backends constructed from names) is exactly
-    :func:`~repro.runtime.run_jobs`.
+    bit-identical to per-job execution.  Each job carries a
+    :class:`SweepScoring` reduction, so it is scored where it ran and
+    only its points come back (a job cut into trace slices is scored
+    once its slices merge).  The stacking (and the ownership of backends
+    constructed from names) is exactly :func:`~repro.runtime.run_jobs`.
 
     ``telemetry_dir`` (or the active settings' one) appends one run
     manifest covering the whole sweep — expansion, execution *and*
@@ -286,22 +316,18 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
                                "cache_dir": str(cache_dir) if cache_dir else None,
                                "checkpoint_dir": resolved_checkpoint,
                                "resume": resume}):
-        jobs = spec.jobs()
-
-        def workload_of(index: int) -> str:
-            # jobs() is workload-major: every workload's trace covers one
-            # contiguous run of len(entries) jobs.
-            return spec.workloads[index // len(spec.entries)].kind
+        # jobs() is workload-major: every workload's trace covers one
+        # contiguous run of len(entries) jobs, all scored alike.
+        scorings = [SweepScoring(spec.clock_plan, spec.width, workload.kind)
+                    for workload in spec.workloads]
+        jobs = [replace(job, reduction=scorings[index // len(spec.entries)])
+                for index, job in enumerate(spec.jobs())]
 
         if resolved_checkpoint is None:
-            characterizations = run_jobs(jobs, backend=backend, workers=workers,
-                                         cache_dir=cache_dir)
-            points: List[SweepPoint] = []
-            for index, characterization in enumerate(characterizations):
-                points.extend(score_characterization(
-                    characterization, spec.clock_plan, spec.width,
-                    workload=workload_of(index)))
-            return SweepResult(spec=spec, points=points)
+            scored_jobs = run_jobs(jobs, backend=backend, workers=workers,
+                                   cache_dir=cache_dir)
+            return SweepResult(spec=spec, points=[
+                point for job_points in scored_jobs for point in job_points])
 
         from repro.runtime.cache import job_digest
         digests = [job_digest(job) for job in jobs]
@@ -321,12 +347,9 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
         with backend_stack(backend, workers, cache_dir) as resolved:
             for start in range(0, len(pending), max(1, checkpoint_batch)):
                 batch = pending[start:start + max(1, checkpoint_batch)]
-                characterizations = run_jobs([jobs[index] for index in batch],
-                                             backend=resolved)
-                for index, characterization in zip(batch, characterizations):
-                    job_points = score_characterization(
-                        characterization, spec.clock_plan, spec.width,
-                        workload=workload_of(index))
+                batch_points = run_jobs([jobs[index] for index in batch],
+                                        backend=resolved)
+                for index, job_points in zip(batch, batch_points):
                     scored[digests[index]] = job_points
                     journal.record(digests[index], job_points)
 

@@ -57,7 +57,7 @@ from repro.obs.manifest import telemetry_run
 from repro.obs.metrics import metric_count, metric_observe
 from repro.obs.spill import drain_spill_dir, spilled_call, telemetry_active
 from repro.obs.trace import span
-from repro.runtime.jobs import CharacterizationJob, DesignCharacterization
+from repro.runtime.jobs import CharacterizationJob
 from repro.runtime.plan import (
     _GROUP_SIMULATORS,
     gather_results,
@@ -88,8 +88,13 @@ class Backend:
     #: ``REPRO_TASK_TIMEOUT``).
     retry_policy: Optional[RetryPolicy] = None
 
-    def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:
-        """Execute ``jobs`` and return their results in submission order."""
+    def run(self, jobs: Sequence[CharacterizationJob]) -> List[object]:
+        """Execute ``jobs`` and return their results in submission order.
+
+        A job's result is its
+        :class:`~repro.runtime.jobs.DesignCharacterization`, or the
+        value of its reduction when it names one.
+        """
         jobs = list(jobs)
         if not jobs:
             return []
@@ -429,7 +434,7 @@ class PlannedBackend(Backend):
     def __init__(self, inner="serial") -> None:
         self.inner = get_backend(inner)
 
-    def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:
+    def run(self, jobs: Sequence[CharacterizationJob]) -> List[object]:
         return self.inner.run(jobs)
 
     def describe(self) -> str:
@@ -485,8 +490,13 @@ def backend_stack(backend="serial", workers: Optional[int] = None,
 def run_jobs(jobs: Sequence[CharacterizationJob], backend="serial",
              workers: Optional[int] = None,
              cache_dir: Optional[str] = None,
-             telemetry_dir: Optional[str] = None) -> List[DesignCharacterization]:
+             telemetry_dir: Optional[str] = None) -> List[object]:
     """Run a batch of characterization jobs on the requested backend.
+
+    Results come back in submission order: each job's
+    :class:`~repro.runtime.jobs.DesignCharacterization`, or its
+    reduction's value when the job names one (computed where the job
+    ran).
 
     ``cache_dir`` fronts the backend with the persistent on-disk result
     cache of :mod:`repro.runtime.cache`: hits skip execution entirely,

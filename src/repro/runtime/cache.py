@@ -8,10 +8,11 @@ adds a content-addressed store so that work survives across processes:
   identity of a :class:`~repro.runtime.jobs.CharacterizationJob` — the
   design entry and synthesis options, the trace content (operand bytes,
   not the presentational trace name), the clock plan, the simulator
-  tier, the fast-engine tier, the structural-stats request and the
-  library version.  Any change to any of these yields a new key, which
-  is the entire invalidation story: stale entries are never *wrong*,
-  only unreachable.
+  tier, the fast-engine tier, the structural-stats request, the job's
+  reduction (only when it names one, so word-level digests are
+  unchanged) and the library version.  Any change to any of these
+  yields a new key, which is the entire invalidation story: stale
+  entries are never *wrong*, only unreachable.
 * :class:`ResultStore` is the on-disk layout: one directory per digest
   holding either a monolithic ``result.pkl`` or — for traces larger
   than the shard threshold — a ``golden.pkl`` plus word-aligned
@@ -31,6 +32,10 @@ adds a content-addressed store so that work survives across processes:
   deserialise stored :class:`~repro.runtime.jobs.DesignCharacterization`
   results bit-identically, and every miss runs through the inner
   backend's ``run`` in one batch, persisted on return.
+* A job with a reduction (a sweep's scoring) comes back from the inner
+  backend already reduced.  Its entry is that value, stored whole in
+  ``result.pkl`` and never sharded, whatever the trace length; a hit
+  returns it as stored.
 
 Misses are plain jobs, so the inner backend plans them like any batch.
 A plain miss is the job itself.  A sharded entry without its golden
@@ -103,6 +108,10 @@ def job_digest(job: CharacterizationJob) -> str:
     family = getattr(job.entry, "family", "adder")
     if family != "adder":
         payload["family"] = family
+    # Likewise the reduction joins only when set: a reduced entry holds
+    # another payload than its word-level twin.
+    if job.reduction is not None:
+        payload["reduction"] = _canonical(job.reduction)
     return digest_of(payload)
 
 
@@ -122,13 +131,13 @@ class _JobPlan:
 
     job: CharacterizationJob
     digest: str
-    result: Optional[DesignCharacterization] = None
+    result: Optional[object] = None
     spans: Optional[List[Tuple[int, int]]] = None
     golden: Optional[tuple] = None
     shard_payloads: Dict[Tuple[int, int], dict] = field(default_factory=dict)
     missing: List[Tuple[int, int]] = field(default_factory=list)
     pending: List[CharacterizationJob] = field(default_factory=list)
-    computed: List[DesignCharacterization] = field(default_factory=list)
+    computed: List[object] = field(default_factory=list)
 
 
 def _timing_shards(timing: Dict[float, TimingErrorTrace],
@@ -201,7 +210,7 @@ class CachingBackend(Backend):
         self.stats.reset()
 
     # ------------------------------------------------------------------ #
-    def run(self, jobs: Sequence[CharacterizationJob]) -> List[DesignCharacterization]:
+    def run(self, jobs: Sequence[CharacterizationJob]) -> List[object]:
         misses_before = self.stats.misses
         stats_before = self.stats.snapshot()
         plans = [self._plan(job) for job in jobs]
@@ -227,7 +236,8 @@ class CachingBackend(Backend):
 
     # ------------------------------------------------------------------ #
     def _sharded(self, job: CharacterizationJob) -> bool:
-        return (self.shard_transitions is not None
+        # A reduced result has no per-vector words to shard.
+        return (self.shard_transitions is not None and job.reduction is None
                 and job.trace.transitions > self.shard_transitions)
 
     def _plan(self, job: CharacterizationJob) -> _JobPlan:
@@ -238,7 +248,8 @@ class CachingBackend(Backend):
             return plan
         payload = self.store.load(self.store.result_path(digest))
         if payload is not None:
-            payload.trace = job.trace  # stripped before storage, restore
+            if job.reduction is None:
+                payload.trace = job.trace  # stripped before storage, restore
             plan.result = payload
             self.stats.hits += 1
         else:
@@ -272,13 +283,14 @@ class CachingBackend(Backend):
                 job, trace=job.trace.slice(start, stop + 1),
                 collect_structural_stats=False))
 
-    def _assemble(self, plan: _JobPlan) -> DesignCharacterization:
+    def _assemble(self, plan: _JobPlan) -> object:
         if plan.result is not None:
             return plan.result
         if plan.spans is None:
             [result] = plan.computed
             self.store.store(self.store.result_path(plan.digest),
-                             dataclasses.replace(result, trace=None))
+                             result if plan.job.reduction is not None
+                             else dataclasses.replace(result, trace=None))
             self._write_meta(plan, sharded=False)
             return result
         if plan.golden is None:

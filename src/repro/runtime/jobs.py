@@ -17,12 +17,21 @@ trace may therefore be cut at any transition boundary and simulated
 chunk by chunk — with a one-vector overlap between chunks — and the
 concatenated results are bit-identical to a single full-trace run.
 That property is what the multiprocess backend exploits.
+
+A job may name a *reduction*: a picklable callable (typically a frozen
+dataclass) mapping the job's finished :class:`DesignCharacterization` to
+a small value, such as a sweep's scored points.  Backends then return
+that value in place of the characterization, computed in whichever
+process ran the job, so per-vector words never travel back to the
+caller.  A reduction always sees the whole trace: a job cut into trace
+slices is merged first and reduced afterwards.  Jobs without one
+(figure drivers, ML datasets) get their characterizations as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +61,13 @@ class CharacterizationJob:
     Jobs are immutable and picklable, so backends can ship them to
     worker processes.  They compare and hash by identity (the trace
     arrays make value equality ill-defined); :meth:`cache_key` is the
-    value-level key — everything except the trace — under which
-    backends cache synthesized designs and simulators.
+    value-level key — everything except the trace and the reduction —
+    under which backends cache synthesized designs and simulators.
+
+    ``reduction``, when set, maps the finished characterization to what
+    backends return for the job.  It is not part of the planner's
+    grouping key, so jobs that differ only in their reduction still
+    share one group and one stacked pass.
     """
 
     entry: "DesignEntry"
@@ -65,6 +79,7 @@ class CharacterizationJob:
     width: int = 32
     collect_structural_stats: bool = False
     output_bus: str = "S"
+    reduction: Optional[Callable[["DesignCharacterization"], object]] = None
 
     def __post_init__(self) -> None:
         if self.simulator not in SIMULATORS:

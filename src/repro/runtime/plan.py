@@ -20,6 +20,12 @@ where the planned calls execute.
   Designs are memoised per process by
   :func:`~repro.runtime.jobs.synthesize_job`, simulators in
   :data:`_GROUP_SIMULATORS`.
+* **Reduce** — a job that names a reduction
+  (:attr:`CharacterizationJob.reduction`) is reduced by
+  :func:`run_group` in the process that ran it, so only the small
+  reduced value travels back.  A job cut into slices is reduced by
+  :func:`gather_results` once its words are merged, so a reduction
+  always sees the whole trace and no float sum is re-associated.
 * **Fan in** — :func:`gather_results` returns results in submission
   order and merges the slices of a cut job: per-vector words drop the
   one vector of overlap, timing concatenates in trace order, and
@@ -220,11 +226,13 @@ class _TraceRef:
 
 @dataclass(frozen=True)
 class _GroupMember:
-    """One member of a group call: its trace or spill ref, and its slice."""
+    """One member of a group call: its trace or spill ref, its slice and
+    the reduction the call applies (``None`` for a slice)."""
 
     trace: Union[OperandTrace, _TraceRef]
     span: Optional[Tuple[int, int]]
     collect_structural_stats: bool
+    reduction: Optional[Callable]
 
 
 @dataclass(frozen=True)
@@ -254,7 +262,7 @@ class _GroupSpec:
                 entry=self.entry, trace=trace, clock_periods=self.clock_periods,
                 simulator=self.simulator, engine=self.engine, synthesis=self.synthesis,
                 width=self.width, collect_structural_stats=member.collect_structural_stats,
-                output_bus=self.output_bus))
+                output_bus=self.output_bus, reduction=member.reduction))
         return jobs
 
 
@@ -262,8 +270,8 @@ def group_spec(jobs: Sequence[CharacterizationJob], group: List[Member],
                ship: Callable[[OperandTrace], object]) -> _GroupSpec:
     """The call payload of one planned group; ``ship`` maps each trace.
 
-    A slice never collects structural statistics: they are recomputed
-    over the full trace when the slices are merged.
+    A slice never collects structural statistics or reduces: both need
+    the full trace, so they happen when the slices are merged.
     """
     job0 = jobs[group[0][0]]
     return _GroupSpec(
@@ -272,15 +280,17 @@ def group_spec(jobs: Sequence[CharacterizationJob], group: List[Member],
         clock_periods=job0.clock_periods,
         members=tuple(_GroupMember(
             trace=ship(jobs[index].trace), span=span,
-            collect_structural_stats=jobs[index].collect_structural_stats and span is None)
+            collect_structural_stats=jobs[index].collect_structural_stats and span is None,
+            reduction=jobs[index].reduction if span is None else None)
             for index, span in group))
 
 
-def run_group(spec: _GroupSpec) -> List[DesignCharacterization]:
+def run_group(spec: _GroupSpec) -> List[object]:
     """One planned group, in whichever process runs it.
 
-    Results come back in member order with their traces stripped — the
-    caller still holds them, and restores them in :func:`gather_results`.
+    Results come back in member order.  A member with a reduction comes
+    back reduced; any other comes back with its trace stripped — the
+    caller still holds it, and restores it in :func:`gather_results`.
     """
     jobs = spec.jobs()
     job0 = jobs[0]
@@ -297,9 +307,14 @@ def run_group(spec: _GroupSpec) -> List[DesignCharacterization]:
     else:
         results = [execute_job(job, synthesized=synthesized, simulator=simulator)
                    for job in jobs]
-    for result in results:
-        result.trace = None
-    return results
+    outcomes: List[object] = []
+    for job, result in zip(jobs, results):
+        if job.reduction is not None:
+            result = job.reduction(result)
+        else:
+            result.trace = None
+        outcomes.append(result)
+    return outcomes
 
 
 # --------------------------------------------------------------------- #
@@ -376,17 +391,27 @@ def _merge_slices(job: CharacterizationJob,
 
 
 def gather_results(jobs: Sequence[CharacterizationJob], groups: List[List[Member]],
-                   outcomes: Sequence[List[DesignCharacterization]]
-                   ) -> List[DesignCharacterization]:
-    """Per-job results in submission order, slices merged, traces restored."""
-    parts: List[List[DesignCharacterization]] = [[] for _ in jobs]
+                   outcomes: Sequence[List[object]]) -> List[object]:
+    """Per-job results in submission order, slices merged, traces restored.
+
+    A job in one piece was run whole, so :func:`run_group` has already
+    reduced it if it names a reduction; a job in slices is reduced here,
+    after its words are merged.
+    """
+    parts: List[List[object]] = [[] for _ in jobs]
     for group, results in zip(groups, outcomes):
         for (index, _), result in zip(group, results):
             parts[index].append(result)
     gathered = []
     for job, pieces in zip(jobs, parts):
-        result = pieces[0] if len(pieces) == 1 else _merge_slices(job, pieces)
-        result.trace = job.trace
+        if len(pieces) == 1:
+            [result] = pieces
+            if job.reduction is None:
+                result.trace = job.trace
+        else:
+            result = _merge_slices(job, pieces)
+            if job.reduction is not None:
+                result = job.reduction(result)
         gathered.append(result)
     return gathered
 
