@@ -151,8 +151,8 @@ def levelise_netlist(netlist) -> Tuple[Dict[str, int], List[int]]:
     """Dense net IDs and per-gate levels of a netlist.
 
     Net IDs follow the shared indexing scheme of the compiled programs
-    and the vectorized STA kernels: ``const0`` = 0, ``const1`` = 1, then
-    the primary inputs, then every gate output in topological order.
+    and the STA kernels: ``const0`` = 0, ``const1`` = 1, then the
+    primary inputs, then every gate output in topological order.
     The returned level list is parallel to
     ``netlist.topological_order()``: inputs and constants sit at level
     0, a gate one above its deepest input.
@@ -470,27 +470,14 @@ class PackedTimingProgram:
                 roots.extend((nid, k) for k in sorted(indices) if k < size)
 
         # ---------------------------------------------------------------- #
-        # Threshold-row discovery.  Both strategies materialise a runtime
-        # (changed) row per live net and one threshold node per distinct
-        # source set of a gate (per-gate dedup), and both keep only rows
-        # reachable from the roots — they differ in how they get there:
-        #
-        # * the **general** program (``clock_periods is None``) builds
-        #   every threshold bottom-up with one vectorised lift per
-        #   (gate, input) and prunes unreachable rows afterwards — every
-        #   root references nearly every row, so a top-down walk would
-        #   only add per-row Python overhead;
-        # * a **clock-specialised** program walks top-down from the few
-        #   sampled thresholds, so rows outside their backward cone
-        #   (typically the vast majority) are never created at all.
+        # Threshold-row discovery walks top-down from the roots: one
+        # runtime (changed) row per live net it reaches and one threshold
+        # node per distinct source set of a gate (per-gate dedup), so no
+        # row outside the roots' backward cone is ever created.  The
+        # general program is simply the cone of every threshold.
         # ---------------------------------------------------------------- #
-        if self.clock_periods is None:
-            discovery = self._discover_full(gate_of, values_of, roots,
-                                            row_limit, _overflow)
-        else:
-            discovery = self._discover_cone(gate_of, values_of, roots,
-                                            row_limit, _overflow)
-        pair_row, nodes, runtime_order, runtime_nets, next_row = discovery
+        pair_row, nodes, runtime_order, runtime_nets, next_row = self._discover_cone(
+            gate_of, values_of, roots, row_limit, _overflow)
 
         # ---------------------------------------------------------------- #
         # Renumber: row 0, then the runtime block, then batch-contiguous
@@ -540,89 +527,16 @@ class PackedTimingProgram:
             for row, node in nodes.items()}
         self._plan_cache: Dict[frozenset, _TimingPlan] = {}
 
-    # ------------------------------------------------------------------ #
-    # Discovery strategies (see the constructor comment for the split)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _discover_full(gate_of, values_of, roots, row_limit, overflow):
-        """Build every threshold bottom-up, then prune to the roots' cone.
-
-        Net IDs are assigned in topological order, so iterating nets by
-        ID guarantees every gate sees its sources' rows already built.
-        Returns ``(pair_row, nodes, runtime_order, runtime_nets,
-        next_row)`` with ``nodes`` and the runtime lists already reduced
-        to reachable rows (``pair_row`` may still name pruned rows; the
-        renumbering maps those to -1).
-        """
-        pair_row: Dict[Tuple[int, int], int] = {}
-        nodes: Dict[int, Tuple[int, int, int, Tuple[int, ...]]] = {}
-        runtime_order: List[int] = []
-        runtime_nets: List[int] = []
-        next_row = 1  # row 0 is the all-zero mask
-        for nid, values in enumerate(values_of):
-            if not values.shape[0]:
-                continue
-            changed_row = pair_row[(nid, 0)] = next_row
-            runtime_order.append(next_row)
-            runtime_nets.append(nid)
-            next_row += 1
-            if nid not in gate_of:
-                continue  # primary input: the changed row is its only threshold
-            delay, live, level = gate_of[nid]
-            source_table = [
-                (source, np.searchsorted(values_of[source] + delay, values[1:],
-                                         side="left"))
-                for source in live]
-            dedup: Dict[Tuple[int, ...], int] = {}
-            for k in range(1, values.shape[0]):
-                sources = set()
-                for source, indices in source_table:
-                    index = indices[k - 1]
-                    if index < values_of[source].shape[0]:
-                        row = pair_row[(source, index)]
-                        if row:
-                            sources.add(row)
-                key = tuple(sorted(sources))
-                if not key:  # unreachable threshold: mask is identically zero
-                    pair_row[(nid, k)] = 0
-                    continue
-                existing = dedup.get(key)
-                if existing is not None:
-                    pair_row[(nid, k)] = existing
-                    continue
-                row = dedup[key] = pair_row[(nid, k)] = next_row
-                nodes[row] = (level, len(key), changed_row, key)
-                next_row += 1
-                if next_row > row_limit:
-                    raise overflow()
-
-        # Backward-reachability pruning: only rows that can answer a
-        # lateness query on a root, directly or through a lift chain,
-        # are worth propagating.
-        alive = {0}
-        stack = [pair_row[pair] for pair in roots]
-        while stack:
-            row = stack.pop()
-            if row in alive:
-                continue
-            alive.add(row)
-            node = nodes.get(row)
-            if node is not None:
-                stack.append(node[2])  # the gate's own changed mask
-                stack.extend(node[3])
-        kept = [(row, nid) for row, nid in zip(runtime_order, runtime_nets)
-                if row in alive]
-        runtime_order = [row for row, _ in kept]
-        runtime_nets = [nid for _, nid in kept]
-        nodes = {row: node for row, node in nodes.items() if row in alive}
-        return pair_row, nodes, runtime_order, runtime_nets, next_row
-
     @staticmethod
     def _discover_cone(gate_of, values_of, roots, row_limit, overflow):
         """Walk top-down from the roots, creating only reachable rows.
 
-        The inverse strategy of :meth:`_discover_full`: nothing outside
-        the roots' backward cone is ever materialised, which is what
+        Returns ``(pair_row, nodes, runtime_order, runtime_nets,
+        next_row)``: the row of every visited (net, threshold) pair (0
+        for a threshold no input transition can reach), the threshold
+        nodes as ``row -> (level, fan-in, changed row, source rows)``,
+        and the runtime rows with their nets in creation order.  Nothing
+        outside the roots' backward cone is materialised, which is what
         makes clock-specialised compilation an order of magnitude
         cheaper than the general program on multi-clock sweeps.
         """

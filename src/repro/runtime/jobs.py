@@ -44,7 +44,6 @@ from repro.synth.flow import SynthesisOptions, SynthesizedDesign, synthesize
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.event_sim import EventDrivenSimulator
 from repro.timing.fast_sim import ENGINES, FastTimingSimulator
-from repro.utils.vector import use_vector
 from repro.workloads.traces import OperandTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments -> runtime)
@@ -221,20 +220,17 @@ def build_simulator(kind: str, synthesized: SynthesizedDesign, engine: str = "au
     sample (a job's clock plan), the fast simulator is specialised to
     that plan — only the arrival-threshold cone those clocks reach is
     compiled, which is typically an order of magnitude smaller than the
-    general program and bit-identical at the sampled periods.  The
-    specialisation follows the ``REPRO_SYNTH_VECTOR`` toggle so the
-    reference path reproduces the unspecialised lowering.
+    general program and bit-identical at the sampled periods.  Without
+    ``clock_periods`` it compiles the general program, which answers
+    any clock period.
     """
     with span("lower", simulator=kind, engine=engine,
                clocks=len(clock_periods) if clock_periods else 0):
         if kind == "event":
             return EventDrivenSimulator(synthesized.netlist, synthesized.annotation)
         if kind == "fast":
-            if clock_periods is not None and use_vector():
-                return FastTimingSimulator(synthesized.netlist, synthesized.annotation,
-                                           engine=engine, clock_periods=clock_periods)
             return FastTimingSimulator(synthesized.netlist, synthesized.annotation,
-                                       engine=engine)
+                                       engine=engine, clock_periods=clock_periods)
     raise ConfigurationError(f"unknown simulator kind {kind!r}")
 
 

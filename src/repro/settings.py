@@ -11,12 +11,12 @@ One instance is *active* per process (:func:`active_settings`).  It is
 resolved from the environment on first use — never at import, so a
 program may set or clear variables before its first run — and every
 consumer reads its knob from it: the execution backend, the retry
-policy, the synthesis cache, the fault plan, the kernel toggle,
-telemetry and checkpointing.  :func:`using_settings` activates a variant
-for a block and restores the previous settings on exit (each CLI run,
-tests); the multiprocess backend hands the driver's settings to its
-workers through the pool initializer (:func:`activate_settings`).
-Nothing writes the environment.
+policy, the synthesis cache, the fault plan, telemetry and
+checkpointing.  :func:`using_settings` activates a variant for a block
+and restores the previous settings on exit (each CLI run, tests); the
+multiprocess backend hands the driver's settings to its workers through
+the pool initializer (:func:`activate_settings`).  Nothing writes the
+environment.
 
 The CLIs override settings through one argparse parent,
 :func:`runtime_arguments`, and :func:`settings_from_arguments`.
@@ -35,22 +35,11 @@ from repro.exceptions import ConfigurationError
 #: Names accepted by ``REPRO_BACKEND``, ``--backend`` and ``StudyConfig.backend``.
 BACKENDS = ("serial", "multiprocess")
 
-#: Accepted spellings of the ``REPRO_SYNTH_VECTOR`` switch (case-insensitive).
-_SWITCH = {"1": True, "true": True, "on": True, "yes": True,
-           "0": False, "false": False, "off": False, "no": False}
-
 
 def _backend(raw: str) -> str:
     if raw not in BACKENDS:
         raise ValueError(f"one of {BACKENDS}")
     return raw
-
-
-def _switch(raw: str) -> bool:
-    try:
-        return _SWITCH[raw.lower()]
-    except KeyError:
-        raise ValueError("one of 0/1/true/false/on/off/yes/no") from None
 
 
 def _number(kind: type, description: str, inclusive: bool = False) -> Callable[[str], object]:
@@ -89,7 +78,6 @@ class RuntimeSettings:
     synth_cache: Optional[str] = _knob(None, "REPRO_SYNTH_CACHE", str, "--synth-cache-dir")
     synth_cache_limit_mb: Optional[float] = _knob(
         None, "REPRO_SYNTH_CACHE_LIMIT_MB", _number(float, "a positive number of mebibytes"))
-    synth_vector: bool = _knob(True, "REPRO_SYNTH_VECTOR", _switch)
     # Two retries (three attempts) absorb one transient fault plus one
     # unlucky recurrence without masking a persistent failure for long.
     max_retries: int = _knob(

@@ -19,8 +19,12 @@ deterministic algorithm:
    delay exceeds the constraint) are sped up by their share of the
    violation, bounded by the cell's ``min_delay``; repeated a few times.
 
-The result is a new :class:`~repro.circuit.sdf.DelayAnnotation` — the
-library's equivalent of the SDF file produced by synthesis.
+Both passes run as levelised NumPy sweeps over the netlist's
+:class:`~repro.timing.sta.TimingTable`; ``tests/reference_kernels.py``
+keeps the per-gate loops they replace as a test oracle, which they match
+bit for bit.  The result is a new
+:class:`~repro.circuit.sdf.DelayAnnotation` — the library's equivalent
+of the SDF file produced by synthesis.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ from repro.circuit.library import TechnologyLibrary
 from repro.circuit.netlist import Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.exceptions import SynthesisError, TimingError
-from repro.timing.sta import analyze_timing, gate_slacks, path_gate_counts, timing_table
+from repro.timing.sta import timing_table
 from repro.utils.validation import check_probability
-from repro.utils.vector import use_vector, vector_override
 
 
 @dataclass(frozen=True)
@@ -89,30 +92,12 @@ class SizingResult:
 
 def size_to_constraint(netlist: Netlist, library: TechnologyLibrary,
                        options: SizingOptions,
-                       initial: Optional[DelayAnnotation] = None,
-                       vector: Optional[bool] = None) -> SizingResult:
-    """Size ``netlist`` to ``options.clock_constraint`` and return the annotation.
-
-    The allocation and fix-up passes run either as levelised NumPy array
-    sweeps (the default) or as the original per-gate reference loops
-    (``vector=False`` / ``REPRO_SYNTH_VECTOR=0``); the two are
-    bit-identical (see :mod:`repro.timing.sta`).
-    """
-    if use_vector(vector) and netlist.num_gates:
-        with vector_override(True):
-            return _size_to_constraint_vector(netlist, library, options, initial)
-    with vector_override(False):
-        return _size_to_constraint_reference(netlist, library, options, initial)
-
-
-def _size_to_constraint_vector(netlist: Netlist, library: TechnologyLibrary,
-                               options: SizingOptions,
-                               initial: Optional[DelayAnnotation]) -> SizingResult:
+                       initial: Optional[DelayAnnotation] = None) -> SizingResult:
+    """Size ``netlist`` to ``options.clock_constraint`` and return the annotation."""
     annotation = (initial.copy() if initial is not None
                   else DelayAnnotation.nominal(netlist, library))
     annotation.clock_constraint = options.clock_constraint
-    # Same checks and values analyze_timing performs for the reference
-    # path's nominal report, without building the report's path walk.
+    # The checks analyze_timing would make, without its critical-path walk.
     annotation.validate_against(netlist)
     if not netlist.outputs:
         raise TimingError(f"netlist {netlist.name!r} has no primary outputs")
@@ -137,7 +122,8 @@ def _size_to_constraint_vector(netlist: Netlist, library: TechnologyLibrary,
     arrival = table.arrival_array(delays)
     nominal_delay = float(arrival[table.output_ids].max())
 
-    # Pass 1 (allocation), same arithmetic as the reference per-gate loop.
+    # Pass 1: allocate a bounded share of each gate's slack as extra delay
+    # (power recovery), or remove delay where the nominal design violates.
     required = table.required_array(delays, target)
     slacks = required[table.out_ids] - arrival[table.out_ids]
     slowed = np.minimum(delays + options.slack_utilization * slacks / shares, highs)
@@ -145,7 +131,8 @@ def _size_to_constraint_vector(netlist: Netlist, library: TechnologyLibrary,
     delays = np.where(slacks > tolerance, slowed,
                       np.where(slacks < -tolerance, sped, delays))
 
-    # Fix-up passes: repair remaining violations only.
+    # Fix-up passes: only repair violations introduced by the nominal design
+    # being too slow (never consume more slack).
     for _ in range(options.fixup_iterations):
         slacks = table.slack_array(delays, target)
         worst = slacks.min() if slacks.size else 0.0
@@ -164,65 +151,6 @@ def _size_to_constraint_vector(netlist: Netlist, library: TechnologyLibrary,
         sized_critical_path=sized_delay,
         clock_constraint=target,
         met_constraint=sized_delay <= target + options.slack_tolerance,
-        nominal_total_delay=nominal_total,
-        sized_total_delay=annotation.total_delay(),
-    )
-
-
-def _size_to_constraint_reference(netlist: Netlist, library: TechnologyLibrary,
-                                  options: SizingOptions,
-                                  initial: Optional[DelayAnnotation]) -> SizingResult:
-    annotation = (initial.copy() if initial is not None
-                  else DelayAnnotation.nominal(netlist, library))
-    annotation.clock_constraint = options.clock_constraint
-    nominal_report = analyze_timing(netlist, annotation)
-    nominal_total = annotation.total_delay()
-
-    bounds: Dict[str, tuple] = {}
-    for gate in netlist.gates:
-        timing = library.timing(gate.cell)
-        bounds[gate.name] = (timing.min_delay, timing.max_delay)
-
-    counts = path_gate_counts(netlist)
-    target = options.clock_constraint
-
-    # Pass 1: allocate a bounded share of each gate's slack as extra delay
-    # (power recovery), or remove delay where the nominal design violates.
-    slacks = gate_slacks(netlist, annotation, target)
-    for gate in netlist.gates:
-        slack = slacks[gate.name]
-        share_count = max(counts[gate.name], 1)
-        low, high = bounds[gate.name]
-        delay = annotation.delay_of(gate.name)
-        if slack > options.slack_tolerance:
-            delay = min(delay + options.slack_utilization * slack / share_count, high)
-        elif slack < -options.slack_tolerance:
-            delay = max(delay + slack / share_count, low)
-        annotation.set_delay(gate.name, delay)
-
-    # Fix-up passes: only repair violations introduced by the nominal design
-    # being too slow (never consume more slack).
-    for _ in range(options.fixup_iterations):
-        slacks = gate_slacks(netlist, annotation, target)
-        worst = min(slacks.values()) if slacks else 0.0
-        if worst >= -options.slack_tolerance:
-            break
-        for gate in netlist.gates:
-            slack = slacks[gate.name]
-            if slack >= -options.slack_tolerance:
-                continue
-            low, _ = bounds[gate.name]
-            share_count = max(counts[gate.name], 1)
-            delay = annotation.delay_of(gate.name)
-            annotation.set_delay(gate.name, max(delay + slack / share_count, low))
-
-    sized_report = analyze_timing(netlist, annotation)
-    return SizingResult(
-        annotation=annotation,
-        nominal_critical_path=nominal_report.critical_path_delay,
-        sized_critical_path=sized_report.critical_path_delay,
-        clock_constraint=target,
-        met_constraint=sized_report.critical_path_delay <= target + options.slack_tolerance,
         nominal_total_delay=nominal_total,
         sized_total_delay=annotation.total_delay(),
     )

@@ -1,0 +1,296 @@
+"""Per-gate reference implementations of the synthesis kernels (test oracle).
+
+Production synthesis runs levelised kernels: optimize over an
+integer-indexed design (:mod:`repro.synth.optimize`), sizing and static
+timing as NumPy sweeps over :class:`repro.timing.sta.TimingTable`.
+This module keeps the straightforward formulation they replaced — one
+netlist per optimisation pass, one Python iteration per gate, dicts
+keyed by net name — as the executable specification the production
+kernels must match bit for bit (``tests/test_synth_vector.py``,
+``tests/test_optimize.py``).
+
+The oracle never routes through the code it checks.  The STA passes
+and the optimize loop are self-contained; :func:`size_to_constraint`
+reads timing reports through :func:`repro.timing.sta.analyze_timing`,
+so it runs only inside :func:`reference_kernels`, which swaps this
+module's STA passes into :mod:`repro.timing.sta` (and its optimize and
+sizing into :mod:`repro.synth.flow`) for a ``with`` block.
+"""
+
+from __future__ import annotations
+
+import math
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
+
+from repro.circuit.library import TechnologyLibrary
+from repro.circuit.netlist import CONST0, CONST1, Netlist
+from repro.circuit.sdf import DelayAnnotation
+from repro.runtime.jobs import clear_design_cache
+from repro.settings import using_settings
+from repro.synth import flow
+from repro.synth.optimize import _fresh_inverter_names, _Inverted, _simplify
+from repro.synth.sizing import SizingOptions, SizingResult
+from repro.timing import sta
+
+
+# --------------------------------------------------------------------- #
+# Logic optimisation: one netlist per pass
+# --------------------------------------------------------------------- #
+def _resolve(net: str, alias: Dict[str, str]) -> str:
+    """Resolve a net through the alias map, compressing the walked path.
+
+    Deep speculative segments can build long alias chains (a wire of
+    wires of wires); pointing every visited net directly at the root
+    keeps later lookups amortised O(1) instead of O(chain).
+    """
+    root = net
+    while root in alias:
+        root = alias[root]
+    while net != root:
+        alias[net], net = root, alias[net]
+    return root
+
+
+def _const_of(net: str) -> Optional[int]:
+    if net == CONST0:
+        return 0
+    if net == CONST1:
+        return 1
+    return None
+
+
+def propagate_constants(netlist: Netlist) -> Netlist:
+    """Fold constants and simplify gates, returning a new netlist."""
+    alias: Dict[str, str] = {}
+    new = Netlist(netlist.name)
+    taken_nets = set(netlist.nets)
+    taken_gates = {gate.name for gate in netlist.gates}
+    for net in netlist.inputs:
+        new.add_input(net)
+
+    for gate in netlist.topological_order():
+        resolved = [_resolve(net, alias) for net in gate.inputs]
+        kind, payload = _simplify(gate.cell, resolved,
+                                  [_const_of(net) for net in resolved])
+        if kind == "const":
+            alias[gate.output] = CONST1 if payload else CONST0
+            continue
+        if kind == "alias":
+            alias[gate.output] = _resolve(str(payload), alias)
+            continue
+        cell_name, cell_inputs = payload
+        final_inputs: List[str] = []
+        for net in cell_inputs:
+            if isinstance(net, _Inverted):
+                inv_gate, inv_net = _fresh_inverter_names(
+                    gate.name, gate.output, len(final_inputs),
+                    taken_gates, taken_nets)
+                inverted = new.add_gate(inv_gate, "INV", [net.net], inv_net)
+                final_inputs.append(inverted.output)
+            else:
+                final_inputs.append(net)
+        new.add_gate(gate.name, cell_name, final_inputs, gate.output)
+
+    for net in netlist.outputs:
+        new.add_output(_resolve(net, alias))
+    for bus, nets in netlist.buses.items():
+        new.register_bus(bus, [_resolve(net, alias) for net in nets])
+    return new
+
+
+def prune_unused(netlist: Netlist) -> Netlist:
+    """Remove gates no primary output (transitively) depends on."""
+    needed = set(netlist.outputs)
+    for gate in reversed(netlist.topological_order()):
+        if gate.output in needed:
+            needed.update(gate.inputs)
+
+    new = Netlist(netlist.name)
+    for net in netlist.inputs:
+        new.add_input(net)
+    for gate in netlist.topological_order():
+        if gate.output in needed:
+            new.add_gate(gate.name, gate.cell, list(gate.inputs), gate.output)
+    for net in netlist.outputs:
+        new.add_output(net)
+    for bus, nets in netlist.buses.items():
+        new.register_bus(bus, list(nets))
+    return new
+
+
+def optimize(netlist: Netlist, max_passes: int = 4) -> Netlist:
+    """Run constant propagation and pruning until the netlist stops shrinking."""
+    current = netlist
+    for _ in range(max_passes):
+        before = current.num_gates
+        current = prune_unused(propagate_constants(current))
+        if current.num_gates >= before:
+            break
+    return current
+
+
+# --------------------------------------------------------------------- #
+# Static timing analysis: per-gate dict passes
+# --------------------------------------------------------------------- #
+def arrival_times(netlist: Netlist,
+                  annotation: DelayAnnotation) -> Dict[str, float]:
+    """Latest arrival time of every net (primary inputs switch at time 0)."""
+    arrival: Dict[str, float] = {net: 0.0 for net in netlist.inputs}
+    arrival[CONST0] = 0.0
+    arrival[CONST1] = 0.0
+    for gate in netlist.topological_order():
+        delay = annotation.delay_of(gate.name)
+        arrival[gate.output] = delay + max(arrival[net] for net in gate.inputs)
+    return arrival
+
+
+def required_times(netlist: Netlist, annotation: DelayAnnotation,
+                   clock_period: float) -> Dict[str, float]:
+    """Latest allowed arrival of every net for the outputs to meet ``clock_period``."""
+    required: Dict[str, float] = {net: math.inf for net in netlist.nets}
+    for net in netlist.outputs:
+        required[net] = min(required[net], clock_period)
+    for gate in reversed(netlist.topological_order()):
+        delay = annotation.delay_of(gate.name)
+        budget = required[gate.output] - delay
+        for net in gate.inputs:
+            if budget < required[net]:
+                required[net] = budget
+    return required
+
+
+def gate_slacks(netlist: Netlist, annotation: DelayAnnotation,
+                clock_period: float) -> Dict[str, float]:
+    """Slack of every gate instance (required minus arrival at its output)."""
+    arrival = arrival_times(netlist, annotation)
+    required = required_times(netlist, annotation, clock_period)
+    return {gate.name: required[gate.output] - arrival[gate.output]
+            for gate in netlist.gates}
+
+
+def path_gate_counts(netlist: Netlist) -> Dict[str, int]:
+    """Number of gates on the longest input-to-output path through each gate."""
+    forward: Dict[str, int] = {net: 0 for net in netlist.nets}
+    for gate in netlist.topological_order():
+        forward[gate.output] = 1 + max(forward[net] for net in gate.inputs)
+    backward: Dict[str, int] = {net: 0 for net in netlist.nets}
+    output_set = set(netlist.outputs)
+    for gate in reversed(netlist.topological_order()):
+        downstream = backward[gate.output]
+        if gate.output in output_set:
+            downstream = max(downstream, 0)
+        through = downstream + 1
+        for net in gate.inputs:
+            if through > backward[net]:
+                backward[net] = through
+    counts: Dict[str, int] = {}
+    for gate in netlist.gates:
+        counts[gate.name] = forward[gate.output] + backward[gate.output]
+    return counts
+
+
+# --------------------------------------------------------------------- #
+# Slack-driven sizing: per-gate loops
+# --------------------------------------------------------------------- #
+def size_to_constraint(netlist: Netlist, library: TechnologyLibrary,
+                       options: SizingOptions,
+                       initial: Optional[DelayAnnotation] = None) -> SizingResult:
+    """Size ``netlist`` to ``options.clock_constraint`` and return the annotation.
+
+    Runs only inside :func:`reference_kernels`, where the timing reports
+    it reads come from this module's arrival pass.
+    """
+    if sta.arrival_times is not arrival_times:
+        raise AssertionError("the reference sizing loop runs only inside "
+                             "reference_kernels()")
+    annotation = (initial.copy() if initial is not None
+                  else DelayAnnotation.nominal(netlist, library))
+    annotation.clock_constraint = options.clock_constraint
+    nominal_report = sta.analyze_timing(netlist, annotation)
+    nominal_total = annotation.total_delay()
+
+    bounds: Dict[str, tuple] = {}
+    for gate in netlist.gates:
+        timing = library.timing(gate.cell)
+        bounds[gate.name] = (timing.min_delay, timing.max_delay)
+
+    counts = path_gate_counts(netlist)
+    target = options.clock_constraint
+
+    # Pass 1: allocate a bounded share of each gate's slack as extra delay
+    # (power recovery), or remove delay where the nominal design violates.
+    slacks = gate_slacks(netlist, annotation, target)
+    for gate in netlist.gates:
+        slack = slacks[gate.name]
+        share_count = max(counts[gate.name], 1)
+        low, high = bounds[gate.name]
+        delay = annotation.delay_of(gate.name)
+        if slack > options.slack_tolerance:
+            delay = min(delay + options.slack_utilization * slack / share_count, high)
+        elif slack < -options.slack_tolerance:
+            delay = max(delay + slack / share_count, low)
+        annotation.set_delay(gate.name, delay)
+
+    # Fix-up passes: only repair violations introduced by the nominal design
+    # being too slow (never consume more slack).
+    for _ in range(options.fixup_iterations):
+        slacks = gate_slacks(netlist, annotation, target)
+        worst = min(slacks.values()) if slacks else 0.0
+        if worst >= -options.slack_tolerance:
+            break
+        for gate in netlist.gates:
+            slack = slacks[gate.name]
+            if slack >= -options.slack_tolerance:
+                continue
+            low, _ = bounds[gate.name]
+            share_count = max(counts[gate.name], 1)
+            delay = annotation.delay_of(gate.name)
+            annotation.set_delay(gate.name, max(delay + slack / share_count, low))
+
+    sized_report = sta.analyze_timing(netlist, annotation)
+    return SizingResult(
+        annotation=annotation,
+        nominal_critical_path=nominal_report.critical_path_delay,
+        sized_critical_path=sized_report.critical_path_delay,
+        clock_constraint=target,
+        met_constraint=sized_report.critical_path_delay <= target + options.slack_tolerance,
+        nominal_total_delay=nominal_total,
+        sized_total_delay=annotation.total_delay(),
+    )
+
+
+# --------------------------------------------------------------------- #
+# Swapping the oracle in
+# --------------------------------------------------------------------- #
+#: (module, attribute, oracle) triples :func:`reference_kernels` swaps in.
+_SWAPS = ((sta, "arrival_times", arrival_times),
+          (sta, "required_times", required_times),
+          (sta, "gate_slacks", gate_slacks),
+          (sta, "path_gate_counts", path_gate_counts),
+          (flow, "optimize", optimize),
+          (flow, "size_to_constraint", size_to_constraint))
+
+
+@contextmanager
+def reference_kernels() -> Iterator[None]:
+    """Run the ``with`` block on the reference kernels.
+
+    Inside the block, :func:`repro.synth.flow.synthesize` optimizes and
+    sizes with this module's loops and every STA pass of
+    :mod:`repro.timing.sta` is this module's.  The persistent synthesis
+    cache is off and the in-process design memo is emptied on entry and
+    exit, so every design the block needs is synthesized by the oracle
+    and none of them outlives it.
+    """
+    saved = [(module, name, getattr(module, name)) for module, name, _ in _SWAPS]
+    for module, name, oracle in _SWAPS:
+        setattr(module, name, oracle)
+    clear_design_cache()
+    try:
+        with using_settings(synth_cache=None):
+            yield
+    finally:
+        for module, name, original in saved:
+            setattr(module, name, original)
+        clear_design_cache()

@@ -7,6 +7,9 @@ approximate (ISA) configurations, for random vectors and for ragged
 trace lengths that do not divide the 64-cycle word size.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,8 @@ from repro.circuit.netlist import Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.core.config import ISAConfig
 from repro.exceptions import SimulationError
+from repro.explore.space import DesignSpace
+from repro.runtime.jobs import synthesize_entry
 from repro.synth.flow import SynthesisOptions, exact_adder_netlist, synthesize
 from repro.timing.event_sim import Waveform
 from repro.timing.fast_sim import FastTimingSimulator
@@ -279,6 +284,51 @@ class TestTimingEquivalence:
                                           clock_periods=[critical * 0.9])
         with pytest.raises(SimulationError):
             specialised.late_rows(exact_design.netlist.buses["S"], critical * 0.4)
+
+
+def _general_program_shape(design):
+    """Row-level shape of a design's general timing program.
+
+    Row count, runtime block, batch sizes and fan-ins, and for every
+    sampleable net which thresholds have a row (``r``) and which map to
+    the all-zero row 0 (``0``).
+    """
+    netlist = design.netlist
+    program = PackedTimingProgram(netlist.compiled(), design.annotation)
+    sampleable = dict.fromkeys(list(netlist.outputs) + [
+        net for nets in netlist.buses.values() for net in nets])
+    rows = {}
+    for net in sampleable:
+        net_rows = program.rows_of[program.program.net_id[net]].tolist()
+        rows[net] = "".join("0" if row == 0 else "r" if row > 0 else "-"
+                            for row in net_rows)
+    return {"num_rows": program.num_rows, "runtime_stop": program.runtime_stop,
+            "batches": [[batch.stop - batch.start, len(batch.source_rows)]
+                        for batch in program.batches],
+            "rows": rows}
+
+
+#: Per width: (designs sampled from the space, or every design with
+#: None; SHA-256 of their general programs' shapes in space order).
+#: Recorded with the bottom-up discovery the cone walk replaced, so the
+#: two discovery strategies are pinned to the same programs.
+GENERAL_PROGRAM_SHAPES = {
+    8: (None, "6cdd2a296c9022abc502fa897499155560f822b9b737e66e3baaf16115fc5ef8"),
+    16: (24, "b1b3caf6c768bef5a6750df4d067dcb82b15675d01df13a4b15685f3021d546e"),
+}
+
+
+class TestGeneralProgram:
+    @pytest.mark.parametrize("width", sorted(GENERAL_PROGRAM_SHAPES))
+    def test_shape_matches_recorded_digest(self, width):
+        """The general program (every threshold of every sampleable net)
+        keeps its rows, batches and row-0 map row for row."""
+        max_designs, expected = GENERAL_PROGRAM_SHAPES[width]
+        options = SynthesisOptions()
+        shapes = [_general_program_shape(synthesize_entry(entry, width, options))
+                  for entry in DesignSpace(width=width).entries(max_designs=max_designs)]
+        blob = json.dumps(shapes, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == expected
 
 
 class TestMultiTraceKernels:

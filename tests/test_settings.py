@@ -34,8 +34,6 @@ CASES = {
     "cache_limit_mb": ({"128.5": 128.5}, ["big", "0", "-3"]),
     "synth_cache": ({"/tmp/s": "/tmp/s"}, []),
     "synth_cache_limit_mb": ({"2.5": 2.5}, ["not-a-number", "-1", "0"]),
-    "synth_vector": ({"0": False, "1": True, "false": False, "TRUE": True, "Off": False,
-                      "on": True, "no": False, "yes": True}, ["maybe", "2", "enabled"]),
     "max_retries": ({"5": 5, "0": 0}, ["banana", "-1", "1.5"]),
     "task_timeout": ({"2.5": 2.5, "60": 60.0}, ["soon", "0", "-2.5"]),
     "telemetry_dir": ({"/tmp/t": "/tmp/t"}, []),
@@ -49,7 +47,7 @@ class TestSettingsTable:
         names = [item.name for item in fields(RuntimeSettings)]
         assert [setting.name for setting in SETTINGS] == names
         variables = [setting.variable for setting in SETTINGS]
-        assert len(set(variables)) == len(variables) == 13
+        assert len(set(variables)) == len(variables) == 12
         assert all(variable.startswith("REPRO_") for variable in variables)
         assert set(CASES) == set(names)
         assert RuntimeSettings.from_env({}) == RuntimeSettings()
