@@ -2,7 +2,7 @@
 
 Every benchmark regenerates one of the paper's figures (or an ablation)
 and writes the resulting table to ``benchmarks/results/`` so the numbers
-can be compared against the paper (see EXPERIMENTS.md).
+can be compared against the paper's.
 
 Trace lengths default to a laptop-friendly fraction of the full study and
 can be scaled with the ``REPRO_BENCH_SCALE`` environment variable

@@ -29,10 +29,9 @@ Two execution engines implement the same model, bit-exactly:
 ``"reference"``
     The dense float path: per-gate ``uint8`` logic evaluation and a
     float64 arrival array per net and cycle.  It is kept as the
-    specification of the model, as the fallback for netlists or delay
-    annotations the packed engine cannot compile (e.g. heavy
-    per-instance delay variation), and as the baseline the throughput
-    benchmark measures the compiled engine against.
+    specification of the model and as the fallback for netlists or
+    delay annotations the packed engine cannot compile (e.g. heavy
+    per-instance delay variation).
 
 ``engine="auto"`` (the default) picks ``"compiled"`` when the netlist and
 annotation compile, and silently falls back to ``"reference"`` otherwise.
@@ -40,6 +39,7 @@ annotation compile, and silently falls back to ``"reference"`` otherwise.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -124,29 +124,20 @@ class FastTimingSimulator:
         self.engine = "compiled" if self._timing_program is not None else "reference"
         # When auto falls back to dense timing, logic evaluation may still
         # use the compiled tier; an explicit "reference" request keeps the
-        # whole pipeline on the seed algorithm (the benchmark baseline).
+        # whole pipeline on the seed algorithm.
         self._dense_eval_engine = "reference" if engine == "reference" else "auto"
 
     # ------------------------------------------------------------------ #
     # Core transition simulation (dense reference model)
     # ------------------------------------------------------------------ #
-    def simulate_transitions(self, previous_inputs: Mapping[str, np.ndarray],
-                             current_inputs: Mapping[str, np.ndarray]
-                             ) -> Dict[str, Dict[str, np.ndarray]]:
-        """Simulate a batch of input transitions with the dense model.
-
-        ``previous_inputs`` and ``current_inputs`` map every primary input
-        net to equal-length 0/1 arrays (one entry per cycle).  Returns a
-        dict with per-output-net ``old`` values, ``new`` values and
-        ``arrival`` times.  (Logic values use the fastest available
-        evaluation tier; arrival times are dense float64 — this method is
-        the executable specification of the timing model.)
-        """
-        return self._dense_transitions(previous_inputs, current_inputs, eval_engine="auto")
-
     def _dense_transitions(self, previous_inputs: Mapping[str, np.ndarray],
                            current_inputs: Mapping[str, np.ndarray],
                            eval_engine: str) -> Dict[str, Dict[str, np.ndarray]]:
+        """Per-output-net ``old``/``new`` values and ``arrival`` times.
+
+        ``previous_inputs`` and ``current_inputs`` map every primary input
+        net to equal-length 0/1 arrays, one entry per transition.
+        """
         old_values = self.netlist.evaluate(previous_inputs, engine=eval_engine)
         new_values = self.netlist.evaluate(current_inputs, engine=eval_engine)
 
@@ -215,8 +206,11 @@ class FastTimingSimulator:
             return {}
 
         if self.engine == "compiled":
-            return self._run_trace_multi_packed(input_trace, total, clock_periods,
-                                                output_nets)
+            # Callers time this call as a whole (execute_job opens its own
+            # "simulate" span), so the stacked kernel opens no spans here.
+            return self._run_traces_multi_packed(
+                [input_trace], [total], clock_periods, output_nets,
+                include_settled_values=False, phase=nullcontext).timing[0]
         return self._run_trace_multi_dense(input_trace, total, clock_periods,
                                            output_nets, chunk_size)
 
@@ -275,43 +269,10 @@ class FastTimingSimulator:
     # ------------------------------------------------------------------ #
     # Packed engine
     # ------------------------------------------------------------------ #
-    def _run_trace_multi_packed(self, input_trace: Mapping[str, np.ndarray], total: int,
-                                clock_periods: Sequence[float],
-                                output_nets: List[str]) -> Dict[float, TimingErrorTrace]:
-        timing = self._timing_program
-        program = timing.program
-        transitions = total - 1
-        sampled = {clk: np.empty(transitions, dtype=np.uint64) for clk in clock_periods}
-        settled = np.empty(transitions, dtype=np.uint64)
-        late_rows = {clk: timing.late_rows(output_nets, clk) for clk in clock_periods}
-        plan = timing.plan_for(np.concatenate(list(late_rows.values())))
-        out_ids = np.array([program.net_id[net] for net in output_nets], dtype=np.int64)
-
-        words_per_chunk = max(64, _PACKED_CHUNK_BYTES // (8 * timing.num_rows))
-        for start, stop in transition_chunks(transitions, words_per_chunk * 64):
-            count = stop - start
-            old_values, new_values = program.evaluate_transitions(
-                {net: trace[start:stop + 1] for net, trace in input_trace.items()}, count)
-            masks = timing.run(old_values ^ new_values, plan=plan)
-
-            old_rows = old_values[out_ids]
-            new_rows = new_values[out_ids]
-            diff_rows = old_rows ^ new_rows
-            settled[start:stop] = rows_to_words(new_rows, count)
-            for clk in clock_periods:
-                late = masks[late_rows[clk]]
-                sampled_rows = new_rows ^ (diff_rows & late)
-                sampled[clk][start:stop] = rows_to_words(sampled_rows, count)
-
-        return {clk: TimingErrorTrace(clock_period=clk, sampled_words=sampled[clk],
-                                      settled_words=settled,
-                                      output_width=len(output_nets))
-                for clk in clock_periods}
-
     def _run_traces_multi_packed(self, input_traces: List[Mapping[str, np.ndarray]],
                                  totals: List[int], clock_periods: Sequence[float],
-                                 output_nets: List[str],
-                                 include_settled_values: bool) -> BatchedTraceRun:
+                                 output_nets: List[str], include_settled_values: bool,
+                                 phase=span) -> BatchedTraceRun:
         timing = self._timing_program
         program = timing.program
         count = len(input_traces)
@@ -344,7 +305,7 @@ class FastTimingSimulator:
             64, _PACKED_CHUNK_BYTES // (8 * per_word_rows * count))
         for start, stop in transition_chunks(max_transitions, words_per_chunk * 64):
             chunk = stop - start
-            with span("pack"):
+            with phase("pack"):
                 # One stacked (traces, chunk + 1) 0/1 matrix per net; a
                 # trace that ends inside the chunk is zero-padded — its
                 # padded columns are evaluated but never decoded.
@@ -356,7 +317,7 @@ class FastTimingSimulator:
                         if high > start:
                             rows[index, :high - start] = bits[net][start:high]
                     stacked[net] = rows
-            with span("simulate"):
+            with phase("simulate"):
                 old_values, new_values = program.evaluate_transitions_many(
                     stacked, chunk)
                 masks = timing.run_many(old_values ^ new_values, plan=plan)

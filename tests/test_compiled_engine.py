@@ -34,8 +34,10 @@ RAGGED_LENGTHS = (1, 5, 63, 64, 65, 130)
 EXACT_ARCHITECTURES = ("ripple", "cla", "brent-kung", "kogge-stone")
 
 #: A representative slice of the paper's ISA quadruples (plain, SPEC,
-#: correction and reduction mechanisms all covered).
-ISA_QUADRUPLES = ((8, 0, 0, 0), (8, 0, 1, 4), (16, 1, 0, 2), (16, 2, 1, 6))
+#: correction and reduction mechanisms all covered), and ``None`` for
+#: the exact baseline they are measured against: the sized 32-bit
+#: Kogge-Stone adder.
+PAPER_DESIGNS = ((8, 0, 0, 0), (8, 0, 1, 4), (16, 1, 0, 2), (16, 2, 1, 6), None)
 
 
 def _random_operands(width, length, seed):
@@ -49,9 +51,11 @@ def exact_design(request):
     return synthesize(exact_adder_netlist(16, request.param))
 
 
-@pytest.fixture(scope="module", params=ISA_QUADRUPLES,
-                ids=lambda q: "isa" + "-".join(map(str, q)))
-def isa_design(request):
+@pytest.fixture(scope="module", params=PAPER_DESIGNS,
+                ids=lambda q: "exact-kogge-stone" if q is None else "isa" + "-".join(map(str, q)))
+def paper_design(request):
+    if request.param is None:
+        return synthesize(exact_adder_netlist(32, "kogge-stone"))
     return synthesize(ISAConfig.from_quadruple(request.param))
 
 
@@ -108,8 +112,8 @@ class TestLogicEquivalence:
         reference = netlist.compute_words(operands, engine="reference")
         assert np.array_equal(compiled, reference)
 
-    def test_isa_adders_bit_exact(self, isa_design, rng):
-        netlist = isa_design.netlist
+    def test_isa_adders_bit_exact(self, paper_design, rng):
+        netlist = paper_design.netlist
         operands = _random_operands(32, 500, 13)
         compiled = netlist.compute_words(operands, engine="compiled")
         reference = netlist.compute_words(operands, engine="reference")
@@ -179,10 +183,10 @@ class TestTimingEquivalence:
         clocks = list(clock_plan.periods) + [critical * 0.5, critical * 1.5]
         self._assert_engines_agree(exact_design, _random_operands(16, 300, 31), clocks)
 
-    def test_isa_adders(self, isa_design, clock_plan):
-        critical = isa_design.critical_path_delay
+    def test_isa_adders(self, paper_design, clock_plan):
+        critical = paper_design.critical_path_delay
         clocks = list(clock_plan.periods) + [critical * 0.7]
-        self._assert_engines_agree(isa_design, _random_operands(32, 300, 37), clocks)
+        self._assert_engines_agree(paper_design, _random_operands(32, 300, 37), clocks)
 
     def test_empty_clock_list_returns_empty_on_both_engines(self, exact_design):
         operands = _random_operands(16, 20, 29)
@@ -197,12 +201,12 @@ class TestTimingEquivalence:
         self._assert_engines_agree(exact_design, _random_operands(16, length, 41 + length),
                                    [critical * 0.8])
 
-    def test_error_statistics_match(self, isa_design, clock_plan):
+    def test_error_statistics_match(self, paper_design, clock_plan):
         """Cycle/bit error rates — the paper's metrics — are identical."""
         operands = _random_operands(32, 400, 43)
-        compiled = FastTimingSimulator(isa_design.netlist, isa_design.annotation,
+        compiled = FastTimingSimulator(paper_design.netlist, paper_design.annotation,
                                        engine="compiled")
-        reference = FastTimingSimulator(isa_design.netlist, isa_design.annotation,
+        reference = FastTimingSimulator(paper_design.netlist, paper_design.annotation,
                                         engine="reference")
         got = compiled.run_trace_multi(operands, clock_plan.periods)
         want = reference.run_trace_multi(operands, clock_plan.periods)

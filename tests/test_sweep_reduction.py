@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.circuit.compiled import CompiledProgram
 from repro.experiments.designs import isa_entry
 from repro.explore.space import DesignSpace
 from repro.explore.sweep import (
@@ -32,6 +33,7 @@ from repro.explore.sweep import (
     sweep_clock_plan,
 )
 from repro.obs.metrics import metrics_run
+from repro.obs.trace import collect_phases
 from repro.runtime import (
     CachingBackend,
     CharacterizationJob,
@@ -128,12 +130,29 @@ class TestReducedJobs:
     def test_sweep_spec_jobs_stay_word_level(self):
         assert all(job.reduction is None for job in sweep_spec().jobs())
 
-    def test_multi_workload_sweep_keeps_one_group_per_design(self):
+    def test_multi_workload_sweep_keeps_one_group_per_design(self, monkeypatch):
         spec = sweep_spec(max_designs=3, workloads=("uniform", "ramp"))
         assert len(spec.entries) == 4
-        with metrics_run() as registry:
+        calls = {"run_packed": 0, "run_packed_many": 0}
+
+        def counting(name):
+            original = getattr(CompiledProgram, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(CompiledProgram, name, wrapper)
+
+        counting("run_packed")
+        counting("run_packed_many")
+        with metrics_run() as registry, collect_phases() as phases:
             run_sweep(spec, backend="serial")
         assert registry.counters["plan.groups"] == 4
+        # One lowering and one stacked logic pass per design, both
+        # workloads included.  The design memo starts empty, so no
+        # simulator memoised by an earlier test can serve these designs.
+        assert phases.calls["lower"] == 4
+        assert calls == {"run_packed": 0, "run_packed_many": 4}
 
 
 # --------------------------------------------------------------------- #

@@ -9,6 +9,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.designs import exact_entry, isa_entry
+from repro.explore import DesignSpace, SweepSpec, run_sweep
 from repro.runtime.jobs import CharacterizationJob, clear_design_cache, synthesize_job
 from repro.runtime.synth_cache import (
     SynthesisCache,
@@ -19,7 +20,7 @@ from repro.runtime.synth_cache import (
 )
 from repro.synth.flow import SynthesisOptions
 from repro.obs.trace import collect_phases
-from repro.workloads.generators import uniform_workload
+from repro.workloads.generators import WorkloadSpec, uniform_workload
 
 ENTRY = isa_entry((4, 2, 1, 4), width=16)
 
@@ -168,6 +169,24 @@ class TestSynthesizeJobReadThrough:
             [g.name for g in first.netlist.gates]
         stats = active_synth_cache().stats
         assert stats.hits == 1 and stats.misses == 1
+
+    def test_warm_cache_sweep_synthesizes_zero_designs(self, tmp_path, repro_env):
+        repro_env(REPRO_SYNTH_CACHE=str(tmp_path))
+        spec = SweepSpec(entries=tuple(DesignSpace(width=16).entries(max_designs=3)),
+                         workloads=(WorkloadSpec("uniform", 64, width=16, seed=3),),
+                         width=16)
+        with collect_phases() as cold_phases:
+            cold = run_sweep(spec, backend="serial")
+        assert cold_phases.calls["synthesize"] == 4
+        assert active_synth_cache().stats.misses == 4
+
+        clear_design_cache()
+        with collect_phases() as warm_phases:
+            warm = run_sweep(spec, backend="serial")
+        assert warm_phases.calls.get("synthesize", 0) == 0
+        stats = active_synth_cache().stats
+        assert stats.hits == 4 and stats.misses == 4
+        assert warm.points == cold.points
 
     def test_memo_hit_skips_disk(self, tmp_path, repro_env):
         repro_env(REPRO_SYNTH_CACHE=str(tmp_path))
