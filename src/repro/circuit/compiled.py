@@ -734,22 +734,3 @@ def compile_netlist(netlist) -> CompiledProgram:
     """Lower ``netlist`` into a :class:`CompiledProgram` (no caching here;
     use :meth:`Netlist.compiled` for the cached accessor)."""
     return CompiledProgram(netlist)
-
-
-def packed_stimulus(netlist, bit_inputs: Mapping[str, np.ndarray]) -> Tuple[int, int]:
-    """Validate that a stimulus dict is eligible for the packed engine.
-
-    Returns ``(length, words)``; raises :class:`SimulationError` when the
-    per-net arrays disagree on length.
-    """
-    length: Optional[int] = None
-    for net, bits in bit_inputs.items():
-        size = int(np.asarray(bits).shape[0])
-        if length is None:
-            length = size
-        elif size != length:
-            raise SimulationError(
-                f"stimulus arrays disagree on trace length ({size} vs {length})")
-    if length is None:
-        raise SimulationError(f"netlist {netlist.name!r} received an empty stimulus")
-    return length, packed_word_count(length)

@@ -463,9 +463,7 @@ def select_batch(surrogate: _Surrogate, features: np.ndarray,
 # --------------------------------------------------------------------- #
 def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = None,
                  cache_dir: Optional[str] = None,
-                 progress: Optional[Callable[[RoundLog], None]] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 resume: bool = False) -> AdaptiveResult:
+                 progress: Optional[Callable[[RoundLog], None]] = None) -> AdaptiveResult:
     """Run the surrogate-directed search loop over ``spec.space``.
 
     Backend handling mirrors :func:`~repro.explore.sweep.run_sweep`,
@@ -475,16 +473,12 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
     ``progress`` is invoked with each round's :class:`RoundLog` as it
     completes.
 
-    ``checkpoint_dir`` / ``resume`` checkpoint each round's batch sweep
-    (see :func:`~repro.explore.sweep.run_sweep`): batch selection is
-    deterministic given the seed, so a resumed search re-derives the
-    same batches and replays their journaled scores instead of
-    re-simulating.
+    Batch selection is deterministic given the seed, so re-running an
+    interrupted search against the same result cache re-derives the same
+    batches and loads the finished ones instead of re-simulating.
     """
-    from repro.explore.checkpoint import require_checkpoint_dir
     from repro.families import get_family
     from repro.runtime import backend_stack
-    checkpoint_dir = require_checkpoint_dir(checkpoint_dir, resume)
 
     family = get_family(getattr(spec.space, "family", "adder"))
     quadruples = candidate_matrix(spec.space)
@@ -516,8 +510,7 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
 
     def simulate(indices: np.ndarray, include_exact: bool) -> None:
         batch_spec = spec.sweep.with_entries(entries_for(indices, include_exact))
-        result = run_sweep(batch_spec, backend=resolved,
-                           checkpoint_dir=checkpoint_dir, resume=resume)
+        result = run_sweep(batch_spec, backend=resolved)
         points.extend(result.points)
         remaining[indices] = False
 

@@ -94,15 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="byte budget of the result cache; oldest entries are "
                              "pruned after writes (default: $REPRO_CACHE_LIMIT_MB, "
                              "or unbounded)")
-    parser.add_argument("--checkpoint-dir", type=str, default=None, metavar="DIR",
-                        help="journal completed job batches to DIR so an interrupted "
-                             "exploration can resume (default: $REPRO_CHECKPOINT_DIR, "
-                             "or no checkpointing)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted exploration from the checkpoint "
-                             "journal: journaled scores are replayed and only "
-                             "unfinished jobs are simulated (requires --checkpoint-dir "
-                             "or $REPRO_CHECKPOINT_DIR)")
     parser.add_argument("--adaptive", action="store_true",
                         help="surrogate-directed search instead of a sweep: simulate "
                              "only a budgeted fraction of the space, steering each "
@@ -255,8 +246,7 @@ def run_exploration(arguments) -> ExplorationReport:
             max_rounds=arguments.rounds, seed=arguments.seed)
         adaptive = run_adaptive(
             adaptive_spec, backend=backend,
-            progress=lambda log: print(f"  {log.describe()}", file=sys.stderr),
-            resume=arguments.resume)
+            progress=lambda log: print(f"  {log.describe()}", file=sys.stderr))
         points = adaptive.points
         jobs_total = (adaptive.simulated + 1) * len(spec.workloads)
         mode_lines = [
@@ -265,15 +255,12 @@ def run_exploration(arguments) -> ExplorationReport:
         explored_note = (f"explored {adaptive.simulated} of {adaptive.candidates} "
                          f"designs in {len(adaptive.rounds)} rounds")
     else:
-        result = run_sweep(spec, backend=backend, resume=arguments.resume)
+        result = run_sweep(spec, backend=backend)
         points = result.points
         jobs_total = spec.job_count
         mode_lines = [f"sweep     : {spec.describe()}"]
         explored_note = (f"explored {len(spec.entries)} designs / "
                          f"{spec.point_count} points")
-        if result.resumed_jobs:
-            explored_note += (f", resumed {result.resumed_jobs} jobs from "
-                              f"the checkpoint journal")
 
     candidates = aggregate_points(points)
     ranked = rank_frontier(pareto_frontier(candidates))
@@ -335,8 +322,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--batch-size must be at least 1 design")
     if arguments.rounds < 0:
         parser.error("--rounds must be non-negative")
-    if arguments.resume and settings.checkpoint_dir is None:
-        parser.error("--resume requires --checkpoint-dir (or $REPRO_CHECKPOINT_DIR)")
     with using_settings(settings):
         report, timings, telemetry = observed_run(
             arguments, "repro-explore",

@@ -4,14 +4,13 @@ A :class:`SweepSpec` names everything a design-space sweep varies — the
 design entries (typically a :class:`~repro.explore.space.DesignSpace`
 selection plus the exact baseline), a clock plan whose CPR levels are the
 overclocking points, and one or more workload generators — and expands
-into a single batch of
-:class:`~repro.runtime.CharacterizationJob` submitted through
-:mod:`repro.runtime` in one call.  That single-batch shape is deliberate:
-the backend's planner groups the whole sweep at once (one group per
-design and clock plan) and fills its pool from it, and the
-:class:`~repro.runtime.CachingBackend` plans hits and misses over the
-entire sweep at once, so a resumed sweep re-simulates exactly the
-missing designs.
+into one batch of :class:`~repro.runtime.CharacterizationJob` submitted
+through :mod:`repro.runtime`.  The backend's planner groups a batch at
+once (one group per design and clock plan) and fills its pool from it.
+A sweep fronted by the :class:`~repro.runtime.CachingBackend` runs in
+batches of :data:`CHECKPOINT_BATCH` designs instead, each stored before
+the next starts, so re-running an interrupted sweep against the same
+cache simulates only the jobs no finished batch stored.
 
 Each finished job is scored into :class:`SweepPoint` records — one per
 (design x workload x CPR level) — carrying the joint error statistics of
@@ -47,10 +46,10 @@ from repro.families import family_of
 from repro.obs.trace import span
 from repro.runtime import (
     SIMULATORS,
+    CachingBackend,
     CharacterizationJob,
     DesignCharacterization,
     backend_stack,
-    run_jobs,
 )
 from repro.synth.flow import SynthesisOptions
 from repro.timing.clocking import ClockPlan
@@ -180,15 +179,10 @@ class SweepPoint:
 
 @dataclass
 class SweepResult:
-    """Every scored point of one executed sweep.
-
-    ``resumed_jobs`` counts jobs whose scores were replayed from a
-    checkpoint journal instead of simulated (zero without checkpointing).
-    """
+    """Every scored point of one executed sweep."""
 
     spec: SweepSpec
     points: List[SweepPoint]
-    resumed_jobs: int = 0
 
     @property
     def designs(self) -> List[str]:
@@ -264,17 +258,29 @@ def _score_characterization(characterization: DesignCharacterization,
     return points
 
 
-#: Jobs simulated between checkpoint-journal flushes (a compromise:
-#: small enough that an interruption forfeits little work, large enough
-#: that the multiprocess backend still sees batches worth scheduling).
+#: Designs per batch of a cached sweep: the result cache stores each
+#: batch before the next starts (a compromise: small enough that an
+#: interruption forfeits little work, large enough that the
+#: multiprocess backend still sees batches worth scheduling).
 CHECKPOINT_BATCH = 16
+
+
+def _design_batches(spec: SweepSpec, designs_per_batch: int) -> List[List[int]]:
+    """Indices into ``spec.jobs()`` in runs of ``designs_per_batch`` designs.
+
+    A design's job under every workload lands in the same batch, so the
+    planner still sees one group per design.
+    """
+    designs = len(spec.entries)
+    return [[workload * designs + entry
+             for workload in range(len(spec.workloads))
+             for entry in range(start, min(start + designs_per_batch, designs))]
+            for start in range(0, designs, designs_per_batch)]
 
 
 def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
               cache_dir: Optional[str] = None,
-              telemetry_dir: Optional[str] = None,
-              checkpoint_dir: Optional[str] = None, resume: bool = False,
-              checkpoint_batch: int = CHECKPOINT_BATCH) -> SweepResult:
+              telemetry_dir: Optional[str] = None) -> SweepResult:
     """Expand a sweep spec and run it through the job pipeline.
 
     ``backend`` is a backend name or an owned :class:`Backend` instance
@@ -291,31 +297,26 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
     once its slices merge).  The stacking (and the ownership of backends
     constructed from names) is exactly :func:`~repro.runtime.run_jobs`.
 
+    When the resolved backend is a :class:`~repro.runtime.CachingBackend`
+    (an instance passed in, or any backend with ``cache_dir`` set), the
+    jobs run in batches of :data:`CHECKPOINT_BATCH` designs, each design
+    with all its workloads, and the cache stores every batch before the
+    next starts: re-running an interrupted sweep against the same cache
+    simulates only the jobs that no finished batch stored, with points
+    identical to an uninterrupted run.  Any other backend gets the whole
+    sweep as one batch.
+
     ``telemetry_dir`` (or the active settings' one) appends one run
     manifest covering the whole sweep — expansion, execution *and*
     scoring — unless an outer telemetry session (a CLI) already
     observes it (see :mod:`repro.obs.manifest`).
-
-    ``checkpoint_dir`` (or the active settings' one) journals each
-    completed batch of ``checkpoint_batch`` jobs — simulated *and*
-    scored — into a :class:`~repro.explore.checkpoint.SweepJournal`;
-    with ``resume=True`` a previously interrupted run replays journaled
-    scores and simulates only the unfinished jobs (counted in
-    ``SweepResult.resumed_jobs`` and the ``sweep.jobs_resumed`` metric),
-    with points identical to an uninterrupted run.  Without ``resume``
-    an existing journal of the same sweep is discarded first.
     """
-    from repro.explore.checkpoint import SweepJournal, require_checkpoint_dir
     from repro.obs.manifest import telemetry_run
-    from repro.obs.metrics import metric_count
-    resolved_checkpoint = require_checkpoint_dir(checkpoint_dir, resume)
     with telemetry_run(telemetry_dir, command="run_sweep",
                        config={"sweep": spec.describe(),
                                "backend": getattr(backend, "name", str(backend)),
                                "workers": workers,
-                               "cache_dir": str(cache_dir) if cache_dir else None,
-                               "checkpoint_dir": resolved_checkpoint,
-                               "resume": resume}):
+                               "cache_dir": str(cache_dir) if cache_dir else None}):
         # jobs() is workload-major: every workload's trace covers one
         # contiguous run of len(entries) jobs, all scored alike.
         scorings = [SweepScoring(spec.clock_plan, spec.width, workload.kind)
@@ -323,37 +324,13 @@ def run_sweep(spec: SweepSpec, backend="serial", workers: Optional[int] = None,
         jobs = [replace(job, reduction=scorings[index // len(spec.entries)])
                 for index, job in enumerate(spec.jobs())]
 
-        if resolved_checkpoint is None:
-            scored_jobs = run_jobs(jobs, backend=backend, workers=workers,
-                                   cache_dir=cache_dir)
-            return SweepResult(spec=spec, points=[
-                point for job_points in scored_jobs for point in job_points])
-
-        from repro.runtime.cache import job_digest
-        digests = [job_digest(job) for job in jobs]
-        journal = SweepJournal.for_spec(resolved_checkpoint, digests)
-        if not resume:
-            journal.clear()
-        completed = journal.load() if resume else {}
-        pending = [index for index, digest in enumerate(digests)
-                   if digest not in completed]
-        resumed = len(jobs) - len(pending)
-        if resumed:
-            metric_count("sweep.jobs_resumed", resumed)
-
-        # One backend stack for every batch, so a worker pool (and its
-        # caches) stays warm across checkpoints.
-        scored: dict = dict(completed)
+        scored: list = [None] * len(jobs)
         with backend_stack(backend, workers, cache_dir) as resolved:
-            for start in range(0, len(pending), max(1, checkpoint_batch)):
-                batch = pending[start:start + max(1, checkpoint_batch)]
-                batch_points = run_jobs([jobs[index] for index in batch],
-                                        backend=resolved)
-                for index, job_points in zip(batch, batch_points):
-                    scored[digests[index]] = job_points
-                    journal.record(digests[index], job_points)
-
-        points = []
-        for digest in digests:
-            points.extend(scored[digest])
-        return SweepResult(spec=spec, points=points, resumed_jobs=resumed)
+            designs_per_batch = (CHECKPOINT_BATCH if isinstance(resolved, CachingBackend)
+                                 else len(spec.entries))
+            for batch in _design_batches(spec, designs_per_batch):
+                results = resolved.run([jobs[index] for index in batch])
+                for index, job_points in zip(batch, results):
+                    scored[index] = job_points
+        return SweepResult(spec=spec, points=[
+            point for job_points in scored for point in job_points])

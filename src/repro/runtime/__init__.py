@@ -23,8 +23,7 @@ CLIs and the benchmarks all characterise through this runtime.
 :mod:`repro.runtime.cache` adds persistence on top: wrapping any
 backend in a :class:`CachingBackend` stores every result in a
 content-addressed on-disk store keyed by the job's full identity, so
-re-runs (and large sharded traces interrupted half-way) reuse finished
-work bit-identically instead of re-simulating it.
+re-runs reuse finished work bit-identically instead of re-simulating it.
 
 Quick start::
 

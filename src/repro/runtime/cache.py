@@ -42,11 +42,16 @@ A plain miss is the job itself.  A sharded entry without its golden
 pass runs the whole job; its timing is then split into shards when
 stored.  A sharded entry whose golden pass is on disk runs one *slice
 job* per missing shard (the job over that shard's vectors, without
-structural statistics), so an interrupted run resumes shard by shard —
-only the missing shards are simulated.  Because both simulator tiers
-are transition-local, shards merge via
+structural statistics).  Because both simulator tiers are
+transition-local, shards merge via
 :func:`~repro.runtime.jobs.merge_timing_chunks` into exactly the
 full-trace result.
+
+Every entry of a batch — golden pass and shards included — is written
+only after the inner backend has returned the whole batch, so a run
+killed mid-batch leaves nothing of that batch behind.  Shards save work
+only when one shard file is lost to a write error or corruption: the
+other shards are then reused and the lost one alone is simulated again.
 """
 
 from __future__ import annotations
@@ -83,7 +88,8 @@ CACHE_FORMAT = STORE_FORMAT
 
 #: Traces with more transitions than this spill to per-chunk timing
 #: shards instead of one monolithic result pickle (word-aligned via
-#: :func:`transition_chunks`), so interrupted runs resume chunk by chunk.
+#: :func:`transition_chunks`), so a shard lost to a write error or
+#: corruption is simulated again without the others.
 DEFAULT_SHARD_TRANSITIONS = 65536
 
 
@@ -168,8 +174,10 @@ class CachingBackend(Backend):
         Root directory of the store (created on demand).
     shard_transitions:
         Traces with more transitions than this are stored as per-chunk
-        timing shards instead of one monolithic pickle, enabling
-        chunk-by-chunk resume of interrupted runs.  ``None`` disables
+        timing shards instead of one monolithic pickle, so a shard lost
+        to a write error or corruption is simulated again without the
+        others.  Shards are written only once the whole batch has run,
+        so an interrupted run leaves none behind.  ``None`` disables
         sharding.
     limit_mb:
         Byte budget of the store in mebibytes (``None`` = unbounded).

@@ -11,8 +11,8 @@ One instance is *active* per process (:func:`active_settings`).  It is
 resolved from the environment on first use — never at import, so a
 program may set or clear variables before its first run — and every
 consumer reads its knob from it: the execution backend, the retry
-policy, the synthesis cache, the fault plan, telemetry and
-checkpointing.  :func:`using_settings` activates a variant for a block
+policy, the result and synthesis caches, the fault plan and
+telemetry.  :func:`using_settings` activates a variant for a block
 and restores the previous settings on exit (each CLI run, tests); the
 multiprocess backend hands the driver's settings to its workers through
 the pool initializer (:func:`activate_settings`).  Nothing writes the
@@ -87,7 +87,6 @@ class RuntimeSettings:
         None, "REPRO_TASK_TIMEOUT", _number(float, "a positive number of seconds"),
         "--task-timeout")
     telemetry_dir: Optional[str] = _knob(None, "REPRO_TELEMETRY_DIR", str, "--telemetry-dir")
-    checkpoint_dir: Optional[str] = _knob(None, "REPRO_CHECKPOINT_DIR", str, "--checkpoint-dir")
     fault_plan: Optional[str] = _knob(None, "REPRO_FAULT_PLAN", str)
 
     @classmethod

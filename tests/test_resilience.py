@@ -1,4 +1,4 @@
-"""Tests of the resilient execution layer (retries, recovery, checkpoints).
+"""Tests of the resilient execution layer (retries, recovery, resumed sweeps).
 
 The contract under test: a worker killed mid-batch recovers with results
 bit-identical to the fault-free ``execute_job`` reference, at 1, 2 and 4
@@ -6,8 +6,8 @@ workers, cached and uncached; a stalled worker is terminated on pool
 recovery; retry exhaustion propagates the original error; a pool whose
 workers die on every task degrades to in-process execution with a
 warning instead of failing; transient store-write failures warn once
-and continue as misses; checkpointed sweeps resume by replaying
-journaled scores and simulating only the unfinished jobs; and fault
+and continue as misses; a sweep re-run against its result cache
+simulates only the jobs no finished batch stored; and fault
 plans count one global event stream, so they fire identically whatever
 the process layout.
 """
@@ -17,10 +17,12 @@ from __future__ import annotations
 import json
 import multiprocessing.connection
 import os
+import pickle
 import subprocess
 import sys
 import warnings
 from contextlib import ExitStack
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +30,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError, TaskTimeoutError
 from repro.experiments.designs import exact_entry, isa_entry
-from repro.explore.checkpoint import (
-    CHECKPOINT_ENV,
-    SweepJournal,
-    point_from_record,
-    point_to_record,
-    require_checkpoint_dir,
-)
 from repro.explore.space import space_entries
-from repro.explore.sweep import SweepSpec, run_sweep
+from repro.explore.sweep import SweepScoring, SweepSpec, run_sweep
 from repro.obs.metrics import metrics_run
 from repro.runtime import (
     FAULT_PLAN_ENV,
@@ -48,12 +43,13 @@ from repro.runtime import (
     active_fault_plan,
     deterministic_jitter,
     execute_job,
+    job_digest,
     parse_fault_plan,
     retry_call,
     run_jobs,
 )
 from repro.runtime.faultinject import POINT_TASK, FaultPlan, FaultSpec
-from repro.runtime.store import ResultStore
+from repro.runtime.store import STORE_FORMAT, ResultStore
 from repro.settings import using_settings
 from repro.timing.clocking import ClockPlan
 from repro.workloads.generators import WorkloadSpec, uniform_workload
@@ -482,7 +478,7 @@ class TestStoreResilience:
 
 
 # --------------------------------------------------------------------- #
-# Checkpointed sweeps
+# Sweeps resumed from the result cache
 # --------------------------------------------------------------------- #
 def small_sweep_spec(width=16, max_designs=2, length=64):
     return SweepSpec(
@@ -492,103 +488,152 @@ def small_sweep_spec(width=16, max_designs=2, length=64):
         width=width)
 
 
+def scored_jobs(spec):
+    """The jobs ``run_sweep`` submits for a one-workload ``spec``."""
+    scoring = SweepScoring(spec.clock_plan, spec.width, spec.workloads[0].kind)
+    return [replace(job, reduction=scoring) for job in spec.jobs()]
+
+
+def entry_digests(cache_dir) -> set:
+    """The digests a result cache holds a ``result.pkl`` entry for."""
+    return {path.parent.name for path in Path(cache_dir).glob("*/*/result.pkl")}
+
+
 class TestCheckpointing:
-    def test_points_round_trip_through_journal_records(self):
-        result = run_sweep(small_sweep_spec())
-        for point in result.points:
-            rebuilt = point_from_record(
-                json.loads(json.dumps(point_to_record(point), sort_keys=True)))
-            assert rebuilt == point
+    """A sweep's journal is its result cache: one entry per job digest,
+    holding that job's scored points."""
+
+    def test_points_round_trip_through_journal_records(self, tmp_path):
+        spec = small_sweep_spec()
+        result = run_sweep(spec, cache_dir=str(tmp_path))
+        store = ResultStore(tmp_path)
+        stored = [store.load(store.result_path(job_digest(job)))
+                  for job in scored_jobs(spec)]
+        assert all(isinstance(points, list) and points for points in stored)
+        assert [point for points in stored for point in points] == result.points
 
     def test_journal_identity_is_the_digest_list(self, tmp_path):
-        same = SweepJournal.for_spec(tmp_path, ["a", "b"])
-        again = SweepJournal.for_spec(tmp_path, ["a", "b"])
-        other = SweepJournal.for_spec(tmp_path, ["a", "c"])
-        assert same.path == again.path
-        assert same.path != other.path
+        spec = small_sweep_spec()
+        digests = [job_digest(job) for job in scored_jobs(spec)]
+        assert len(set(digests)) == spec.job_count
+        assert [job_digest(job) for job in scored_jobs(small_sweep_spec())] == digests
+        other = {job_digest(job) for job in scored_jobs(small_sweep_spec(length=96))}
+        assert other.isdisjoint(digests)
+        run_sweep(spec, cache_dir=str(tmp_path))
+        assert entry_digests(tmp_path) == set(digests)
 
-    def test_corrupt_and_foreign_lines_are_skipped(self, tmp_path):
-        result = run_sweep(small_sweep_spec())
-        journal = SweepJournal(tmp_path / "sweep.jsonl")
-        journal.record("digest-1", result.points[:2])
-        with open(journal.path, "a", encoding="utf-8") as handle:
-            handle.write('{"format": 99, "digest": "old", "points": []}\n')
-            handle.write('{"digest": "torn", "poi')  # the interrupted write
-        loaded = journal.load()
-        assert list(loaded) == ["digest-1"]
-        assert loaded["digest-1"] == result.points[:2]
-
-    def test_resume_without_checkpoint_dir_is_a_config_error(self, repro_env):
-        repro_env(REPRO_CHECKPOINT_DIR=None)
-        with pytest.raises(ConfigurationError, match=CHECKPOINT_ENV):
-            require_checkpoint_dir(None, resume=True)
-        with pytest.raises(ConfigurationError, match=CHECKPOINT_ENV):
-            run_sweep(small_sweep_spec(), resume=True)
-
-    def test_checkpoint_dir_resolves_from_the_environment(self, repro_env, tmp_path):
-        repro_env(REPRO_CHECKPOINT_DIR=str(tmp_path))
-        assert require_checkpoint_dir(None, resume=True) == str(tmp_path)
+    def test_fresh_run_discards_a_stale_journal(self, tmp_path):
+        # Entries of another sweep (here: shorter traces) are never replayed.
+        run_sweep(small_sweep_spec(), cache_dir=str(tmp_path))
+        spec = small_sweep_spec(length=96)
+        with metrics_run() as registry:
+            fresh = run_sweep(spec, cache_dir=str(tmp_path))
+        assert registry.counters.get("cache.hits", 0) == 0
+        assert registry.counters["jobs.simulated"] == spec.job_count
+        assert fresh.points == run_sweep(spec).points
 
     def test_checkpointed_sweep_matches_plain_and_full_resume_is_free(
-            self, tmp_path):
+            self, monkeypatch, tmp_path):
+        import repro.explore.sweep as sweep_module
+        monkeypatch.setattr(sweep_module, "CHECKPOINT_BATCH", 2)
         spec = small_sweep_spec()
         plain = run_sweep(spec)
-        checkpointed = run_sweep(spec, checkpoint_dir=str(tmp_path),
-                                 checkpoint_batch=2)
-        assert checkpointed.points == plain.points
-        assert checkpointed.resumed_jobs == 0
         with metrics_run() as registry:
-            resumed = run_sweep(spec, checkpoint_dir=str(tmp_path), resume=True)
+            checkpointed = run_sweep(spec, cache_dir=str(tmp_path))
+        assert checkpointed.points == plain.points
+        assert registry.counters["jobs.simulated"] == spec.job_count
+        with metrics_run() as registry:
+            resumed = run_sweep(spec, cache_dir=str(tmp_path))
         assert resumed.points == plain.points
-        assert resumed.resumed_jobs == spec.job_count
         assert registry.counters.get("jobs.simulated", 0) == 0
-        assert registry.counters["sweep.jobs_resumed"] == spec.job_count
+        assert registry.counters["cache.hits"] == spec.job_count
 
     def test_interrupted_sweep_resumes_only_unfinished_jobs(self, monkeypatch,
                                                             tmp_path):
         import repro.explore.sweep as sweep_module
         spec = small_sweep_spec()
         plain = run_sweep(spec)
+        monkeypatch.setattr(sweep_module, "CHECKPOINT_BATCH", 1)
 
-        real_run_jobs = sweep_module.run_jobs
+        real_run = CachingBackend.run
         batches = []
 
-        def interrupted(jobs, **kwargs):
+        def interrupted(self, jobs):
             batches.append(len(jobs))
             if len(batches) == 2:
                 raise RuntimeError("simulated interruption")
-            return real_run_jobs(jobs, **kwargs)
+            return real_run(self, jobs)
 
-        monkeypatch.setattr(sweep_module, "run_jobs", interrupted)
+        monkeypatch.setattr(CachingBackend, "run", interrupted)
         with pytest.raises(RuntimeError, match="simulated interruption"):
-            run_sweep(spec, checkpoint_dir=str(tmp_path), checkpoint_batch=1)
-        monkeypatch.setattr(sweep_module, "run_jobs", real_run_jobs)
+            run_sweep(spec, cache_dir=str(tmp_path))
+        monkeypatch.setattr(CachingBackend, "run", real_run)
 
         with metrics_run() as registry:
-            resumed = run_sweep(spec, checkpoint_dir=str(tmp_path), resume=True,
-                                checkpoint_batch=1)
-        assert resumed.resumed_jobs == 1
+            resumed = run_sweep(spec, cache_dir=str(tmp_path))
+        assert registry.counters["cache.hits"] == 1
         assert registry.counters["jobs.simulated"] == spec.job_count - 1
         assert resumed.points == plain.points
 
-    def test_fresh_run_discards_a_stale_journal(self, tmp_path):
-        spec = small_sweep_spec()
-        run_sweep(spec, checkpoint_dir=str(tmp_path))
-        fresh = run_sweep(spec, checkpoint_dir=str(tmp_path))  # no resume
-        assert fresh.resumed_jobs == 0
+    def test_damaged_sweep_entries_are_recomputed(self, tmp_path):
+        spec = small_sweep_spec(max_designs=3)
+        cold = run_sweep(spec, cache_dir=str(tmp_path))
+        entries = sorted(tmp_path.glob("*/*/result.pkl"))
+        assert len(entries) == spec.job_count
+        torn, foreign = entries[:2]
+        torn.write_bytes(torn.read_bytes()[:torn.stat().st_size // 2])
+        foreign.write_bytes(pickle.dumps({"format": STORE_FORMAT + 1, "payload": []}))
+        with metrics_run() as registry:
+            rerun = run_sweep(spec, cache_dir=str(tmp_path))
+        assert registry.counters["cache.corrupt"] == 2
+        assert registry.counters["jobs.simulated"] == 2
+        assert registry.counters["cache.hits"] == spec.job_count - 2
+        assert rerun.points == cold.points
+
+    def test_cli_resumes_against_the_cache_dir_of_the_environment(
+            self, monkeypatch, repro_env, tmp_path, capsys):
+        import repro.explore.sweep as sweep_module
+        from repro.experiments.common import shutdown_backends
+        from repro.explore.cli import main
+        repro_env(REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        monkeypatch.setattr(sweep_module, "CHECKPOINT_BATCH", 1)
+        argv = ["--width", "16", "--max-designs", "2", "--length", "64",
+                "--backend", "serial", "--seed", "3"]
+
+        real_run = CachingBackend.run
+        batches = []
+
+        def interrupted(self, jobs):
+            batches.append(len(jobs))
+            if len(batches) == 2:
+                raise RuntimeError("simulated interruption")
+            return real_run(self, jobs)
+
+        monkeypatch.setattr(CachingBackend, "run", interrupted)
+        with pytest.raises(RuntimeError, match="simulated interruption"):
+            main(argv)
+        monkeypatch.setattr(CachingBackend, "run", real_run)
+        shutdown_backends()  # fresh shared-backend registry, like a new process
+        capsys.readouterr()
+
+        jobs = 3 * batches[0]  # two designs plus the exact baseline
+        assert main(argv) == 0
+        shutdown_backends()
+        resumed = capsys.readouterr().out
+        assert f"simulated {jobs - batches[0]} of {jobs} jobs" in resumed
+        assert main(argv) == 0
+        shutdown_backends()
+        warm = capsys.readouterr().out
+        assert f"simulated 0 of {jobs} jobs" in warm
+        strip = lambda text: [line for line in text.splitlines()
+                              if not line.startswith("(explored")]
+        assert strip(resumed) == strip(warm)
 
 
 # --------------------------------------------------------------------- #
 # CLI validation
 # --------------------------------------------------------------------- #
 class TestCLIValidation:
-    def test_resume_requires_a_checkpoint_dir(self, repro_env, capsys):
-        from repro.explore.cli import main
-        repro_env(REPRO_CHECKPOINT_DIR=None)
-        with pytest.raises(SystemExit):
-            main(["--resume"])
-        assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv, detail", [
         (["--max-retries", "-1"], "--max-retries must be non-negative"),
         (["--task-timeout", "0"], "--task-timeout must be positive"),

@@ -4,8 +4,9 @@ The contract under test: a cache hit returns the stored
 characterisation bit-identically to an uncached run, across both
 execution backends and both fast-tier engines; misses delegate to the
 inner backend and persist atomically; corrupted or truncated entries
-are recomputed, never raised; sharded entries resume chunk by chunk;
-and a fully warm run executes **zero** simulation jobs.
+are recomputed, never raised; a sharded entry that lost one shard
+simulates only that shard again; and a fully warm run executes **zero**
+simulation jobs.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ class TestShardedEntries:
         cold_cache = CachingBackend(SerialBackend(), tmp_path, shard_transitions=64)
         [cold] = cold_cache.run([job])
         digest = job_digest(job)
-        # Simulate an interrupted run: one timing shard is missing.
+        # One timing shard is lost (a failed write or a discarded file).
         cold_cache.store.shard_path(digest, 64, 128).unlink()
         inner = CountingBackend()
         resume_cache = CachingBackend(inner, tmp_path, shard_transitions=64)

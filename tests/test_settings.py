@@ -37,7 +37,6 @@ CASES = {
     "max_retries": ({"5": 5, "0": 0}, ["banana", "-1", "1.5"]),
     "task_timeout": ({"2.5": 2.5, "60": 60.0}, ["soon", "0", "-2.5"]),
     "telemetry_dir": ({"/tmp/t": "/tmp/t"}, []),
-    "checkpoint_dir": ({"/tmp/k": "/tmp/k"}, []),
     "fault_plan": ({'{"faults": []}': '{"faults": []}', "plan.json": "plan.json"}, []),
 }
 
@@ -47,7 +46,7 @@ class TestSettingsTable:
         names = [item.name for item in fields(RuntimeSettings)]
         assert [setting.name for setting in SETTINGS] == names
         variables = [setting.variable for setting in SETTINGS]
-        assert len(set(variables)) == len(variables) == 12
+        assert len(set(variables)) == len(variables) == 11
         assert all(variable.startswith("REPRO_") for variable in variables)
         assert set(CASES) == set(names)
         assert RuntimeSettings.from_env({}) == RuntimeSettings()

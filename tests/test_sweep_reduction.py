@@ -6,16 +6,18 @@ characterization — so a sweep's points equal
 ``score_characterization(execute_job(job), ...)`` bit for bit, whether
 the sweep runs serially, on 1, 2 or 4 workers, cut into trace slices,
 cached cold or warm, under a worker-killing fault plan, or resumed from
-a checkpoint journal.  The reduction rides on each job, not in the
-planner's grouping key; it joins the job digest only when set; and a
-reduced cache entry is the value itself, stored whole in ``result.pkl``
-and never sharded.
+the result cache after an interruption.  The reduction rides on each
+job, not in the planner's grouping key; it joins the job digest only
+when set; a cached sweep's batches hold whole designs; and a reduced
+cache entry is the value itself, stored whole in ``result.pkl`` and
+never sharded.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from repro.circuit.compiled import CompiledProgram
 from repro.experiments.designs import isa_entry
 from repro.explore.space import DesignSpace
 from repro.explore.sweep import (
+    CHECKPOINT_BATCH,
     SweepScoring,
     SweepSpec,
     run_sweep,
@@ -199,23 +202,25 @@ class TestSweepReductionContract:
         import repro.explore.sweep as sweep_module
         spec = sweep_spec()
         expected = reference_points(spec)
-        real_run_jobs = sweep_module.run_jobs
+        monkeypatch.setattr(sweep_module, "CHECKPOINT_BATCH", 1)
+        real_run = CachingBackend.run
         batches = []
 
-        def interrupted(jobs, **kwargs):
+        def interrupted(self, jobs):
             batches.append(len(jobs))
             if len(batches) == 2:
                 raise RuntimeError("simulated interruption")
-            return real_run_jobs(jobs, **kwargs)
+            return real_run(self, jobs)
 
-        monkeypatch.setattr(sweep_module, "run_jobs", interrupted)
+        monkeypatch.setattr(CachingBackend, "run", interrupted)
         with pytest.raises(RuntimeError, match="simulated interruption"):
-            run_sweep(spec, checkpoint_dir=str(tmp_path), checkpoint_batch=1)
-        monkeypatch.setattr(sweep_module, "run_jobs", real_run_jobs)
+            run_sweep(spec, cache_dir=str(tmp_path))
+        monkeypatch.setattr(CachingBackend, "run", real_run)
 
-        resumed = run_sweep(spec, checkpoint_dir=str(tmp_path), resume=True,
-                            checkpoint_batch=1)
-        assert resumed.resumed_jobs == 1
+        with metrics_run() as registry:
+            resumed = run_sweep(spec, cache_dir=str(tmp_path))
+        assert registry.counters["cache.hits"] == 1
+        assert registry.counters["jobs.simulated"] == spec.job_count - 1
         assert resumed.points == expected
 
 
@@ -242,6 +247,55 @@ class TestCachedSweeps:
         backend.reset_counters()
         assert run_sweep(spec, backend=backend).points == expected
         assert backend.stats.misses == 0
+
+    def test_cached_batches_hold_whole_designs(self, tmp_path):
+        spec = sweep_spec(max_designs=CHECKPOINT_BATCH + 1,
+                          workloads=("uniform", "ramp"))
+        designs = len(spec.entries)
+        assert designs > CHECKPOINT_BATCH
+        # The design memo starts empty, so every design is lowered here.
+        with metrics_run() as registry, collect_phases() as phases:
+            points = run_sweep(spec, backend=CachingBackend(
+                SerialBackend(), tmp_path / "cache")).points
+        assert registry.counters["cache.misses"] == spec.job_count
+        assert registry.counters["plan.groups"] == designs
+        assert phases.calls["lower"] == designs
+        assert points == run_sweep(spec, backend="serial").points
+
+    @pytest.mark.parametrize("how, batches", [
+        ("name", [10]),
+        ("instance", [10]),
+        ("cache-dir", [4, 4, 2]),
+        ("caching-instance", [4, 4, 2]),
+    ], ids=["name", "instance", "cache-dir", "caching-instance"])
+    def test_only_a_caching_backend_runs_in_batches(self, monkeypatch, tmp_path,
+                                                    how, batches):
+        import repro.explore.sweep as sweep_module
+        monkeypatch.setattr(sweep_module, "CHECKPOINT_BATCH", 2)
+        spec = sweep_spec(max_designs=4, workloads=("uniform", "ramp"))
+        assert spec.job_count == 10
+        real_run = SerialBackend.run
+        designs_per_call = []
+
+        def recording(self, jobs):
+            designs_per_call.append(Counter(job.entry.name for job in jobs))
+            return real_run(self, jobs)
+
+        monkeypatch.setattr(SerialBackend, "run", recording)
+        cache_dir = str(tmp_path / "cache")
+        arguments = {
+            "name": {"backend": "serial"},
+            "instance": {"backend": SerialBackend()},
+            "cache-dir": {"backend": "serial", "cache_dir": cache_dir},
+            "caching-instance": {"backend": CachingBackend(SerialBackend(), cache_dir)},
+        }[how]
+        run_sweep(spec, **arguments)
+        assert [sum(designs.values()) for designs in designs_per_call] == batches
+        # Every call holds each of its designs under both workloads.
+        for designs in designs_per_call:
+            assert set(designs.values()) == {len(spec.workloads)}
+        assert sum(designs_per_call, Counter()) == Counter(
+            {entry.name: len(spec.workloads) for entry in spec.entries})
 
     def test_reduced_entries_are_stored_whole(self, tmp_path):
         spec = sweep_spec(length=300)
