@@ -56,6 +56,7 @@ from repro.explore.pareto import (
 from repro.explore.space import DesignSpace
 from repro.explore.sweep import SweepPoint, SweepSpec, run_sweep
 from repro.ml.regress import RandomForestRegressor
+from repro.obs.trace import span
 from repro.utils.rng import derive_seed
 
 #: Names of the surrogate's quadruple-derived features, in column order.
@@ -386,9 +387,9 @@ def select_batch(surrogate: _Surrogate, features: np.ndarray,
     Returns ``(chosen_indices, predicted_frontier_designs)``.  Three
     slices fill the batch, deduplicated in this order:
 
-    * *exploit* — candidates with at least one predicted non-dominated
-      point (filtered against the measured frontier first, then
-      mutually), ranked by how many of their clock points survive;
+    * *exploit* — candidates with at least one predicted point that no
+      measured frontier point and no other predicted point dominates,
+      ranked by how many of their clock points survive;
     * *neighbor* — candidates ranked by quadruple L1 distance to the
       designs measured on the current frontier, walking each
       neighborhood in sorted quadruple order (systematic local coverage
@@ -403,17 +404,11 @@ def select_batch(surrogate: _Surrogate, features: np.ndarray,
     levels = len(surrogate.cpr_levels)
 
     predicted, spread = surrogate.score(candidate_features, clock_periods)
+    # One mask over the measured frontier and the predictions keeps the
+    # predicted points no anchor dominates, filtered mutually: whatever
+    # an anchor-dominated point dominates, the anchor dominates too.
     anchors = measured_objectives(frontier)
-    # Promising: predicted points no measured frontier point weakly
-    # dominates (strictly better somewhere, no worse everywhere).
-    no_worse = (anchors[None, :, :] <= predicted[:, None, :]).all(axis=2)
-    strictly = (anchors[None, :, :] < predicted[:, None, :]).any(axis=2)
-    promising = ~(no_worse & strictly).any(axis=1)
-    # Mutually non-dominated among the promising predicted points.
-    survivors = np.zeros(predicted.shape[0], dtype=bool)
-    promising_rows = np.flatnonzero(promising)
-    if promising_rows.size:
-        survivors[promising_rows] = nondominated_mask(predicted[promising_rows])
+    survivors = nondominated_mask(np.concatenate([anchors, predicted]))[anchors.shape[0]:]
     per_design = survivors.reshape(-1, levels).sum(axis=1)
 
     exploit_pool = np.flatnonzero(per_design > 0)
@@ -517,7 +512,8 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
     def close_round(index: int, simulated: int, scored: int,
                     predicted_frontier: int) -> None:
         nonlocal frontier, previous_keys, stable_rounds
-        frontier = pareto_frontier(aggregate_points(points))
+        with span("pareto"):
+            frontier = pareto_frontier(aggregate_points(points))
         keys = frontier_keys(frontier)
         changed = keys != previous_keys
         stable_rounds = 0 if changed else stable_rounds + 1
@@ -544,11 +540,13 @@ def run_adaptive(spec: AdaptiveSpec, backend="serial", workers: Optional[int] = 
             batch = min(spec.batch_size, budget - simulated_total)
             if batch <= 0 or not remaining.any() or stable_rounds >= spec.patience:
                 break
-            surrogate.fit(aggregate_points(points), round_index)
-            chosen, predicted_frontier = select_batch(
-                surrogate, features, quadruples, remaining, frontier,
-                clock_periods, batch, spec.neighbor_fraction,
-                spec.explore_fraction)
+            with span("surrogate"):
+                surrogate.fit(aggregate_points(points), round_index)
+            with span("select"):
+                chosen, predicted_frontier = select_batch(
+                    surrogate, features, quadruples, remaining, frontier,
+                    clock_periods, batch, spec.neighbor_fraction,
+                    spec.explore_fraction)
             scored = int(remaining.sum()) * len(cpr_levels)
             simulate(chosen, include_exact=False)
             close_round(round_index, simulated=len(chosen), scored=scored,

@@ -5,8 +5,10 @@ The adaptive explorer (:mod:`repro.explore.adaptive`) uses them as its
 surrogate: quadruple features of an :class:`~repro.core.config.ISAConfig`
 predict the sweep's scoring axes without simulation.  A node's impurity
 is its squared error around the mean; each threshold (the midpoint of
-distinct consecutive values) is scored with prefix sums over the stably
-sorted column.
+distinct consecutive values) is scored with prefix sums of the targets
+in column order.  A tree argsorts each column once, stably, and a stable
+partition of a node's column orders is each child's own argsort (SLIQ's
+presorted attribute lists: Mehta, Agrawal and Rissanen, EDBT 1996).
 """
 
 from __future__ import annotations
@@ -18,26 +20,6 @@ import numpy as np
 from repro.ml.forest import _Forest
 from repro.ml.tree import _Tree
 from repro.utils.rng import SeedLike
-
-
-def _best_threshold(column: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
-    """``(children's SSE, threshold)`` of the best split of one column,
-    or ``(inf, 0.0)`` when the column is constant."""
-    order = np.argsort(column, kind="stable")
-    sorted_x, sorted_y = column[order], y[order]
-    boundaries = np.flatnonzero(sorted_x[1:] != sorted_x[:-1])
-    if boundaries.size == 0:
-        return np.inf, 0.0
-    prefix_sum, prefix_sq = np.cumsum(sorted_y), np.cumsum(sorted_y * sorted_y)
-    left_count = (boundaries + 1).astype(np.float64)
-    left_sum, left_sq = prefix_sum[boundaries], prefix_sq[boundaries]
-    right_sum = prefix_sum[-1] - left_sum
-    sse = ((left_sq - left_sum * left_sum / left_count)
-           + ((prefix_sq[-1] - left_sq) - right_sum * right_sum / (y.shape[0] - left_count)))
-    best = int(np.argmin(sse))
-    split = boundaries[best]
-    return float(sse[best]), float(0.5 * (sorted_x[split] + sorted_x[split + 1]))
-
 
 class DecisionTreeRegressor(_Tree):
     """CART regression tree over numeric feature matrices (SSE criterion).
@@ -58,20 +40,51 @@ class DecisionTreeRegressor(_Tree):
         return self._fit(X, y)
 
     @staticmethod
-    def _impurity(y: np.ndarray, mean: float) -> float:
-        """Sum of squared errors around the node's mean."""
-        return float(np.sum((y - mean) ** 2))
+    def _root_rows(X: np.ndarray, y: np.ndarray) -> tuple:
+        """``X.T``, ``y``, a node's row indices ascending and in each column's order."""
+        columns = np.ascontiguousarray(X.T)
+        return columns, y, np.arange(y.shape[0]), np.argsort(columns, axis=1, kind="stable")
 
     @staticmethod
-    def _best_split(X: np.ndarray, y: np.ndarray, candidates: np.ndarray,
+    def _targets(rows: tuple) -> np.ndarray:
+        return rows[1][rows[2]]
+
+    @staticmethod
+    def _partition(rows: tuple, feature: int, threshold: float) -> Tuple[tuple, tuple]:
+        """Both children's rows, every column order partitioned stably."""
+        columns, y, indices, orders = rows
+        column, features = columns[feature], orders.shape[0]
+        right, ordered_right = column[indices] > threshold, column[orders] > threshold
+        return ((columns, y, indices[~right], orders[~ordered_right].reshape(features, -1)),
+                (columns, y, indices[right], orders[ordered_right].reshape(features, -1)))
+
+    @staticmethod
+    def _impurity(y: np.ndarray, mean: float) -> float:
+        """Sum of squared errors around the node's mean."""
+        return float(((y - mean) ** 2).sum())
+
+    @staticmethod
+    def _best_split(rows: tuple, y: np.ndarray, candidates: np.ndarray,
                     impurity: float) -> Tuple[int, float, float]:
-        """Candidate feature and threshold of the lowest children's SSE."""
-        best_feature, best_sse, best_threshold = -1, np.inf, 0.0
-        for feature in candidates:
-            sse, threshold = _best_threshold(X[:, feature], y)
-            if sse < best_sse:
-                best_feature, best_sse, best_threshold = int(feature), sse, threshold
-        return best_feature, best_threshold, impurity - best_sse
+        """Candidate and threshold of the lowest children's SSE, a row per candidate
+        in draw order; ``inf`` between equal values and for a candidate scoring NaN."""
+        columns, targets, _, orders = rows
+        order = orders[candidates]
+        sorted_x, sorted_y = columns[candidates[:, None], order], targets[order]
+        prefix_sum, prefix_sq = sorted_y.cumsum(axis=1), (sorted_y * sorted_y).cumsum(axis=1)
+        left_count = np.arange(1.0, y.shape[0])
+        left_sum, left_sq = prefix_sum[:, :-1], prefix_sq[:, :-1]
+        right_sum = prefix_sum[:, -1:] - left_sum
+        sse = ((left_sq - left_sum * left_sum / left_count)
+               + ((prefix_sq[:, -1:] - left_sq) - right_sum * right_sum / left_count[::-1]))
+        sse[sorted_x[:, 1:] == sorted_x[:, :-1]] = np.inf
+        best = int(sse.argmin())
+        if np.isnan(sse.flat[best]):  # argmin finds a NaN first
+            sse[np.isnan(sse).any(axis=1)] = np.inf
+            best = int(sse.argmin())
+        candidate, split = divmod(best, left_count.size)
+        threshold = 0.5 * (sorted_x[candidate, split] + sorted_x[candidate, split + 1])
+        return int(candidates[candidate]), float(threshold), impurity - float(sse.flat[best])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted target for every row of ``X``."""

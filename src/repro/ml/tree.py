@@ -3,9 +3,10 @@
 One node type, grower, feature draw, predictor and walker serve both
 trees; each plugs in a criterion.  :class:`DecisionTreeClassifier` counts
 Gini impurity over the paper's binary features (0/1 operand and output
-bits, 0/1 labels); :class:`~repro.ml.regress.DecisionTreeRegressor` sums
-squared error.  Rows with ``x[feature] > threshold`` go right (a binary
-feature splits at 0); each child grows on a boolean-mask copy of its rows.
+bits, 0/1 labels), each child growing on a boolean-mask copy of its rows;
+:class:`~repro.ml.regress.DecisionTreeRegressor` sums squared error over
+columns presorted once per tree.  Rows with ``x[feature] > threshold`` go
+right (a binary feature splits at 0).
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ def _training_arrays(X: np.ndarray, y: np.ndarray, dtype: type, learner: str) ->
 
 
 class _Tree:
-    """CART grown depth-first.  Subclasses set ``_dtype`` (of ``X`` and ``y``)
-    and the criterion: ``_impurity(y, mean)`` and ``_best_split(X, y,
-    candidates, impurity) -> (feature, threshold, impurity decrease)``."""
+    """CART grown depth-first.  Subclasses set ``_dtype`` (of ``X`` and ``y``), ``_impurity(y,
+    mean)``, ``_best_split(rows, y, candidates, impurity) -> (feature, threshold, gain)`` and
+    the hooks that hold a node's rows (default: copies of ``(X, y)``, ``y`` in training order)."""
 
     _dtype: type
 
@@ -85,7 +86,7 @@ class _Tree:
     def _fit(self, X: np.ndarray, y: np.ndarray) -> "_Tree":
         X, y = _training_arrays(X, y, self._dtype, "tree")
         self.n_features_ = X.shape[1]
-        self._root = self._grow(X, y, depth=0)
+        self._root = self._grow(self._root_rows(X, y), depth=0)
         return self
 
     def _candidates(self) -> np.ndarray:
@@ -96,20 +97,35 @@ class _Tree:
                  else min(self.max_features, self.n_features_))
         return self._rng.choice(self.n_features_, size=count, replace=False)
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
+    @staticmethod
+    def _root_rows(X: np.ndarray, y: np.ndarray) -> tuple:
+        return X, y
+
+    @staticmethod
+    def _targets(rows: tuple) -> np.ndarray:
+        return rows[1]
+
+    @staticmethod
+    def _partition(rows: tuple, feature: int, threshold: float) -> Tuple[tuple, tuple]:
+        X, y = rows
+        right = X[:, feature] > threshold
+        return (X[~right], y[~right]), (X[right], y[right])
+
+    def _grow(self, rows, depth: int) -> _Node:
+        y = self._targets(rows)
         node = _Node(prediction=float(y.mean()))
         if depth >= self.max_depth or y.shape[0] < self.min_samples_split:
             return node
         impurity = self._impurity(y, node.prediction)
         if impurity <= _TOLERANCE:
             return node
-        feature, threshold, gain = self._best_split(X, y, self._candidates(), impurity)
+        feature, threshold, gain = self._best_split(rows, y, self._candidates(), impurity)
         if not gain > _TOLERANCE:
             return node
-        right = X[:, feature] > threshold
         node.feature, node.threshold = feature, threshold
-        node.left = self._grow(X[~right], y[~right], depth + 1)
-        node.right = self._grow(X[right], y[right], depth + 1)
+        left, right = self._partition(rows, feature, threshold)
+        node.left = self._grow(left, depth + 1)
+        node.right = self._grow(right, depth + 1)
         return node
 
     def _fitted_root(self) -> _Node:
@@ -182,11 +198,11 @@ class DecisionTreeClassifier(_Tree):
         return 1.0 - (positives / total) ** 2 - ((total - positives) / total) ** 2
 
     @staticmethod
-    def _best_split(X: np.ndarray, y: np.ndarray, candidates: np.ndarray,
+    def _best_split(rows: tuple, y: np.ndarray, candidates: np.ndarray,
                     impurity: float) -> Tuple[int, int, float]:
         """Candidate of the largest Gini decrease, every candidate counted at once."""
         total = y.shape[0]
-        ones_mask = X[:, candidates].astype(bool)
+        ones_mask = rows[0][:, candidates].astype(bool)
         count_right = ones_mask.sum(axis=0).astype(np.float64)
         count_left = total - count_right
         pos_right = (ones_mask & y[:, None].astype(bool)).sum(axis=0).astype(np.float64)

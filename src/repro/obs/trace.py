@@ -242,12 +242,11 @@ def span(name: str, **attrs) -> Iterator[None]:
             tracer.record(name, path, wall, cpu, attrs)
 
 
-#: Canonical report order of the pipeline phases (dotted names are
-#: sub-phases nested inside the phase before them; ``schedule.wait`` is
-#: the driver's blocked-on-workers time, overlapping merged worker
-#: phases rather than nesting in one).
+#: Canonical report order of the pipeline phases, the adaptive search's last (dotted names
+#: are sub-phases nested inside the phase before them; ``schedule.wait`` is the driver's
+#: blocked-on-workers time, overlapping merged worker phases rather than nesting in one).
 PHASES = ("synthesize", "synth.optimize", "synth.sizing", "synth.sta",
-          "lower", "pack", "simulate", "score", "schedule.wait")
+          "lower", "pack", "simulate", "score", "schedule.wait", "surrogate", "select", "pareto")
 
 
 class PhaseTimes:

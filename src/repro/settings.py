@@ -186,10 +186,10 @@ def runtime_arguments() -> argparse.ArgumentParser:
     parser.add_argument("--timings", action="store_true",
                         help="append a phase breakdown (synthesize — split into "
                              "synth.optimize / synth.sizing / synth.sta sub-phases — "
-                             "then lower / pack / simulate / score) to the footer; "
-                             "multiprocess worker phases are merged back into the "
-                             "breakdown, with the driver's blocked time reported "
-                             "as schedule.wait")
+                             "then lower / pack / simulate / score, and an adaptive "
+                             "search's surrogate / select / pareto) to the footer; "
+                             "multiprocess worker phases are merged back, with the "
+                             "driver's blocked time reported as schedule.wait")
     parser.add_argument("--telemetry-dir", type=str, default=None, metavar="DIR",
                         help="append a run manifest (config, host, phases, worker "
                              "utilisation, cache metrics) to DIR/manifests.jsonl; "

@@ -1,6 +1,11 @@
-"""Per-gate reference implementations of the synthesis kernels (test oracle).
+"""Reference implementations of the production kernels (test oracles).
 
-Production synthesis runs levelised kernels: optimize over an
+Three oracles live here: the synthesis kernels, the regression tree's
+split search and the Pareto mask.  Each is the straightforward
+formulation production replaced, kept as the executable specification
+the production code must match bit for bit.
+
+*Synthesis.*  Production synthesis runs levelised kernels: optimize over an
 integer-indexed design (:mod:`repro.synth.optimize`), sizing and static
 timing as NumPy sweeps over :class:`repro.timing.sta.TimingTable`.
 This module keeps the straightforward formulation they replaced — one
@@ -15,17 +20,30 @@ reads timing reports through :func:`repro.timing.sta.analyze_timing`,
 so it runs only inside :func:`reference_kernels`, which swaps this
 module's STA passes into :mod:`repro.timing.sta` (and its optimize and
 sizing into :mod:`repro.synth.flow`) for a ``with`` block.
+
+*Regression trees.*  :class:`ReferenceTreeRegressor` grows on
+boolean-mask copies of ``(X, y)`` and sorts every candidate column of
+every node again, one feature at a time (:func:`_best_threshold`);
+:class:`ReferenceForestRegressor` bags it through ``_tree_class``.  They
+share the grower, the feature draw, the predictor and the bagging loop
+with :mod:`repro.ml.regress` (``tests/test_ml_learners.py``).
+
+*Pareto mask.*  :func:`nondominated_mask` compares every pair of rows
+in blocks (``tests/test_explore.py``).
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.circuit.library import TechnologyLibrary
 from repro.circuit.netlist import CONST0, CONST1, Netlist
 from repro.circuit.sdf import DelayAnnotation
+from repro.ml.regress import DecisionTreeRegressor, RandomForestRegressor
 from repro.runtime.jobs import clear_design_cache
 from repro.settings import using_settings
 from repro.synth import flow
@@ -294,3 +312,84 @@ def reference_kernels() -> Iterator[None]:
         for module, name, original in saved:
             setattr(module, name, original)
         clear_design_cache()
+
+
+# --------------------------------------------------------------------- #
+# Regression trees: one stable argsort per candidate column per node
+# --------------------------------------------------------------------- #
+def _best_threshold(column: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
+    """``(children's SSE, threshold)`` of the best split of one column,
+    or ``(inf, 0.0)`` when the column is constant."""
+    order = np.argsort(column, kind="stable")
+    sorted_x, sorted_y = column[order], y[order]
+    boundaries = np.flatnonzero(sorted_x[1:] != sorted_x[:-1])
+    if boundaries.size == 0:
+        return np.inf, 0.0
+    prefix_sum, prefix_sq = np.cumsum(sorted_y), np.cumsum(sorted_y * sorted_y)
+    left_count = (boundaries + 1).astype(np.float64)
+    left_sum, left_sq = prefix_sum[boundaries], prefix_sq[boundaries]
+    right_sum = prefix_sum[-1] - left_sum
+    sse = ((left_sq - left_sum * left_sum / left_count)
+           + ((prefix_sq[-1] - left_sq) - right_sum * right_sum / (y.shape[0] - left_count)))
+    best = int(np.argmin(sse))
+    split = boundaries[best]
+    return float(sse[best]), float(0.5 * (sorted_x[split] + sorted_x[split + 1]))
+
+
+class ReferenceTreeRegressor(DecisionTreeRegressor):
+    """The regression tree grown on boolean-mask copies, one column at a time."""
+
+    @staticmethod
+    def _root_rows(X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return X, y
+
+    @staticmethod
+    def _targets(rows: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        return rows[1]
+
+    @staticmethod
+    def _partition(rows, feature: int, threshold: float) -> tuple:
+        X, y = rows
+        right = X[:, feature] > threshold
+        return (X[~right], y[~right]), (X[right], y[right])
+
+    @staticmethod
+    def _impurity(y: np.ndarray, mean: float) -> float:
+        return float(np.sum((y - mean) ** 2))
+
+    @staticmethod
+    def _best_split(rows, y: np.ndarray, candidates: np.ndarray,
+                    impurity: float) -> Tuple[int, float, float]:
+        X = rows[0]
+        best_feature, best_sse, best_threshold = -1, np.inf, 0.0
+        for feature in candidates:
+            sse, threshold = _best_threshold(X[:, feature], y)
+            if sse < best_sse:
+                best_feature, best_sse, best_threshold = int(feature), sse, threshold
+        return best_feature, best_threshold, impurity - best_sse
+
+
+class ReferenceForestRegressor(RandomForestRegressor):
+    """:class:`RandomForestRegressor` bagging :class:`ReferenceTreeRegressor`."""
+
+    _tree_class = ReferenceTreeRegressor
+
+
+# --------------------------------------------------------------------- #
+# Pareto mask: every pair of rows
+# --------------------------------------------------------------------- #
+def nondominated_mask(values: np.ndarray) -> np.ndarray:
+    """Boolean mask of the weakly non-dominated rows of ``(n, k)`` values,
+    every pair compared, in blocks that bound peak memory."""
+    values = np.asarray(values, dtype=np.float64)
+    count = values.shape[0]
+    mask = np.ones(count, dtype=bool)
+    if count == 0:
+        return mask
+    block_rows = max(1, (4 << 20) // max(1, count * values.shape[1]))
+    for start in range(0, count, block_rows):
+        block = values[start:start + block_rows]
+        no_worse = (values[None, :, :] <= block[:, None, :]).all(axis=2)
+        strictly_better = (values[None, :, :] < block[:, None, :]).any(axis=2)
+        mask[start:start + block_rows] = ~(no_worse & strictly_better).any(axis=1)
+    return mask

@@ -31,7 +31,9 @@ from repro.explore.cli import main as explore_main
 from repro.explore.pareto import aggregate_points, frontier_keys, pareto_frontier
 from repro.explore.space import DesignSpace
 from repro.explore.sweep import SweepSpec, run_sweep, sweep_clock_plan
+from repro.obs import telemetry_run
 from repro.runtime import CachingBackend, SerialBackend
+from repro.settings import using_settings
 from repro.workloads.generators import WorkloadSpec
 
 WIDTH = 16
@@ -200,6 +202,22 @@ class TestAdaptiveSearch:
         if len(seen) > 1:
             assert seen[1].scored > 0
             assert "round 1" in seen[1].describe()
+
+    def test_phases_cover_the_search(self):
+        """Surrogate fits, batch selection and frontier filtering are
+        phases, so the run's own manifest attributes nearly all its time."""
+        spec = AdaptiveSpec(space=DesignSpace(width=WIDTH), sweep=sweep_template(),
+                            budget=60, seed=7)
+        # Synthesis-cache reads and writes carry no span, so a configured
+        # cache would dilute the ratio this test is about.
+        with using_settings(synth_cache=None), \
+                telemetry_run(None, command="adaptive", inline=True) as handle:
+            result = run_adaptive(spec, backend="serial")
+        phases, rounds = handle.manifest["phases"], len(result.rounds)
+        assert rounds > 1
+        assert phases["surrogate"]["calls"] == phases["select"]["calls"] == rounds - 1
+        assert phases["pareto"]["calls"] == rounds
+        assert handle.manifest["attributed_fraction"] >= 0.9
 
     def test_describe_mentions_budget_and_fraction(self):
         space = DesignSpace(width=WIDTH, block_sizes=(8,), max_overhead_bits=2)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
+from reference_kernels import nondominated_mask as reference_mask
 from repro.core.config import ISAConfig
 from repro.exceptions import AnalysisError, ConfigurationError
 from repro.experiments.common import StudyConfig, shutdown_backends
@@ -25,6 +27,7 @@ from repro.explore.pareto import (
     aggregate_points,
     dominates,
     nearest_paper_design,
+    nondominated_mask,
     pareto_frontier,
     quadruple_distance,
     rank_frontier,
@@ -295,6 +298,47 @@ class TestParetoProperties:
         assert distance == 1.0
         assert quadruple_distance((1, 2, 3, 4), (1, 2, 3, 4)) == 0.0
         assert quadruple_distance((0, 0, 0, 0), (3, 4, 0, 0)) == 5.0
+
+
+def _tied_matrix(rows, columns, seed):
+    """Small-integer objectives (ties, duplicate rows) salted with NaN,
+    +-inf and -0.0."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 4, size=(rows, columns)).astype(np.float64)
+    salted = rng.random((rows, columns)) < 0.08
+    values[salted] = rng.choice([np.nan, np.inf, -np.inf, -0.0], size=int(salted.sum()))
+    values[rows // 2:rows // 2 + rows // 10] = values[:rows // 10]
+    return values
+
+
+class TestNondominatedMask:
+    """The sort-filter mask equals the all-pairs oracle and the pairwise rule."""
+
+    @pytest.mark.parametrize("columns", [0, 1, 5])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 40, 200, 255, 256, 257, 1000])
+    def test_matches_all_pairs_and_dominates(self, rows, columns):
+        values = _tied_matrix(rows, columns, seed=rows * 10 + columns)
+        mask = nondominated_mask(values)
+        assert mask.dtype == bool and np.array_equal(mask, reference_mask(values))
+        if rows <= 200:
+            objectives = [lambda row, column=column: row[column] for column in range(columns)]
+            assert mask.tolist() == [
+                not any(dominates(other, row, objectives) for other in values)
+                for row in values]
+
+    def test_dominator_dropped_in_an_earlier_block(self):
+        # Sorted, the 300 fillers put the last row in the second block of
+        # 256; its only direct dominator (1, 1) fell in the first, to (0, 0).
+        values = np.array([[0.0, 0.0], [1.0, 1.0]]
+                          + [[1.5, 10.0 + index] for index in range(300)] + [[2.0, 2.0]])
+        shuffled = values[np.random.default_rng(3).permutation(values.shape[0])]
+        mask = nondominated_mask(shuffled)
+        assert mask.tolist() == (shuffled == 0.0).all(axis=1).tolist()
+        assert np.array_equal(mask, reference_mask(shuffled))
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(AnalysisError):
+            nondominated_mask(np.zeros(3))
 
 
 class TestExploreCli:

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_kernels import ReferenceForestRegressor
 from repro.exceptions import ModelError
+from repro.explore.adaptive import candidate_matrix
+from repro.families import get_family
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.regress import DecisionTreeRegressor, RandomForestRegressor
 from repro.ml.tree import DecisionTreeClassifier
@@ -365,3 +368,58 @@ class TestLearnersPinnedBitForBit:
             probe = np.vstack([grid, grid + 0.5]).astype(np.float64)
         learner = make().fit(X, y)
         assert _learner_digest(learner, [X, probe]) == expected
+
+
+def _surrogate_rows(family, width, size, seed):
+    """``size`` rows of a family's surrogate features over its ``width``
+    design space, each with a clock-reduction column as the RMS surrogate
+    sees them, and a noisy target holding many exact ties."""
+    family = get_family(family)
+    features = family.surrogate_features(candidate_matrix(family.design_space(width)), width)
+    levels = -(-size // features.shape[0])
+    rows = np.column_stack([np.tile(features, (levels, 1)),
+                            np.repeat(0.05 * np.arange(levels), features.shape[0])])
+    rng = np.random.default_rng(seed)
+    X = rows[rng.permutation(rows.shape[0])[:size]]
+    y = X @ rng.normal(size=X.shape[1]) + np.round(rng.normal(scale=0.2, size=size), 1)
+    return X, y
+
+
+def _preorder(tree):
+    """Every node's feature, and its threshold and prediction, in preorder."""
+    features, values, stack = [], [], [tree._root]
+    while stack:
+        node = stack.pop()
+        features.append(node.feature)
+        values += [node.threshold, node.prediction]
+        if node.feature >= 0:
+            stack += [node.right, node.left]
+    return np.array(features), np.array(values, dtype=np.float64)
+
+
+class TestRegressorMatchesOracle:
+    """The presorted split search grows the trees of the per-feature oracle,
+    node for node and bit for bit."""
+
+    @pytest.mark.parametrize("max_features", [None, 2])
+    @pytest.mark.parametrize("targets", ["finite", "nonfinite", "overflowing"])
+    @pytest.mark.parametrize("size", [24, 120, 336, 2320])
+    @pytest.mark.parametrize("family,width", [("adder", 16), ("adder", 32), ("multiplier", 8)])
+    def test_forest_matches_reference(self, family, width, size, targets, max_features):
+        X, y = _surrogate_rows(family, width, size, seed=size + width)
+        if targets == "nonfinite":
+            y[size // 3], y[size // 2], y[-1] = np.nan, np.inf, -np.inf
+        elif targets == "overflowing":  # a root's squares sum below the float
+            # maximum, but left sums squared overflow: children score -inf
+            y = np.sqrt(0.6e308 / size) * (1 + 0.01 * y / np.abs(y).max())
+        trees = 4 if size <= 336 else 2
+        with np.errstate(all="ignore"):
+            forests = [forest(n_estimators=trees, max_features=max_features, seed=size).fit(X, y)
+                       for forest in (RandomForestRegressor, ReferenceForestRegressor)]
+        for tree, reference in zip(*(forest.trees_ for forest in forests)):
+            (features, values), (expected_features, expected_values) = (
+                _preorder(tree), _preorder(reference))
+            assert np.array_equal(features, expected_features)
+            assert values.tobytes() == expected_values.tobytes()
+        probe = np.vstack([X, X[: size // 2] + 0.5])
+        assert forests[0].predict_all(probe).tobytes() == forests[1].predict_all(probe).tobytes()
