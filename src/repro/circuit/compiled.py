@@ -77,7 +77,7 @@ def transition_chunks(transitions: int, chunk_size: int) -> List[Tuple[int, int]
     reads input vectors ``[start, stop]`` — and concatenating the results
     in span order is bit-identical to one full-trace run.  This is the
     chunk-level unit of work shared by the packed engine's internal
-    chunking, the planner's trace slices and the result cache's shards.
+    chunking and the planner's trace slices.
     """
     transitions = int(transitions)
     if transitions < 1:

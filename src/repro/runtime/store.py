@@ -30,7 +30,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -136,8 +136,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    shard_hits: int = 0
-    shard_misses: int = 0
     corrupt: int = 0
     pruned: int = 0
     write_errors: int = 0
@@ -160,8 +158,6 @@ class CacheStats:
     def describe(self) -> str:
         """Footer-ready summary, e.g. ``"24 hits / 0 misses"``."""
         text = f"{self.hits} hits / {self.misses} misses"
-        if self.shard_hits or self.shard_misses:
-            text += f" ({self.shard_hits} shards reused, {self.shard_misses} recomputed)"
         if self.corrupt:
             text += f", {self.corrupt} corrupt entries discarded"
         if self.pruned:
@@ -174,10 +170,8 @@ class CacheStats:
 class ResultStore:
     """Content-addressed pickle store with atomic, corruption-safe entries.
 
-    Layout: ``<root>/<digest[:2]>/<digest>/`` holds ``result.pkl``
-    (monolithic entries), or ``golden.pkl`` plus
-    ``shard-<start>-<stop>.pkl`` files (sharded entries), plus a
-    best-effort human-readable ``meta.json``.
+    Layout: ``<root>/<digest[:2]>/<digest>/`` holds one ``result.pkl``
+    plus a best-effort human-readable ``meta.json``.
 
     ``limit_bytes`` puts the store on a byte budget: after a batch of
     writes, :meth:`prune_to_limit` deletes whole entries
@@ -222,12 +216,6 @@ class ResultStore:
 
     def result_path(self, digest: str) -> Path:
         return self.entry_dir(digest) / "result.pkl"
-
-    def golden_path(self, digest: str) -> Path:
-        return self.entry_dir(digest) / "golden.pkl"
-
-    def shard_path(self, digest: str, start: int, stop: int) -> Path:
-        return self.entry_dir(digest) / f"shard-{start:010d}-{stop:010d}.pkl"
 
     # ------------------------------------------------------------------ #
     def load(self, path: Path):
@@ -275,25 +263,16 @@ class ResultStore:
         sweep.  Unpicklable payloads still raise: that is a caller bug,
         not an environment fault.
         """
-        temp_name = None
         try:
             fault_point(POINT_STORE_WRITE, str(path))
             observation = self._observe_before_write(path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
-                                                 suffix=".pkl")
             replaced = self._size_of(path)
-            with os.fdopen(handle, "wb") as stream:
-                pickle.dump({"format": STORE_FORMAT, "payload": payload}, stream,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temp_name, path)
+            self._publish(path, "wb", lambda stream: pickle.dump(
+                {"format": STORE_FORMAT, "payload": payload}, stream,
+                protocol=pickle.HIGHEST_PROTOCOL))
         except OSError as error:
-            self._cleanup_temp(temp_name)
             self._note_write_failure(path, error)
             return
-        except BaseException:
-            self._cleanup_temp(temp_name)
-            raise
         self._note_write(path, replaced, observation)
         if active_registries():
             metric_count("store.bytes_written", self._size_of(path))
@@ -302,12 +281,28 @@ class ResultStore:
         fault_point(POINT_STORE_WRITE_DONE, str(path))
 
     @staticmethod
-    def _cleanup_temp(temp_name: Optional[str]) -> None:
-        if temp_name is not None:
+    def _publish(path: Path, mode: str, write: Callable) -> None:
+        """Atomically publish ``path`` with what ``write(stream)`` writes.
+
+        ``write`` fills a temp file opened in ``mode`` in the target
+        directory, so the :func:`os.replace` that publishes it stays on
+        one filesystem.  On any failure the temp file is removed and the
+        error re-raised.
+        """
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
+                                             suffix=path.suffix)
+        encoding = None if "b" in mode else "utf-8"
+        try:
+            with os.fdopen(handle, mode, encoding=encoding) as stream:
+                write(stream)
+            os.replace(temp_name, path)
+        except BaseException:
             try:
                 os.unlink(temp_name)
             except OSError:
                 pass
+            raise
 
     def _note_write_failure(self, path: Path, error: OSError) -> None:
         """Count a swallowed write error; warn on the first one only."""
@@ -321,19 +316,19 @@ class ResultStore:
                 f"re-warned", RuntimeWarning, stacklevel=3)
 
     def write_meta(self, digest: str, meta: dict) -> None:
-        """Best-effort ``meta.json`` describing the entry for humans."""
+        """Best-effort ``meta.json`` describing the entry for humans.
+
+        An :class:`OSError` leaves the entry without one; a value JSON
+        cannot encode still raises (a caller bug).
+        """
         path = self.entry_dir(digest) / "meta.json"
         if path.exists():
             return
         observation = self._observe_before_write(path)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
-                                                 suffix=".json")
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(meta, stream, indent=2, sort_keys=True)
-            os.replace(temp_name, path)
-        except OSError:  # pragma: no cover - diagnostics only
+            self._publish(path, "w", lambda stream: json.dump(
+                meta, stream, indent=2, sort_keys=True))
+        except OSError:
             return
         self._note_write(path, 0, observation)
 
@@ -501,10 +496,8 @@ class ResultStore:
 
         Returns the number of entries removed (also accumulated into
         ``stats.pruned``).  A ``None`` budget is a no-op.  Eviction is
-        whole-entry: a half-deleted sharded entry would silently degrade
-        into per-shard recomputation anyway, but removing the directory
-        atomically-ish keeps the accounting simple and the common case
-        (monolithic entries) clean.
+        whole-entry: the directory goes with every file in it, so no
+        half-deleted entry or leftover file outlives its ``result.pkl``.
         """
         if self.limit_bytes is None:
             return 0

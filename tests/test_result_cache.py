@@ -3,21 +3,25 @@
 The contract under test: a cache hit returns the stored
 characterisation bit-identically to an uncached run, across both
 execution backends and both fast-tier engines; misses delegate to the
-inner backend and persist atomically; corrupted or truncated entries
-are recomputed, never raised; a sharded entry that lost one shard
-simulates only that shard again; and a fully warm run executes **zero**
-simulation jobs.
+inner backend and persist atomically, as one ``result.pkl`` plus
+``meta.json`` per job whatever the trace length; corrupted or truncated
+entries are recomputed, never raised; an entry in the chunked layout of
+earlier versions is one plain miss; a failed ``meta.json`` write leaves
+no temp file; and a fully warm run executes **zero** simulation jobs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import errno
+import json
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.circuit.compiled import transition_chunks
 from repro.exceptions import ConfigurationError
 from repro.experiments.common import (
     StudyConfig,
@@ -41,6 +45,10 @@ from repro.timing.clocking import ClockPlan
 from repro.workloads.generators import uniform_workload
 
 PERIODS = tuple(ClockPlan.paper().periods)
+
+#: Vectors of a long word-level trace: more transitions than the 65,536
+#: above which earlier versions split an entry into chunk files.
+LONG = 65_600
 
 
 def small_job(length=200, quadruple=(4, 0, 0, 2), simulator="fast", engine="auto",
@@ -69,8 +77,7 @@ def assert_bit_identical(reference, candidate):
 class CountingBackend(SerialBackend):
     """Serial backend that counts the jobs it actually executes.
 
-    Every miss reaches it as a job: a whole job, or one slice job per
-    missing timing shard of a sharded entry.
+    Every miss reaches it as the whole job.
     """
 
     def __init__(self):
@@ -186,77 +193,90 @@ class TestHitMissBitIdentity:
         assert_bit_identical(SerialBackend().run([second])[0], results[1])
 
 
-class TestShardedEntries:
+@pytest.fixture(scope="module")
+def long_run():
+    """A long word-level job with structural stats, and its uncached result."""
+    job = small_job(length=LONG, collect_structural_stats=True)
+    return job, SerialBackend().run([job])[0]
+
+
+def entry_files(cache_dir, job):
+    """Sorted names of the files in a job's entry directory."""
+    entry = ResultStore(cache_dir).entry_dir(job_digest(job))
+    return sorted(path.name for path in entry.iterdir())
+
+
+def write_chunked_entry(store, job, result):
+    """Store ``result`` as earlier versions stored a long trace's entry.
+
+    ``golden.pkl`` holds the golden pass, one ``shard-<start>-<stop>.pkl``
+    per 65,536 transitions holds the timing words, and ``meta.json``
+    says so; there is no ``result.pkl``.
+    """
+    digest = job_digest(job)
+    entry = store.entry_dir(digest)
+    store.store(entry / "golden.pkl", (
+        result.synthesized, result.diamond_words, result.gold_words,
+        result.structural_stats, result.netlist_words))
+    for start, stop in transition_chunks(job.trace.transitions, 65_536):
+        store.store(entry / f"shard-{start:010d}-{stop:010d}.pkl", {
+            clk: dataclasses.replace(
+                timing, sampled_words=timing.sampled_words[start:stop],
+                settled_words=timing.settled_words[start:stop])
+            for clk, timing in result.timing_traces.items()})
+    store.write_meta(digest, {"design": job.name, "sharded": True})
+    assert "result.pkl" not in entry_files(store.root, job)
+
+
+class TestLongTraceEntries:
     @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool"])
-    def test_sharded_round_trip_bit_identical(self, tmp_path, pool_of, workers):
-        job = small_job(length=200, collect_structural_stats=True)  # 199 transitions
-        uncached = SerialBackend().run([job])[0]
+    def test_long_trace_round_trips_as_one_file(self, tmp_path, pool_of, long_run,
+                                                workers):
+        job, uncached = long_run
         # On a 2-worker pool the cold job is itself cut into two slices.
         inner = pool_of(workers) if workers else SerialBackend()
-        cold_cache = CachingBackend(inner, tmp_path, shard_transitions=64)
+        cold_cache = CachingBackend(inner, tmp_path)
         [cold] = cold_cache.run([job])
-        assert cold_cache.stats.shard_misses == 4  # 0-64, 64-128, 128-192, 192-199
-        warm_cache = CachingBackend(inner, tmp_path, shard_transitions=64)
+        assert (cold_cache.stats.hits, cold_cache.stats.misses) == (0, 1)
+        warm_cache = CachingBackend(inner, tmp_path)
         [warm] = warm_cache.run([job])
-        assert warm_cache.stats.shard_hits == 4
-        assert warm_cache.stats.misses == 0
+        assert (warm_cache.stats.hits, warm_cache.stats.misses) == (1, 0)
         assert_bit_identical(uncached, cold)
         assert_bit_identical(uncached, warm)
-        assert warm.structural_stats is not None
-
-    def test_partial_run_resumes_chunk_by_chunk(self, tmp_path):
-        job = small_job(length=200)
-        cold_cache = CachingBackend(SerialBackend(), tmp_path, shard_transitions=64)
-        [cold] = cold_cache.run([job])
-        digest = job_digest(job)
-        # One timing shard is lost (a failed write or a discarded file).
-        cold_cache.store.shard_path(digest, 64, 128).unlink()
-        inner = CountingBackend()
-        resume_cache = CachingBackend(inner, tmp_path, shard_transitions=64)
-        [resumed] = resume_cache.run([job])
-        assert inner.executed == 1  # exactly the missing chunk
-        assert resume_cache.stats.shard_hits == 3
-        assert resume_cache.stats.shard_misses == 1
-        assert_bit_identical(cold, resumed)
-
-    def test_missing_golden_reruns_the_whole_job(self, tmp_path):
-        job = small_job(length=200, collect_structural_stats=True)
-        [cold] = CachingBackend(SerialBackend(), tmp_path, shard_transitions=64).run([job])
-        store = ResultStore(tmp_path)
-        store.golden_path(job_digest(job)).unlink()
-        store.shard_path(job_digest(job), 128, 192).unlink()
-        inner = CountingBackend()
-        resume_cache = CachingBackend(inner, tmp_path, shard_transitions=64)
-        [resumed] = resume_cache.run([job])
-        assert inner.executed == 1  # the whole job, once
-        assert (resume_cache.stats.shard_hits, resume_cache.stats.shard_misses) == (3, 1)
-        assert_bit_identical(cold, resumed)
-        inner = CountingBackend()
-        warm_cache = CachingBackend(inner, tmp_path, shard_transitions=64)
-        [warm] = warm_cache.run([job])
-        assert inner.executed == 0
-        assert warm_cache.stats.hits == 1
-        assert_bit_identical(cold, warm)
         assert np.array_equal(warm.structural_stats.position_counts,
-                              cold.structural_stats.position_counts)
+                              uncached.structural_stats.position_counts)
+        assert entry_files(tmp_path, job) == ["meta.json", "result.pkl"]
 
-    def test_shard_threshold_boundary(self, tmp_path):
-        # 65 vectors -> 64 transitions: not above a 64-transition
-        # threshold, so the entry stays monolithic.
-        job = small_job(length=65)
-        cache = CachingBackend(SerialBackend(), tmp_path, shard_transitions=64)
-        cache.run([job])
-        assert cache.store.result_path(job_digest(job)).exists()
-        assert not cache.store.golden_path(job_digest(job)).exists()
+    def test_chunked_entry_is_one_plain_miss(self, tmp_path, long_run):
+        job, uncached = long_run
+        write_chunked_entry(ResultStore(tmp_path), job, uncached)
+        inner = CountingBackend()
+        cache = CachingBackend(inner, tmp_path)
+        [result] = cache.run([job])
+        assert inner.executed == 1
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.corrupt) == (0, 1, 0)
+        assert_bit_identical(uncached, result)
+        assert "result.pkl" in entry_files(tmp_path, job)
+        inner = CountingBackend()
+        [warm] = CachingBackend(inner, tmp_path).run([job])
+        assert inner.executed == 0
+        assert_bit_identical(uncached, warm)
 
-    def test_invalid_shard_threshold(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            CachingBackend(SerialBackend(), tmp_path, shard_transitions=0)
+    def test_budget_prunes_a_chunked_entry_whole(self, tmp_path, long_run):
+        job, uncached = long_run
+        write_chunked_entry(ResultStore(tmp_path), job, uncached)
+        # 1 MiB holds neither the leftover chunk files nor the new result.pkl.
+        cache = CachingBackend(SerialBackend(), tmp_path, limit_mb=1)
+        [result] = cache.run([job])
+        assert cache.stats.pruned == 1
+        assert not cache.store.entry_dir(job_digest(job)).exists()
+        assert_bit_identical(uncached, result)
 
 
 class TestCorruptionHandling:
-    def test_truncated_result_recomputed(self, tmp_path):
-        job = small_job()
+    @pytest.mark.parametrize("length", [200, LONG])
+    def test_truncated_result_recomputed(self, tmp_path, length):
+        job = small_job(length=length)
         uncached = SerialBackend().run([job])[0]
         cache = CachingBackend(SerialBackend(), tmp_path)
         cache.run([job])
@@ -271,18 +291,6 @@ class TestCorruptionHandling:
         [warm] = CachingBackend(SerialBackend(), tmp_path).run([job])
         assert_bit_identical(uncached, warm)
 
-    def test_truncated_shard_recomputed(self, tmp_path):
-        job = small_job(length=200)
-        cache = CachingBackend(SerialBackend(), tmp_path, shard_transitions=64)
-        [cold] = cache.run([job])
-        shard = cache.store.shard_path(job_digest(job), 0, 64)
-        shard.write_bytes(b"not a pickle")
-        recover_cache = CachingBackend(SerialBackend(), tmp_path,
-                                       shard_transitions=64)
-        [recovered] = recover_cache.run([job])
-        assert recover_cache.stats.corrupt == 1
-        assert_bit_identical(cold, recovered)
-
     def test_foreign_format_recomputed(self, tmp_path):
         job = small_job()
         cache = CachingBackend(SerialBackend(), tmp_path)
@@ -292,6 +300,29 @@ class TestCorruptionHandling:
         [result] = cache.run([job])
         assert cache.stats.corrupt == 1
         assert_bit_identical(SerialBackend().run([job])[0], result)
+
+
+class TestWriteMeta:
+    """``meta.json`` is best-effort, and a failed write leaves no temp file."""
+
+    def test_io_error_is_swallowed_without_a_temp_file(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        digest = "ee" + "0" * 62
+
+        def disk_full(obj, stream, **kwargs):
+            stream.write("{")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", disk_full)
+        store.write_meta(digest, {"design": "x"})
+        assert list(store.entry_dir(digest).iterdir()) == []
+
+    def test_unencodable_value_raises_without_a_temp_file(self, tmp_path):
+        store = ResultStore(tmp_path)
+        digest = "ee" + "1" * 62
+        with pytest.raises(TypeError):
+            store.write_meta(digest, {"design": object()})
+        assert list(store.entry_dir(digest).iterdir()) == []
 
 
 class TestConcurrentWriters:
@@ -356,7 +387,7 @@ class TestInventoryIndex:
         assert indexed == truth
         assert store.total_bytes() == sum(truth.values())
         # grow one entry and overwrite another: index follows without rescans
-        store.store(store.golden_path(digests[0]), {"golden": np.ones(128)})
+        store.store(store.entry_dir(digests[0]) / "golden.pkl", {"golden": np.ones(128)})
         store.store(store.result_path(digests[1]),
                     {"blob": np.arange(1024, dtype=np.uint64)})
         indexed = {entry: size for _, size, entry in store.entry_inventory()}
@@ -396,7 +427,7 @@ class TestInventoryIndex:
         other.store(other.result_path("aa" + "2" * 62), {"blob": np.zeros(32)})
         # our next writes land in the same prefix: one into an existing
         # entry, one creating a new entry
-        store.store(store.golden_path("aa" + "1" * 62), {"golden": np.zeros(4)})
+        store.store(store.entry_dir("aa" + "1" * 62) / "golden.pkl", {"golden": np.zeros(4)})
         store.store(store.result_path("aa" + "3" * 62), {"blob": np.zeros(16)})
         seen = {entry.name for _, _, entry in store.entry_inventory()}
         assert "aa" + "2" * 62 in seen

@@ -9,8 +9,7 @@ cached cold or warm, under a worker-killing fault plan, or resumed from
 the result cache after an interruption.  The reduction rides on each
 job, not in the planner's grouping key; it joins the job digest only
 when set; a cached sweep's batches hold whole designs; and a reduced
-cache entry is the value itself, stored whole in ``result.pkl`` and
-never sharded.
+cache entry is the value itself, stored in ``result.pkl``.
 """
 
 from __future__ import annotations
@@ -238,11 +237,11 @@ def entry_sizes(cache_dir: Path) -> dict:
 
 class TestCachedSweeps:
     @pytest.mark.parametrize("inner", ["serial", "multiprocess"])
-    def test_cached_sweep_across_the_shard_threshold(self, pool_of, tmp_path, inner):
+    def test_cached_sweep_cold_and_warm_match_uncached(self, pool_of, tmp_path, inner):
         spec = sweep_spec(length=300)
         expected = run_sweep(spec, backend="serial").points
         backend = CachingBackend(SerialBackend() if inner == "serial" else pool_of(2),
-                                 tmp_path / "cache", shard_transitions=64)
+                                 tmp_path / "cache")
         assert run_sweep(spec, backend=backend).points == expected
         backend.reset_counters()
         assert run_sweep(spec, backend=backend).points == expected
@@ -300,8 +299,7 @@ class TestCachedSweeps:
     def test_reduced_entries_are_stored_whole(self, tmp_path):
         spec = sweep_spec(length=300)
         cache_dir = tmp_path / "cache"
-        run_sweep(spec, backend=CachingBackend(SerialBackend(), cache_dir,
-                                               shard_transitions=64))
+        run_sweep(spec, backend=CachingBackend(SerialBackend(), cache_dir))
         files = sorted(path.name for path in cache_dir.glob("*/*/*.pkl"))
         assert files == ["result.pkl"] * spec.job_count
 
