@@ -133,20 +133,6 @@ def rows_to_words(rows: np.ndarray, length: int) -> np.ndarray:
         bits << shifts.reshape((-1,) + (1,) * (bits.ndim - 1)), axis=0)
 
 
-def pack_word_bits(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """Pack bit ``positions[k]`` of integer ``values`` into packed rows.
-
-    Returns a ``(len(positions), W)`` matrix — the packed per-net stimulus
-    of a bus carrying ``values`` — without materialising per-cycle
-    ``uint8`` arrays for more than one bit at a time.
-    """
-    values = np.asarray(values, dtype=np.uint64)
-    rows = np.empty((len(positions), packed_word_count(values.shape[0])), dtype=np.uint64)
-    for k, position in enumerate(positions):
-        rows[k] = pack_bits(((values >> np.uint64(position)) & np.uint64(1)).astype(np.uint8))
-    return rows
-
-
 def levelise_netlist(netlist) -> Tuple[Dict[str, int], List[int]]:
     """Dense net IDs and per-gate levels of a netlist.
 

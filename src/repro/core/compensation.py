@@ -18,7 +18,6 @@ paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.utils.bitops import bit_field, mask, set_bit_field
@@ -129,20 +128,3 @@ def compensate(local_sum: int, previous_sum: int, block_size: int, correction: i
         corrected=False, reduced=False, local_sum=local_sum,
         previous_sum=previous_sum, residual_error=base_error)
 
-
-def worst_case_residual(block_size: int, correction: int, reduction: int,
-                        block_offset: int) -> Tuple[int, int]:
-    """Bounds (min, max) of the residual error one fault can leave behind.
-
-    Useful for property-based tests: with reduction ``r`` the residual of
-    a missing carry lies in ``(-2**(offset - r + block?)...``.  Concretely
-    a +1 fault leaves a residual in ``[-2**(offset - r_eff), 0]`` where
-    ``r_eff`` is ``reduction`` when balancing applies and 0 otherwise.
-    """
-    if correction >= block_size:
-        # A full-width correction field can only fail when the whole block
-        # saturates, in which case balancing (if any) still applies.
-        pass
-    effective = reduction if reduction > 0 else 0
-    magnitude = 1 << (block_offset - effective) if effective > 0 else 1 << block_offset
-    return (-magnitude, magnitude)

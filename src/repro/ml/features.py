@@ -24,20 +24,6 @@ from repro.workloads.traces import OperandTrace
 FEATURE_DOC = "{A[t], B[t], A[t-1], B[t-1], yRTL_n[t-1], yRTL_n[t]} bit-expanded"
 
 
-def gold_words_from_netlist(netlist, trace: OperandTrace, output_bus: str = "S",
-                            cin: int = 0) -> np.ndarray:
-    """Golden (properly clocked) outputs straight from the gate level.
-
-    ``yRTL`` in the paper is the output of the implemented adder sampled
-    at a safe clock — i.e. the settled gate-level value.  This helper
-    produces it with :meth:`Netlist.compute_words`, which runs on the
-    compiled bit-packed engine (64 cycles per word), so dataset
-    generation can use the synthesized netlist itself as the golden
-    reference instead of a separate behavioural model.
-    """
-    return netlist.compute_words(trace.as_operands(cin=cin), output_bus=output_bus)
-
-
 def feature_names(width: int) -> List[str]:
     """Column names of the feature matrix for a ``width``-bit adder."""
     names: List[str] = []

@@ -9,10 +9,10 @@ Four pieces, layered bottom-up:
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with the same
   ambient activation (:func:`metric_count`, :func:`metrics_run`,
   :class:`MetricsRegistry`).
-* :mod:`repro.obs.spill` — cross-process aggregation: multiprocess
-  workers spill span/metric records to per-worker JSONL files that the
-  driver merges at batch end, so worker compute is attributed instead
-  of silently dropped.
+* :mod:`repro.obs.spill` — cross-process aggregation: a multiprocess
+  worker returns its span/metric record with each task's result, and
+  the driver folds it when it accepts that result, so worker compute is
+  attributed instead of silently dropped.
 * :mod:`repro.obs.manifest` — :func:`telemetry_run` sessions snapshot
   everything into a run-manifest JSONL record appended to the telemetry
   directory of the runtime settings (``$REPRO_TELEMETRY_DIR`` or
@@ -40,12 +40,7 @@ from repro.obs.metrics import (
     metrics_run,
     record_counter_deltas,
 )
-from repro.obs.spill import (
-    drain_spill_dir,
-    fold_spill_record,
-    spilled_call,
-    telemetry_active,
-)
+from repro.obs.spill import fold_spill_record, observed_call, telemetry_active
 from repro.obs.trace import Tracer, active_tracers, span, trace_run
 
 __all__ = [
@@ -57,17 +52,16 @@ __all__ = [
     "active_registries",
     "active_tracers",
     "append_manifest",
-    "drain_spill_dir",
     "fold_spill_record",
     "load_manifests",
     "metric_count",
     "metric_gauge",
     "metric_observe",
     "metrics_run",
+    "observed_call",
     "record_counter_deltas",
     "resolve_telemetry_dir",
     "span",
-    "spilled_call",
     "telemetry_active",
     "telemetry_run",
     "trace_run",

@@ -10,9 +10,9 @@ hits and misses, planner groups formed, traces interned, bytes written
 so a telemetry session and a test-local registry compose.
 
 Multiprocess workers run their tasks under a registry of their own and
-spill its snapshot (:mod:`repro.obs.spill`); the driver merges those
-snapshots into its active registries, so cross-process counts land in
-the same run manifest as driver-side ones.
+return its snapshot with each result (:mod:`repro.obs.spill`); the
+driver merges those snapshots into its active registries, so
+cross-process counts land in the same run manifest as driver-side ones.
 """
 
 from __future__ import annotations

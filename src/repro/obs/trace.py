@@ -109,9 +109,9 @@ class Tracer:
     :class:`PhaseTimes` — that receives every span by *leaf name*, which
     is how the ``--timings`` breakdown is built on top of the tracer.
 
-    ``workers`` accumulates the spill records of multiprocess workers
-    (see :mod:`repro.obs.spill`): per worker pid, the busy seconds, task
-    count and span aggregates recorded inside that worker.
+    ``workers`` accumulates the records multiprocess workers return with
+    their results (see :mod:`repro.obs.spill`): per worker pid, the busy
+    seconds, task count and span aggregates recorded inside that worker.
     """
 
     def __init__(self, sink=None) -> None:

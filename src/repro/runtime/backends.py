@@ -14,8 +14,8 @@ it with :func:`~repro.runtime.plan.plan_groups`, execute one
 ``multiprocess``
     Fans the calls out across worker processes with
     :class:`concurrent.futures.ProcessPoolExecutor` through one resilient
-    gather loop, and ships each batch's traces through a digest-named
-    spill (:func:`~repro.runtime.plan.spill_traces`).  The pool width
+    gather loop, and ships traces through a digest-named spill it owns
+    (:class:`~repro.runtime.plan.TraceShipper`).  The pool width
     feeds the planner, so a batch with fewer groups than workers is
     split — groups halved, then single jobs cut into word-aligned trace
     slices — and still keeps every worker busy.  Workers memoise designs
@@ -41,34 +41,31 @@ instead of failing the batch.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as _wait_futures
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, TaskTimeoutError
 from repro.obs.manifest import telemetry_run
 from repro.obs.metrics import metric_count, metric_observe
-from repro.obs.spill import drain_spill_dir, spilled_call, telemetry_active
+from repro.obs.spill import fold_spill_record, observed_call, telemetry_active
 from repro.obs.trace import span
 from repro.runtime.jobs import CharacterizationJob
 from repro.runtime.plan import (
     _GROUP_SIMULATORS,
+    TraceShipper,
     gather_results,
     group_spec,
     plan_groups,
     run_group,
-    spill_traces,
 )
 from repro.runtime.resilience import RetryPolicy, retry_call
 from repro.settings import BACKENDS, activate_settings, active_settings
-from repro.utils.lru import IdentityMemo
 
 #: The one per-process simulator memo, also reachable under this name
 #: for callers that clear or size it from this module.
@@ -103,14 +100,10 @@ class Backend:
         metric_count("plan.groups", len(groups))
         for group in groups:
             metric_observe("plan.group_size", len(group))
-        try:
-            with self.ship_traces() as ship:
-                outcomes = self.run_calls([
-                    (run_group, (group_spec(jobs, group, ship),),
-                     f"{jobs[group[0][0]].name}:{number}")
-                    for number, group in enumerate(groups)])
-        finally:
-            self.drain_telemetry()
+        outcomes = self.run_calls([
+            (run_group, (group_spec(jobs, group, self.ship_trace),),
+             f"{jobs[group[0][0]].name}:{number}")
+            for number, group in enumerate(groups)])
         return gather_results(jobs, groups, outcomes)
 
     def policy(self) -> RetryPolicy:
@@ -125,9 +118,9 @@ class Backend:
         """Execute ``(function, args, key)`` calls; results in call order."""
         raise NotImplementedError
 
-    def ship_traces(self):
-        """Context yielding how a call carries a trace (in-process: as is)."""
-        return nullcontext(lambda trace: trace)
+    def ship_trace(self, trace):
+        """How a call carries ``trace`` (in-process: as is)."""
+        return trace
 
     def describe(self) -> str:
         """Short human-readable backend description (recorded in reports)."""
@@ -135,9 +128,6 @@ class Backend:
 
     def close(self) -> None:
         """Release held resources (worker pools); idempotent, no-op by default."""
-
-    def drain_telemetry(self) -> None:
-        """Merge any worker-side telemetry spills; no-op for in-process backends."""
 
 
 class SerialBackend(Backend):
@@ -216,28 +206,19 @@ class MultiprocessBackend(Backend):
         self._pool: Optional[ProcessPoolExecutor] = None
         self._degraded = False
         self._rebuilds_without_progress = 0
-        # Telemetry spill: per-worker JSONL files the driver merges back
-        # (created lazily when a task is submitted under active
-        # telemetry, removed by close()).  Offsets track the bytes each
-        # drain already consumed, so draining is safe mid-batch.
-        self._spill_dir: Optional[str] = None
-        self._spill_offsets: Dict[str, int] = {}
-        # Trace digest memo; modest capacity on purpose — entries pin
-        # their trace (for the identity check), and recomputing a
-        # SHA-256 is far cheaper than keeping large dead traces alive.
-        self._digests: "IdentityMemo[str]" = IdentityMemo(64)
+        self._traces = TraceShipper()
 
     def describe(self) -> str:
         return f"multiprocess[{self.workers}]"
 
-    def ship_traces(self):
-        return spill_traces(self._digests)
+    def ship_trace(self, trace):
+        return self._traces.ship(trace)
 
     # ------------------------------------------------------------------ #
-    # Pool lifecycle.  The executor persists across run() calls so the
-    # per-worker design/simulator caches stay warm between batches; it is
-    # created lazily and torn down by close() (or by the executor's own
-    # manager thread once the backend is garbage-collected).
+    # Pool lifecycle.  The executor and the trace spill persist across
+    # run() calls (warm per-worker caches, each trace shipped once); both
+    # are created lazily and torn down by close(), or once the backend
+    # is garbage-collected.
     # ------------------------------------------------------------------ #
     def _executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -250,20 +231,11 @@ class MultiprocessBackend(Backend):
         return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent).
-
-        Telemetry spills are drained *first*, so spans and metrics of
-        completed workers survive a close on the failure path too; the
-        temp spill directory is then removed.
-        """
-        self.drain_telemetry()
+        """Shut the worker pool down and remove the trace spill (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
-        if self._spill_dir is not None:
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
-            self._spill_dir = None
-            self._spill_offsets = {}
+        self._traces.close()
 
     def __enter__(self) -> "MultiprocessBackend":
         return self
@@ -272,43 +244,15 @@ class MultiprocessBackend(Backend):
         self.close()
 
     # ------------------------------------------------------------------ #
-    def submit(self, function: Callable, *args):
-        """Submit one callable to the worker pool (a raw future).
-
-        Callers own the future; most should schedule through
-        :meth:`run_calls` instead, which layers retries, pool recovery
-        and re-dispatch on top of raw submission.
-
-        When telemetry is active in the submitting context, the task is
-        wrapped so the worker records its own spans/metrics and spills
-        them for :meth:`drain_telemetry` to merge — callers get worker
-        attribution for free.
-        """
-        if telemetry_active():
-            if self._spill_dir is None:
-                self._spill_dir = tempfile.mkdtemp(prefix="repro-obs-spill-")
-            return self._executor().submit(spilled_call, self._spill_dir,
-                                           function, *args)
-        return self._executor().submit(function, *args)
-
-    def drain_telemetry(self) -> None:
-        """Merge completed workers' spilled spans/metrics into ambient state."""
-        if self._spill_dir is not None:
-            drain_spill_dir(self._spill_dir, self._spill_offsets)
-
-    # ------------------------------------------------------------------ #
     # Resilient gather: the one scheduling path every batch goes through
     # ------------------------------------------------------------------ #
     def _recover_pool(self, progressed: bool) -> None:
         """Tear down a broken/stalled pool and account for the rebuild.
 
-        The spill directory survives (only :meth:`close` removes it), so
-        completed workers' telemetry is drained before their processes
-        are reaped; stuck workers are terminated best-effort — a pool
-        rebuilt around them would otherwise inherit their task queue.
-        The process map is read *before* ``shutdown``, which clears it.
+        Stuck workers are terminated best-effort — a pool rebuilt around
+        them would otherwise inherit their task queue.  The process map
+        is read *before* ``shutdown``, which clears it.
         """
-        self.drain_telemetry()
         pool, self._pool = self._pool, None
         if pool is not None:
             processes = list((getattr(pool, "_processes", None) or {}).values())
@@ -349,8 +293,13 @@ class MultiprocessBackend(Backend):
           :class:`TaskTimeoutError` instead of re-dispatching forever;
         * after ``max_rebuilds`` consecutive rebuilds without progress
           the backend degrades to in-process execution (warned once).
+
+        Under active telemetry a worker's record comes back with its
+        result (:func:`~repro.obs.spill.observed_call`) and is folded
+        only when that result is accepted.
         """
         policy = self.policy()
+        observed = telemetry_active()
         pending = [_PendingCall(index, function, args, key)
                    for index, (function, args, key) in enumerate(calls)]
         results: List[object] = [None] * len(pending)
@@ -367,7 +316,11 @@ class MultiprocessBackend(Backend):
             unresolved: Dict[object, _PendingCall] = {}
             try:
                 for call in outstanding:
-                    call.future = self.submit(call.function, *call.args)
+                    if observed:
+                        call.future = self._executor().submit(
+                            observed_call, call.function, *call.args)
+                    else:
+                        call.future = self._executor().submit(call.function, *call.args)
                     unresolved[call.future] = call
             except BrokenProcessPool:
                 broken = True
@@ -396,6 +349,9 @@ class MultiprocessBackend(Backend):
                                 elif failure is None or call.index < failure[0]:
                                     failure = (call.index, error)
                                 continue
+                            if observed:
+                                outcome, record = outcome
+                                fold_spill_record(record)
                             results[call.index] = outcome
                             call.resolved = True
                             progressed = True

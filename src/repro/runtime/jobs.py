@@ -44,6 +44,7 @@ from repro.synth.flow import SynthesisOptions, SynthesizedDesign, synthesize
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.event_sim import EventDrivenSimulator
 from repro.timing.fast_sim import ENGINES, FastTimingSimulator
+from repro.utils.lru import LRUDict
 from repro.workloads.traces import OperandTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments -> runtime)
@@ -170,11 +171,12 @@ def synthesize_entry(entry: "DesignEntry", width: int,
 
 
 #: Process-wide memo of synthesized designs by synthesis identity.
-#: Every backend synthesizes through :func:`synthesize_job`, so one
-#: design is synthesized (or loaded from the persistent synthesis
-#: cache) at most once per process regardless of how many jobs, traces
-#: or simulator tiers request it.
-_DESIGN_CACHE: Dict[tuple, SynthesizedDesign] = {}
+#: Every backend synthesizes through :func:`synthesize_job`, and the
+#: planner puts all of one design's jobs in one group, so one design is
+#: synthesized (or loaded from the persistent synthesis cache) once per
+#: process regardless of how many jobs, traces or simulator tiers
+#: request it.  LRU-bounded, so memory follows the batch, not the space.
+_DESIGN_CACHE: "LRUDict[tuple, SynthesizedDesign]" = LRUDict(64)
 
 
 def clear_design_cache() -> None:
@@ -201,13 +203,11 @@ def synthesize_job(job: CharacterizationJob) -> SynthesizedDesign:
     if cache is not None:
         design = cache.load(job.entry, job.width, job.synthesis)
         if design is not None:
-            _DESIGN_CACHE[key] = design
-            return design
+            return _DESIGN_CACHE.put(key, design)
     design = synthesize_entry(job.entry, job.width, job.synthesis)
     if cache is not None:
         cache.store_design(job.entry, job.width, job.synthesis, design)
-    _DESIGN_CACHE[key] = design
-    return design
+    return _DESIGN_CACHE.put(key, design)
 
 
 def build_simulator(kind: str, synthesized: SynthesizedDesign, engine: str = "auto",

@@ -38,8 +38,8 @@ on the job alone, whatever the pool width or split.
 
 A group reaches its call as a :class:`_GroupSpec`: the shared job fields
 plus one trace per member.  In-process backends put the traces in the
-spec as they are; the multiprocess backend ships them through
-:func:`spill_traces` — each unique trace is written once per batch,
+spec as they are; the multiprocess backend ships them through its
+:class:`TraceShipper` — each unique trace is written once per backend,
 named by content digest, and loaded once per worker
 (:data:`_WORKER_TRACES`).
 """
@@ -50,9 +50,9 @@ import os
 import pickle
 import shutil
 import tempfile
-from contextlib import contextmanager
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -318,7 +318,7 @@ def run_group(spec: _GroupSpec) -> List[object]:
 
 
 # --------------------------------------------------------------------- #
-# Trace shipping: one spill file per unique trace and batch
+# Trace shipping: one spill file per unique trace and backend
 # --------------------------------------------------------------------- #
 def _load_trace(ref: _TraceRef) -> OperandTrace:
     """Resolve a trace ref: one disk load per digest and process."""
@@ -332,34 +332,51 @@ def _load_trace(ref: _TraceRef) -> OperandTrace:
     return trace
 
 
-@contextmanager
-def spill_traces(digests: "IdentityMemo[str]") -> Iterator[Callable[[OperandTrace], _TraceRef]]:
-    """Yield a ``trace -> _TraceRef`` shipper backed by a temp spill dir.
+class TraceShipper:
+    """Ships traces as digest-named spill files, each written once.
 
-    Each unique trace (by content digest, memoised per trace object in
-    ``digests``) is written once; the directory is removed on exit.
-    Presentational trace names ride along; results never depend on them.
+    A backend owns one: the temp directory is created when the first
+    trace ships and every unique trace (by content digest) is written
+    once, however many batches use it.  :meth:`close` removes the
+    directory and forgets the refs, so shipping after it spills afresh;
+    a shipper collected unclosed, or alive at interpreter exit, removes
+    it too.  Presentational trace names ride along; results never
+    depend on them.
     """
-    spill_dir = tempfile.mkdtemp(prefix="repro-plan-traces-")
-    refs: Dict[str, _TraceRef] = {}
 
-    def ship(trace: OperandTrace) -> _TraceRef:
-        digest = digests.get((trace,))
+    def __init__(self) -> None:
+        # Digest memo; modest capacity on purpose — entries pin their
+        # trace (for the identity check), and recomputing a SHA-256 is
+        # far cheaper than keeping large dead traces alive.
+        self._digests: "IdentityMemo[str]" = IdentityMemo(64)
+        self._refs: Dict[str, _TraceRef] = {}
+        self._dir: Optional[str] = None
+        self._remove_dir: Optional[weakref.finalize] = None
+
+    def ship(self, trace: OperandTrace) -> _TraceRef:
+        """The ref a call carries for ``trace``; counts each file written."""
+        digest = self._digests.get((trace,))
         if digest is None:
-            digest = digests.put((trace,), trace_digest(trace))
-        ref = refs.get(digest)
+            digest = self._digests.put((trace,), trace_digest(trace))
+        ref = self._refs.get(digest)
         if ref is None:
-            ref = refs[digest] = _TraceRef(digest, os.path.join(spill_dir, f"{digest}.pkl"))
+            if self._dir is None:
+                self._dir = tempfile.mkdtemp(prefix="repro-plan-traces-")
+                self._remove_dir = weakref.finalize(self, shutil.rmtree, self._dir, True)
+            ref = _TraceRef(digest, os.path.join(self._dir, f"{digest}.pkl"))
             with open(ref.path, "wb") as handle:
                 pickle.dump({"a": trace.a, "b": trace.b, "width": trace.width,
                              "name": trace.name}, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            self._refs[digest] = ref
+            metric_count("plan.traces_interned")
         return ref
 
-    try:
-        yield ship
-    finally:
-        metric_count("plan.traces_interned", len(refs))
-        shutil.rmtree(spill_dir, ignore_errors=True)
+    def close(self) -> None:
+        """Remove the spill directory and forget its refs (idempotent)."""
+        if self._dir is not None:
+            self._remove_dir()
+            self._dir = None
+        self._refs = {}
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,11 @@
 """Unit tests of the observability substrate (:mod:`repro.obs`).
 
 Span nesting and attribute folding, thread-safety and re-entrancy of
-the phase compatibility layer, the metrics registry, worker-spill
-records and their driver-side merge, run-manifest round-trips and the
-``repro-stats`` summaries — all without touching the synthesis or
-simulation pipeline, so these tests are fast and dependency-free.
+the phase compatibility layer, the metrics registry, the worker records
+that ride back with a task's result and their driver-side fold,
+run-manifest round-trips and the ``repro-stats`` summaries — all
+without touching the synthesis or simulation pipeline, so these tests
+are fast and dependency-free.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     append_manifest,
-    drain_spill_dir,
+    fold_spill_record,
     load_manifests,
     metric_count,
     metric_observe,
     metrics_run,
+    observed_call,
     record_counter_deltas,
     resolve_telemetry_dir,
     span,
-    spilled_call,
     telemetry_active,
     telemetry_run,
     trace_run,
@@ -195,7 +196,7 @@ class TestMetrics:
 
 
 class TestSpill:
-    def test_spilled_call_writes_record_and_drain_merges(self, tmp_path):
+    def test_observed_call_returns_record_and_fold_merges(self):
         def task(value):
             with span("simulate"):
                 pass
@@ -204,12 +205,12 @@ class TestSpill:
 
         with trace_run() as tracer, metrics_run() as registry:
             assert telemetry_active()
-            result = spilled_call(str(tmp_path), task, 21)
+            result, record = observed_call(task, 21)
             assert result == 42
-            offsets = {}
-            assert drain_spill_dir(str(tmp_path), offsets) == 1
-            # A second drain consumes nothing new (offsets advanced).
-            assert drain_spill_dir(str(tmp_path), offsets) == 0
+            assert set(record) == {"pid", "busy_s", "tasks", "spans", "metrics"}
+            # Nothing is observed until the caller folds the record.
+            assert "simulate" not in tracer.spans
+            fold_spill_record(record)
         assert tracer.spans["simulate"].calls == 1
         assert registry.snapshot()["counters"]["jobs.simulated"] == 1
         assert len(tracer.workers) == 1
@@ -217,25 +218,17 @@ class TestSpill:
         assert worker["tasks"] == 1
         assert worker["busy_s"] >= 0.0
 
-    def test_spilled_call_isolates_worker_from_ambient_tracers(self, tmp_path):
+    def test_observed_call_isolates_worker_from_ambient_tracers(self):
         # The task runs in an empty context: the ambient tracer must not
-        # observe the task's spans directly (only through the drain).
+        # observe the task's spans directly (only through the fold).
         def task():
             with span("simulate"):
                 pass
 
         with trace_run() as tracer:
-            spilled_call(str(tmp_path), task)
+            _, record = observed_call(task)
         assert "simulate" not in tracer.spans
-
-    def test_drain_ignores_torn_trailing_line(self, tmp_path):
-        path = tmp_path / "worker-123.jsonl"
-        whole = json.dumps({"pid": 123, "busy_s": 0.5, "tasks": 1,
-                            "spans": {}, "metrics": {}})
-        path.write_text(whole + "\n" + '{"pid": 123, "busy')
-        with trace_run() as tracer:
-            assert drain_spill_dir(str(tmp_path), {}) == 1
-        assert tracer.workers["123"]["busy_s"] == pytest.approx(0.5)
+        assert record["spans"]["simulate"]["calls"] == 1
 
     def test_telemetry_active_reflects_context(self):
         assert not telemetry_active()

@@ -33,6 +33,7 @@ from repro.experiments.designs import exact_entry, isa_entry
 from repro.explore.space import space_entries
 from repro.explore.sweep import SweepScoring, SweepSpec, run_sweep
 from repro.obs.metrics import metrics_run
+from repro.obs.trace import trace_run
 from repro.runtime import (
     FAULT_PLAN_ENV,
     CachingBackend,
@@ -366,9 +367,12 @@ class TestMultiprocessResilience:
         # The 4-job batch plans into 2 to 4 calls depending on the pool
         # width; the global second task event is killed in every layout.
         reference = [execute_job(job) for job in job_batch()]
+        arm_faults([])  # a fault-free traced run, on a pool of the same width
+        with trace_run() as clean:
+            run_jobs(job_batch(), backend=pool_of(workers))
         arm_faults([{"kind": "kill-worker", "at": 2, "times": 1}])
         backend = pool_of(workers)
-        with metrics_run() as registry:
+        with metrics_run() as registry, trace_run() as tracer:
             survived = run_jobs(
                 job_batch(), backend=backend,
                 cache_dir=str(tmp_path / "cache") if cached else None)
@@ -377,6 +381,13 @@ class TestMultiprocessResilience:
         assert registry.counters["pool.rebuilds"] >= 1
         assert registry.counters["tasks.retried"] >= 1
         assert len(list((tmp_path / "fault-state").glob("fault0-fired*"))) == 1
+        # One worker record per accepted task: the killed attempt folds
+        # nothing, so its re-dispatch is counted once.  Only simulate is
+        # compared: a re-dispatched task may synthesize and lower again.
+        assert sum(worker["tasks"] for worker in tracer.workers.values()) == \
+            registry.counters["plan.groups"]
+        assert tracer.phase_totals()["simulate"]["calls"] == \
+            clean.phase_totals()["simulate"]["calls"]
 
     def test_stalled_task_is_redispatched_after_timeout(self, arm_faults):
         reference = execute_job(small_job())

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -246,6 +247,31 @@ class TestCachedSweeps:
         backend.reset_counters()
         assert run_sweep(spec, backend=backend).points == expected
         assert backend.stats.misses == 0
+
+    def test_each_trace_ships_once_per_backend(self, monkeypatch, pool_of, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spec = sweep_spec(max_designs=CHECKPOINT_BATCH + 1)
+        assert len(spec.entries) > CHECKPOINT_BATCH  # two cached batches
+        expected = run_sweep(spec, backend="serial").points
+
+        def spills():
+            return list(tmp_path.glob("repro-plan-traces-*/*"))
+
+        pool = pool_of(2)
+        backend = CachingBackend(pool, tmp_path / "cache")
+        assert not spills()  # created when the first batch ships a trace
+        with metrics_run() as registry:
+            assert run_sweep(spec, backend=backend).points == expected
+        assert registry.counters["plan.traces_interned"] == 1
+        assert len(spills()) == 1
+        backend.close()
+        assert not spills()
+        # Used again after close(), the pool spills afresh.
+        with metrics_run() as registry:
+            assert run_sweep(spec, backend=pool).points == expected
+        assert registry.counters["plan.traces_interned"] == 1
+        pool.close()
+        assert not list(tmp_path.glob("repro-plan-traces-*"))
 
     def test_cached_batches_hold_whole_designs(self, tmp_path):
         spec = sweep_spec(max_designs=CHECKPOINT_BATCH + 1,

@@ -10,6 +10,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments.designs import exact_entry, isa_entry
 from repro.explore import DesignSpace, SweepSpec, run_sweep
+from repro.runtime import jobs as runtime_jobs
 from repro.runtime.jobs import CharacterizationJob, clear_design_cache, synthesize_job
 from repro.runtime.synth_cache import (
     SynthesisCache,
@@ -187,6 +188,24 @@ class TestSynthesizeJobReadThrough:
         stats = active_synth_cache().stats
         assert stats.hits == 4 and stats.misses == 4
         assert warm.points == cold.points
+
+    def test_bounded_memo_synthesizes_each_design_once(self, monkeypatch, repro_env):
+        repro_env(REPRO_SYNTH_CACHE=None)
+        spec = SweepSpec(entries=tuple(DesignSpace(width=16).entries(max_designs=8)),
+                         workloads=(WorkloadSpec("uniform", 64, width=16, seed=3),
+                                    WorkloadSpec("ramp", 64, width=16, seed=4)),
+                         width=16)
+        assert len(spec.entries) == 9  # 8 designs plus exact
+        unbounded = run_sweep(spec, backend="serial")
+        clear_design_cache()
+        monkeypatch.setattr(runtime_jobs._DESIGN_CACHE, "capacity", 4)
+        with collect_phases() as phases:
+            bounded = run_sweep(spec, backend="serial")
+        # One group per design holds both workloads' jobs, so the memo
+        # never has to keep a design behind the others.
+        assert phases.calls["synthesize"] == len(spec.entries)
+        assert len(runtime_jobs._DESIGN_CACHE) == 4
+        assert bounded.points == unbounded.points
 
     def test_memo_hit_skips_disk(self, tmp_path, repro_env):
         repro_env(REPRO_SYNTH_CACHE=str(tmp_path))
