@@ -69,7 +69,11 @@ def per_job_vs_batched(_workdir: Path):
     SerialBackend().run(jobs)  # untimed: every repeat finds the designs synthesized
 
     def batched():
-        _GROUP_SIMULATORS.clear()  # lower afresh, as every execute_job call does
+        # Build each group's simulator afresh, as every execute_job call
+        # does.  A group's 8 stacked traces (2,040 transitions) also build
+        # its packed timing program; each 255-transition execute_job call
+        # runs the levelised pass instead.
+        _GROUP_SIMULATORS.clear()
         SerialBackend().run(jobs)
 
     return best_of(4, lambda: [execute_job(job) for job in jobs], batched)

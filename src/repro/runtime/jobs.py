@@ -216,9 +216,13 @@ def build_simulator(kind: str, synthesized: SynthesizedDesign, engine: str = "au
 
     ``engine`` selects the execution tier of the fast simulator; the
     event-driven simulator is its own (glitch-aware) reference tier and
-    ignores it.  When ``clock_periods`` names the periods the caller will
-    sample (a job's clock plan), the fast simulator is specialised to
-    that plan — only the arrival-threshold cone those clocks reach is
+    ignores it.  The ``lower`` span covers the fast simulator's logic
+    program and its levelised pass's delays.  Its packed timing program
+    is built there only for ``engine="compiled"``; on ``"auto"`` the
+    first call long enough to repay it builds it, under a ``lower`` span
+    of its own in ``run_traces_multi`` (the planner's kernel).  When ``clock_periods`` names the periods the caller
+    will sample (a job's clock plan), that program is specialised to
+    the plan — only the arrival-threshold cone those clocks reach is
     compiled, which is typically an order of magnitude smaller than the
     general program and bit-identical at the sampled periods.  Without
     ``clock_periods`` it compiles the general program, which answers

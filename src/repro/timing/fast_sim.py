@@ -16,25 +16,33 @@ benchmark; the agreement on error statistics is close because arithmetic
 circuits driven by registered inputs glitch mostly on nets that also make
 a final transition.
 
-Two execution engines implement the same model, bit-exactly:
+One chunked pass serves every call.  The compiled bit-packed logic
+program (:class:`~repro.circuit.compiled.CompiledProgram`, 64 cycles per
+``uint64`` word) gives every net's settled value before and after each
+transition, and one of two kernels decides which output bits are late:
 
-``"compiled"`` (default when available)
-    The packed engine: settled values come from the compiled bit-packed
-    logic program (64 cycles per ``uint64`` word) and lateness is
-    resolved by the arrival-threshold masks of
-    :class:`~repro.circuit.compiled.PackedTimingProgram`, so the entire
-    trace is simulated with bitwise word operations and no per-cycle
-    float arithmetic.
+the levelised pass (``engine="reference"``)
+    Walks the logic program's gate batches (one level, one cell and so
+    one fan-in each) and computes every net's arrival time for all
+    transitions of a chunk at once: ``arrival[out] = where(changed[out],
+    max(arrival[inputs]) + delay, -inf)``.  That is the same ``max`` and
+    the same float addition per gate as the per-gate specification it
+    replaced (kept as a test oracle), so it is bit-exact with it.  It
+    needs no lowering beyond the logic program.
 
-``"reference"``
-    The dense float path: per-gate ``uint8`` logic evaluation and a
-    float64 arrival array per net and cycle.  It is kept as the
-    specification of the model and as the fallback for netlists or
-    delay annotations the packed engine cannot compile (e.g. heavy
-    per-instance delay variation).
+the packed timing program (``engine="compiled"``)
+    The clock-specialised arrival-threshold masks of
+    :class:`~repro.circuit.compiled.PackedTimingProgram`: bitwise word
+    operations only, no per-cycle float arithmetic, but a build of
+    several milliseconds per design.
 
-``engine="auto"`` (the default) picks ``"compiled"`` when the netlist and
-annotation compile, and silently falls back to ``"reference"`` otherwise.
+``engine="auto"`` (the default) chooses per call.  A call of at most
+:data:`DENSE_MAX_TRANSITIONS` transitions, summed over its traces, runs
+the levelised pass; the first longer call builds the packed program,
+which later long calls reuse.  When that build overflows its row limit
+(heavy per-instance delay variation), long calls stay on the levelised
+pass.  ``"compiled"`` builds the packed program at construction and runs
+every call on it; ``"reference"`` never builds it.
 """
 
 from __future__ import annotations
@@ -45,8 +53,9 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.circuit.compiled import PackedTimingProgram, rows_to_words, transition_chunks
-from repro.circuit.netlist import CONST0, CONST1, Netlist
+from repro.circuit.compiled import (PackedTimingProgram, pack_bits, packed_word_count,
+                                    rows_to_words, transition_chunks, unpack_bits)
+from repro.circuit.netlist import Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.exceptions import CompilationError, SimulationError
 from repro.obs.trace import span
@@ -63,9 +72,16 @@ STABLE = -np.inf
 #: Engine identifiers accepted by :class:`FastTimingSimulator`.
 ENGINES = ("auto", "compiled", "reference")
 
-#: Target size (bytes) of the packed mask matrix per chunk; keeps the
-#: threshold propagation cache-resident on typical designs.
-_PACKED_CHUNK_BYTES = 8 << 20
+#: Largest call, in transitions summed over its traces, that
+#: ``engine="auto"`` runs on the levelised pass.  Above it, building the
+#: clock-specialised packed timing program once costs less than the
+#: levelised pass would.  The rule reads only the call's own size, so a
+#: call always takes the same kernel.
+DENSE_MAX_TRANSITIONS = 1024
+
+#: Target size (bytes) of what one chunk materialises; keeps a pass
+#: cache-resident on typical designs.
+_CHUNK_BYTES = 8 << 20
 
 
 @dataclass
@@ -89,12 +105,13 @@ class BatchedTraceRun:
 class FastTimingSimulator:
     """Levelised, vectorised timing simulator for a delay-annotated netlist.
 
-    ``clock_periods`` optionally specialises the compiled timing program
+    ``clock_periods`` optionally specialises the packed timing program
     to a fixed clock plan: only the arrival-threshold cone those clocks
-    sample is compiled (typically an order of magnitude smaller), and
-    simulating any *other* clock period raises instead of answering.
-    The execution planner builds one specialised simulator per
-    (design, clock plan) group; general-purpose callers leave it unset.
+    sample is compiled (typically an order of magnitude smaller), and a
+    call on that program at any *other* clock period raises instead of
+    answering.  The execution planner builds one specialised simulator
+    per (design, clock plan) group; general-purpose callers leave it
+    unset.
     """
 
     def __init__(self, netlist: Netlist, annotation: DelayAnnotation,
@@ -103,72 +120,54 @@ class FastTimingSimulator:
         if engine not in ENGINES:
             raise SimulationError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         annotation.validate_against(netlist)
+        program = netlist.compiled()
+        if program is None:
+            raise SimulationError(
+                f"netlist {netlist.name!r} uses a cell without a packed kernel "
+                "and cannot be timing-simulated")
         self.netlist = netlist
         self.annotation = annotation
-        self._order = netlist.topological_order()
-        self._delays = {gate.name: annotation.delay_of(gate.name) for gate in self._order}
+        self._program = program
+        self._clock_periods = clock_periods
+        self._requested = engine
+        # Each logic batch's gate delays, shaped to broadcast over the
+        # (traces, transitions) axes of the levelised pass.
+        delays = np.zeros(program.num_nets)
+        for gate in netlist.topological_order():
+            delays[program.net_id[gate.output]] = annotation.delay_of(gate.name)
+        self._batch_delays = [delays[batch.out_ids][:, None, None]
+                              for batch in program.batches]
 
         self._timing_program: Optional[PackedTimingProgram] = None
-        if engine in ("auto", "compiled"):
-            program = netlist.compiled()
-            if program is not None:
+        self._lowered = engine == "reference"
+        # "compiled" lowers here, inside the caller's lower span if any.
+        if engine == "compiled" and self._packed_program(phase=nullcontext) is None:
+            raise SimulationError(
+                f"netlist {netlist.name!r} cannot be lowered to the compiled "
+                "packed timing engine; use engine='auto' or 'reference'")
+
+    @property
+    def engine(self) -> str:
+        """The kernel a call above :data:`DENSE_MAX_TRANSITIONS` runs.
+
+        ``"compiled"`` (the packed timing program) or ``"reference"``
+        (the levelised pass).  On ``engine="auto"`` the first read builds
+        the packed program, as the first long call would.
+        """
+        return "compiled" if self._packed_program() is not None else "reference"
+
+    def _packed_program(self, phase=span) -> Optional[PackedTimingProgram]:
+        """The packed timing program, built on first use; ``None`` when
+        the engine is ``"reference"`` or the build overflowed."""
+        if not self._lowered:
+            self._lowered = True
+            with phase("lower"):
                 try:
                     self._timing_program = PackedTimingProgram(
-                        program, annotation, clock_periods=clock_periods)
+                        self._program, self.annotation, clock_periods=self._clock_periods)
                 except CompilationError:
-                    self._timing_program = None
-            if self._timing_program is None and engine == "compiled":
-                raise SimulationError(
-                    f"netlist {netlist.name!r} cannot be lowered to the compiled "
-                    "packed timing engine; use engine='auto' or 'reference'")
-        self.engine = "compiled" if self._timing_program is not None else "reference"
-        # When auto falls back to dense timing, logic evaluation may still
-        # use the compiled tier; an explicit "reference" request keeps the
-        # whole pipeline on the seed algorithm.
-        self._dense_eval_engine = "reference" if engine == "reference" else "auto"
-
-    # ------------------------------------------------------------------ #
-    # Core transition simulation (dense reference model)
-    # ------------------------------------------------------------------ #
-    def _dense_transitions(self, previous_inputs: Mapping[str, np.ndarray],
-                           current_inputs: Mapping[str, np.ndarray],
-                           eval_engine: str) -> Dict[str, Dict[str, np.ndarray]]:
-        """Per-output-net ``old``/``new`` values and ``arrival`` times.
-
-        ``previous_inputs`` and ``current_inputs`` map every primary input
-        net to equal-length 0/1 arrays, one entry per transition.
-        """
-        old_values = self.netlist.evaluate(previous_inputs, engine=eval_engine)
-        new_values = self.netlist.evaluate(current_inputs, engine=eval_engine)
-
-        arrival: Dict[str, np.ndarray] = {}
-        shape = self._stimulus_shape(current_inputs)
-        for net in self.netlist.inputs:
-            old = np.broadcast_to(np.asarray(old_values[net]), shape)
-            new = np.broadcast_to(np.asarray(new_values[net]), shape)
-            arrival[net] = np.where(old != new, 0.0, STABLE)
-        zeros = np.full(shape, STABLE)
-        arrival[CONST0] = zeros
-        arrival[CONST1] = zeros
-
-        for gate in self._order:
-            delay = self._delays[gate.name]
-            input_arrival = arrival[gate.inputs[0]]
-            for net in gate.inputs[1:]:
-                input_arrival = np.maximum(input_arrival, arrival[net])
-            old = np.broadcast_to(np.asarray(old_values[gate.output]), shape)
-            new = np.broadcast_to(np.asarray(new_values[gate.output]), shape)
-            changed = old != new
-            arrival[gate.output] = np.where(changed, input_arrival + delay, STABLE)
-
-        results: Dict[str, Dict[str, np.ndarray]] = {}
-        for net in self.netlist.outputs:
-            results[net] = {
-                "old": np.broadcast_to(np.asarray(old_values[net], dtype=np.uint8), shape),
-                "new": np.broadcast_to(np.asarray(new_values[net], dtype=np.uint8), shape),
-                "arrival": arrival[net],
-            }
-        return results
+                    pass
+        return self._timing_program
 
     # ------------------------------------------------------------------ #
     # Word-level trace simulation
@@ -190,13 +189,11 @@ class FastTimingSimulator:
         vector ``t-1`` to vector ``t``, so ``T - 1`` transitions are
         simulated.  The expensive lateness computation is shared between
         all requested clock periods.  ``chunk_size`` (transitions per
-        batch) applies to the dense reference engine; the compiled
-        engine chooses its own packed chunking to keep the mask matrix
-        cache-resident.
+        batch) caps the levelised pass's chunks, which a byte budget may
+        cut smaller; the packed timing program chooses its own chunking
+        to keep the mask matrix cache-resident.
         """
-        for clk in clock_periods:
-            if clk <= 0:
-                raise SimulationError(f"clock period must be positive, got {clk}")
+        self._check_clocks(clock_periods)
         input_trace = expand_operand_traces(self.netlist, operands)
         total = trace_length(input_trace)
         if total < 2:
@@ -204,15 +201,11 @@ class FastTimingSimulator:
         output_nets = self._output_nets(output_bus)
         if not clock_periods:
             return {}
-
-        if self.engine == "compiled":
-            # Callers time this call as a whole (execute_job opens its own
-            # "simulate" span), so the stacked kernel opens no spans here.
-            return self._run_traces_multi_packed(
-                [input_trace], [total], clock_periods, output_nets,
-                include_settled_values=False, phase=nullcontext).timing[0]
-        return self._run_trace_multi_dense(input_trace, total, clock_periods,
-                                           output_nets, chunk_size)
+        # Callers time this call as a whole (execute_job opens its own
+        # "simulate" span), so neither the chunk loop nor a lazy build of
+        # the packed program opens spans here.
+        return self._simulate([input_trace], [total], clock_periods, output_nets,
+                              False, chunk_size, phase=nullcontext).timing[0]
 
     def run_traces_multi(self, operand_traces: Sequence[Mapping[str, np.ndarray]],
                          clock_periods: Sequence[float], output_bus: str = "S",
@@ -220,23 +213,20 @@ class FastTimingSimulator:
                          chunk_size: int = 4096) -> BatchedTraceRun:
         """Simulate several operand traces in one batched pass.
 
-        On the compiled engine the traces are stacked into a
-        ``(traces, words)`` packed tensor and every gate batch, threshold
-        batch and output decode runs as **one** NumPy dispatch covering
-        the whole stack; traces may have ragged lengths (shorter traces
-        are zero-padded to the stack and their padding discarded).  The
-        per-trace results are bit-identical to calling
-        :meth:`run_trace_multi` on each trace alone — packed words of
-        different traces never mix.  On the dense reference engine the
-        traces run one after the other (same results, no batching).
+        The traces are stacked into a ``(traces, words)`` packed tensor
+        and every gate batch, lateness step and output decode runs as
+        **one** NumPy dispatch covering the whole stack; traces may have
+        ragged lengths (shorter traces are zero-padded to the stack and
+        their padding discarded).  The per-trace results are
+        bit-identical to calling :meth:`run_trace_multi` on each trace
+        alone — values of different traces never mix.  ``chunk_size`` is
+        as there.
 
         ``include_settled_values`` additionally returns, per trace, the
         settled output word of every input vector — the gate-level
         golden reference — derived from the same evaluation.
         """
-        for clk in clock_periods:
-            if clk <= 0:
-                raise SimulationError(f"clock period must be positive, got {clk}")
+        self._check_clocks(clock_periods)
         output_nets = self._output_nets(output_bus)
         operand_traces = list(operand_traces)
         if not operand_traces:
@@ -251,58 +241,53 @@ class FastTimingSimulator:
                 raise SimulationError("a timing trace needs at least two input vectors")
         if not clock_periods and not include_settled_values:
             return BatchedTraceRun(timing=[{} for _ in input_traces])
-
-        if self.engine == "compiled":
-            return self._run_traces_multi_packed(input_traces, totals, clock_periods,
-                                                 output_nets, include_settled_values)
-        timing = [self._run_trace_multi_dense(bits, total, clock_periods,
-                                              output_nets, chunk_size)
-                  for bits, total in zip(input_traces, totals)]
-        settled_values = None
-        if include_settled_values:
-            settled_values = [
-                self.netlist.compute_words(operands, output_bus,
-                                           engine=self._dense_eval_engine)
-                for operands in operand_traces]
-        return BatchedTraceRun(timing=timing, settled_values=settled_values)
+        return self._simulate(input_traces, totals, clock_periods, output_nets,
+                              include_settled_values, chunk_size)
 
     # ------------------------------------------------------------------ #
-    # Packed engine
+    # The chunk loop
     # ------------------------------------------------------------------ #
-    def _run_traces_multi_packed(self, input_traces: List[Mapping[str, np.ndarray]],
-                                 totals: List[int], clock_periods: Sequence[float],
-                                 output_nets: List[str], include_settled_values: bool,
-                                 phase=span) -> BatchedTraceRun:
-        timing = self._timing_program
-        program = timing.program
+    def _simulate(self, input_traces: List[Mapping[str, np.ndarray]],
+                  totals: List[int], clock_periods: Sequence[float],
+                  output_nets: List[str], include_settled_values: bool,
+                  chunk_size: int, phase=span) -> BatchedTraceRun:
+        program = self._program
         count = len(input_traces)
         transitions = [total - 1 for total in totals]
         max_transitions = max(transitions)
+        timing = None
+        if self._requested == "compiled" or sum(transitions) > DENSE_MAX_TRANSITIONS:
+            timing = self._packed_program(phase)
         sampled = {clk: [np.empty(t, dtype=np.uint64) for t in transitions]
                    for clk in clock_periods}
         settled = [np.empty(t, dtype=np.uint64) for t in transitions]
         first_cycle = np.zeros(count, dtype=np.uint64)
-        late_rows = {clk: timing.late_rows(output_nets, clk) for clk in clock_periods}
-        roots = (np.concatenate(list(late_rows.values())) if late_rows
-                 else np.empty(0, dtype=np.int64))
-        plan = timing.plan_for(roots)
         out_ids = np.array([program.net_id[net] for net in output_nets],
                            dtype=np.int64)
         nets = list(input_traces[0])
 
         # Budget the chunk against everything a pass materialises per
-        # packed word and trace: the mask matrix (num_rows), the stacked
-        # value tensors (num_nets, old + new), and the decode
-        # temporaries of rows_to_words — unpacked uint64 bit matrices of
-        # ~64 word-equivalents per output bit, allocated per clock
-        # period.  Clock-specialised programs shrink num_rows by an
-        # order of magnitude; without the decode term the span would
-        # grow to match and the decode temporaries would dwarf the
-        # budget.
-        per_word_rows = (timing.num_rows + 2 * program.num_nets
-                         + 128 * max(len(output_nets), 1))
-        words_per_chunk = max(
-            64, _PACKED_CHUNK_BYTES // (8 * per_word_rows * count))
+        # packed word and trace, in uint64 rows: the stacked value
+        # tensors (num_nets, old + new), the decode temporaries of
+        # rows_to_words (unpacked uint64 bit matrices of ~64 rows per
+        # output bit, allocated per clock period), and the lateness
+        # source's own.  For the packed program that is its mask matrix
+        # (num_rows; clock-specialised programs shrink it by an order of
+        # magnitude, and without the decode term the span would grow to
+        # match and the decode temporaries would dwarf the budget).  For
+        # the levelised pass it is a float64 arrival time and a bool
+        # changed flag per net and transition: 72 rows per net.
+        per_word_rows = 2 * program.num_nets + 128 * max(len(output_nets), 1)
+        if timing is not None:
+            late_rows = {clk: timing.late_rows(output_nets, clk) for clk in clock_periods}
+            roots = (np.concatenate(list(late_rows.values())) if late_rows
+                     else np.empty(0, dtype=np.int64))
+            plan = timing.plan_for(roots)
+            words_per_chunk = max(64, _CHUNK_BYTES // (
+                8 * (per_word_rows + timing.num_rows) * count))
+        else:
+            words_per_chunk = max(1, min(packed_word_count(chunk_size), _CHUNK_BYTES // (
+                8 * (per_word_rows + 72 * program.num_nets) * count)))
         for start, stop in transition_chunks(max_transitions, words_per_chunk * 64):
             chunk = stop - start
             with phase("pack"):
@@ -320,11 +305,17 @@ class FastTimingSimulator:
             with phase("simulate"):
                 old_values, new_values = program.evaluate_transitions_many(
                     stacked, chunk)
-                masks = timing.run_many(old_values ^ new_values, plan=plan)
+                diff = old_values ^ new_values
+                if timing is not None:
+                    masks = timing.run_many(diff, plan=plan)
+                    late = {clk: masks[late_rows[clk]] for clk in clock_periods}
+                else:
+                    arrival = self._arrival(diff, chunk)[out_ids]
+                    late = {clk: pack_bits(arrival > clk) for clk in clock_periods}
 
                 old_rows = old_values[out_ids]
                 new_rows = new_values[out_ids]
-                diff_rows = old_rows ^ new_rows
+                diff_rows = diff[out_ids]
                 settled_chunk = rows_to_words(new_rows, chunk)
                 for index in range(count):
                     valid = min(stop, transitions[index]) - start
@@ -336,8 +327,7 @@ class FastTimingSimulator:
                     # word is the "new" side of its transition.
                     first_cycle[:] = rows_to_words(old_rows[..., :1], 1)[:, 0]
                 for clk in clock_periods:
-                    late = masks[late_rows[clk]]
-                    sampled_chunk = rows_to_words(new_rows ^ (diff_rows & late), chunk)
+                    sampled_chunk = rows_to_words(new_rows ^ (diff_rows & late[clk]), chunk)
                     for index in range(count):
                         valid = min(stop, transitions[index]) - start
                         if valid > 0:
@@ -358,50 +348,38 @@ class FastTimingSimulator:
                 for index in range(count)]
         return BatchedTraceRun(timing=timing_results, settled_values=settled_values)
 
-    # ------------------------------------------------------------------ #
-    # Dense reference engine
-    # ------------------------------------------------------------------ #
-    def _run_trace_multi_dense(self, input_trace: Mapping[str, np.ndarray], total: int,
-                               clock_periods: Sequence[float], output_nets: List[str],
-                               chunk_size: int) -> Dict[float, TimingErrorTrace]:
-        transitions = total - 1
-        sampled = {clk: np.zeros(transitions, dtype=np.uint64) for clk in clock_periods}
-        settled = np.zeros(transitions, dtype=np.uint64)
+    def _arrival(self, diff: np.ndarray, transitions: int) -> np.ndarray:
+        """The levelised pass: every net's arrival time in one chunk.
 
-        for start in range(0, transitions, chunk_size):
-            stop = min(start + chunk_size, transitions)
-            previous = {net: values[start:stop] for net, values in input_trace.items()}
-            current = {net: values[start + 1:stop + 1] for net, values in input_trace.items()}
-            results = self._dense_transitions(previous, current,
-                                              eval_engine=self._dense_eval_engine)
-            chunk_settled = np.zeros(stop - start, dtype=np.uint64)
-            for position, net in enumerate(output_nets):
-                chunk_settled |= results[net]["new"].astype(np.uint64) << np.uint64(position)
-            settled[start:stop] = chunk_settled
-            for clk in clock_periods:
-                chunk_sampled = np.zeros(stop - start, dtype=np.uint64)
-                for position, net in enumerate(output_nets):
-                    late = results[net]["arrival"] > clk
-                    bit = np.where(late, results[net]["old"], results[net]["new"])
-                    chunk_sampled |= bit.astype(np.uint64) << np.uint64(position)
-                sampled[clk][start:stop] = chunk_sampled
-
-        return {clk: TimingErrorTrace(clock_period=clk, sampled_words=sampled[clk],
-                                      settled_words=settled,
-                                      output_width=len(output_nets))
-                for clk in clock_periods}
+        ``diff`` is the packed ``(num_nets, traces, words)`` old-vs-new
+        difference of settled values; the result is the
+        ``(num_nets, traces, transitions)`` float64 arrival time of each
+        net's final transition, :data:`STABLE` where it does not switch.
+        """
+        program = self._program
+        changed = unpack_bits(diff, transitions).view(bool)
+        arrival = np.empty(changed.shape)
+        arrival[:2] = STABLE  # the constants
+        inputs = program.input_ids
+        arrival[inputs] = np.where(changed[inputs], 0.0, STABLE)
+        for batch, delays in zip(program.batches, self._batch_delays):
+            latest = arrival[batch.operand_ids[0]]
+            for ids in batch.operand_ids[1:]:
+                np.maximum(latest, arrival[ids], out=latest)
+            latest += delays
+            arrival[batch.out_ids] = np.where(changed[batch.out_ids], latest, STABLE)
+        return arrival
 
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _check_clocks(clock_periods: Sequence[float]) -> None:
+        for clk in clock_periods:
+            if clk <= 0:
+                raise SimulationError(f"clock period must be positive, got {clk}")
+
     def _output_nets(self, output_bus: str) -> List[str]:
         if output_bus in self.netlist.buses:
             return self.netlist.buses[output_bus]
         raise SimulationError(f"netlist {self.netlist.name!r} has no bus {output_bus!r}")
-
-    def _stimulus_shape(self, inputs: Mapping[str, np.ndarray]) -> tuple:
-        for net in self.netlist.inputs:
-            value = np.asarray(inputs[net])
-            if value.ndim > 0:
-                return value.shape
-        return ()

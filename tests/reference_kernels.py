@@ -1,9 +1,9 @@
 """Reference implementations of the production kernels (test oracles).
 
-Three oracles live here: the synthesis kernels, the regression tree's
-split search and the Pareto mask.  Each is the straightforward
-formulation production replaced, kept as the executable specification
-the production code must match bit for bit.
+Four oracles live here: the synthesis kernels, the dense timing loop,
+the regression tree's split search and the Pareto mask.  Each is the
+straightforward formulation production replaced, kept as the executable
+specification the production code must match bit for bit.
 
 *Synthesis.*  Production synthesis runs levelised kernels: optimize over an
 integer-indexed design (:mod:`repro.synth.optimize`), sizing and static
@@ -21,6 +21,13 @@ so it runs only inside :func:`reference_kernels`, which swaps this
 module's STA passes into :mod:`repro.timing.sta` (and its optimize and
 sizing into :mod:`repro.synth.flow`) for a ``with`` block.
 
+*Dense timing.*  :class:`ReferenceTimingSimulator` evaluates the logic
+with the per-gate ``uint8`` loop and propagates one float64 arrival
+array per net, one gate at a time.  The levelised pass of
+:class:`repro.timing.fast_sim.FastTimingSimulator` (``engine="reference"``,
+and ``"auto"`` on short calls) and its packed timing program must match
+it on sampled and settled words (``tests/test_compiled_engine.py``).
+
 *Regression trees.*  :class:`ReferenceTreeRegressor` grows on
 boolean-mask copies of ``(X, y)`` and sorts every candidate column of
 every node again, one feature at a time (:func:`_best_threshold`);
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +57,9 @@ from repro.synth import flow
 from repro.synth.optimize import _fresh_inverter_names, _Inverted, _simplify
 from repro.synth.sizing import SizingOptions, SizingResult
 from repro.timing import sta
+from repro.timing.errors import TimingErrorTrace
+from repro.timing.fast_sim import STABLE, BatchedTraceRun
+from repro.timing.operands import expand_operand_traces, trace_length
 
 
 # --------------------------------------------------------------------- #
@@ -312,6 +322,124 @@ def reference_kernels() -> Iterator[None]:
         for module, name, original in saved:
             setattr(module, name, original)
         clear_design_cache()
+
+
+# --------------------------------------------------------------------- #
+# Dense timing: per-gate logic and arrival loops
+# --------------------------------------------------------------------- #
+class ReferenceTimingSimulator:
+    """The per-gate dense timing loop the levelised pass replaced.
+
+    ``run_trace_multi`` and ``run_traces_multi`` take the arguments of the
+    :class:`repro.timing.fast_sim.FastTimingSimulator` methods of the same
+    names; traces run one after the other, and settled values come from a
+    second, per-gate ``uint8`` logic pass.
+    """
+
+    def __init__(self, netlist: Netlist, annotation: DelayAnnotation) -> None:
+        annotation.validate_against(netlist)
+        self.netlist = netlist
+        self._order = netlist.topological_order()
+        self._delays = {gate.name: annotation.delay_of(gate.name) for gate in self._order}
+        self._dense_eval_engine = "reference"
+
+    def run_trace_multi(self, operands: Mapping[str, np.ndarray],
+                        clock_periods: Sequence[float], output_bus: str = "S",
+                        chunk_size: int = 4096) -> Dict[float, TimingErrorTrace]:
+        input_trace = expand_operand_traces(self.netlist, operands)
+        return self._run_trace_multi_dense(input_trace, trace_length(input_trace),
+                                           clock_periods, self.netlist.buses[output_bus],
+                                           chunk_size)
+
+    def run_traces_multi(self, operand_traces: Sequence[Mapping[str, np.ndarray]],
+                         clock_periods: Sequence[float], output_bus: str = "S",
+                         include_settled_values: bool = False) -> BatchedTraceRun:
+        timing = [self.run_trace_multi(operands, clock_periods, output_bus)
+                  for operands in operand_traces]
+        settled_values = None
+        if include_settled_values:
+            settled_values = [
+                self.netlist.compute_words(operands, output_bus,
+                                           engine=self._dense_eval_engine)
+                for operands in operand_traces]
+        return BatchedTraceRun(timing=timing, settled_values=settled_values)
+
+    def _dense_transitions(self, previous_inputs: Mapping[str, np.ndarray],
+                           current_inputs: Mapping[str, np.ndarray],
+                           eval_engine: str) -> Dict[str, Dict[str, np.ndarray]]:
+        """Per-output-net ``old``/``new`` values and ``arrival`` times.
+
+        ``previous_inputs`` and ``current_inputs`` map every primary input
+        net to equal-length 0/1 arrays, one entry per transition.
+        """
+        old_values = self.netlist.evaluate(previous_inputs, engine=eval_engine)
+        new_values = self.netlist.evaluate(current_inputs, engine=eval_engine)
+
+        arrival: Dict[str, np.ndarray] = {}
+        shape = self._stimulus_shape(current_inputs)
+        for net in self.netlist.inputs:
+            old = np.broadcast_to(np.asarray(old_values[net]), shape)
+            new = np.broadcast_to(np.asarray(new_values[net]), shape)
+            arrival[net] = np.where(old != new, 0.0, STABLE)
+        zeros = np.full(shape, STABLE)
+        arrival[CONST0] = zeros
+        arrival[CONST1] = zeros
+
+        for gate in self._order:
+            delay = self._delays[gate.name]
+            input_arrival = arrival[gate.inputs[0]]
+            for net in gate.inputs[1:]:
+                input_arrival = np.maximum(input_arrival, arrival[net])
+            old = np.broadcast_to(np.asarray(old_values[gate.output]), shape)
+            new = np.broadcast_to(np.asarray(new_values[gate.output]), shape)
+            changed = old != new
+            arrival[gate.output] = np.where(changed, input_arrival + delay, STABLE)
+
+        results: Dict[str, Dict[str, np.ndarray]] = {}
+        for net in self.netlist.outputs:
+            results[net] = {
+                "old": np.broadcast_to(np.asarray(old_values[net], dtype=np.uint8), shape),
+                "new": np.broadcast_to(np.asarray(new_values[net], dtype=np.uint8), shape),
+                "arrival": arrival[net],
+            }
+        return results
+
+    def _run_trace_multi_dense(self, input_trace: Mapping[str, np.ndarray], total: int,
+                               clock_periods: Sequence[float], output_nets: List[str],
+                               chunk_size: int) -> Dict[float, TimingErrorTrace]:
+        transitions = total - 1
+        sampled = {clk: np.zeros(transitions, dtype=np.uint64) for clk in clock_periods}
+        settled = np.zeros(transitions, dtype=np.uint64)
+
+        for start in range(0, transitions, chunk_size):
+            stop = min(start + chunk_size, transitions)
+            previous = {net: values[start:stop] for net, values in input_trace.items()}
+            current = {net: values[start + 1:stop + 1] for net, values in input_trace.items()}
+            results = self._dense_transitions(previous, current,
+                                              eval_engine=self._dense_eval_engine)
+            chunk_settled = np.zeros(stop - start, dtype=np.uint64)
+            for position, net in enumerate(output_nets):
+                chunk_settled |= results[net]["new"].astype(np.uint64) << np.uint64(position)
+            settled[start:stop] = chunk_settled
+            for clk in clock_periods:
+                chunk_sampled = np.zeros(stop - start, dtype=np.uint64)
+                for position, net in enumerate(output_nets):
+                    late = results[net]["arrival"] > clk
+                    bit = np.where(late, results[net]["old"], results[net]["new"])
+                    chunk_sampled |= bit.astype(np.uint64) << np.uint64(position)
+                sampled[clk][start:stop] = chunk_sampled
+
+        return {clk: TimingErrorTrace(clock_period=clk, sampled_words=sampled[clk],
+                                      settled_words=settled,
+                                      output_width=len(output_nets))
+                for clk in clock_periods}
+
+    def _stimulus_shape(self, inputs: Mapping[str, np.ndarray]) -> tuple:
+        for net in self.netlist.inputs:
+            value = np.asarray(inputs[net])
+            if value.ndim > 0:
+                return value.shape
+        return ()
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,11 @@
 """Equivalence tests for the compiled bit-packed engine.
 
 The compiled engine (packed logic evaluation + arrival-threshold timing
-masks) must be bit-exact against the reference implementations on every
-design of the library: the exact adder architectures and the paper's
-approximate (ISA) configurations, for random vectors and for ragged
-trace lengths that do not divide the 64-cycle word size.
+masks) and the levelised dense pass must be bit-exact against each other
+and against the per-gate oracle of ``reference_kernels`` on every design
+of the library: the exact adder architectures, the paper's approximate
+(ISA) configurations and the array multipliers, for random vectors and
+for ragged trace lengths that do not divide the 64-cycle word size.
 """
 
 import hashlib
@@ -13,19 +14,24 @@ import json
 import numpy as np
 import pytest
 
+from reference_kernels import ReferenceTimingSimulator
 from repro.circuit.builder import NetlistBuilder
-from repro.circuit.compiled import (PackedTimingProgram, pack_bits, packed_word_count,
-                                    rows_to_words, unpack_bits)
+from repro.circuit.compiled import (CompiledProgram, PackedTimingProgram, pack_bits,
+                                    packed_word_count, rows_to_words, unpack_bits)
 from repro.circuit.library import default_library
 from repro.circuit.netlist import Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.core.config import ISAConfig
 from repro.exceptions import SimulationError
 from repro.explore.space import DesignSpace
+from repro.families import get_family
+from repro.obs.trace import collect_phases
 from repro.runtime.jobs import synthesize_entry
 from repro.synth.flow import SynthesisOptions, exact_adder_netlist, synthesize
+from repro.timing import fast_sim
+from repro.timing.clocking import ClockPlan
 from repro.timing.event_sim import Waveform
-from repro.timing.fast_sim import FastTimingSimulator
+from repro.timing.fast_sim import DENSE_MAX_TRANSITIONS, FastTimingSimulator
 from repro.timing.operands import expand_operand_traces
 from repro.workloads.generators import uniform_workload
 
@@ -162,8 +168,14 @@ class TestLogicEquivalence:
                 netlist.compute_words(operands, engine=engine)
 
 
+def _assert_traces_equal(got, want, clock_periods):
+    for clk in clock_periods:
+        assert np.array_equal(got[clk].settled_words, want[clk].settled_words)
+        assert np.array_equal(got[clk].sampled_words, want[clk].sampled_words)
+
+
 class TestTimingEquivalence:
-    """Compiled packed timing vs the dense float reference engine."""
+    """Packed timing program, levelised pass and the per-gate oracle."""
 
     def _assert_engines_agree(self, design, operands, clock_periods):
         compiled = FastTimingSimulator(design.netlist, design.annotation,
@@ -174,9 +186,10 @@ class TestTimingEquivalence:
         assert reference.engine == "reference"
         got = compiled.run_trace_multi(operands, clock_periods)
         want = reference.run_trace_multi(operands, clock_periods)
-        for clk in clock_periods:
-            assert np.array_equal(got[clk].settled_words, want[clk].settled_words)
-            assert np.array_equal(got[clk].sampled_words, want[clk].sampled_words)
+        _assert_traces_equal(got, want, clock_periods)
+        oracle = ReferenceTimingSimulator(design.netlist, design.annotation)
+        _assert_traces_equal(want, oracle.run_trace_multi(operands, clock_periods),
+                             clock_periods)
 
     def test_exact_adders(self, exact_design, clock_plan):
         critical = exact_design.critical_path_delay
@@ -245,6 +258,125 @@ class TestTimingEquivalence:
         trace = auto.run_trace(_random_operands(16, 50, 67),
                                design.critical_path_delay * 1.05)
         assert trace.cycle_error_rate() == 0.0
+
+    def test_auto_builds_the_packed_program_only_above_the_constant(
+            self, exact_design, monkeypatch):
+        """Calls of at most DENSE_MAX_TRANSITIONS transitions, summed over
+        their traces, skip lowering; the first longer call builds the
+        packed program once, and every kernel gives the same words."""
+        builds = []
+        original = PackedTimingProgram.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(kwargs.get("clock_periods"))
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(PackedTimingProgram, "__init__", counting)
+        design = exact_design
+        critical = design.critical_path_delay
+        clocks = [critical * 0.6, critical * 0.9]
+        at_limit = _random_operands(16, DENSE_MAX_TRANSITIONS + 1, 71)
+        halves = [_random_operands(16, DENSE_MAX_TRANSITIONS // 2 + 2, seed)
+                  for seed in (72, 73)]
+        above = _random_operands(16, DENSE_MAX_TRANSITIONS + 2, 74)
+
+        auto = FastTimingSimulator(design.netlist, design.annotation, clock_periods=clocks)
+        with collect_phases() as phases:
+            short = auto.run_trace_multi(at_limit, clocks)
+            auto.run_traces_multi(halves[:1], clocks)
+            assert builds == []
+            # Each half is below the constant; together they are above it.
+            split = auto.run_traces_multi(halves, clocks)
+            assert builds == [clocks]
+            long = auto.run_trace_multi(above, clocks)
+            assert builds == [clocks]
+            assert auto.engine == "compiled"
+        # The lazy build is lowering, timed once under its own span.
+        assert phases.calls["lower"] == 1
+
+        compiled = FastTimingSimulator(design.netlist, design.annotation,
+                                       engine="compiled", clock_periods=clocks)
+        assert len(builds) == 2
+        reference = FastTimingSimulator(design.netlist, design.annotation,
+                                        engine="reference")
+        for other in (compiled, reference):
+            _assert_traces_equal(short, other.run_trace_multi(at_limit, clocks), clocks)
+            _assert_traces_equal(long, other.run_trace_multi(above, clocks), clocks)
+            for got, want in zip(split.timing, other.run_traces_multi(halves, clocks).timing):
+                _assert_traces_equal(got, want, clocks)
+        assert len(builds) == 2
+
+    def test_width16_sample_matches_compiled(self):
+        """A strided 89-design sample of the width-16 space plus exact, at
+        the sweep's 256 vectors and 4 clocks: the levelised pass equals
+        the clock-specialised packed program on every word."""
+        family = get_family("adder")
+        clocks = ClockPlan(safe_period=family.safe_period(16),
+                           cpr_levels=(0.0, 0.05, 0.10, 0.15)).periods
+        operands = _random_operands(16, 256, 79)
+        options = SynthesisOptions()
+        entries = DesignSpace(width=16).entries(max_designs=89)
+        assert len(entries) == 90
+        for entry in entries:
+            design = synthesize_entry(entry, 16, options)
+            compiled = FastTimingSimulator(design.netlist, design.annotation,
+                                           engine="compiled", clock_periods=clocks)
+            reference = FastTimingSimulator(design.netlist, design.annotation,
+                                            engine="reference")
+            _assert_traces_equal(compiled.run_trace_multi(operands, clocks),
+                                 reference.run_trace_multi(operands, clocks), clocks)
+
+    def test_multiplier_family(self):
+        family = get_family("multiplier")
+        clocks = ClockPlan(safe_period=family.safe_period(8),
+                           cpr_levels=(0.0, 0.05, 0.10, 0.15)).periods
+        options = SynthesisOptions()
+        for index, entry in enumerate(family.design_space(8).entries(max_designs=6)):
+            design = synthesize_entry(entry, 8, options)
+            self._assert_engines_agree(design, _random_operands(8, 150, 83 + index),
+                                       list(clocks))
+
+    def test_ragged_multi_trace_stack(self, exact_design):
+        """A ragged stack with settled values: one levelised pass equals
+        the packed program and the oracle's traces, one by one."""
+        design = exact_design
+        critical = design.critical_path_delay
+        clocks = [critical * 0.5, critical * 0.8, critical * 1.1]
+        stack = [_random_operands(16, length, 89 + length)
+                 for length in (2, 64, 65, 129, 300)]
+        runs = [simulator.run_traces_multi(stack, clocks, include_settled_values=True)
+                for simulator in (
+                    FastTimingSimulator(design.netlist, design.annotation, engine="reference"),
+                    FastTimingSimulator(design.netlist, design.annotation, engine="compiled"),
+                    ReferenceTimingSimulator(design.netlist, design.annotation))]
+        want = runs[-1]
+        for run in runs[:-1]:
+            for got, expected in zip(run.timing, want.timing):
+                _assert_traces_equal(got, expected, clocks)
+            for got, expected in zip(run.settled_values, want.settled_values):
+                assert np.array_equal(got, expected)
+
+    def test_long_reference_trace_crosses_chunks(self, exact_design, monkeypatch):
+        """With the byte budget cut to one word per chunk, a long
+        levelised run spans many chunks and still equals the packed
+        program."""
+        design = exact_design
+        critical = design.critical_path_delay
+        clocks = [critical * 0.6, critical * 0.95]
+        operands = _random_operands(16, 1000, 97)
+        compiled = FastTimingSimulator(design.netlist, design.annotation, engine="compiled")
+        want = compiled.run_trace_multi(operands, clocks)
+
+        passes = []
+        original = CompiledProgram.evaluate_transitions_many
+
+        def counting(self, bit_inputs, transitions):
+            passes.append(transitions)
+            return original(self, bit_inputs, transitions)
+        monkeypatch.setattr(CompiledProgram, "evaluate_transitions_many", counting)
+        monkeypatch.setattr(fast_sim, "_CHUNK_BYTES", 1)
+        reference = FastTimingSimulator(design.netlist, design.annotation, engine="reference")
+        _assert_traces_equal(reference.run_trace_multi(operands, clocks), want, clocks)
+        assert passes == [64] * 15 + [999 - 15 * 64]
 
     def test_plan_matches_full_propagation(self, exact_design):
         """A clock-specialised plan computes the same rows as the full run."""

@@ -195,12 +195,12 @@ class TestBackendDeterminism:
         [parallel] = pool_of(2).run([job])
         assert_bit_identical(reference, parallel)
 
-    def test_batch_order_preserved(self):
+    def test_batch_order_preserved(self, pool_of):
         jobs = [small_job(length=80, quadruple=(4, 0, 0, 2)),
                 small_job(length=80, quadruple=None),
                 small_job(length=80, quadruple=(8, 2, 1, 2))]
         serial = SerialBackend().run(jobs)
-        parallel = MultiprocessBackend(workers=2).run(jobs)
+        parallel = pool_of(2).run(jobs)
         assert [r.name for r in parallel] == [r.name for r in serial]
         for reference, candidate in zip(serial, parallel):
             assert_bit_identical(reference, candidate)

@@ -1,6 +1,5 @@
 """Tests of the persistent synthesis cache (repro.runtime.synth_cache)."""
 
-import dataclasses
 import os
 import struct
 

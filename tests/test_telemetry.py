@@ -28,7 +28,6 @@ from repro.obs.stats_cli import main as stats_main
 from repro.runtime import (
     CharacterizationJob,
     MultiprocessBackend,
-    SerialBackend,
     job_digest,
     run_jobs,
 )
