@@ -21,8 +21,10 @@ Two programs are provided:
     The timing half of the compiled engine.  Per-gate transport delays
     from a :class:`~repro.circuit.sdf.DelayAnnotation` give every net a
     *finite* set of possible final-transition arrival times (path sums of
-    delays).  For each net ``n`` and each possible arrival value ``v``
-    the program materialises a packed mask ``M[n, v] = (arrival(n) >= v)``
+    delays).  A program is built for the clock periods its caller
+    samples: each clock reads one threshold ``v`` per output net, and for
+    each net ``n`` and arrival value ``v`` those thresholds depend on the
+    program materialises a packed mask ``M[n, v] = (arrival(n) >= v)``
     and propagates it levelwise with pure bitwise OR/AND operations::
 
         arrival(n) >= v  <=>  changed(n) and
@@ -40,13 +42,13 @@ Two programs are provided:
     When per-instance delay variation makes the arrival sets explode
     (every path a distinct float sum), compilation aborts with
     :class:`~repro.exceptions.CompilationError` and callers fall back to
-    the dense reference engine.
+    the levelised pass of :class:`~repro.timing.fast_sim.FastTimingSimulator`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -67,25 +69,25 @@ def packed_word_count(length: int) -> int:
     return (int(length) + WORD_BITS - 1) // WORD_BITS
 
 
-def transition_chunks(transitions: int, chunk_size: int) -> List[Tuple[int, int]]:
+def transition_chunks(transitions: int, size: int) -> List[Tuple[int, int]]:
     """Word-aligned ``[start, stop)`` spans covering ``transitions`` cycles.
 
-    ``chunk_size`` is rounded up to a multiple of :data:`WORD_BITS`
-    so every chunk starts on a packed word boundary and fills whole words
-    except possibly the last (ragged) one.  Because the timing simulators
-    are transition-local, simulating the spans independently — each span
-    reads input vectors ``[start, stop]`` — and concatenating the results
-    in span order is bit-identical to one full-trace run.  This is the
-    chunk-level unit of work shared by the packed engine's internal
-    chunking and the planner's trace slices.
+    ``size`` (transitions per span) is rounded up to a multiple of
+    :data:`WORD_BITS` so every chunk starts on a packed word boundary and
+    fills whole words except possibly the last (ragged) one.  Because the
+    timing simulators are transition-local, simulating the spans
+    independently — each span reads input vectors ``[start, stop]`` — and
+    concatenating the results in span order is bit-identical to one
+    full-trace run.  This is the chunk-level unit of work shared by the
+    fast simulator's internal chunking and the planner's trace slices.
     """
     transitions = int(transitions)
     if transitions < 1:
         raise SimulationError(f"need at least one transition, got {transitions}")
-    if chunk_size < 1:
+    if size < 1:
         raise SimulationError(
-            f"chunk size must be at least one transition, got {chunk_size}")
-    aligned = -(-int(chunk_size) // WORD_BITS) * WORD_BITS
+            f"chunk size must be at least one transition, got {size}")
+    aligned = -(-int(size) // WORD_BITS) * WORD_BITS
     return [(start, min(start + aligned, transitions))
             for start in range(0, transitions, aligned)]
 
@@ -278,34 +280,22 @@ class CompiledProgram:
         values = self.evaluate_bits(bit_inputs, length)
         return self.decode_words(values, output_nets, length)
 
-    def evaluate_transitions(self, bit_inputs: Mapping[str, np.ndarray],
-                             transitions: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Old/new settled values for ``transitions`` back-to-back transitions.
-
-        ``bit_inputs`` holds ``transitions + 1`` cycles per net; the trace
-        is evaluated once and the "new" matrix is derived with a one-bit
-        cross-word funnel shift instead of a second evaluation pass.
-        Both returned matrices span ``packed_word_count(transitions)``
-        words; bits at positions ``>= transitions`` are unspecified.
-        """
-        full = self.evaluate_bits(bit_inputs, transitions + 1)
-        shifted = full >> np.uint64(1)
-        shifted[:, :-1] |= full[:, 1:] << np.uint64(63)
-        words = packed_word_count(transitions)
-        return full[:, :words], shifted[:, :words]
-
     def evaluate_transitions_many(self, bit_inputs: Mapping[str, np.ndarray],
                                   transitions: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked :meth:`evaluate_transitions` over a batch of traces.
+        """Old/new settled values of a stacked batch of traces.
 
         ``bit_inputs`` holds a ``(traces, transitions + 1)`` 0/1 matrix
         per net (rows shorter than the batch must be zero-padded by the
         caller; the padded bits are evaluated but carry no meaning).
         Returns ``(old, new)`` value tensors of shape
-        ``(num_nets, traces, packed_word_count(transitions))``.  The
-        funnel shift deriving the "new" matrix runs along the packed
-        word axis of each trace independently, so every trace slice is
-        bit-identical to a standalone :meth:`evaluate_transitions`.
+        ``(num_nets, traces, packed_word_count(transitions))``: bit ``t``
+        of a trace's ``old`` row holds the net's value at vector ``t``,
+        of its ``new`` row the value at vector ``t + 1``; bits at
+        positions ``>= transitions`` are unspecified.
+        The batch is evaluated once and the "new" tensor is derived with
+        a one-bit cross-word funnel shift instead of a second evaluation
+        pass; the shift runs along the packed word axis of each trace
+        independently, so traces never mix.
         """
         words_full = packed_word_count(transitions + 1)
         packed = {net: pack_bits(bits) for net, bits in bit_inputs.items()}
@@ -323,69 +313,51 @@ class _ThresholdBatch:
 
     After renumbering, the rows of a batch occupy the contiguous block
     ``[start, stop)`` of the mask matrix, so the propagation writes a
-    slice instead of scattering through an index array.  Clock-specialised
-    plans restrict a batch to a subset of its rows; ``out_rows`` then
-    carries the explicit (non-contiguous) targets.
+    slice instead of scattering through an index array.
     """
 
     start: int
     stop: int
     changed_rows: np.ndarray
     source_rows: Tuple[np.ndarray, ...]
-    out_rows: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class _TimingPlan:
-    """Propagation schedule restricted to the cone of a set of root rows."""
-
-    runtime_rows: np.ndarray
-    runtime_nets: np.ndarray
-    batches: List[_ThresholdBatch]
 
 
 class PackedTimingProgram:
     """Arrival-threshold masks of a delay-annotated netlist, fully packed.
 
-    See the module docstring for the algorithm.  The program is compiled
-    once per (netlist, annotation) pair; :meth:`run` then produces the
-    mask matrix for one packed chunk of transitions, and
-    :meth:`late_rows` maps a clock period to the mask rows that answer
-    ``arrival > clock`` for a list of nets.
+    See the module docstring for the algorithm.  A program is compiled
+    for one (netlist, annotation, clock set): per sampleable net (primary
+    outputs and bus members) each clock period samples one lateness
+    threshold, and only the rows those thresholds depend on are built.
+    :meth:`run_many` then produces the mask tensor for one packed chunk
+    of transitions, and :meth:`late_rows` maps a clock period to the
+    mask rows that answer ``arrival > clock`` for a list of nets.  A
+    clock period that samples a threshold outside the program raises;
+    it never answers wrongly.
 
     Compilation is *cone-directed*: arrival-value candidate sets are
     derived bottom-up for every net, but threshold rows are materialised
-    top-down from the query roots, so only masks that can influence a
-    lateness answer are ever built.  By default the roots are **every**
-    threshold of every sampleable net (primary outputs and bus members)
-    — the general program, able to answer any clock period.  Passing
-    ``clock_periods`` restricts the roots to the one lateness threshold
-    each clock samples per net; the resulting program is typically an
-    order of magnitude smaller (cheaper to compile *and* to run) and is
-    bit-identical to the general program on those clocks.  Querying a
-    clock outside the specialisation raises, it never answers wrongly.
+    top-down from the sampled thresholds, so only masks that can
+    influence a lateness answer are ever built.
     """
 
-    #: Default ceiling on threshold rows per gate (beyond it, compilation
-    #: aborts and the dense engine takes over).
+    #: Ceiling on threshold rows per gate (beyond it, compilation aborts
+    #: and the levelised pass takes over).
     DEFAULT_ROWS_PER_GATE = 48
 
     def __init__(self, program: CompiledProgram, annotation,
-                 row_limit: Optional[int] = None,
-                 clock_periods: Optional[Sequence[float]] = None) -> None:
+                 clock_periods: Sequence[float]) -> None:
         self.program = program
         netlist = program.netlist
-        if row_limit is None:
-            row_limit = (self.DEFAULT_ROWS_PER_GATE * max(netlist.num_gates, 1)
-                         + len(netlist.inputs) + 64)
+        max_rows = (self.DEFAULT_ROWS_PER_GATE * max(netlist.num_gates, 1)
+                    + len(netlist.inputs) + 64)
         net_id = program.net_id
-        self.clock_periods = (None if clock_periods is None else
-                              tuple(sorted({float(clk) for clk in clock_periods})))
+        self.clock_periods = tuple(sorted({float(clk) for clk in clock_periods}))
 
         def _overflow() -> CompilationError:
             return CompilationError(
-                f"timing program for {netlist.name!r} exceeds {row_limit} "
-                f"threshold rows (irregular delays); use the dense reference engine")
+                f"timing program for {netlist.name!r} exceeds {max_rows} "
+                f"threshold rows (irregular delays); use the levelised pass")
 
         # ---------------------------------------------------------------- #
         # Arrival-value candidate sets, bottom-up.  Every threshold is a
@@ -420,7 +392,7 @@ class PackedTimingProgram:
                 for source in live:
                     merged.update(value + delay for value in value_sets[source])
                 values = tuple(sorted(merged))
-            if len(values) > row_limit:
+            if len(values) > max_rows:
                 # A single net with more candidate thresholds than the
                 # whole row budget is the irregular-delay explosion the
                 # limit exists for; abort before the sets snowball.
@@ -432,38 +404,29 @@ class PackedTimingProgram:
             for values in value_sets]
 
         # ---------------------------------------------------------------- #
-        # Query roots: the (net, threshold) pairs a run may sample.
+        # Roots: the one (net, threshold) pair each clock samples per
+        # sampleable net.
         # ---------------------------------------------------------------- #
         roots: List[Tuple[int, int]] = []
-        seen_nets: set = set()
-        sample_order = list(netlist.outputs) + [
-            net for nets in netlist.buses.values() for net in nets]
+        sample_order = dict.fromkeys(list(netlist.outputs) + [
+            net for nets in netlist.buses.values() for net in nets])
         for net in sample_order:
-            if net in seen_nets:
-                continue
-            seen_nets.add(net)
             nid = net_id.get(net)
             if nid is None:
                 continue
-            size = values_of[nid].shape[0]
-            if not size:
-                continue
-            if self.clock_periods is None:
-                roots.extend((nid, k) for k in range(size))
-            else:
-                indices = {int(np.searchsorted(values_of[nid], clk, side="right"))
-                           for clk in self.clock_periods}
-                roots.extend((nid, k) for k in sorted(indices) if k < size)
+            values = values_of[nid]
+            indices = {int(np.searchsorted(values, clk, side="right"))
+                       for clk in self.clock_periods}
+            roots.extend((nid, k) for k in sorted(indices) if k < values.shape[0])
 
         # ---------------------------------------------------------------- #
         # Threshold-row discovery walks top-down from the roots: one
         # runtime (changed) row per live net it reaches and one threshold
         # node per distinct source set of a gate (per-gate dedup), so no
-        # row outside the roots' backward cone is ever created.  The
-        # general program is simply the cone of every threshold.
+        # row outside the roots' backward cone is ever created.
         # ---------------------------------------------------------------- #
         pair_row, nodes, runtime_order, runtime_nets, next_row = self._discover_cone(
-            gate_of, values_of, roots, row_limit, _overflow)
+            gate_of, values_of, roots, max_rows, _overflow)
 
         # ---------------------------------------------------------------- #
         # Renumber: row 0, then the runtime block, then batch-contiguous
@@ -507,14 +470,9 @@ class PackedTimingProgram:
         for (nid, k), row in pair_row.items():
             rows_of[nid][k] = remap[row]
         self.rows_of = rows_of
-        self._dependencies = {
-            int(remap[row]): (int(remap[node[2]]),
-                              tuple(int(remap[source]) for source in node[3]))
-            for row, node in nodes.items()}
-        self._plan_cache: Dict[frozenset, _TimingPlan] = {}
 
     @staticmethod
-    def _discover_cone(gate_of, values_of, roots, row_limit, overflow):
+    def _discover_cone(gate_of, values_of, roots, max_rows, overflow):
         """Walk top-down from the roots, creating only reachable rows.
 
         Returns ``(pair_row, nodes, runtime_order, runtime_nets,
@@ -522,9 +480,9 @@ class PackedTimingProgram:
         for a threshold no input transition can reach), the threshold
         nodes as ``row -> (level, fan-in, changed row, source rows)``,
         and the runtime rows with their nets in creation order.  Nothing
-        outside the roots' backward cone is materialised, which is what
-        makes clock-specialised compilation an order of magnitude
-        cheaper than the general program on multi-clock sweeps.
+        outside the roots' backward cone is materialised, which keeps a
+        program for a few clocks an order of magnitude smaller than one
+        holding every threshold.
         """
         pair_row: Dict[Tuple[int, int], int] = {}
         dedup: Dict[Tuple[int, Tuple[int, ...]], int] = {}
@@ -560,7 +518,7 @@ class PackedTimingProgram:
                 runtime_order.append(next_row)
                 runtime_nets.append(nid)
                 next_row += 1
-                if next_row > row_limit:
+                if next_row > max_rows:
                     raise overflow()
                 continue
             children: List[Tuple[int, int]] = [(nid, 0)]
@@ -587,114 +545,44 @@ class PackedTimingProgram:
             nodes[row] = (gate_of[nid][2], len(sources), pair_row[(nid, 0)],
                           sources)
             next_row += 1
-            if next_row > row_limit:
+            if next_row > max_rows:
                 raise overflow()
         return pair_row, nodes, runtime_order, runtime_nets, next_row
 
     # ------------------------------------------------------------------ #
-    def plan_for(self, root_rows: Sequence[int]) -> "_TimingPlan":
-        """Specialised propagation plan covering only ``root_rows``.
+    def run_many(self, changed: np.ndarray) -> np.ndarray:
+        """Propagate threshold masks for one packed chunk of stacked traces.
 
-        A trace run at a fixed set of clock periods samples a handful of
-        lateness thresholds; everything not in their backward cone is
-        dead work.  Plans are cached per root set — for the paper's
-        three-clock sweeps they shrink the propagation to a quarter of
-        the rows or less.
-        """
-        key = frozenset(int(row) for row in root_rows if row)
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            return cached
-        alive = set()
-        stack = list(key)
-        while stack:
-            row = stack.pop()
-            if row in alive or row == 0:
-                continue
-            alive.add(row)
-            node = self._dependencies.get(row)
-            if node is not None:
-                stack.append(node[0])
-                stack.extend(node[1])
-
-        runtime_selection = np.array(
-            sorted(row for row in alive if row < self.runtime_stop), dtype=np.int64)
-        plan_batches: List[_ThresholdBatch] = []
-        for batch in self.batches:
-            positions = np.array([k for k, row in enumerate(range(batch.start, batch.stop))
-                                  if row in alive], dtype=np.int64)
-            if not positions.size:
-                continue
-            if positions.size == batch.stop - batch.start:
-                plan_batches.append(batch)
-                continue
-            plan_batches.append(_ThresholdBatch(
-                start=batch.start, stop=batch.stop,
-                changed_rows=batch.changed_rows[positions],
-                source_rows=tuple(rows[positions] for rows in batch.source_rows),
-                out_rows=positions + batch.start))
-        plan = _TimingPlan(
-            runtime_rows=runtime_selection,
-            runtime_nets=self.runtime_nets[runtime_selection - 1],
-            batches=plan_batches)
-        self._plan_cache[key] = plan
-        return plan
-
-    def run(self, changed: np.ndarray, plan: Optional["_TimingPlan"] = None) -> np.ndarray:
-        """Propagate threshold masks for one packed chunk.
-
-        ``changed`` is the ``(num_nets, words)`` packed old-vs-new diff of
-        settled values — or a stacked ``(num_nets, traces, words)`` batch
-        (see :meth:`run_many`).  Returns the ``(num_rows, ...)`` mask
-        matrix with the same trailing shape; with a ``plan`` only the
-        rows in the plan's cone hold defined values (exactly the ones
-        its roots sample).
-        """
-        masks = np.empty((self.num_rows,) + changed.shape[1:], dtype=np.uint64)
-        masks[0] = 0
-        if plan is None:
-            masks[1:self.runtime_stop] = changed[self.runtime_nets]
-            batches: Sequence[_ThresholdBatch] = self.batches
-        else:
-            masks[plan.runtime_rows] = changed[plan.runtime_nets]
-            batches = plan.batches
-        for batch in batches:
-            if batch.out_rows is None:
-                block = masks[batch.start:batch.stop]
-                np.take(masks, batch.source_rows[0], axis=0, out=block)
-            else:
-                block = masks[batch.source_rows[0]]
-            for source in batch.source_rows[1:]:
-                block |= masks[source]
-            block &= masks[batch.changed_rows]
-            if batch.out_rows is not None:
-                masks[batch.out_rows] = block
-        return masks
-
-    def run_many(self, changed: np.ndarray,
-                 plan: Optional["_TimingPlan"] = None) -> np.ndarray:
-        """Batched :meth:`run` over a stacked multi-trace diff tensor.
-
-        ``changed`` has shape ``(num_nets, traces, words)``; the result
-        has shape ``(num_rows, traces, words)``.  Every threshold batch
+        ``changed`` is the ``(num_nets, traces, words)`` packed
+        old-vs-new diff of settled values; the result is the
+        ``(num_rows, traces, words)`` mask tensor.  Every threshold batch
         propagates with **one** bitwise operation covering all traces,
-        and because packed words of different traces never mix, slicing
-        trace ``t`` out of the result is bit-identical to a standalone
-        :meth:`run` on that trace's diff matrix.
+        and because packed words of different traces never mix, each
+        trace's slice of the result depends on that trace alone.
         """
         if changed.ndim != 3:
             raise SimulationError(
                 f"run_many expects a (num_nets, traces, words) tensor, "
                 f"got shape {changed.shape}")
-        return self.run(changed, plan=plan)
+        masks = np.empty((self.num_rows,) + changed.shape[1:], dtype=np.uint64)
+        masks[0] = 0
+        masks[1:self.runtime_stop] = changed[self.runtime_nets]
+        for batch in self.batches:
+            block = masks[batch.start:batch.stop]
+            np.take(masks, batch.source_rows[0], axis=0, out=block)
+            for source in batch.source_rows[1:]:
+                block |= masks[source]
+            block &= masks[batch.changed_rows]
+        return masks
 
     def late_rows(self, nets: Sequence[str], clock_period: float) -> np.ndarray:
         """Mask row answering ``arrival > clock_period`` for each net.
 
         Nets that can never be late at this clock map to row 0 (all-zero).
-        Only sampleable nets (primary outputs and bus members) survive
-        compilation; querying any other net — or a clock period a
-        clock-specialised program was not compiled for — raises.
+        Only the thresholds the program's clock periods sample on
+        sampleable nets (primary outputs and bus members) have rows;
+        querying any other net, or a clock period that samples another
+        threshold, raises.
         """
         rows = np.zeros(len(nets), dtype=np.int64)
         for k, net in enumerate(nets):
@@ -704,14 +592,10 @@ class PackedTimingProgram:
             if idx < values.shape[0]:
                 row = int(self.rows_of[nid][idx])
                 if row < 0:
-                    if self.clock_periods is not None:
-                        raise SimulationError(
-                            f"net {net!r} has no threshold row for clock period "
-                            f"{clock_period!r}: the timing program was specialised "
-                            f"to clock periods {self.clock_periods}")
                     raise SimulationError(
-                        f"net {net!r} was pruned from the timing program and "
-                        "cannot be sampled")
+                        f"net {net!r} has no threshold row for clock period "
+                        f"{clock_period!r}: the timing program was built for clock "
+                        f"periods {self.clock_periods}")
                 rows[k] = row
         return rows
 

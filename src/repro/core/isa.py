@@ -18,7 +18,7 @@ produced by :mod:`repro.synth.isa_synth` is checked against this model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -101,13 +101,6 @@ class StructuralFaultStats:
         if self.cycles == 0:
             return np.zeros(self.width + 1)
         return self.position_counts / float(self.cycles)
-
-    @property
-    def total_fault_rate(self) -> float:
-        """Mean number of speculation faults per addition."""
-        if self.cycles == 0:
-            return 0.0
-        return float(self.fault_counts.sum()) / self.cycles
 
 
 class InexactSpeculativeAdder:

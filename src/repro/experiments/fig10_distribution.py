@@ -40,11 +40,6 @@ class Fig10Result:
         order = self.distribution.structural.argsort()[::-1]
         return tuple(int(position) for position in order[:top])
 
-    def timing_peak_positions(self, top: int = 3) -> Tuple[int, ...]:
-        """Bit positions with the highest timing error rates."""
-        order = self.distribution.timing.argsort()[::-1]
-        return tuple(int(position) for position in order[:top])
-
 
 def run_fig10(config: Optional[StudyConfig] = None,
               quadruple: Tuple[int, int, int, int] = FIG10_QUADRUPLE,

@@ -29,8 +29,3 @@ def run_fig7(config: Optional[StudyConfig] = None,
     if study is not None:
         return study
     return run_prediction_study(config)
-
-
-def format_fig7(result: PredictionStudyResult) -> str:
-    """Text table equivalent to Fig. 7 of the paper."""
-    return result.format_abper_table()

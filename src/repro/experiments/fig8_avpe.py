@@ -20,8 +20,3 @@ def run_fig8(config: Optional[StudyConfig] = None,
     if study is not None:
         return study
     return run_prediction_study(config)
-
-
-def format_fig8(result: PredictionStudyResult) -> str:
-    """Text table equivalent to Fig. 8 of the paper."""
-    return result.format_avpe_table()

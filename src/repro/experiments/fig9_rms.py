@@ -9,7 +9,7 @@ design, one column group per CPR, mirroring Figs. 9a-9c of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_log_value, format_table
 from repro.core.combination import combine_errors
@@ -30,10 +30,6 @@ class Fig9Row:
     structural_rms: float
     timing_rms: float
     joint_rms: float
-
-    def as_percentages(self) -> Tuple[float, float, float]:
-        """The three RMS values in percent, the unit used by the paper's axis."""
-        return (self.structural_rms * 100.0, self.timing_rms * 100.0, self.joint_rms * 100.0)
 
 
 @dataclass

@@ -41,6 +41,7 @@ from repro.families import family_of
 from repro.obs.trace import span
 from repro.runtime.synth_cache import active_synth_cache
 from repro.synth.flow import SynthesisOptions, SynthesizedDesign, synthesize
+from repro.timing.clocking import is_valid_period
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.event_sim import EventDrivenSimulator
 from repro.timing.fast_sim import ENGINES, FastTimingSimulator
@@ -91,8 +92,9 @@ class CharacterizationJob:
         if not self.clock_periods:
             raise ConfigurationError("a characterization job needs at least one clock period")
         for clk in self.clock_periods:
-            if clk <= 0:
-                raise ConfigurationError(f"clock periods must be positive, got {clk}")
+            if not is_valid_period(clk):
+                raise ConfigurationError(
+                    f"clock periods must be positive and finite, got {clk}")
         if self.trace.length < 2:
             raise ConfigurationError("a characterization trace needs at least two vectors")
         if self.synthesis.variation_sigma > 0 and self.synthesis.variation_seed is None:
@@ -210,31 +212,25 @@ def synthesize_job(job: CharacterizationJob) -> SynthesizedDesign:
     return _DESIGN_CACHE.put(key, design)
 
 
-def build_simulator(kind: str, synthesized: SynthesizedDesign, engine: str = "auto",
-                    clock_periods: Optional[Tuple[float, ...]] = None):
+def build_simulator(kind: str, synthesized: SynthesizedDesign, engine: str = "auto"):
     """Instantiate the requested timing simulator for a synthesized design.
 
     ``engine`` selects the execution tier of the fast simulator; the
     event-driven simulator is its own (glitch-aware) reference tier and
     ignores it.  The ``lower`` span covers the fast simulator's logic
-    program and its levelised pass's delays.  Its packed timing program
-    is built there only for ``engine="compiled"``; on ``"auto"`` the
-    first call long enough to repay it builds it, under a ``lower`` span
-    of its own in ``run_traces_multi`` (the planner's kernel).  When ``clock_periods`` names the periods the caller
-    will sample (a job's clock plan), that program is specialised to
-    the plan — only the arrival-threshold cone those clocks reach is
-    compiled, which is typically an order of magnitude smaller than the
-    general program and bit-identical at the sampled periods.  Without
-    ``clock_periods`` it compiles the general program, which answers
-    any clock period.
+    program and its levelised pass's delays.  No packed timing program
+    is built here: a call that needs one builds it for the clock
+    periods that call samples, under a ``lower`` span of its own in
+    ``run_traces_multi`` (the planner's kernel), and later calls at
+    those clocks reuse it.  One simulator therefore serves every clock
+    plan of its design.
     """
-    with span("lower", simulator=kind, engine=engine,
-               clocks=len(clock_periods) if clock_periods else 0):
+    with span("lower", simulator=kind, engine=engine):
         if kind == "event":
             return EventDrivenSimulator(synthesized.netlist, synthesized.annotation)
         if kind == "fast":
             return FastTimingSimulator(synthesized.netlist, synthesized.annotation,
-                                       engine=engine, clock_periods=clock_periods)
+                                       engine=engine)
     raise ConfigurationError(f"unknown simulator kind {kind!r}")
 
 
@@ -294,8 +290,7 @@ def execute_job(job: CharacterizationJob,
             f"synthesized netlist of {job.name} disagrees with its behavioural "
             "golden model; the synthesis flow is unfaithful")
     if simulator is None:
-        simulator = build_simulator(job.simulator, synthesized, engine=job.engine,
-                                    clock_periods=job.clock_periods)
+        simulator = build_simulator(job.simulator, synthesized, engine=job.engine)
     with span("simulate", transitions=trace.length, clocks=len(job.clock_periods)):
         timing_traces = simulator.run_trace_multi(trace.as_operands(), job.clock_periods,
                                                   output_bus=job.output_bus)

@@ -6,12 +6,12 @@ where the planned calls execute.
 
 * **Plan** — :func:`plan_groups` is a pure function from a batch and a
   pool width to *groups*.  Jobs sharing a design identity and clock plan
-  (:func:`group_key`) form one group, so they synthesize once, lower one
-  clock-specialised simulator and simulate together.  When the pool is
-  wider than the group count, the largest groups are halved, and then
-  one-job groups are cut into word-aligned trace slices (the spans of
-  :func:`~repro.circuit.compiled.transition_chunks`), until every worker
-  has a task.
+  (:func:`group_key`) form one group, so they synthesize once and
+  simulate together, in one stacked pass at one clock set.  When the
+  pool is wider than the group count, the largest groups are halved,
+  and then one-job groups are cut into word-aligned trace slices (the
+  spans of :func:`~repro.circuit.compiled.transition_chunks`), until
+  every worker has a task.
 * **Execute** — each group is one call of :func:`run_group`.  Fast-tier
   groups run :func:`execute_group`: one stacked multi-trace pass
   (:meth:`FastTimingSimulator.run_traces_multi`) whose settled values
@@ -19,7 +19,10 @@ where the planned calls execute.
   Event-tier groups run :func:`~repro.runtime.jobs.execute_job` per job.
   Designs are memoised per process by
   :func:`~repro.runtime.jobs.synthesize_job`, simulators in
-  :data:`_GROUP_SIMULATORS`.
+  :data:`_GROUP_SIMULATORS` by design and
+  :meth:`~repro.runtime.jobs.CharacterizationJob.cache_key`, so groups of
+  one design at different clock plans share a simulator (which builds
+  one packed timing program per clock set).
 * **Reduce** — a job that names a reduction
   (:attr:`CharacterizationJob.reduction`) is reduced by
   :func:`run_group` in the process that ran it, so only the small
@@ -86,11 +89,13 @@ _OPERAND_CACHE: "IdentityMemo[dict]" = IdentityMemo(64)
 #: Per-process interned traces by digest (LRU; traces can be large).
 _WORKER_TRACES: "LRUDict[str, OperandTrace]" = LRUDict(32)
 
-#: Per-process simulators per synthesized design object and
-#: :func:`group_key`, so a re-synthesized design never reuses a program
-#: lowered from another instance.  LRU-bounded: a sweep touches each
-#: group once, so entries beyond the working set are dead weight in a
-#: long-lived process or warm pool.
+#: Per-process simulators per synthesized design object and job
+#: :meth:`~repro.runtime.jobs.CharacterizationJob.cache_key`, so a
+#: re-synthesized design never reuses a program lowered from another
+#: instance, and groups that differ only in their clock plan share one
+#: simulator.  LRU-bounded: a sweep touches each design once, so entries
+#: beyond the working set are dead weight in a long-lived process or
+#: warm pool.
 _GROUP_SIMULATORS: "IdentityMemo[object]" = IdentityMemo(16)
 
 
@@ -166,8 +171,7 @@ def execute_group(jobs: Sequence[CharacterizationJob],
     if synthesized is None:
         synthesized = synthesize_job(job0)
     if simulator is None:
-        simulator = build_simulator(job0.simulator, synthesized, engine=job0.engine,
-                                    clock_periods=job0.clock_periods)
+        simulator = build_simulator(job0.simulator, synthesized, engine=job0.engine)
     traces = [job.trace for job in jobs]
     bounds = np.cumsum([0] + [trace.length for trace in traces])
 
@@ -296,12 +300,11 @@ def run_group(spec: _GroupSpec) -> List[object]:
     job0 = jobs[0]
     fault_point(POINT_TASK, job0.name)
     synthesized = synthesize_job(job0)
-    key = group_key(job0)
+    key = job0.cache_key()
     simulator = _GROUP_SIMULATORS.get((synthesized,), key)
     if simulator is None:
         simulator = _GROUP_SIMULATORS.put((synthesized,), build_simulator(
-            job0.simulator, synthesized, engine=job0.engine,
-            clock_periods=job0.clock_periods), key)
+            job0.simulator, synthesized, engine=job0.engine), key)
     if job0.simulator == "fast":
         results = execute_group(jobs, synthesized=synthesized, simulator=simulator)
     else:

@@ -7,8 +7,9 @@ The paper synthesizes every design at a safe clock period of 0.3 ns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.exceptions import TimingError
 
@@ -19,10 +20,24 @@ PAPER_SAFE_PERIOD = 0.3e-9
 PAPER_CPR_LEVELS = (0.05, 0.10, 0.15)
 
 
+def is_valid_period(period: float) -> bool:
+    """Whether ``period`` can be a clock period: finite and positive.
+
+    Every entry point that accepts clock periods checks them with this,
+    so a NaN (which fails every comparison) or an infinite period is
+    refused instead of silently sampling no late output.
+    """
+    return math.isfinite(period) and period > 0
+
+
+def _check_period(name: str, value: float) -> None:
+    if not is_valid_period(value):
+        raise TimingError(f"{name} must be positive and finite, got {value}")
+
+
 def cpr_to_period(safe_period: float, cpr: float) -> float:
     """Clock period obtained by reducing ``safe_period`` by the fraction ``cpr``."""
-    if safe_period <= 0:
-        raise TimingError(f"safe period must be positive, got {safe_period}")
+    _check_period("safe period", safe_period)
     if not 0.0 <= cpr < 1.0:
         raise TimingError(f"clock-period reduction must lie in [0, 1), got {cpr}")
     return safe_period * (1.0 - cpr)
@@ -30,8 +45,8 @@ def cpr_to_period(safe_period: float, cpr: float) -> float:
 
 def period_to_cpr(safe_period: float, period: float) -> float:
     """Clock-period reduction corresponding to an over-clocked ``period``."""
-    if safe_period <= 0 or period <= 0:
-        raise TimingError("periods must be positive")
+    _check_period("safe period", safe_period)
+    _check_period("period", period)
     if period > safe_period + 1e-18:
         raise TimingError(
             f"over-clocked period {period} exceeds the safe period {safe_period}")
@@ -50,8 +65,7 @@ class ClockPlan:
     cpr_levels: Tuple[float, ...] = PAPER_CPR_LEVELS
 
     def __post_init__(self) -> None:
-        if self.safe_period <= 0:
-            raise TimingError(f"safe period must be positive, got {self.safe_period}")
+        _check_period("safe period", self.safe_period)
         for cpr in self.cpr_levels:
             if not 0.0 <= cpr < 1.0:
                 raise TimingError(f"CPR levels must lie in [0, 1), got {cpr}")

@@ -28,6 +28,7 @@ import numpy as np
 from repro.circuit.netlist import Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.exceptions import SimulationError
+from repro.timing.clocking import is_valid_period
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.operands import expand_operand_traces, trace_length
 
@@ -179,8 +180,9 @@ class EventDrivenSimulator:
         costs a single simulation pass.
         """
         for clk in clock_periods:
-            if clk <= 0:
-                raise SimulationError(f"clock period must be positive, got {clk}")
+            if not is_valid_period(clk):
+                raise SimulationError(
+                    f"clock period must be positive and finite, got {clk}")
         bit_traces = expand_operand_traces(self.netlist, operands)
         total = trace_length(bit_traces)
         if total < 2:

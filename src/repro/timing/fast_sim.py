@@ -31,34 +31,38 @@ the levelised pass (``engine="reference"``)
     needs no lowering beyond the logic program.
 
 the packed timing program (``engine="compiled"``)
-    The clock-specialised arrival-threshold masks of
-    :class:`~repro.circuit.compiled.PackedTimingProgram`: bitwise word
-    operations only, no per-cycle float arithmetic, but a build of
-    several milliseconds per design.
+    The arrival-threshold masks of
+    :class:`~repro.circuit.compiled.PackedTimingProgram`, built for the
+    call's own clock periods: bitwise word operations only, no per-cycle
+    float arithmetic, but a build of several milliseconds per design and
+    clock set.
 
 ``engine="auto"`` (the default) chooses per call.  A call of at most
 :data:`DENSE_MAX_TRANSITIONS` transitions, summed over its traces, runs
-the levelised pass; the first longer call builds the packed program,
-which later long calls reuse.  When that build overflows its row limit
-(heavy per-instance delay variation), long calls stay on the levelised
-pass.  ``"compiled"`` builds the packed program at construction and runs
-every call on it; ``"reference"`` never builds it.
+the levelised pass; a longer call builds the packed program for its
+sorted clock set, which later long calls at those clocks reuse.  When
+that build overflows its row limit (heavy per-instance delay
+variation), long calls at those clocks stay on the levelised pass.
+``"compiled"`` runs every call on the packed program and raises
+:class:`~repro.exceptions.SimulationError` on a call whose build
+overflows; ``"reference"`` never builds it.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit.compiled import (PackedTimingProgram, pack_bits, packed_word_count,
-                                    rows_to_words, transition_chunks, unpack_bits)
+from repro.circuit.compiled import (PackedTimingProgram, pack_bits, rows_to_words,
+                                    transition_chunks, unpack_bits)
 from repro.circuit.netlist import Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.exceptions import CompilationError, SimulationError
 from repro.obs.trace import span
+from repro.timing.clocking import is_valid_period
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.operands import (
     expand_operand_traces,
@@ -74,7 +78,7 @@ ENGINES = ("auto", "compiled", "reference")
 
 #: Largest call, in transitions summed over its traces, that
 #: ``engine="auto"`` runs on the levelised pass.  Above it, building the
-#: clock-specialised packed timing program once costs less than the
+#: packed timing program for the call's clocks once costs less than the
 #: levelised pass would.  The rule reads only the call's own size, so a
 #: call always takes the same kernel.
 DENSE_MAX_TRANSITIONS = 1024
@@ -105,18 +109,15 @@ class BatchedTraceRun:
 class FastTimingSimulator:
     """Levelised, vectorised timing simulator for a delay-annotated netlist.
 
-    ``clock_periods`` optionally specialises the packed timing program
-    to a fixed clock plan: only the arrival-threshold cone those clocks
-    sample is compiled (typically an order of magnitude smaller), and a
-    call on that program at any *other* clock period raises instead of
-    answering.  The execution planner builds one specialised simulator
-    per (design, clock plan) group; general-purpose callers leave it
-    unset.
+    Every call names the clock periods it samples.  A call that needs
+    the packed timing program builds one for its sorted clock set, so
+    only the arrival-threshold cone those clocks sample is compiled, and
+    later calls at the same clocks reuse it; one simulator serves any
+    number of clock plans.
     """
 
     def __init__(self, netlist: Netlist, annotation: DelayAnnotation,
-                 engine: str = "auto",
-                 clock_periods: Optional[Sequence[float]] = None) -> None:
+                 engine: str = "auto") -> None:
         if engine not in ENGINES:
             raise SimulationError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         annotation.validate_against(netlist)
@@ -128,8 +129,7 @@ class FastTimingSimulator:
         self.netlist = netlist
         self.annotation = annotation
         self._program = program
-        self._clock_periods = clock_periods
-        self._requested = engine
+        self._engine = engine
         # Each logic batch's gate delays, shaped to broadcast over the
         # (traces, transitions) axes of the levelised pass.
         delays = np.zeros(program.num_nets)
@@ -137,61 +137,50 @@ class FastTimingSimulator:
             delays[program.net_id[gate.output]] = annotation.delay_of(gate.name)
         self._batch_delays = [delays[batch.out_ids][:, None, None]
                               for batch in program.batches]
+        # Packed timing programs by sorted clock set; None marks a build
+        # that overflowed its row limit.
+        self._timing_programs: Dict[Tuple[float, ...], Optional[PackedTimingProgram]] = {}
 
-        self._timing_program: Optional[PackedTimingProgram] = None
-        self._lowered = engine == "reference"
-        # "compiled" lowers here, inside the caller's lower span if any.
-        if engine == "compiled" and self._packed_program(phase=nullcontext) is None:
-            raise SimulationError(
-                f"netlist {netlist.name!r} cannot be lowered to the compiled "
-                "packed timing engine; use engine='auto' or 'reference'")
-
-    @property
-    def engine(self) -> str:
-        """The kernel a call above :data:`DENSE_MAX_TRANSITIONS` runs.
-
-        ``"compiled"`` (the packed timing program) or ``"reference"``
-        (the levelised pass).  On ``engine="auto"`` the first read builds
-        the packed program, as the first long call would.
-        """
-        return "compiled" if self._packed_program() is not None else "reference"
-
-    def _packed_program(self, phase=span) -> Optional[PackedTimingProgram]:
-        """The packed timing program, built on first use; ``None`` when
-        the engine is ``"reference"`` or the build overflowed."""
-        if not self._lowered:
-            self._lowered = True
+    def _packed_program(self, clock_periods: Sequence[float],
+                        phase) -> Optional[PackedTimingProgram]:
+        """The packed timing program for these clock periods, built on
+        first use; ``None`` when its build overflowed, which
+        ``engine="compiled"`` reports as an error."""
+        clocks = tuple(sorted({float(clk) for clk in clock_periods}))
+        if clocks not in self._timing_programs:
             with phase("lower"):
                 try:
-                    self._timing_program = PackedTimingProgram(
-                        self._program, self.annotation, clock_periods=self._clock_periods)
+                    self._timing_programs[clocks] = PackedTimingProgram(
+                        self._program, self.annotation, clocks)
                 except CompilationError:
-                    pass
-        return self._timing_program
+                    self._timing_programs[clocks] = None
+        timing = self._timing_programs[clocks]
+        if timing is None and self._engine == "compiled":
+            raise SimulationError(
+                f"netlist {self.netlist.name!r} cannot be lowered to the compiled "
+                f"packed timing engine at clock periods {clocks}; use engine='auto' "
+                "or 'reference'")
+        return timing
 
     # ------------------------------------------------------------------ #
     # Word-level trace simulation
     # ------------------------------------------------------------------ #
     def run_trace(self, operands: Mapping[str, np.ndarray], clock_period: float,
-                  output_bus: str = "S", chunk_size: int = 4096) -> TimingErrorTrace:
+                  output_bus: str = "S") -> TimingErrorTrace:
         """Simulate a word-level operand trace at one clock period."""
-        traces = self.run_trace_multi(operands, [clock_period], output_bus=output_bus,
-                                      chunk_size=chunk_size)
-        return traces[clock_period]
+        return self.run_trace_multi(operands, [clock_period],
+                                    output_bus=output_bus)[clock_period]
 
     def run_trace_multi(self, operands: Mapping[str, np.ndarray],
-                        clock_periods: Sequence[float], output_bus: str = "S",
-                        chunk_size: int = 4096) -> Dict[float, TimingErrorTrace]:
+                        clock_periods: Sequence[float],
+                        output_bus: str = "S") -> Dict[float, TimingErrorTrace]:
         """Simulate one operand trace sampled at several clock periods.
 
         ``operands`` maps bus names (and optionally scalar input nets) to
         arrays of length ``T``; cycle ``t`` applies the transition from
         vector ``t-1`` to vector ``t``, so ``T - 1`` transitions are
         simulated.  The expensive lateness computation is shared between
-        all requested clock periods.  ``chunk_size`` (transitions per
-        batch) caps the levelised pass's chunks, which a byte budget may
-        cut smaller; the packed timing program chooses its own chunking
-        to keep the mask matrix cache-resident.
+        all requested clock periods.
         """
         self._check_clocks(clock_periods)
         input_trace = expand_operand_traces(self.netlist, operands)
@@ -205,12 +194,11 @@ class FastTimingSimulator:
         # "simulate" span), so neither the chunk loop nor a lazy build of
         # the packed program opens spans here.
         return self._simulate([input_trace], [total], clock_periods, output_nets,
-                              False, chunk_size, phase=nullcontext).timing[0]
+                              False, phase=nullcontext).timing[0]
 
     def run_traces_multi(self, operand_traces: Sequence[Mapping[str, np.ndarray]],
                          clock_periods: Sequence[float], output_bus: str = "S",
-                         include_settled_values: bool = False,
-                         chunk_size: int = 4096) -> BatchedTraceRun:
+                         include_settled_values: bool = False) -> BatchedTraceRun:
         """Simulate several operand traces in one batched pass.
 
         The traces are stacked into a ``(traces, words)`` packed tensor
@@ -219,8 +207,7 @@ class FastTimingSimulator:
         ragged lengths (shorter traces are zero-padded to the stack and
         their padding discarded).  The per-trace results are
         bit-identical to calling :meth:`run_trace_multi` on each trace
-        alone — values of different traces never mix.  ``chunk_size`` is
-        as there.
+        alone — values of different traces never mix.
 
         ``include_settled_values`` additionally returns, per trace, the
         settled output word of every input vector — the gate-level
@@ -242,7 +229,7 @@ class FastTimingSimulator:
         if not clock_periods and not include_settled_values:
             return BatchedTraceRun(timing=[{} for _ in input_traces])
         return self._simulate(input_traces, totals, clock_periods, output_nets,
-                              include_settled_values, chunk_size)
+                              include_settled_values)
 
     # ------------------------------------------------------------------ #
     # The chunk loop
@@ -250,14 +237,15 @@ class FastTimingSimulator:
     def _simulate(self, input_traces: List[Mapping[str, np.ndarray]],
                   totals: List[int], clock_periods: Sequence[float],
                   output_nets: List[str], include_settled_values: bool,
-                  chunk_size: int, phase=span) -> BatchedTraceRun:
+                  phase=span) -> BatchedTraceRun:
         program = self._program
         count = len(input_traces)
         transitions = [total - 1 for total in totals]
         max_transitions = max(transitions)
         timing = None
-        if self._requested == "compiled" or sum(transitions) > DENSE_MAX_TRANSITIONS:
-            timing = self._packed_program(phase)
+        if self._engine == "compiled" or (
+                self._engine == "auto" and sum(transitions) > DENSE_MAX_TRANSITIONS):
+            timing = self._packed_program(clock_periods, phase)
         sampled = {clk: [np.empty(t, dtype=np.uint64) for t in transitions]
                    for clk in clock_periods}
         settled = [np.empty(t, dtype=np.uint64) for t in transitions]
@@ -272,22 +260,19 @@ class FastTimingSimulator:
         # rows_to_words (unpacked uint64 bit matrices of ~64 rows per
         # output bit, allocated per clock period), and the lateness
         # source's own.  For the packed program that is its mask matrix
-        # (num_rows; clock-specialised programs shrink it by an order of
-        # magnitude, and without the decode term the span would grow to
-        # match and the decode temporaries would dwarf the budget).  For
-        # the levelised pass it is a float64 arrival time and a bool
-        # changed flag per net and transition: 72 rows per net.
+        # (num_rows; a program built for a few clocks is small, and
+        # without the decode term the span would grow to match and the
+        # decode temporaries would dwarf the budget).  For the levelised
+        # pass it is a float64 arrival time and a bool changed flag per
+        # net and transition: 72 rows per net.
         per_word_rows = 2 * program.num_nets + 128 * max(len(output_nets), 1)
         if timing is not None:
             late_rows = {clk: timing.late_rows(output_nets, clk) for clk in clock_periods}
-            roots = (np.concatenate(list(late_rows.values())) if late_rows
-                     else np.empty(0, dtype=np.int64))
-            plan = timing.plan_for(roots)
             words_per_chunk = max(64, _CHUNK_BYTES // (
                 8 * (per_word_rows + timing.num_rows) * count))
         else:
-            words_per_chunk = max(1, min(packed_word_count(chunk_size), _CHUNK_BYTES // (
-                8 * (per_word_rows + 72 * program.num_nets) * count)))
+            words_per_chunk = max(1, _CHUNK_BYTES // (
+                8 * (per_word_rows + 72 * program.num_nets) * count))
         for start, stop in transition_chunks(max_transitions, words_per_chunk * 64):
             chunk = stop - start
             with phase("pack"):
@@ -307,7 +292,7 @@ class FastTimingSimulator:
                     stacked, chunk)
                 diff = old_values ^ new_values
                 if timing is not None:
-                    masks = timing.run_many(diff, plan=plan)
+                    masks = timing.run_many(diff)
                     late = {clk: masks[late_rows[clk]] for clk in clock_periods}
                 else:
                     arrival = self._arrival(diff, chunk)[out_ids]
@@ -376,8 +361,9 @@ class FastTimingSimulator:
     @staticmethod
     def _check_clocks(clock_periods: Sequence[float]) -> None:
         for clk in clock_periods:
-            if clk <= 0:
-                raise SimulationError(f"clock period must be positive, got {clk}")
+            if not is_valid_period(clk):
+                raise SimulationError(
+                    f"clock period must be positive and finite, got {clk}")
 
     def _output_nets(self, output_bus: str) -> List[str]:
         if output_bus in self.netlist.buses:

@@ -1,7 +1,7 @@
 """A small bounded least-recently-used mapping.
 
 The runtime keeps several identity- or digest-keyed memo caches (interned
-traces, expanded stimulus, clock-specialised simulators); they all want
+traces, expanded stimulus, per-design simulators); they all want
 the same policy — bounded size, reads refresh recency, oldest entry
 evicted first.  This helper centralises that policy so capacity and
 eviction live in one place.

@@ -9,6 +9,9 @@ from repro.exceptions import AnalysisError, TimingError
 from repro.timing.clocking import PAPER_SAFE_PERIOD, ClockPlan, cpr_to_period, period_to_cpr
 from repro.timing.errors import TimingErrorTrace, extract_timing_errors
 
+#: Clock periods every entry point must refuse: not positive, or not finite.
+BAD_PERIODS = (float("nan"), float("inf"), 0.0, -1.0)
+
 
 class TestCpr:
     def test_paper_periods(self):
@@ -26,6 +29,18 @@ class TestCpr:
             cpr_to_period(1.0, 1.0)
         with pytest.raises(TimingError):
             period_to_cpr(0.3e-9, 0.31e-9)
+
+
+    @pytest.mark.parametrize("bad", BAD_PERIODS)
+    def test_non_finite_or_non_positive_periods_rejected(self, bad):
+        with pytest.raises(TimingError):
+            ClockPlan(safe_period=bad)
+        with pytest.raises(TimingError):
+            cpr_to_period(bad, 0.1)
+        with pytest.raises(TimingError):
+            period_to_cpr(bad, 0.27e-9)
+        with pytest.raises(TimingError):
+            period_to_cpr(0.3e-9, bad)
 
 
 class TestClockPlan:

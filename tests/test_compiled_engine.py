@@ -22,7 +22,7 @@ from repro.circuit.library import default_library
 from repro.circuit.netlist import Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.core.config import ISAConfig
-from repro.exceptions import SimulationError
+from repro.exceptions import CompilationError, SimulationError
 from repro.explore.space import DesignSpace
 from repro.families import get_family
 from repro.obs.trace import collect_phases
@@ -32,7 +32,7 @@ from repro.timing import fast_sim
 from repro.timing.clocking import ClockPlan
 from repro.timing.event_sim import Waveform
 from repro.timing.fast_sim import DENSE_MAX_TRANSITIONS, FastTimingSimulator
-from repro.timing.operands import expand_operand_traces
+from repro.timing.operands import expand_operand_traces, trace_length
 from repro.workloads.generators import uniform_workload
 
 RAGGED_LENGTHS = (1, 5, 63, 64, 65, 130)
@@ -50,6 +50,14 @@ def _random_operands(width, length, seed):
     trace = uniform_workload(length, width=width, seed=seed)
     return {"A": trace.a, "B": trace.b,
             "cin": np.zeros(length, dtype=np.uint64)}
+
+
+def _changed(netlist, operands):
+    """Packed old-vs-new diff of one trace, as a one-trace stack."""
+    bits = expand_operand_traces(netlist, operands)
+    old, new = netlist.compiled().evaluate_transitions_many(
+        {net: values[None, :] for net, values in bits.items()}, trace_length(bits) - 1)
+    return old ^ new
 
 
 @pytest.fixture(scope="module", params=EXACT_ARCHITECTURES)
@@ -182,8 +190,6 @@ class TestTimingEquivalence:
                                        engine="compiled")
         reference = FastTimingSimulator(design.netlist, design.annotation,
                                         engine="reference")
-        assert compiled.engine == "compiled"
-        assert reference.engine == "reference"
         got = compiled.run_trace_multi(operands, clock_periods)
         want = reference.run_trace_multi(operands, clock_periods)
         _assert_traces_equal(got, want, clock_periods)
@@ -243,21 +249,24 @@ class TestTimingEquivalence:
                                    list(clock_plan.periods) + [critical * 0.9])
 
     def test_row_limit_falls_back(self, monkeypatch):
-        """When the threshold-row budget is exceeded, auto mode goes dense."""
+        """When the threshold-row budget is exceeded, a long auto call runs
+        the levelised pass and engine="compiled" raises on its first call."""
         design = synthesize(exact_adder_netlist(16, "kogge-stone"))
-        from repro.exceptions import CompilationError
-        with pytest.raises(CompilationError):
-            PackedTimingProgram(design.netlist.compiled(), design.annotation,
-                                row_limit=64)
+        critical = design.critical_path_delay
+        clocks = [critical * 0.6, critical * 1.05]
         monkeypatch.setattr(PackedTimingProgram, "DEFAULT_ROWS_PER_GATE", 0)
-        auto = FastTimingSimulator(design.netlist, design.annotation, engine="auto")
-        assert auto.engine == "reference"
+        with pytest.raises(CompilationError):
+            PackedTimingProgram(design.netlist.compiled(), design.annotation, clocks)
+        compiled = FastTimingSimulator(design.netlist, design.annotation, engine="compiled")
+        operands = _random_operands(16, DENSE_MAX_TRANSITIONS + 2, 67)
         with pytest.raises(SimulationError):
-            FastTimingSimulator(design.netlist, design.annotation, engine="compiled")
-        # and the dense fallback still simulates correctly
-        trace = auto.run_trace(_random_operands(16, 50, 67),
-                               design.critical_path_delay * 1.05)
-        assert trace.cycle_error_rate() == 0.0
+            compiled.run_trace_multi(operands, clocks)
+        # and the levelised fallback still simulates correctly
+        auto = FastTimingSimulator(design.netlist, design.annotation, engine="auto")
+        got = auto.run_trace_multi(operands, clocks)
+        assert got[clocks[1]].cycle_error_rate() == 0.0
+        oracle = ReferenceTimingSimulator(design.netlist, design.annotation)
+        _assert_traces_equal(got, oracle.run_trace_multi(operands, clocks), clocks)
 
     def test_auto_builds_the_packed_program_only_above_the_constant(
             self, exact_design, monkeypatch):
@@ -267,9 +276,9 @@ class TestTimingEquivalence:
         builds = []
         original = PackedTimingProgram.__init__
 
-        def counting(self, *args, **kwargs):
-            builds.append(kwargs.get("clock_periods"))
-            original(self, *args, **kwargs)
+        def counting(self, program, annotation, clock_periods):
+            builds.append(list(clock_periods))
+            original(self, program, annotation, clock_periods)
         monkeypatch.setattr(PackedTimingProgram, "__init__", counting)
         design = exact_design
         critical = design.critical_path_delay
@@ -279,7 +288,7 @@ class TestTimingEquivalence:
                   for seed in (72, 73)]
         above = _random_operands(16, DENSE_MAX_TRANSITIONS + 2, 74)
 
-        auto = FastTimingSimulator(design.netlist, design.annotation, clock_periods=clocks)
+        auto = FastTimingSimulator(design.netlist, design.annotation)
         with collect_phases() as phases:
             short = auto.run_trace_multi(at_limit, clocks)
             auto.run_traces_multi(halves[:1], clocks)
@@ -289,15 +298,15 @@ class TestTimingEquivalence:
             assert builds == [clocks]
             long = auto.run_trace_multi(above, clocks)
             assert builds == [clocks]
-            assert auto.engine == "compiled"
         # The lazy build is lowering, timed once under its own span.
         assert phases.calls["lower"] == 1
 
-        compiled = FastTimingSimulator(design.netlist, design.annotation,
-                                       engine="compiled", clock_periods=clocks)
-        assert len(builds) == 2
+        compiled = FastTimingSimulator(design.netlist, design.annotation, engine="compiled")
         reference = FastTimingSimulator(design.netlist, design.annotation,
                                         engine="reference")
+        # Neither builds at construction; "compiled" builds on its first
+        # call and reuses the program after.
+        assert len(builds) == 1
         for other in (compiled, reference):
             _assert_traces_equal(short, other.run_trace_multi(at_limit, clocks), clocks)
             _assert_traces_equal(long, other.run_trace_multi(above, clocks), clocks)
@@ -308,7 +317,7 @@ class TestTimingEquivalence:
     def test_width16_sample_matches_compiled(self):
         """A strided 89-design sample of the width-16 space plus exact, at
         the sweep's 256 vectors and 4 clocks: the levelised pass equals
-        the clock-specialised packed program on every word."""
+        the packed program built for those clocks on every word."""
         family = get_family("adder")
         clocks = ClockPlan(safe_period=family.safe_period(16),
                            cpr_levels=(0.0, 0.05, 0.10, 0.15)).periods
@@ -319,7 +328,7 @@ class TestTimingEquivalence:
         for entry in entries:
             design = synthesize_entry(entry, 16, options)
             compiled = FastTimingSimulator(design.netlist, design.annotation,
-                                           engine="compiled", clock_periods=clocks)
+                                           engine="compiled")
             reference = FastTimingSimulator(design.netlist, design.annotation,
                                             engine="reference")
             _assert_traces_equal(compiled.run_trace_multi(operands, clocks),
@@ -378,59 +387,42 @@ class TestTimingEquivalence:
         _assert_traces_equal(reference.run_trace_multi(operands, clocks), want, clocks)
         assert passes == [64] * 15 + [999 - 15 * 64]
 
-    def test_plan_matches_full_propagation(self, exact_design):
-        """A clock-specialised plan computes the same rows as the full run."""
-        netlist = exact_design.netlist
-        program = netlist.compiled()
-        timing = PackedTimingProgram(program, exact_design.annotation)
-        operands = _random_operands(16, 130, 53)
-        bits = expand_operand_traces(netlist, operands)
-        old, new = program.evaluate_transitions(
-            {net: trace for net, trace in bits.items()}, 129)
-        changed = old ^ new
-        clk = exact_design.critical_path_delay * 0.6
-        rows = timing.late_rows(netlist.buses["S"], clk)
-        full = timing.run(changed)
-        planned = timing.run(changed, plan=timing.plan_for(rows))
-        assert np.array_equal(full[rows], planned[rows])
-
-    def test_clock_specialised_program_matches_full(self, exact_design, clock_plan):
-        """A clock-specialised compilation answers its clocks identically."""
+    def test_clock_set_program_matches_single_clock_programs(self, exact_design,
+                                                             clock_plan):
+        """A program built for several clocks answers each one like the
+        program built for that clock alone."""
         netlist = exact_design.netlist
         program = netlist.compiled()
         clocks = list(clock_plan.periods) + [exact_design.critical_path_delay * 0.7]
-        full = PackedTimingProgram(program, exact_design.annotation)
-        specialised = PackedTimingProgram(program, exact_design.annotation,
-                                          clock_periods=clocks)
-        assert specialised.num_rows <= full.num_rows
-        bits = expand_operand_traces(netlist, _random_operands(16, 130, 59))
-        old, new = program.evaluate_transitions(bits, 129)
-        changed = old ^ new
-        full_masks = full.run(changed)
-        spec_masks = specialised.run(changed)
+        together = PackedTimingProgram(program, exact_design.annotation, clocks)
+        changed = _changed(netlist, _random_operands(16, 130, 59))
+        masks = together.run_many(changed)
         nets = netlist.buses["S"]
         for clk in clocks:
-            assert np.array_equal(full_masks[full.late_rows(nets, clk)],
-                                  spec_masks[specialised.late_rows(nets, clk)])
+            alone = PackedTimingProgram(program, exact_design.annotation, [clk])
+            assert alone.num_rows <= together.num_rows
+            assert np.array_equal(masks[together.late_rows(nets, clk)],
+                                  alone.run_many(changed)[alone.late_rows(nets, clk)])
 
     def test_clock_specialised_program_rejects_other_clocks(self, exact_design):
         program = exact_design.netlist.compiled()
         critical = exact_design.critical_path_delay
         specialised = PackedTimingProgram(program, exact_design.annotation,
-                                          clock_periods=[critical * 0.9])
+                                          [critical * 0.9])
         with pytest.raises(SimulationError):
             specialised.late_rows(exact_design.netlist.buses["S"], critical * 0.4)
 
 
-def _general_program_shape(design):
-    """Row-level shape of a design's general timing program.
+def _program_shape(design, clocks):
+    """Row-level shape of a design's timing program for ``clocks``.
 
     Row count, runtime block, batch sizes and fan-ins, and for every
-    sampleable net which thresholds have a row (``r``) and which map to
-    the all-zero row 0 (``0``).
+    sampleable net which thresholds have a row (``r``), which map to
+    the all-zero row 0 (``0``) and which the clocks do not sample
+    (``-``).
     """
     netlist = design.netlist
-    program = PackedTimingProgram(netlist.compiled(), design.annotation)
+    program = PackedTimingProgram(netlist.compiled(), design.annotation, clocks)
     sampleable = dict.fromkeys(list(netlist.outputs) + [
         net for nets in netlist.buses.values() for net in nets])
     rows = {}
@@ -445,23 +437,26 @@ def _general_program_shape(design):
 
 
 #: Per width: (designs sampled from the space, or every design with
-#: None; SHA-256 of their general programs' shapes in space order).
-#: Recorded with the bottom-up discovery the cone walk replaced, so the
-#: two discovery strategies are pinned to the same programs.
-GENERAL_PROGRAM_SHAPES = {
-    8: (None, "6cdd2a296c9022abc502fa897499155560f822b9b737e66e3baaf16115fc5ef8"),
-    16: (24, "b1b3caf6c768bef5a6750df4d067dcb82b15675d01df13a4b15685f3021d546e"),
+#: None; SHA-256 of their programs' shapes at the sweep's 4 clocks, in
+#: space order).  Recorded while a program could still be built for
+#: every threshold and cut down at run time, so the clock-set build is
+#: pinned to the programs that code produced.
+PROGRAM_SHAPES = {
+    8: (None, "533303493c74bd9dd55419e9672b6aa445e86c517795825560839c7dec62ff77"),
+    16: (24, "0895bd6320daa5d9d81bea51ae0f1e295a625d0c736d3db0332b8161caa0381b"),
 }
 
 
-class TestGeneralProgram:
-    @pytest.mark.parametrize("width", sorted(GENERAL_PROGRAM_SHAPES))
+class TestProgramShape:
+    @pytest.mark.parametrize("width", sorted(PROGRAM_SHAPES))
     def test_shape_matches_recorded_digest(self, width):
-        """The general program (every threshold of every sampleable net)
-        keeps its rows, batches and row-0 map row for row."""
-        max_designs, expected = GENERAL_PROGRAM_SHAPES[width]
+        """The timing programs at the sweep's clocks keep their rows,
+        batches and row-0 map row for row."""
+        max_designs, expected = PROGRAM_SHAPES[width]
+        clocks = ClockPlan(safe_period=get_family("adder").safe_period(width),
+                           cpr_levels=(0.0, 0.05, 0.10, 0.15)).periods
         options = SynthesisOptions()
-        shapes = [_general_program_shape(synthesize_entry(entry, width, options))
+        shapes = [_program_shape(synthesize_entry(entry, width, options), clocks)
                   for entry in DesignSpace(width=width).entries(max_designs=max_designs)]
         blob = json.dumps(shapes, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(blob.encode()).hexdigest() == expected
@@ -496,6 +491,8 @@ class TestMultiTraceKernels:
 
     @pytest.mark.parametrize("lengths", [(100, 64, 130), (65, 65, 65), (2, 129, 63)])
     def test_evaluate_transitions_many_matches_single(self, exact_design, lengths):
+        """Each trace's old/new rows hold the per-gate reference values of
+        vectors t and t + 1 on every bit that names a real transition."""
         netlist = exact_design.netlist
         program = netlist.compiled()
         traces = [expand_operand_traces(netlist, _random_operands(16, length, 83 + length))
@@ -509,43 +506,33 @@ class TestMultiTraceKernels:
             stacked[net] = rows
         old_many, new_many = program.evaluate_transitions_many(stacked, longest - 1)
         for index, bits in enumerate(traces):
-            transitions = lengths[index] - 1
-            if transitions < 1:
-                continue
-            old, new = program.evaluate_transitions(bits, transitions)
-            words = packed_word_count(transitions)
-            # whole words match exactly; the last (ragged) word matches on
-            # the bits that name real transitions
-            if words > 1:
-                assert np.array_equal(old_many[:, index, :words - 1],
-                                      old[:, :words - 1])
-                assert np.array_equal(new_many[:, index, :words - 1],
-                                      new[:, :words - 1])
-            tail = transitions - (words - 1) * 64
-            mask = np.uint64((1 << tail) - 1) if tail < 64 else ~np.uint64(0)
-            assert np.array_equal(old_many[:, index, words - 1] & mask,
-                                  old[:, words - 1] & mask)
-            assert np.array_equal(new_many[:, index, words - 1] & mask,
-                                  new[:, words - 1] & mask)
+            length = lengths[index]
+            values = netlist.evaluate(bits, engine="reference")
+            expected = np.stack([np.broadcast_to(np.asarray(values[net], dtype=np.uint8),
+                                                 (length,))
+                                 for net in program.net_id])
+            transitions = length - 1
+            assert np.array_equal(unpack_bits(old_many[:, index], transitions),
+                                  expected[:, :-1])
+            assert np.array_equal(unpack_bits(new_many[:, index], transitions),
+                                  expected[:, 1:])
 
-    def test_run_many_matches_run(self, exact_design):
+    def test_run_many_matches_per_trace(self, exact_design):
         netlist = exact_design.netlist
         program = netlist.compiled()
-        timing = PackedTimingProgram(program, exact_design.annotation)
-        traces = [expand_operand_traces(netlist, _random_operands(16, 130, seed))
-                  for seed in (91, 92, 93)]
-        diffs = []
-        for bits in traces:
-            old, new = program.evaluate_transitions(bits, 129)
-            diffs.append(old ^ new)
-        stacked = np.stack(diffs, axis=1)  # (num_nets, traces, words)
+        clocks = [exact_design.critical_path_delay * 0.6]
+        timing = PackedTimingProgram(program, exact_design.annotation, clocks)
+        diffs = [_changed(netlist, _random_operands(16, 130, seed))
+                 for seed in (91, 92, 93)]
+        stacked = np.concatenate(diffs, axis=1)  # (num_nets, traces, words)
         masks_many = timing.run_many(stacked)
         for index, changed in enumerate(diffs):
-            assert np.array_equal(masks_many[:, index], timing.run(changed))
+            assert np.array_equal(masks_many[:, index], timing.run_many(changed)[:, 0])
 
     def test_run_many_rejects_flat_input(self, exact_design):
         program = exact_design.netlist.compiled()
-        timing = PackedTimingProgram(program, exact_design.annotation)
+        timing = PackedTimingProgram(program, exact_design.annotation,
+                                     [exact_design.critical_path_delay])
         with pytest.raises(SimulationError):
             timing.run_many(np.zeros((program.num_nets, 2), dtype=np.uint64))
 

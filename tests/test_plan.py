@@ -2,19 +2,21 @@
 
 The planner's contract is that every backend's batched execution is
 **bit-identical** to the ``execute_job`` reference kernel — grouped
-multi-trace evaluation, clock-specialised lowering, interned traces and
-trace slices merged back in order included — and that a scheduled
-fast-tier job costs one logic pass.
+multi-trace evaluation, one timing program per clock set, interned
+traces and trace slices merged back in order included — and that a
+scheduled fast-tier job costs one logic pass.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.circuit.compiled import CompiledProgram, PackedTimingProgram, transition_chunks
 from repro.circuit.netlist import Netlist
-from repro.exceptions import SimulationError
+from repro.exceptions import CompilationError
 from repro.obs.metrics import metrics_run
 from repro.runtime import (
     CachingBackend,
@@ -25,14 +27,19 @@ from repro.runtime import (
     execute_job,
     plan_groups,
     run_jobs,
+    synthesize_job,
 )
 from repro.experiments.designs import exact_entry, isa_entry
 from repro.timing.clocking import ClockPlan
-from repro.timing.fast_sim import FastTimingSimulator
+from repro.timing.fast_sim import DENSE_MAX_TRANSITIONS, FastTimingSimulator
 from repro.obs.trace import collect_phases, span
 from repro.workloads.generators import uniform_workload
 
 PERIODS = tuple(ClockPlan.paper().periods)
+
+#: A second clock plan, in descending order like PERIODS, with one clock
+#: fast enough to be late.
+OTHER_PERIODS = tuple(ClockPlan(cpr_levels=(0.0, 0.5)).periods)
 
 
 def make_job(quadruple=(4, 0, 0, 2), trace=None, length=200, seed=11,
@@ -273,43 +280,66 @@ class TestExecuteGroup:
         assert_bit_identical(execute_job(job), got)
 
     def test_one_job_group_on_the_auto_fallback(self, monkeypatch):
-        # A zero threshold-row budget aborts the packed timing compiler,
-        # so engine="auto" falls back to the dense reference path.
+        # A zero threshold-row budget aborts the packed timing compiler
+        # on a call long enough, at a clock fast enough, to build it, so
+        # engine="auto" falls back to the levelised pass.
         monkeypatch.setattr(PackedTimingProgram, "DEFAULT_ROWS_PER_GATE", 0)
-        job = make_job(length=150, seed=18, engine="auto")
+        job = dataclasses.replace(
+            make_job(length=DENSE_MAX_TRANSITIONS + 2, seed=18, engine="auto"),
+            clock_periods=ClockPlan(cpr_levels=(0.05, 0.3)).periods)
+        design = synthesize_job(job)
+        with pytest.raises(CompilationError):
+            PackedTimingProgram(design.netlist.compiled(), design.annotation,
+                                job.clock_periods)
         [got] = execute_group([job])
         assert_bit_identical(execute_job(job), got)
 
 
-class TestClockSpecialisedSimulator:
-    def test_other_clock_raises(self):
+class TestProgramPerClockSet:
+    def test_two_clock_plans_build_two_programs(self, monkeypatch):
+        """One simulator called at two clock plans builds one packed
+        program per sorted clock set, reuses it whatever the clocks'
+        order, and equals the levelised pass at both."""
+        builds = []
+        original = PackedTimingProgram.__init__
+
+        def counting(self, program, annotation, clock_periods):
+            builds.append(tuple(clock_periods))
+            original(self, program, annotation, clock_periods)
+        monkeypatch.setattr(PackedTimingProgram, "__init__", counting)
         job = make_job()
-        from repro.runtime import synthesize_job
         design = synthesize_job(job)
         simulator = FastTimingSimulator(design.netlist, design.annotation,
-                                        engine="compiled", clock_periods=PERIODS)
+                                        engine="compiled")
+        levelised = FastTimingSimulator(design.netlist, design.annotation,
+                                        engine="reference")
         operands = job.trace.as_operands()
-        specialised = simulator.run_trace_multi(operands, list(PERIODS))
-        general = FastTimingSimulator(design.netlist, design.annotation,
-                                      engine="compiled")
-        reference = general.run_trace_multi(operands, list(PERIODS))
-        for clk in PERIODS:
-            assert np.array_equal(specialised[clk].sampled_words,
-                                  reference[clk].sampled_words)
-        with pytest.raises(SimulationError):
-            simulator.run_trace_multi(operands, [min(PERIODS) * 0.5])
+        for periods in (PERIODS, OTHER_PERIODS, PERIODS[::-1]):
+            got = simulator.run_trace_multi(operands, periods)
+            want = levelised.run_trace_multi(operands, periods)
+            for clk in periods:
+                assert np.array_equal(got[clk].sampled_words, want[clk].sampled_words)
+                assert np.array_equal(got[clk].settled_words, want[clk].settled_words)
+        assert builds == [tuple(sorted(PERIODS)), tuple(sorted(OTHER_PERIODS))]
 
-    def test_specialised_program_is_smaller(self):
-        job = make_job(quadruple=(8, 0, 0, 4))
-        from repro.runtime import synthesize_job
-        design = synthesize_job(job)
-        program = design.netlist.compiled()
-        full = PackedTimingProgram(program, design.annotation)
-        specialised = PackedTimingProgram(program, design.annotation,
-                                          clock_periods=PERIODS)
-        assert specialised.num_rows < full.num_rows
-        assert specialised.clock_periods == tuple(sorted(set(PERIODS)))
-        assert full.clock_periods is None
+    def test_groups_at_two_clock_plans_share_one_simulator(self, monkeypatch):
+        built = []
+        original = FastTimingSimulator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(FastTimingSimulator, "__init__", counting)
+        entry = isa_entry((4, 0, 0, 2), width=16)
+        jobs = [CharacterizationJob(
+                    entry=entry, trace=uniform_workload(150, width=16, seed=seed),
+                    clock_periods=periods, simulator="fast", engine="compiled", width=16)
+                for seed, periods in ((5, PERIODS), (6, OTHER_PERIODS))]
+        assert plan_groups(jobs) == [[(0, None)], [(1, None)]]
+        results = SerialBackend().run(jobs)
+        assert len(built) == 1
+        for job, got in zip(jobs, results):
+            assert_bit_identical(execute_job(job), got)
 
 
 class TestPhases:

@@ -9,6 +9,7 @@ that down on small 16-bit designs so the suite stays fast.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import warnings
@@ -35,6 +36,9 @@ from repro.timing.clocking import ClockPlan
 from repro.workloads.generators import uniform_workload
 
 PERIODS = tuple(ClockPlan.paper().periods)
+
+#: Clock periods every entry point must refuse: not positive, or not finite.
+BAD_PERIODS = (float("nan"), float("inf"), 0.0, -1.0)
 
 
 def small_job(length=200, quadruple=(4, 0, 0, 2), simulator="fast", engine="auto",
@@ -97,6 +101,14 @@ class TestJobValidation:
             CharacterizationJob(entry=entry, trace=trace, clock_periods=(), width=16)
         with pytest.raises(ConfigurationError):
             CharacterizationJob(entry=entry, trace=trace, clock_periods=(-1.0,), width=16)
+
+    @pytest.mark.parametrize("bad", BAD_PERIODS)
+    def test_non_finite_or_non_positive_clock_rejected(self, bad):
+        entry = isa_entry((4, 0, 0, 2), width=16)
+        trace = uniform_workload(32, width=16, seed=0)
+        with pytest.raises(ConfigurationError):
+            CharacterizationJob(entry=entry, trace=trace, clock_periods=(PERIODS[0], bad),
+                                width=16)
 
     def test_needs_two_vectors(self):
         entry = isa_entry((4, 0, 0, 2), width=16)
@@ -183,13 +195,20 @@ class TestBackendDeterminism:
         # dense reference path; backends must still agree bit for bit.
         # (Workers inherit the patch through fork; on platforms where
         # they do not, bit-exactness across engines keeps this valid.)
+        # The trace is long enough, and one clock fast enough, that the
+        # serial run tries to build the packed program.
         from repro.circuit.compiled import PackedTimingProgram
-        from repro.runtime.jobs import build_simulator, synthesize_job
+        from repro.exceptions import CompilationError
+        from repro.runtime.jobs import synthesize_job
+        from repro.timing.fast_sim import DENSE_MAX_TRANSITIONS
 
         monkeypatch.setattr(PackedTimingProgram, "DEFAULT_ROWS_PER_GATE", 0)
-        job = small_job(length=96, engine="auto")
-        assert build_simulator("fast", synthesize_job(job),
-                               engine="auto").engine == "reference"
+        job = dataclasses.replace(small_job(length=DENSE_MAX_TRANSITIONS + 2),
+                                  clock_periods=ClockPlan(cpr_levels=(0.05, 0.3)).periods)
+        design = synthesize_job(job)
+        with pytest.raises(CompilationError):
+            PackedTimingProgram(design.netlist.compiled(), design.annotation,
+                                job.clock_periods)
         reference = execute_job(job)
         assert_bit_identical(reference, SerialBackend().run([job])[0])
         [parallel] = pool_of(2).run([job])

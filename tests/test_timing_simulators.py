@@ -7,10 +7,14 @@ from repro.circuit.builder import NetlistBuilder
 from repro.circuit.sdf import DelayAnnotation
 from repro.circuit.library import default_library
 from repro.exceptions import SimulationError
+from repro.timing import fast_sim
 from repro.timing.event_sim import EventDrivenSimulator
 from repro.timing.fast_sim import FastTimingSimulator
 from repro.timing.sta import analyze_timing
-from repro.workloads.generators import uniform_workload
+
+
+#: Clock periods every entry point must refuse: not positive, or not finite.
+BAD_PERIODS = (float("nan"), float("inf"), 0.0, -1.0)
 
 
 def inverter_chain(length=3):
@@ -74,6 +78,17 @@ class TestFastSimulatorBasics:
         with pytest.raises(SimulationError):
             simulator.run_trace(short_trace16.as_operands(), clock_period=0.0)
 
+    @pytest.mark.parametrize("bad", BAD_PERIODS)
+    def test_non_finite_or_non_positive_clock_rejected(self, synthesized_small_isa,
+                                                       short_trace16, bad):
+        simulator = FastTimingSimulator(synthesized_small_isa.netlist,
+                                        synthesized_small_isa.annotation)
+        operands = short_trace16.as_operands()
+        with pytest.raises(SimulationError):
+            simulator.run_trace(operands, clock_period=bad)
+        with pytest.raises(SimulationError):
+            simulator.run_traces_multi([operands], [1e-9, bad])
+
     def test_short_trace_rejected(self, synthesized_small_isa):
         simulator = FastTimingSimulator(synthesized_small_isa.netlist,
                                         synthesized_small_isa.annotation)
@@ -88,12 +103,16 @@ class TestFastSimulatorBasics:
         with pytest.raises(SimulationError):
             simulator.run_trace({"Z": np.array([1, 2], dtype=np.uint64)}, clock_period=1e-10)
 
-    def test_chunking_gives_identical_results(self, synthesized_small_isa, short_trace16):
+    def test_chunking_gives_identical_results(self, synthesized_small_isa, short_trace16,
+                                              monkeypatch):
         simulator = FastTimingSimulator(synthesized_small_isa.netlist,
                                         synthesized_small_isa.annotation)
-        small_chunks = simulator.run_trace(short_trace16.as_operands(), 2.6e-10, chunk_size=17)
-        big_chunks = simulator.run_trace(short_trace16.as_operands(), 2.6e-10, chunk_size=4096)
+        big_chunks = simulator.run_trace(short_trace16.as_operands(), 2.6e-10)
+        # A one-byte budget leaves one packed word (64 transitions) per chunk.
+        monkeypatch.setattr(fast_sim, "_CHUNK_BYTES", 1)
+        small_chunks = simulator.run_trace(short_trace16.as_operands(), 2.6e-10)
         assert np.array_equal(small_chunks.sampled_words, big_chunks.sampled_words)
+        assert np.array_equal(small_chunks.settled_words, big_chunks.settled_words)
 
 
 class TestEventSimulatorBasics:
@@ -133,6 +152,14 @@ class TestEventSimulatorBasics:
         expected = synthesized_small_isa.netlist.compute_words(operands)
         assert np.array_equal(trace.settled_words, expected[1:])
         assert trace.cycle_error_rate() == 0.0
+
+    @pytest.mark.parametrize("bad", BAD_PERIODS)
+    def test_non_finite_or_non_positive_clock_rejected(self, bad):
+        netlist = inverter_chain(2)
+        simulator = EventDrivenSimulator(netlist, DelayAnnotation.nominal(
+            netlist, default_library()))
+        with pytest.raises(SimulationError):
+            simulator.run_trace({"x": np.array([0, 1, 0])}, clock_period=bad)
 
     def test_missing_input_rejected(self, synthesized_small_isa):
         simulator = EventDrivenSimulator(synthesized_small_isa.netlist,
