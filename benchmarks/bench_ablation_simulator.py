@@ -14,7 +14,6 @@ import pytest
 from benchmarks.conftest import write_result
 from repro.analysis.report import format_table
 from repro.core.config import ISAConfig
-from repro.core.isa import InexactSpeculativeAdder
 from repro.synth.flow import synthesize
 from repro.timing.event_sim import EventDrivenSimulator
 from repro.timing.fast_sim import FastTimingSimulator

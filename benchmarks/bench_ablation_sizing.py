@@ -15,7 +15,6 @@ import pytest
 
 from benchmarks.conftest import write_result
 from repro.analysis.report import format_log_value, format_table
-from repro.core.config import ISAConfig
 from repro.experiments.common import characterize_design
 from repro.experiments.designs import exact_entry, isa_entry
 from repro.experiments.fig9_rms import fig9_rows_from_characterization

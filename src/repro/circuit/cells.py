@@ -9,8 +9,8 @@ parallel-prefix and compensation logic compactly.
 
 Every cell additionally carries a *packed* kernel operating on ``uint64``
 words whose 64 bits are 64 independent simulation cycles.  The packed
-kernels are what the compiled engine in :mod:`repro.circuit.compiled`
-executes: one NumPy bitwise operation evaluates a gate for 64 cycles at
+kernels are what the compiled programs in :mod:`repro.circuit.compiled`
+execute: one NumPy bitwise operation evaluates a gate for 64 cycles at
 once.  Packed kernels express inversion as bitwise NOT (``~``) instead of
 ``1 - x`` so every bit lane stays independent.
 """
@@ -18,7 +18,7 @@ once.  Packed kernels express inversion as bitwise NOT (``~``) instead of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -156,15 +156,15 @@ def _p_oai21(a, b, c):
 class Cell:
     """A standard cell: name, port names and boolean function.
 
-    ``packed_function`` is the bit-parallel kernel used by the compiled
-    engine; cells without one fall back to the per-cycle ``uint8`` path.
+    ``packed_function`` is the bit-parallel kernel the compiled programs
+    of :mod:`repro.circuit.compiled` run; every cell has one.
     """
 
     name: str
     inputs: Sequence[str]
     function: EvalFn
+    packed_function: EvalFn
     description: str = ""
-    packed_function: Optional[EvalFn] = None
 
     @property
     def arity(self) -> int:
@@ -180,20 +180,20 @@ class Cell:
 
 
 CELLS: Dict[str, Cell] = {
-    "INV": Cell("INV", ("a",), _inv, "inverter", _p_inv),
-    "BUF": Cell("BUF", ("a",), _buf, "buffer", _p_buf),
-    "AND2": Cell("AND2", ("a", "b"), _and2, "2-input AND", _p_and2),
-    "OR2": Cell("OR2", ("a", "b"), _or2, "2-input OR", _p_or2),
-    "NAND2": Cell("NAND2", ("a", "b"), _nand2, "2-input NAND", _p_nand2),
-    "NOR2": Cell("NOR2", ("a", "b"), _nor2, "2-input NOR", _p_nor2),
-    "XOR2": Cell("XOR2", ("a", "b"), _xor2, "2-input XOR", _p_xor2),
-    "XNOR2": Cell("XNOR2", ("a", "b"), _xnor2, "2-input XNOR", _p_xnor2),
-    "AND3": Cell("AND3", ("a", "b", "c"), _and3, "3-input AND", _p_and3),
-    "OR3": Cell("OR3", ("a", "b", "c"), _or3, "3-input OR", _p_or3),
-    "MUX2": Cell("MUX2", ("d0", "d1", "sel"), _mux2, "2:1 multiplexer", _p_mux2),
-    "MAJ3": Cell("MAJ3", ("a", "b", "c"), _maj3, "3-input majority (carry cell)", _p_maj3),
-    "AOI21": Cell("AOI21", ("a", "b", "c"), _aoi21, "AND-OR-invert 2-1", _p_aoi21),
-    "OAI21": Cell("OAI21", ("a", "b", "c"), _oai21, "OR-AND-invert 2-1", _p_oai21),
+    "INV": Cell("INV", ("a",), _inv, _p_inv, "inverter"),
+    "BUF": Cell("BUF", ("a",), _buf, _p_buf, "buffer"),
+    "AND2": Cell("AND2", ("a", "b"), _and2, _p_and2, "2-input AND"),
+    "OR2": Cell("OR2", ("a", "b"), _or2, _p_or2, "2-input OR"),
+    "NAND2": Cell("NAND2", ("a", "b"), _nand2, _p_nand2, "2-input NAND"),
+    "NOR2": Cell("NOR2", ("a", "b"), _nor2, _p_nor2, "2-input NOR"),
+    "XOR2": Cell("XOR2", ("a", "b"), _xor2, _p_xor2, "2-input XOR"),
+    "XNOR2": Cell("XNOR2", ("a", "b"), _xnor2, _p_xnor2, "2-input XNOR"),
+    "AND3": Cell("AND3", ("a", "b", "c"), _and3, _p_and3, "3-input AND"),
+    "OR3": Cell("OR3", ("a", "b", "c"), _or3, _p_or3, "3-input OR"),
+    "MUX2": Cell("MUX2", ("d0", "d1", "sel"), _mux2, _p_mux2, "2:1 multiplexer"),
+    "MAJ3": Cell("MAJ3", ("a", "b", "c"), _maj3, _p_maj3, "3-input majority (carry cell)"),
+    "AOI21": Cell("AOI21", ("a", "b", "c"), _aoi21, _p_aoi21, "AND-OR-invert 2-1"),
+    "OAI21": Cell("OAI21", ("a", "b", "c"), _oai21, _p_oai21, "OR-AND-invert 2-1"),
 }
 
 

@@ -199,10 +199,6 @@ class CompiledProgram:
         for (gate_level, cell_name) in sorted(grouped):
             gates = grouped[(gate_level, cell_name)]
             cell_def = cell(cell_name)
-            if cell_def.packed_function is None:
-                raise CompilationError(
-                    f"cell {cell_name!r} has no packed kernel; cannot compile "
-                    f"netlist {netlist.name!r}")
             out_ids = np.array([net_id[g.output] for g in gates], dtype=np.int64)
             operand_ids = tuple(
                 np.array([net_id[g.inputs[pin]] for g in gates], dtype=np.int64)

@@ -10,13 +10,12 @@ Buses (e.g. the 32 bits of operand ``A``) are registered by the adder
 generators so that encoding integer operands into per-net values and
 decoding output words back into integers is uniform across the library.
 
-Evaluation comes in two tiers.  The *reference* tier walks the gates in
-topological order with per-gate ``uint8`` NumPy calls (exact, works on
-any stimulus shape).  The *compiled* tier lowers the netlist once into a
-bit-packed :class:`~repro.circuit.compiled.CompiledProgram` (64 cycles
-per ``uint64`` word) and is used transparently by :meth:`Netlist.evaluate`
-and :meth:`Netlist.compute_words` whenever the stimulus is a batch of
-1-D cycle arrays; both tiers are bit-exact against each other.
+The stimulus shape picks the evaluation path.  A batch of equally long
+1-D cycle arrays runs the netlist lowered once into a bit-packed
+:class:`~repro.circuit.compiled.CompiledProgram` (64 cycles per
+``uint64`` word); any other shape (scalars, matrices) walks the gates in
+topological order with per-gate ``uint8`` NumPy calls.  Both are
+bit-exact against each other.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro.circuit.cells import CELLS, Cell, cell
-from repro.exceptions import CompilationError, NetlistError, SimulationError
+from repro.circuit.cells import Cell, cell
+from repro.exceptions import NetlistError, SimulationError
 from repro.utils.bitops import mask
 
 #: Name of the always-zero net.
@@ -73,7 +72,7 @@ class Netlist:
         self._nets: Dict[str, None] = {CONST0: None, CONST1: None}
         self._order_cache: Optional[List[Gate]] = None
         self._eval_plan: Optional[List[Tuple[Callable, Tuple[str, ...], str]]] = None
-        self._compiled_cache = None  # CompiledProgram, or False when uncompilable
+        self._compiled_cache = None  # CompiledProgram
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -202,7 +201,7 @@ class Netlist:
         """Cached ``(cell function, input nets, output net)`` triples.
 
         Resolving each gate's cell definition once here keeps the
-        reference evaluation loop free of per-call dictionary lookups.
+        per-gate evaluation loop free of per-call dictionary lookups.
         """
         if self._eval_plan is None:
             self._eval_plan = [(cell(gate.cell).function, gate.inputs, gate.output)
@@ -210,19 +209,12 @@ class Netlist:
         return self._eval_plan
 
     def compiled(self):
-        """The cached bit-packed program for this netlist, or ``None``.
-
-        Compilation happens at most once per topology; netlists using a
-        cell without a packed kernel simply report ``None`` and stay on
-        the reference evaluation path.
-        """
+        """The cached bit-packed program for this netlist, compiled at
+        most once per topology."""
         if self._compiled_cache is None:
             from repro.circuit.compiled import compile_netlist
-            try:
-                self._compiled_cache = compile_netlist(self)
-            except CompilationError:
-                self._compiled_cache = False
-        return self._compiled_cache or None
+            self._compiled_cache = compile_netlist(self)
+        return self._compiled_cache
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickle without the derived caches.
@@ -259,22 +251,14 @@ class Netlist:
         self._order_cache = list(self.gates)
         return self._order_cache
 
-    def evaluate(self, input_values: Mapping[str, BitValues],
-                 engine: str = "auto") -> Dict[str, np.ndarray]:
+    def evaluate(self, input_values: Mapping[str, BitValues]) -> Dict[str, np.ndarray]:
         """Zero-delay logic evaluation.
 
         ``input_values`` maps every primary input net to a 0/1 scalar or
         array; all arrays must share a shape.  Returns the value of every
-        net.
-
-        ``engine`` selects the evaluation tier: ``"auto"`` (default) uses
-        the compiled bit-packed program whenever the stimulus is a batch
-        of equally long 1-D arrays, ``"compiled"`` requires it, and
-        ``"reference"`` forces the per-gate ``uint8`` loop.  All tiers
-        are bit-exact.
+        net: from the bit-packed program when the stimulus is a batch of
+        equally long 1-D arrays, else from the per-gate ``uint8`` loop.
         """
-        if engine not in ("auto", "compiled", "reference"):
-            raise SimulationError(f"unknown evaluation engine {engine!r}")
         checked: Dict[str, np.ndarray] = {}
         for net in self.inputs:
             if net not in input_values:
@@ -284,15 +268,9 @@ class Netlist:
                 raise SimulationError(f"input {net!r} carries non-binary values")
             checked[net] = arr
 
-        if engine != "reference":
-            length = self._packed_length(checked)
-            program = self.compiled() if length is not None else None
-            if program is not None:
-                return program.evaluate(checked, length)
-            if engine == "compiled":
-                raise SimulationError(
-                    f"netlist {self.name!r} cannot use the compiled engine here "
-                    "(no packed program, or stimulus is not a 1-D cycle batch)")
+        length = self._packed_length(checked)
+        if length is not None:
+            return self.compiled().evaluate(checked, length)
 
         values: Dict[str, np.ndarray] = {
             CONST0: np.asarray(0, dtype=np.uint8),
@@ -304,7 +282,7 @@ class Netlist:
         return values
 
     def _packed_length(self, checked: Mapping[str, np.ndarray]) -> Optional[int]:
-        """Trace length when the stimulus fits the packed engine, else None."""
+        """Trace length when the stimulus fits the packed program, else None."""
         length: Optional[int] = None
         for arr in checked.values():
             if arr.ndim != 1:
@@ -370,18 +348,16 @@ class Netlist:
         return words
 
     def compute_words(self, operand_words: Mapping[str, np.ndarray],
-                      output_bus: str = "S", engine: str = "auto") -> np.ndarray:
+                      output_bus: str = "S") -> np.ndarray:
         """Evaluate the netlist on word-level operands and decode an output bus.
 
         Keys of ``operand_words`` may be registered bus names (values are
         integer words) or individual primary-input nets (values are 0/1).
-        On the compiled engine only the requested output bus is unpacked
-        from the packed value matrix, which keeps word-level
+        On the bit-packed program only the requested output bus is
+        unpacked from the packed value matrix, which keeps word-level
         characterisation traffic proportional to the bus width rather
         than the netlist size.
         """
-        if engine not in ("auto", "compiled", "reference"):
-            raise SimulationError(f"unknown evaluation engine {engine!r}")
         if output_bus not in self.buses:
             raise NetlistError(f"netlist {self.name!r} has no bus {output_bus!r}")
         input_values: Dict[str, np.ndarray] = {}
@@ -399,14 +375,11 @@ class Netlist:
         if missing:
             raise SimulationError(f"operands do not cover primary inputs {missing}")
 
-        if engine != "reference":
-            length = self._packed_length(input_values)
-            program = self.compiled() if length is not None else None
-            if program is not None:
-                return program.compute_words(input_values, length, self.buses[output_bus])
-
-        values = self.evaluate(input_values, engine=engine)
-        return self.decode_bus(output_bus, values)
+        length = self._packed_length(input_values)
+        if length is not None:
+            return self.compiled().compute_words(input_values, length,
+                                                 self.buses[output_bus])
+        return self.decode_bus(output_bus, self.evaluate(input_values))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"Netlist({self.name!r}, gates={self.num_gates}, "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, TextIO, Union
+from typing import Dict, Iterable, Optional, TextIO, Union
 
 from repro.circuit.library import TechnologyLibrary
 from repro.circuit.netlist import Netlist

@@ -17,7 +17,7 @@ The :func:`combination_flow` helper mirrors the pseudo-code of Fig. 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Union
 
 import numpy as np
 

@@ -8,7 +8,7 @@ sized blocks (2x16, 4x8 or 8x4 bits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from repro.exceptions import ConfigurationError

@@ -1,8 +1,8 @@
 """Shared machinery of the experiment drivers.
 
 ``StudyConfig`` gathers every knob of the reproduction (trace lengths and
-their scale factor, clock plan, simulator tier and engine, execution
-backend, synthesis and model options) with defaults scaled so a full run
+their scale factor, clock plan, simulator tier, execution backend,
+synthesis and model options) with defaults scaled so a full run
 finishes in minutes on a laptop; trace lengths can be raised towards the
 paper's ten-million-vector characterisation when more fidelity is wanted.
 
@@ -50,7 +50,6 @@ from repro.runtime import (
 from repro.settings import active_settings
 from repro.synth.flow import SynthesisOptions
 from repro.timing.clocking import ClockPlan
-from repro.timing.fast_sim import ENGINES
 from repro.workloads.generators import uniform_workload
 from repro.workloads.traces import OperandTrace
 
@@ -90,7 +89,6 @@ class StudyConfig:
     evaluation_length: int = 2500
     seed: int = 7
     simulator: str = "event"
-    engine: str = "auto"
     backend: str = field(default_factory=lambda: active_settings().backend)
     workers: Optional[int] = field(default_factory=lambda: active_settings().workers)
     trace_scale: float = field(default_factory=lambda: active_settings().trace_scale)
@@ -105,9 +103,6 @@ class StudyConfig:
         if self.simulator not in SIMULATORS:
             raise ConfigurationError(
                 f"simulator must be one of {SIMULATORS}, got {self.simulator!r}")
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
@@ -169,7 +164,6 @@ class StudyConfig:
             trace=trace,
             clock_periods=tuple(self.clock_plan.periods),
             simulator=self.simulator,
-            engine=self.engine,
             synthesis=self.synthesis,
             width=self.width,
             collect_structural_stats=collect_structural_stats,

@@ -7,7 +7,7 @@ optionally writing them to a results file.
 
 All characterisation is routed through the job pipeline of
 :mod:`repro.runtime`: the runner builds one :class:`StudyConfig` from the
-CLI knobs (simulator tier, fast-engine tier) and the runtime settings the
+CLI knobs (family, simulator tier, seed) and the runtime settings the
 flags override for the run (execution backend, worker count, result-cache
 directory; :mod:`repro.settings`), the figure drivers turn their designs
 into job batches, and the selected backend — ``serial`` or
@@ -20,7 +20,7 @@ simulation job (the footer reports the hit/miss counts).
 Example::
 
     repro-experiments --scale 0.5 --backend multiprocess --jobs 4 \
-        --simulator fast --engine compiled --output results.txt
+        --simulator fast --output results.txt
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.experiments.fig10_distribution import run_fig10
 from repro.experiments.prediction import run_prediction_study
 from repro.families import family_ids, get_family
 from repro.settings import runtime_arguments, settings_from_arguments, using_settings
-from repro.timing.fast_sim import ENGINES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,9 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--simulator", choices=("event", "fast"), default="event",
                         help="timing simulator: glitch-aware event-driven (default) or fast "
                              "no-glitch vectorised")
-    parser.add_argument("--engine", choices=ENGINES, default="auto",
-                        help="execution engine of the fast simulator: compiled bit-packed, "
-                             "dense reference, or auto fallback (default auto)")
     parser.add_argument("--seed", type=int, default=7, help="master random seed")
     parser.add_argument("--figures", nargs="+", default=["fig7", "fig8", "fig9", "fig10"],
                         choices=["fig7", "fig8", "fig9", "fig10"],
@@ -116,9 +112,8 @@ def run_all(config: StudyConfig, figures: List[str]) -> str:
 
 def study_knobs(config: StudyConfig, backend) -> dict:
     """The knobs a study report's footer names."""
-    return {"simulator": config.simulator, "engine": config.engine,
-            "backend": backend.describe(), "trace_scale": f"{config.trace_scale:g}",
-            "seed": config.seed}
+    return {"simulator": config.simulator, "backend": backend.describe(),
+            "trace_scale": f"{config.trace_scale:g}", "seed": config.seed}
 
 
 def run_family_study(config: StudyConfig, family_id: str, width: int) -> str:
@@ -145,8 +140,7 @@ def run_family_study(config: StudyConfig, family_id: str, width: int) -> str:
                              cpr_levels=SWEEP_CPR_LEVELS),
         workloads=(WorkloadSpec(kind="uniform", length=config.scaled_length(512),
                                 width=width, seed=config.seed),),
-        simulator=config.simulator, engine=config.engine,
-        synthesis=config.synthesis, width=width)
+        simulator=config.simulator, synthesis=config.synthesis, width=width)
     result = run_sweep(spec, backend=backend)
 
     rows = [(point.design,
@@ -187,8 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--width must be in [2, {family.max_width}] for the "
                          f"{arguments.family} family")
     with using_settings(settings):
-        config = StudyConfig(simulator=arguments.simulator, engine=arguments.engine,
-                             seed=arguments.seed)
+        config = StudyConfig(simulator=arguments.simulator, seed=arguments.seed)
         if arguments.scale != 1.0:
             # --scale composes with $REPRO_TRACE_SCALE through the explicit
             # trace_scale field, so the applied scaling shows in the report.
@@ -196,8 +189,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         report, timings, _ = observed_run(
             arguments, "repro-experiments",
             {"family": arguments.family, "figures": list(arguments.figures),
-             "simulator": arguments.simulator, "engine": arguments.engine,
-             "scale": arguments.scale},
+             "simulator": arguments.simulator, "scale": arguments.scale},
             lambda: (run_all(config, arguments.figures) if arguments.family == "adder"
                      else run_family_study(config, arguments.family, width)))
     print(report + timings)

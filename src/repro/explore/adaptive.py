@@ -121,7 +121,7 @@ class AdaptiveSpec:
     space:
         The quadruple space searched.
     sweep:
-        Template sweep — clock plan, workloads, simulator/engine tier,
+        Template sweep — clock plan, workloads, simulator tier,
         synthesis options and width; its ``entries`` are ignored and
         replaced batch by batch, so every simulated job lands in the
         same cache keyspace as an exhaustive sweep of the space.

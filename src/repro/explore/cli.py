@@ -46,7 +46,6 @@ from repro.explore.sweep import SWEEP_CPR_LEVELS, SweepSpec, run_sweep
 from repro.families import family_ids, get_family
 from repro.settings import runtime_arguments, settings_from_arguments, using_settings
 from repro.timing.clocking import ClockPlan
-from repro.timing.fast_sim import ENGINES
 from repro.workloads.generators import GENERATORS, WorkloadSpec
 
 #: Workload generator kinds the sweep may draw stimulus from (the
@@ -88,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--simulator", choices=("event", "fast"), default="fast",
                         help="timing simulator tier (default fast; the event tier is the "
                              "glitch-aware reference and orders of magnitude slower)")
-    parser.add_argument("--engine", choices=ENGINES, default="auto",
-                        help="execution engine of the fast simulator (default auto)")
     parser.add_argument("--cache-limit-mb", type=float, default=None, metavar="MB",
                         help="byte budget of the result cache; oldest entries are "
                              "pruned after writes (default: $REPRO_CACHE_LIMIT_MB, "
@@ -156,8 +153,8 @@ def build_sweep(arguments, config: StudyConfig,
     plan = ClockPlan(safe_period=family.safe_period(arguments.width),
                      cpr_levels=tuple(cpr / 100.0 for cpr in arguments.clock_sweep))
     return SweepSpec(entries=tuple(entries), clock_plan=plan, workloads=workloads,
-                     simulator=arguments.simulator, engine=arguments.engine,
-                     synthesis=config.synthesis, width=arguments.width)
+                     simulator=arguments.simulator, synthesis=config.synthesis,
+                     width=arguments.width)
 
 
 def nearest_paper_label(point, family) -> str:
@@ -233,7 +230,7 @@ def run_exploration(arguments) -> ExplorationReport:
     :func:`main` derives from the flags); returns the report text and
     JSON payload."""
     config = StudyConfig(width=arguments.width, simulator=arguments.simulator,
-                         engine=arguments.engine, seed=arguments.seed)
+                         seed=arguments.seed)
     family = get_family(arguments.family)
     space = design_space(arguments)
     spec = build_sweep(arguments, config, space=space, template=arguments.adaptive)
@@ -272,7 +269,7 @@ def run_exploration(arguments) -> ExplorationReport:
         f"space     : {space.describe()}",
         *mode_lines,
         f"workload  : {spec.workloads[0].length} vectors per trace, "
-        f"simulator={spec.simulator}, engine={spec.engine}",
+        f"simulator={spec.simulator}",
         "",
         frontier_table(ranked, total_candidates=len(candidates), top=arguments.top,
                        family=family),

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from repro.core.config import ISAConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.designs import DesignEntry, exact_entry, isa_entry
 from repro.utils.validation import check_positive_int

@@ -19,9 +19,9 @@ see the full picture.
 When no tracer is active, :func:`span` costs one context-variable read
 and yields immediately — instrumented hot paths pay nothing by default.
 
-:func:`collect_phases` installs a tracer whose sink is a
-:class:`PhaseTimes`: wall seconds and calls per phase name, the
-breakdown ``--timings`` prints.  Dotted names are *sub-phases*
+:func:`collect_phases` installs a tracer and yields a :class:`PhaseTimes`
+view of it: wall seconds and calls per phase name, the breakdown
+``--timings`` prints.  Dotted names are *sub-phases*
 (``synth.optimize``, ``synth.sizing``, ``synth.sta``) or the driver's
 ``schedule.wait`` on worker futures; :meth:`PhaseTimes.total` excludes
 them, since their time is already inside a parent phase or overlaps the
@@ -104,31 +104,23 @@ class SpanStats:
 class Tracer:
     """Collects spans into per-path aggregates (plus per-worker stats).
 
-    ``sink`` is an optional object with ``add(name, seconds)`` and
-    ``merge(name, seconds, calls)`` methods — in practice a
-    :class:`PhaseTimes` — that receives every span by *leaf name*, which
-    is how the ``--timings`` breakdown is built on top of the tracer.
-
     ``workers`` accumulates the records multiprocess workers return with
     their results (see :mod:`repro.obs.spill`): per worker pid, the busy
     seconds, task count and span aggregates recorded inside that worker.
     """
 
-    def __init__(self, sink=None) -> None:
-        self.sink = sink
+    def __init__(self) -> None:
         self.spans: Dict[str, SpanStats] = {}
         self.workers: Dict[str, dict] = {}
 
     # ------------------------------------------------------------------ #
     def record(self, name: str, path: str, wall_s: float, cpu_s: float,
                attrs) -> None:
-        """Fold one finished span into the aggregates (and the sink)."""
+        """Fold one finished span into the aggregates."""
         stats = self.spans.get(path)
         if stats is None:
             stats = self.spans[path] = SpanStats(name)
         stats.fold(wall_s, cpu_s, 1, attrs)
-        if self.sink is not None:
-            self.sink.add(name, wall_s)
 
     def merge_span(self, path: str, name: str, wall_s: float, cpu_s: float,
                    calls: int, attrs) -> None:
@@ -137,8 +129,6 @@ class Tracer:
         if stats is None:
             stats = self.spans[path] = SpanStats(name)
         stats.fold(wall_s, cpu_s, calls, attrs)
-        if self.sink is not None:
-            self.sink.merge(name, wall_s, calls)
 
     def merge_spill(self, record: dict) -> None:
         """Fold one worker spill record: global aggregates + per-worker stats."""
@@ -176,9 +166,8 @@ class Tracer:
         """Wall seconds attributed to top-level phases, driver + workers.
 
         Dotted leaf names (``synth.*`` sub-phases, ``schedule.wait``,
-        ``plan.group``) are excluded, exactly like
-        :meth:`PhaseTimes.total` — their time is
-        either nested inside a parent phase or is bookkeeping wait.
+        ``plan.group``) are excluded — their time is either nested
+        inside a parent phase or is bookkeeping wait.
         """
         return sum(record["wall_s"] for name, record in
                    self.phase_totals().items() if "." not in name)
@@ -250,39 +239,35 @@ PHASES = ("synthesize", "synth.optimize", "synth.sizing", "synth.sta",
 
 
 class PhaseTimes:
-    """Accumulated wall seconds (and call counts) per pipeline phase."""
+    """Wall seconds and call counts per pipeline phase, read from a tracer
+    by leaf name (:meth:`Tracer.phase_totals`)."""
 
-    def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {}
-        self.calls: Dict[str, int] = {}
+    def __init__(self, tracer: Tracer) -> None:
+        self.tracer = tracer
 
-    def add(self, name: str, elapsed: float) -> None:
-        """Record one timed region of phase ``name``."""
-        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-        self.calls[name] = self.calls.get(name, 0) + 1
+    @property
+    def seconds(self) -> Dict[str, float]:
+        return {name: record["wall_s"]
+                for name, record in self.tracer.phase_totals().items()}
 
-    def merge(self, name: str, elapsed: float, calls: int) -> None:
-        """Fold a pre-aggregated batch of regions (worker spill merge)."""
-        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-        self.calls[name] = self.calls.get(name, 0) + calls
+    @property
+    def calls(self) -> Dict[str, int]:
+        return {name: record["calls"]
+                for name, record in self.tracer.phase_totals().items()}
 
     def total(self) -> float:
-        """Sum of every attributed top-level phase.
-
-        Dotted sub-phases (``synth.*``, ``schedule.wait``) are excluded
-        — their time is already inside a parent phase, or overlaps the
-        worker compute merged into the top-level phases.
-        """
-        return sum(elapsed for name, elapsed in self.seconds.items()
-                   if "." not in name)
+        """Sum of every attributed top-level phase
+        (:meth:`Tracer.attributed_wall_s`)."""
+        return self.tracer.attributed_wall_s()
 
     def describe(self, order: Sequence[str] = PHASES) -> str:
         """Footer-ready one-line breakdown, canonical phases first."""
-        names = [name for name in order if name in self.seconds]
-        names += [name for name in sorted(self.seconds) if name not in order]
+        seconds = self.seconds
+        names = [name for name in order if name in seconds]
+        names += [name for name in sorted(seconds) if name not in order]
         if not names:
             return "no phases recorded"
-        parts = [f"{name} {self.seconds[name]:.2f} s" for name in names]
+        parts = [f"{name} {seconds[name]:.2f} s" for name in names]
         return " / ".join(parts) + f" (attributed {self.total():.2f} s)"
 
 
@@ -296,7 +281,5 @@ def collect_phases() -> Iterator[PhaseTimes]:
     The underlying tracer is exposed as ``phases.tracer`` (span paths,
     CPU time, merged worker stats).
     """
-    collector = PhaseTimes()
-    with trace_run(Tracer(sink=collector)) as tracer:
-        collector.tracer = tracer
-        yield collector
+    with trace_run() as tracer:
+        yield PhaseTimes(tracer)

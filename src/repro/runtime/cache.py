@@ -8,9 +8,9 @@ adds a content-addressed store so that work survives across processes:
   identity of a :class:`~repro.runtime.jobs.CharacterizationJob` — the
   design entry and synthesis options, the trace content (operand bytes,
   not the presentational trace name), the clock plan, the simulator
-  tier, the fast-engine tier, the structural-stats request, the job's
-  reduction (only when it names one, so word-level digests are
-  unchanged) and the library version.  Any change to any of these
+  tier, the structural-stats request, the job's reduction (only when it
+  names one, so word-level digests are unchanged) and the library
+  version.  Any change to any of these
   yields a new key, which is the entire invalidation story: stale
   entries are never *wrong*, only unreachable.
 * :class:`ResultStore` is the on-disk layout: one directory per digest
@@ -77,7 +77,9 @@ def job_digest(job: CharacterizationJob) -> str:
         "output_bus": job.output_bus,
         "collect_structural_stats": job.collect_structural_stats,
         "simulator": job.simulator,
-        "engine": job.engine,
+        # Jobs no longer name a fast-tier kernel; the old default stays
+        # in the key so entries written under it remain hits.
+        "engine": "auto",
         "clock_periods": _canonical(job.clock_periods),
         "synthesis": _canonical_synthesis(job.synthesis),
         "trace": trace_digest(job.trace),
@@ -182,7 +184,6 @@ class CachingBackend(Backend):
             "trace_length": job.trace.length,
             "clock_periods": list(job.clock_periods),
             "simulator": job.simulator,
-            "engine": job.engine,
             "collect_structural_stats": job.collect_structural_stats,
             "library_version": __version__,
         })

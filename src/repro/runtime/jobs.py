@@ -2,9 +2,10 @@
 
 A :class:`CharacterizationJob` bundles everything needed to characterise
 one design over one operand trace — the design entry to synthesize, the
-trace, the clock periods to sample, the simulator tier (``event`` or
-``fast``) and the execution engine of the fast tier (``auto`` /
-``compiled`` / ``reference``).  :func:`execute_job` performs the job in
+trace, the clock periods to sample and the simulator tier (``event`` or
+``fast``).  The fast tier picks its kernel per call from the call's size
+(:mod:`repro.timing.fast_sim`), so a job names none.
+:func:`execute_job` performs the job in
 the calling process; the backends in :mod:`repro.runtime.backends`
 run planned batches of jobs, possibly splitting each trace into
 independent slices.
@@ -44,7 +45,7 @@ from repro.synth.flow import SynthesisOptions, SynthesizedDesign, synthesize
 from repro.timing.clocking import is_valid_period
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.event_sim import EventDrivenSimulator
-from repro.timing.fast_sim import ENGINES, FastTimingSimulator
+from repro.timing.fast_sim import FastTimingSimulator
 from repro.utils.lru import LRUDict
 from repro.workloads.traces import OperandTrace
 
@@ -57,7 +58,7 @@ SIMULATORS = ("event", "fast")
 
 @dataclass(frozen=True, eq=False)
 class CharacterizationJob:
-    """One (design x trace x clock plan x engine) characterisation.
+    """One (design x trace x clock plan x simulator) characterisation.
 
     Jobs are immutable and picklable, so backends can ship them to
     worker processes.  They compare and hash by identity (the trace
@@ -75,7 +76,6 @@ class CharacterizationJob:
     trace: OperandTrace
     clock_periods: Tuple[float, ...]
     simulator: str = "event"
-    engine: str = "auto"
     synthesis: SynthesisOptions = field(default_factory=SynthesisOptions)
     width: int = 32
     collect_structural_stats: bool = False
@@ -86,9 +86,6 @@ class CharacterizationJob:
         if self.simulator not in SIMULATORS:
             raise ConfigurationError(
                 f"simulator must be one of {SIMULATORS}, got {self.simulator!r}")
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not self.clock_periods:
             raise ConfigurationError("a characterization job needs at least one clock period")
         for clk in self.clock_periods:
@@ -121,8 +118,7 @@ class CharacterizationJob:
         the same job (and jobs re-running a design on another trace) hit
         the same cache entry and lowering happens once per process.
         """
-        return (self.entry, self.width, self.synthesis, self.simulator,
-                self.engine, self.output_bus)
+        return (self.entry, self.width, self.synthesis, self.simulator, self.output_bus)
 
     def with_trace(self, trace: OperandTrace) -> "CharacterizationJob":
         """The same job over a different (e.g. sliced) trace."""
@@ -212,25 +208,22 @@ def synthesize_job(job: CharacterizationJob) -> SynthesizedDesign:
     return _DESIGN_CACHE.put(key, design)
 
 
-def build_simulator(kind: str, synthesized: SynthesizedDesign, engine: str = "auto"):
+def build_simulator(kind: str, synthesized: SynthesizedDesign):
     """Instantiate the requested timing simulator for a synthesized design.
 
-    ``engine`` selects the execution tier of the fast simulator; the
-    event-driven simulator is its own (glitch-aware) reference tier and
-    ignores it.  The ``lower`` span covers the fast simulator's logic
-    program and its levelised pass's delays.  No packed timing program
-    is built here: a call that needs one builds it for the clock
-    periods that call samples, under a ``lower`` span of its own in
-    ``run_traces_multi`` (the planner's kernel), and later calls at
-    those clocks reuse it.  One simulator therefore serves every clock
-    plan of its design.
+    The ``lower`` span covers the fast simulator's logic program and its
+    levelised pass's delays.  No packed timing program is built here: a
+    call that needs one builds it for the clock periods that call
+    samples, under a ``lower`` span of its own in ``run_traces_multi``
+    (the planner's kernel), and later calls at those clocks reuse it.
+    One simulator therefore serves every clock plan of its design, and
+    the call's size picks its kernel (:mod:`repro.timing.fast_sim`).
     """
-    with span("lower", simulator=kind, engine=engine):
+    with span("lower", simulator=kind):
         if kind == "event":
             return EventDrivenSimulator(synthesized.netlist, synthesized.annotation)
         if kind == "fast":
-            return FastTimingSimulator(synthesized.netlist, synthesized.annotation,
-                                       engine=engine)
+            return FastTimingSimulator(synthesized.netlist, synthesized.annotation)
     raise ConfigurationError(f"unknown simulator kind {kind!r}")
 
 
@@ -290,7 +283,7 @@ def execute_job(job: CharacterizationJob,
             f"synthesized netlist of {job.name} disagrees with its behavioural "
             "golden model; the synthesis flow is unfaithful")
     if simulator is None:
-        simulator = build_simulator(job.simulator, synthesized, engine=job.engine)
+        simulator = build_simulator(job.simulator, synthesized)
     with span("simulate", transitions=trace.length, clocks=len(job.clock_periods)):
         timing_traces = simulator.run_trace_multi(trace.as_operands(), job.clock_periods,
                                                   output_bus=job.output_bus)

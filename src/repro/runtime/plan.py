@@ -171,7 +171,7 @@ def execute_group(jobs: Sequence[CharacterizationJob],
     if synthesized is None:
         synthesized = synthesize_job(job0)
     if simulator is None:
-        simulator = build_simulator(job0.simulator, synthesized, engine=job0.engine)
+        simulator = build_simulator(job0.simulator, synthesized)
     traces = [job.trace for job in jobs]
     bounds = np.cumsum([0] + [trace.length for trace in traces])
 
@@ -189,7 +189,7 @@ def execute_group(jobs: Sequence[CharacterizationJob],
 
     batched = simulator.run_traces_multi(
         [_operands_of(trace) for trace in traces], job0.clock_periods,
-        output_bus=job0.output_bus, include_settled_values=True)
+        output_bus=job0.output_bus)
 
     results: List[DesignCharacterization] = []
     for index, job in enumerate(jobs):
@@ -247,7 +247,6 @@ class _GroupSpec:
     width: int
     synthesis: object
     simulator: str
-    engine: str
     output_bus: str
     clock_periods: Tuple[float, ...]
     members: Tuple[_GroupMember, ...]
@@ -264,7 +263,7 @@ class _GroupSpec:
                 trace = trace.slice(start, stop + 1)
             jobs.append(CharacterizationJob(
                 entry=self.entry, trace=trace, clock_periods=self.clock_periods,
-                simulator=self.simulator, engine=self.engine, synthesis=self.synthesis,
+                simulator=self.simulator, synthesis=self.synthesis,
                 width=self.width, collect_structural_stats=member.collect_structural_stats,
                 output_bus=self.output_bus, reduction=member.reduction))
         return jobs
@@ -280,7 +279,7 @@ def group_spec(jobs: Sequence[CharacterizationJob], group: List[Member],
     job0 = jobs[group[0][0]]
     return _GroupSpec(
         entry=job0.entry, width=job0.width, synthesis=job0.synthesis,
-        simulator=job0.simulator, engine=job0.engine, output_bus=job0.output_bus,
+        simulator=job0.simulator, output_bus=job0.output_bus,
         clock_periods=job0.clock_periods,
         members=tuple(_GroupMember(
             trace=ship(jobs[index].trace), span=span,
@@ -303,8 +302,8 @@ def run_group(spec: _GroupSpec) -> List[object]:
     key = job0.cache_key()
     simulator = _GROUP_SIMULATORS.get((synthesized,), key)
     if simulator is None:
-        simulator = _GROUP_SIMULATORS.put((synthesized,), build_simulator(
-            job0.simulator, synthesized, engine=job0.engine), key)
+        simulator = _GROUP_SIMULATORS.put(
+            (synthesized,), build_simulator(job0.simulator, synthesized), key)
     if job0.simulator == "fast":
         results = execute_group(jobs, synthesized=synthesized, simulator=simulator)
     else:

@@ -11,9 +11,9 @@ This module persists the synthesis flow's output the same way
   :class:`~repro.synth.flow.SynthesisOptions` (with the technology
   library keyed by value and the variation seed normalised away when
   ``variation_sigma == 0``) and the library version.  The trace, clock
-  plan, simulator and engine are deliberately excluded: they do not
-  influence the synthesized design, and jobs differing only in them
-  must share one entry.
+  plan and simulator are deliberately excluded: they do not influence
+  the synthesized design, and jobs differing only in them must share
+  one entry.
 * :class:`SynthesisCache` stores the whole pickled
   :class:`~repro.synth.flow.SynthesizedDesign` — optimized netlist,
   delay annotation, sizing result and reports — through the shared

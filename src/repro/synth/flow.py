@@ -11,7 +11,7 @@ netlist with its delay annotation and timing reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.circuit.library import TechnologyLibrary, default_library

@@ -12,7 +12,6 @@ error rates (for the Fig. 10 distribution).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -19,33 +19,29 @@ a final transition.
 One chunked pass serves every call.  The compiled bit-packed logic
 program (:class:`~repro.circuit.compiled.CompiledProgram`, 64 cycles per
 ``uint64`` word) gives every net's settled value before and after each
-transition, and one of two kernels decides which output bits are late:
+transition, and one of two kernels decides which output bits are late.
+The call's size picks the kernel; both give the same words bit for bit.
 
-the levelised pass (``engine="reference"``)
+the levelised pass
     Walks the logic program's gate batches (one level, one cell and so
     one fan-in each) and computes every net's arrival time for all
     transitions of a chunk at once: ``arrival[out] = where(changed[out],
     max(arrival[inputs]) + delay, -inf)``.  That is the same ``max`` and
     the same float addition per gate as the per-gate specification it
     replaced (kept as a test oracle), so it is bit-exact with it.  It
-    needs no lowering beyond the logic program.
+    needs no lowering beyond the logic program.  A call of at most
+    :data:`DENSE_MAX_TRANSITIONS` transitions, summed over its traces,
+    runs it.
 
-the packed timing program (``engine="compiled"``)
+the packed timing program
     The arrival-threshold masks of
     :class:`~repro.circuit.compiled.PackedTimingProgram`, built for the
     call's own clock periods: bitwise word operations only, no per-cycle
     float arithmetic, but a build of several milliseconds per design and
-    clock set.
-
-``engine="auto"`` (the default) chooses per call.  A call of at most
-:data:`DENSE_MAX_TRANSITIONS` transitions, summed over its traces, runs
-the levelised pass; a longer call builds the packed program for its
-sorted clock set, which later long calls at those clocks reuse.  When
-that build overflows its row limit (heavy per-instance delay
-variation), long calls at those clocks stay on the levelised pass.
-``"compiled"`` runs every call on the packed program and raises
-:class:`~repro.exceptions.SimulationError` on a call whose build
-overflows; ``"reference"`` never builds it.
+    clock set.  A longer call builds it for its sorted clock set, which
+    later long calls at those clocks reuse.  When that build overflows
+    its row limit (heavy per-instance delay variation), long calls at
+    those clocks stay on the levelised pass.
 """
 
 from __future__ import annotations
@@ -73,14 +69,10 @@ from repro.timing.operands import (
 #: Arrival-time value used for nets that do not switch in a cycle.
 STABLE = -np.inf
 
-#: Engine identifiers accepted by :class:`FastTimingSimulator`.
-ENGINES = ("auto", "compiled", "reference")
-
-#: Largest call, in transitions summed over its traces, that
-#: ``engine="auto"`` runs on the levelised pass.  Above it, building the
-#: packed timing program for the call's clocks once costs less than the
-#: levelised pass would.  The rule reads only the call's own size, so a
-#: call always takes the same kernel.
+#: Largest call, in transitions summed over its traces, that runs on the
+#: levelised pass.  Above it, building the packed timing program for the
+#: call's clocks once costs less than the levelised pass would.  The rule
+#: reads only the call's own size, so a call always takes the same kernel.
 DENSE_MAX_TRANSITIONS = 1024
 
 #: Target size (bytes) of what one chunk materialises; keeps a pass
@@ -95,15 +87,15 @@ class BatchedTraceRun:
     ``timing`` holds one ``{clock_period: TimingErrorTrace}`` dict per
     submitted trace, in submission order — exactly what the per-trace
     :meth:`FastTimingSimulator.run_trace_multi` would have returned.
-    ``settled_values`` (present when requested) holds per trace the
-    settled output-bus word of **every** input vector — bit-identical to
+    ``settled_values`` holds per trace the settled output-bus word of
+    **every** input vector — bit-identical to
     :meth:`~repro.circuit.netlist.Netlist.compute_words` on that trace,
     derived from the same packed evaluation that fed the timing run, so
     golden cross-checks need no second logic pass.
     """
 
     timing: List[Dict[float, TimingErrorTrace]]
-    settled_values: Optional[List[np.ndarray]] = None
+    settled_values: List[np.ndarray]
 
 
 class FastTimingSimulator:
@@ -116,20 +108,11 @@ class FastTimingSimulator:
     number of clock plans.
     """
 
-    def __init__(self, netlist: Netlist, annotation: DelayAnnotation,
-                 engine: str = "auto") -> None:
-        if engine not in ENGINES:
-            raise SimulationError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    def __init__(self, netlist: Netlist, annotation: DelayAnnotation) -> None:
         annotation.validate_against(netlist)
-        program = netlist.compiled()
-        if program is None:
-            raise SimulationError(
-                f"netlist {netlist.name!r} uses a cell without a packed kernel "
-                "and cannot be timing-simulated")
         self.netlist = netlist
         self.annotation = annotation
-        self._program = program
-        self._engine = engine
+        self._program = program = netlist.compiled()
         # Each logic batch's gate delays, shaped to broadcast over the
         # (traces, transitions) axes of the levelised pass.
         delays = np.zeros(program.num_nets)
@@ -144,8 +127,7 @@ class FastTimingSimulator:
     def _packed_program(self, clock_periods: Sequence[float],
                         phase) -> Optional[PackedTimingProgram]:
         """The packed timing program for these clock periods, built on
-        first use; ``None`` when its build overflowed, which
-        ``engine="compiled"`` reports as an error."""
+        first use; ``None`` when its build overflowed."""
         clocks = tuple(sorted({float(clk) for clk in clock_periods}))
         if clocks not in self._timing_programs:
             with phase("lower"):
@@ -154,13 +136,7 @@ class FastTimingSimulator:
                         self._program, self.annotation, clocks)
                 except CompilationError:
                     self._timing_programs[clocks] = None
-        timing = self._timing_programs[clocks]
-        if timing is None and self._engine == "compiled":
-            raise SimulationError(
-                f"netlist {self.netlist.name!r} cannot be lowered to the compiled "
-                f"packed timing engine at clock periods {clocks}; use engine='auto' "
-                "or 'reference'")
-        return timing
+        return self._timing_programs[clocks]
 
     # ------------------------------------------------------------------ #
     # Word-level trace simulation
@@ -194,11 +170,11 @@ class FastTimingSimulator:
         # "simulate" span), so neither the chunk loop nor a lazy build of
         # the packed program opens spans here.
         return self._simulate([input_trace], [total], clock_periods, output_nets,
-                              False, phase=nullcontext).timing[0]
+                              phase=nullcontext).timing[0]
 
     def run_traces_multi(self, operand_traces: Sequence[Mapping[str, np.ndarray]],
-                         clock_periods: Sequence[float], output_bus: str = "S",
-                         include_settled_values: bool = False) -> BatchedTraceRun:
+                         clock_periods: Sequence[float],
+                         output_bus: str = "S") -> BatchedTraceRun:
         """Simulate several operand traces in one batched pass.
 
         The traces are stacked into a ``(traces, words)`` packed tensor
@@ -207,18 +183,15 @@ class FastTimingSimulator:
         ragged lengths (shorter traces are zero-padded to the stack and
         their padding discarded).  The per-trace results are
         bit-identical to calling :meth:`run_trace_multi` on each trace
-        alone — values of different traces never mix.
-
-        ``include_settled_values`` additionally returns, per trace, the
-        settled output word of every input vector — the gate-level
-        golden reference — derived from the same evaluation.
+        alone — values of different traces never mix.  Each trace's
+        settled output word of every input vector — the gate-level golden
+        reference — comes from the same evaluation.
         """
         self._check_clocks(clock_periods)
         output_nets = self._output_nets(output_bus)
         operand_traces = list(operand_traces)
         if not operand_traces:
-            return BatchedTraceRun(
-                timing=[], settled_values=[] if include_settled_values else None)
+            return BatchedTraceRun(timing=[], settled_values=[])
         with span("pack"):
             input_traces = [expand_operand_traces_interned(self.netlist, operands)
                             for operands in operand_traces]
@@ -226,25 +199,20 @@ class FastTimingSimulator:
         for total in totals:
             if total < 2:
                 raise SimulationError("a timing trace needs at least two input vectors")
-        if not clock_periods and not include_settled_values:
-            return BatchedTraceRun(timing=[{} for _ in input_traces])
-        return self._simulate(input_traces, totals, clock_periods, output_nets,
-                              include_settled_values)
+        return self._simulate(input_traces, totals, clock_periods, output_nets)
 
     # ------------------------------------------------------------------ #
     # The chunk loop
     # ------------------------------------------------------------------ #
     def _simulate(self, input_traces: List[Mapping[str, np.ndarray]],
                   totals: List[int], clock_periods: Sequence[float],
-                  output_nets: List[str], include_settled_values: bool,
-                  phase=span) -> BatchedTraceRun:
+                  output_nets: List[str], phase=span) -> BatchedTraceRun:
         program = self._program
         count = len(input_traces)
         transitions = [total - 1 for total in totals]
         max_transitions = max(transitions)
         timing = None
-        if self._engine == "compiled" or (
-                self._engine == "auto" and sum(transitions) > DENSE_MAX_TRANSITIONS):
+        if sum(transitions) > DENSE_MAX_TRANSITIONS:
             timing = self._packed_program(clock_periods, phase)
         sampled = {clk: [np.empty(t, dtype=np.uint64) for t in transitions]
                    for clk in clock_periods}
@@ -306,7 +274,7 @@ class FastTimingSimulator:
                     valid = min(stop, transitions[index]) - start
                     if valid > 0:
                         settled[index][start:start + valid] = settled_chunk[index, :valid]
-                if include_settled_values and start == 0:
+                if start == 0:
                     # The settled word of input vector 0 is the "old"
                     # side of transition 0; every later vector's settled
                     # word is the "new" side of its transition.
@@ -326,11 +294,8 @@ class FastTimingSimulator:
                                    output_width=len(output_nets))
              for clk in clock_periods}
             for index in range(count)]
-        settled_values = None
-        if include_settled_values:
-            settled_values = [
-                np.concatenate([first_cycle[index:index + 1], settled[index]])
-                for index in range(count)]
+        settled_values = [np.concatenate([first_cycle[index:index + 1], settled[index]])
+                          for index in range(count)]
         return BatchedTraceRun(timing=timing_results, settled_values=settled_values)
 
     def _arrival(self, diff: np.ndarray, transitions: int) -> np.ndarray:

@@ -9,7 +9,7 @@ copy-pasted between the fast and the event-driven simulator.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 

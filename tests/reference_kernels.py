@@ -1,9 +1,10 @@
 """Reference implementations of the production kernels (test oracles).
 
-Four oracles live here: the synthesis kernels, the dense timing loop,
-the regression tree's split search and the Pareto mask.  Each is the
-straightforward formulation production replaced, kept as the executable
-specification the production code must match bit for bit.
+Five oracles live here: the synthesis kernels, the per-gate logic loop,
+the dense timing loop, the regression tree's split search and the Pareto
+mask.  Each is the straightforward formulation production replaced, kept
+as the executable specification the production code must match bit for
+bit.
 
 *Synthesis.*  Production synthesis runs levelised kernels: optimize over an
 integer-indexed design (:mod:`repro.synth.optimize`), sizing and static
@@ -21,12 +22,19 @@ so it runs only inside :func:`reference_kernels`, which swaps this
 module's STA passes into :mod:`repro.timing.sta` (and its optimize and
 sizing into :mod:`repro.synth.flow`) for a ``with`` block.
 
+*Logic.*  :func:`evaluate_per_gate` and :func:`compute_words_per_gate`
+walk :meth:`repro.circuit.netlist.Netlist.evaluation_plan` one gate at a
+time on ``uint8`` arrays and never touch the bit-packed program that
+``Netlist.evaluate`` and ``Netlist.compute_words`` run on a 1-D cycle
+batch.
+
 *Dense timing.*  :class:`ReferenceTimingSimulator` evaluates the logic
-with the per-gate ``uint8`` loop and propagates one float64 arrival
-array per net, one gate at a time.  The levelised pass of
-:class:`repro.timing.fast_sim.FastTimingSimulator` (``engine="reference"``,
-and ``"auto"`` on short calls) and its packed timing program must match
-it on sampled and settled words (``tests/test_compiled_engine.py``).
+with the per-gate loop and propagates one float64 arrival array per net,
+one gate at a time.  Both kernels of
+:class:`repro.timing.fast_sim.FastTimingSimulator` — the levelised pass
+and the packed timing program — must match it on sampled and settled
+words (``tests/test_compiled_engine.py``); :func:`forced_kernel` pins
+which one a block of calls runs.
 
 *Regression trees.*  :class:`ReferenceTreeRegressor` grows on
 boolean-mask copies of ``(X, y)`` and sorts every candidate column of
@@ -42,6 +50,7 @@ in blocks (``tests/test_explore.py``).
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -56,7 +65,7 @@ from repro.settings import using_settings
 from repro.synth import flow
 from repro.synth.optimize import _fresh_inverter_names, _Inverted, _simplify
 from repro.synth.sizing import SizingOptions, SizingResult
-from repro.timing import sta
+from repro.timing import fast_sim, sta
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.fast_sim import STABLE, BatchedTraceRun
 from repro.timing.operands import expand_operand_traces, trace_length
@@ -325,15 +334,58 @@ def reference_kernels() -> Iterator[None]:
 
 
 # --------------------------------------------------------------------- #
-# Dense timing: per-gate logic and arrival loops
+# Logic: the per-gate loop
 # --------------------------------------------------------------------- #
+def evaluate_per_gate(netlist: Netlist,
+                      input_values: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Every net's zero-delay value, one ``uint8`` call per gate in
+    topological order, for any stimulus shape."""
+    values = {CONST0: np.asarray(0, dtype=np.uint8), CONST1: np.asarray(1, dtype=np.uint8)}
+    values.update({net: np.asarray(input_values[net], dtype=np.uint8)
+                   for net in netlist.inputs})
+    for function, input_nets, output in netlist.evaluation_plan():
+        values[output] = function(*[values[net] for net in input_nets])
+    return values
+
+
+def compute_words_per_gate(netlist: Netlist, operand_words: Mapping[str, np.ndarray],
+                           output_bus: str = "S") -> np.ndarray:
+    """``netlist.compute_words`` on the per-gate loop."""
+    bits = expand_operand_traces(netlist, operand_words)
+    return netlist.decode_bus(output_bus, evaluate_per_gate(netlist, bits))
+
+
+# --------------------------------------------------------------------- #
+# Dense timing: the per-gate arrival loop, and pinning a fast-tier kernel
+# --------------------------------------------------------------------- #
+@contextmanager
+def forced_kernel(kernel: str) -> Iterator[None]:
+    """Run every fast-simulator call of the block on one kernel.
+
+    ``"packed"`` puts every call on the packed timing program (a build
+    that overflows its row limit still falls back to the levelised
+    pass); ``"levelised"`` puts every call on the levelised pass.  It
+    patches :data:`repro.timing.fast_sim.DENSE_MAX_TRANSITIONS`, so pool
+    workers forked inside the block inherit it; workers forked before
+    it keep the size rule, which changes no word, as the kernels are
+    bit-identical.
+    """
+    limit = {"packed": 0, "levelised": sys.maxsize}[kernel]
+    saved = fast_sim.DENSE_MAX_TRANSITIONS
+    fast_sim.DENSE_MAX_TRANSITIONS = limit
+    try:
+        yield
+    finally:
+        fast_sim.DENSE_MAX_TRANSITIONS = saved
+
+
 class ReferenceTimingSimulator:
     """The per-gate dense timing loop the levelised pass replaced.
 
     ``run_trace_multi`` and ``run_traces_multi`` take the arguments of the
     :class:`repro.timing.fast_sim.FastTimingSimulator` methods of the same
     names; traces run one after the other, and settled values come from a
-    second, per-gate ``uint8`` logic pass.
+    second per-gate logic pass.
     """
 
     def __init__(self, netlist: Netlist, annotation: DelayAnnotation) -> None:
@@ -341,7 +393,6 @@ class ReferenceTimingSimulator:
         self.netlist = netlist
         self._order = netlist.topological_order()
         self._delays = {gate.name: annotation.delay_of(gate.name) for gate in self._order}
-        self._dense_eval_engine = "reference"
 
     def run_trace_multi(self, operands: Mapping[str, np.ndarray],
                         clock_periods: Sequence[float], output_bus: str = "S",
@@ -352,28 +403,24 @@ class ReferenceTimingSimulator:
                                            chunk_size)
 
     def run_traces_multi(self, operand_traces: Sequence[Mapping[str, np.ndarray]],
-                         clock_periods: Sequence[float], output_bus: str = "S",
-                         include_settled_values: bool = False) -> BatchedTraceRun:
+                         clock_periods: Sequence[float],
+                         output_bus: str = "S") -> BatchedTraceRun:
         timing = [self.run_trace_multi(operands, clock_periods, output_bus)
                   for operands in operand_traces]
-        settled_values = None
-        if include_settled_values:
-            settled_values = [
-                self.netlist.compute_words(operands, output_bus,
-                                           engine=self._dense_eval_engine)
-                for operands in operand_traces]
+        settled_values = [compute_words_per_gate(self.netlist, operands, output_bus)
+                          for operands in operand_traces]
         return BatchedTraceRun(timing=timing, settled_values=settled_values)
 
     def _dense_transitions(self, previous_inputs: Mapping[str, np.ndarray],
-                           current_inputs: Mapping[str, np.ndarray],
-                           eval_engine: str) -> Dict[str, Dict[str, np.ndarray]]:
+                           current_inputs: Mapping[str, np.ndarray]
+                           ) -> Dict[str, Dict[str, np.ndarray]]:
         """Per-output-net ``old``/``new`` values and ``arrival`` times.
 
         ``previous_inputs`` and ``current_inputs`` map every primary input
         net to equal-length 0/1 arrays, one entry per transition.
         """
-        old_values = self.netlist.evaluate(previous_inputs, engine=eval_engine)
-        new_values = self.netlist.evaluate(current_inputs, engine=eval_engine)
+        old_values = evaluate_per_gate(self.netlist, previous_inputs)
+        new_values = evaluate_per_gate(self.netlist, current_inputs)
 
         arrival: Dict[str, np.ndarray] = {}
         shape = self._stimulus_shape(current_inputs)
@@ -415,8 +462,7 @@ class ReferenceTimingSimulator:
             stop = min(start + chunk_size, transitions)
             previous = {net: values[start:stop] for net, values in input_trace.items()}
             current = {net: values[start + 1:stop + 1] for net, values in input_trace.items()}
-            results = self._dense_transitions(previous, current,
-                                              eval_engine=self._dense_eval_engine)
+            results = self._dense_transitions(previous, current)
             chunk_settled = np.zeros(stop - start, dtype=np.uint64)
             for position, net in enumerate(output_nets):
                 chunk_settled |= results[net]["new"].astype(np.uint64) << np.uint64(position)

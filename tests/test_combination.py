@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.combination import CombinedErrors, combination_flow, combine_errors, relative_errors
+from repro.core.combination import combination_flow, combine_errors, relative_errors
 from repro.exceptions import AnalysisError
 
 

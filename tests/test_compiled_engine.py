@@ -1,11 +1,13 @@
-"""Equivalence tests for the compiled bit-packed engine.
+"""Equivalence tests for the compiled bit-packed programs.
 
-The compiled engine (packed logic evaluation + arrival-threshold timing
-masks) and the levelised dense pass must be bit-exact against each other
-and against the per-gate oracle of ``reference_kernels`` on every design
-of the library: the exact adder architectures, the paper's approximate
-(ISA) configurations and the array multipliers, for random vectors and
-for ragged trace lengths that do not divide the 64-cycle word size.
+Packed logic evaluation must equal the per-gate logic oracle, and the
+fast simulator's two kernels — the packed timing program and the
+levelised dense pass, each forced on every call with
+``reference_kernels.forced_kernel`` — must be bit-exact against each
+other and against the per-gate timing oracle, on every design of the
+library: the exact adder architectures, the paper's approximate (ISA)
+configurations and the array multipliers, for random vectors and for
+ragged trace lengths that do not divide the 64-cycle word size.
 """
 
 import hashlib
@@ -14,7 +16,12 @@ import json
 import numpy as np
 import pytest
 
-from reference_kernels import ReferenceTimingSimulator
+from reference_kernels import (
+    ReferenceTimingSimulator,
+    compute_words_per_gate,
+    evaluate_per_gate,
+    forced_kernel,
+)
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.compiled import (CompiledProgram, PackedTimingProgram, pack_bits,
                                     packed_word_count, rows_to_words, unpack_bits)
@@ -117,63 +124,56 @@ class TestPacking:
 
 
 class TestLogicEquivalence:
-    """Compiled packed evaluation vs the reference per-gate uint8 loop."""
+    """Packed evaluation (``Netlist.compute_words`` / ``evaluate`` on a
+    1-D cycle batch) vs the per-gate ``uint8`` oracle."""
 
     def test_exact_adders_bit_exact(self, exact_design, rng):
         netlist = exact_design.netlist
         operands = _random_operands(16, 500, 11)
-        compiled = netlist.compute_words(operands, engine="compiled")
-        reference = netlist.compute_words(operands, engine="reference")
-        assert np.array_equal(compiled, reference)
+        assert np.array_equal(netlist.compute_words(operands),
+                              compute_words_per_gate(netlist, operands))
 
     def test_isa_adders_bit_exact(self, paper_design, rng):
         netlist = paper_design.netlist
         operands = _random_operands(32, 500, 13)
-        compiled = netlist.compute_words(operands, engine="compiled")
-        reference = netlist.compute_words(operands, engine="reference")
-        assert np.array_equal(compiled, reference)
+        assert np.array_equal(netlist.compute_words(operands),
+                              compute_words_per_gate(netlist, operands))
 
     @pytest.mark.parametrize("length", RAGGED_LENGTHS)
     def test_ragged_lengths(self, exact_design, length):
         netlist = exact_design.netlist
         operands = _random_operands(16, length, 17 + length)
-        compiled = netlist.compute_words(operands, engine="compiled")
-        reference = netlist.compute_words(operands, engine="reference")
-        assert np.array_equal(compiled, reference)
+        assert np.array_equal(netlist.compute_words(operands),
+                              compute_words_per_gate(netlist, operands))
 
     def test_evaluate_every_net(self, exact_design):
-        """The full per-net value dict agrees between tiers."""
+        """The full per-net value dict agrees with the oracle's."""
         netlist = exact_design.netlist
         operands = _random_operands(16, 77, 23)
         bits = expand_operand_traces(netlist, operands)
-        compiled = netlist.evaluate(bits, engine="compiled")
-        reference = netlist.evaluate(bits, engine="reference")
+        packed = netlist.evaluate(bits)
+        reference = evaluate_per_gate(netlist, bits)
         for net in netlist.nets:
             ref = np.broadcast_to(np.asarray(reference[net], dtype=np.uint8), (77,))
-            assert np.array_equal(compiled[net], ref), f"net {net} diverges"
+            assert np.array_equal(packed[net], ref), f"net {net} diverges"
 
-    def test_scalar_stimulus_stays_on_reference(self):
+    def test_scalar_stimulus_stays_on_reference(self, monkeypatch):
+        """A scalar stimulus runs the per-gate loop; no program is built."""
         netlist = exact_adder_netlist(8, "ripple")
-        values = netlist.evaluate({net: 1 for net in netlist.inputs})
-        assert int(np.asarray(values[netlist.outputs[0]])) in (0, 1)
-        with pytest.raises(SimulationError):
-            netlist.evaluate({net: 1 for net in netlist.inputs}, engine="compiled")
-
-    def test_unknown_engine_rejected(self):
-        netlist = exact_adder_netlist(8, "ripple")
-        with pytest.raises(SimulationError):
-            netlist.evaluate({net: 1 for net in netlist.inputs}, engine="warp")
-        with pytest.raises(SimulationError):
-            netlist.compute_words(_random_operands(8, 4, 3), engine="warp")
+        monkeypatch.setattr(Netlist, "compiled", lambda self: pytest.fail("compiled"))
+        stimulus = {net: 1 for net in netlist.inputs}
+        values = netlist.evaluate(stimulus)
+        reference = evaluate_per_gate(netlist, stimulus)
+        for net in netlist.nets:
+            assert int(np.asarray(values[net])) == int(np.asarray(reference[net]))
 
     def test_compute_words_rejects_non_binary_scalar_nets(self):
-        """The compiled fast path must validate like the reference path."""
+        """The packed path validates scalar input nets."""
         netlist = exact_adder_netlist(8, "ripple")
         operands = _random_operands(8, 16, 5)
         operands["cin"] = np.full(16, 2, dtype=np.uint64)
-        for engine in ("auto", "reference"):
-            with pytest.raises(SimulationError):
-                netlist.compute_words(operands, engine=engine)
+        with pytest.raises(SimulationError):
+            netlist.compute_words(operands)
 
 
 def _assert_traces_equal(got, want, clock_periods):
@@ -182,62 +182,89 @@ def _assert_traces_equal(got, want, clock_periods):
         assert np.array_equal(got[clk].sampled_words, want[clk].sampled_words)
 
 
+def _run_on(kernel, simulator, operands, clock_periods):
+    """``simulator.run_trace_multi`` forced onto one kernel; a packed run
+    asserts that its program was built, so it cannot have fallen back."""
+    with forced_kernel(kernel):
+        result = simulator.run_trace_multi(operands, clock_periods)
+    if kernel == "packed":
+        clocks = tuple(sorted(set(clock_periods)))
+        assert simulator._timing_programs[clocks] is not None
+    return result
+
+
 class TestTimingEquivalence:
     """Packed timing program, levelised pass and the per-gate oracle."""
 
-    def _assert_engines_agree(self, design, operands, clock_periods):
-        compiled = FastTimingSimulator(design.netlist, design.annotation,
-                                       engine="compiled")
-        reference = FastTimingSimulator(design.netlist, design.annotation,
-                                        engine="reference")
-        got = compiled.run_trace_multi(operands, clock_periods)
-        want = reference.run_trace_multi(operands, clock_periods)
+    def _assert_kernels_agree(self, design, operands, clock_periods):
+        simulator = FastTimingSimulator(design.netlist, design.annotation)
+        got = _run_on("packed", simulator, operands, clock_periods)
+        want = _run_on("levelised", simulator, operands, clock_periods)
         _assert_traces_equal(got, want, clock_periods)
         oracle = ReferenceTimingSimulator(design.netlist, design.annotation)
         _assert_traces_equal(want, oracle.run_trace_multi(operands, clock_periods),
                              clock_periods)
 
+    def test_forced_kernel_pins_the_kernel(self, synthesized_exact16, monkeypatch):
+        """Forced packed, a 2-vector call builds a program; forced
+        levelised, a call above the size rule builds none."""
+        builds = []
+        original = PackedTimingProgram.__init__
+
+        def counting(self, program, annotation, clock_periods):
+            builds.append(list(clock_periods))
+            original(self, program, annotation, clock_periods)
+        monkeypatch.setattr(PackedTimingProgram, "__init__", counting)
+        design = synthesized_exact16
+        clocks = [design.critical_path_delay * 0.7]
+        simulator = FastTimingSimulator(design.netlist, design.annotation)
+        with forced_kernel("levelised"):
+            simulator.run_trace_multi(_random_operands(16, DENSE_MAX_TRANSITIONS + 2, 27),
+                                      clocks)
+        assert builds == []
+        with forced_kernel("packed"):
+            simulator.run_trace_multi(_random_operands(16, 2, 28), clocks)
+        assert builds == [clocks]
+        assert fast_sim.DENSE_MAX_TRANSITIONS == DENSE_MAX_TRANSITIONS
+
     def test_exact_adders(self, exact_design, clock_plan):
         critical = exact_design.critical_path_delay
         clocks = list(clock_plan.periods) + [critical * 0.5, critical * 1.5]
-        self._assert_engines_agree(exact_design, _random_operands(16, 300, 31), clocks)
+        self._assert_kernels_agree(exact_design, _random_operands(16, 300, 31), clocks)
 
     def test_isa_adders(self, paper_design, clock_plan):
         critical = paper_design.critical_path_delay
         clocks = list(clock_plan.periods) + [critical * 0.7]
-        self._assert_engines_agree(paper_design, _random_operands(32, 300, 37), clocks)
+        self._assert_kernels_agree(paper_design, _random_operands(32, 300, 37), clocks)
 
-    def test_empty_clock_list_returns_empty_on_both_engines(self, exact_design):
+    def test_empty_clock_list_returns_empty_on_both_kernels(self, exact_design):
         operands = _random_operands(16, 20, 29)
-        for engine in ("compiled", "reference"):
-            simulator = FastTimingSimulator(exact_design.netlist, exact_design.annotation,
-                                            engine=engine)
-            assert simulator.run_trace_multi(operands, []) == {}
+        simulator = FastTimingSimulator(exact_design.netlist, exact_design.annotation)
+        for kernel in ("packed", "levelised"):
+            with forced_kernel(kernel):
+                assert simulator.run_trace_multi(operands, []) == {}
 
     @pytest.mark.parametrize("length", (2, 64, 65, 129))
     def test_ragged_trace_lengths(self, exact_design, length):
         critical = exact_design.critical_path_delay
-        self._assert_engines_agree(exact_design, _random_operands(16, length, 41 + length),
+        self._assert_kernels_agree(exact_design, _random_operands(16, length, 41 + length),
                                    [critical * 0.8])
 
     def test_error_statistics_match(self, paper_design, clock_plan):
         """Cycle/bit error rates — the paper's metrics — are identical."""
         operands = _random_operands(32, 400, 43)
-        compiled = FastTimingSimulator(paper_design.netlist, paper_design.annotation,
-                                       engine="compiled")
-        reference = FastTimingSimulator(paper_design.netlist, paper_design.annotation,
-                                        engine="reference")
-        got = compiled.run_trace_multi(operands, clock_plan.periods)
-        want = reference.run_trace_multi(operands, clock_plan.periods)
+        simulator = FastTimingSimulator(paper_design.netlist, paper_design.annotation)
+        got = _run_on("packed", simulator, operands, clock_plan.periods)
+        want = _run_on("levelised", simulator, operands, clock_plan.periods)
         for clk in clock_plan.periods:
             assert got[clk].cycle_error_rate() == want[clk].cycle_error_rate()
             assert np.array_equal(got[clk].bit_error_rate(), want[clk].bit_error_rate())
 
     def test_variation_small_design_still_exact(self, clock_plan):
-        """Per-instance delay variation keeps engines equivalent when it compiles."""
+        """Per-instance delay variation keeps the kernels equivalent when it compiles."""
         design = synthesize(exact_adder_netlist(8, "ripple"),
                             SynthesisOptions(variation_sigma=0.08, variation_seed=5))
-        self._assert_engines_agree(design, _random_operands(8, 200, 47),
+        self._assert_kernels_agree(design, _random_operands(8, 200, 47),
                                    list(clock_plan.periods))
 
     def test_variation_prefix_adder_still_exact(self, clock_plan):
@@ -245,30 +272,27 @@ class TestTimingEquivalence:
         design = synthesize(exact_adder_netlist(32, "kogge-stone"),
                             SynthesisOptions(variation_sigma=0.2, variation_seed=7))
         critical = design.critical_path_delay
-        self._assert_engines_agree(design, _random_operands(32, 200, 61),
+        self._assert_kernels_agree(design, _random_operands(32, 200, 61),
                                    list(clock_plan.periods) + [critical * 0.9])
 
     def test_row_limit_falls_back(self, monkeypatch):
-        """When the threshold-row budget is exceeded, a long auto call runs
-        the levelised pass and engine="compiled" raises on its first call."""
+        """When the threshold-row budget is exceeded, a long call's build
+        overflows and the call runs the levelised pass."""
         design = synthesize(exact_adder_netlist(16, "kogge-stone"))
         critical = design.critical_path_delay
         clocks = [critical * 0.6, critical * 1.05]
         monkeypatch.setattr(PackedTimingProgram, "DEFAULT_ROWS_PER_GATE", 0)
         with pytest.raises(CompilationError):
             PackedTimingProgram(design.netlist.compiled(), design.annotation, clocks)
-        compiled = FastTimingSimulator(design.netlist, design.annotation, engine="compiled")
         operands = _random_operands(16, DENSE_MAX_TRANSITIONS + 2, 67)
-        with pytest.raises(SimulationError):
-            compiled.run_trace_multi(operands, clocks)
-        # and the levelised fallback still simulates correctly
-        auto = FastTimingSimulator(design.netlist, design.annotation, engine="auto")
-        got = auto.run_trace_multi(operands, clocks)
+        simulator = FastTimingSimulator(design.netlist, design.annotation)
+        got = simulator.run_trace_multi(operands, clocks)
+        assert simulator._timing_programs == {tuple(clocks): None}
         assert got[clocks[1]].cycle_error_rate() == 0.0
         oracle = ReferenceTimingSimulator(design.netlist, design.annotation)
         _assert_traces_equal(got, oracle.run_trace_multi(operands, clocks), clocks)
 
-    def test_auto_builds_the_packed_program_only_above_the_constant(
+    def test_packed_program_built_only_above_the_constant(
             self, exact_design, monkeypatch):
         """Calls of at most DENSE_MAX_TRANSITIONS transitions, summed over
         their traces, skip lowering; the first longer call builds the
@@ -301,17 +325,16 @@ class TestTimingEquivalence:
         # The lazy build is lowering, timed once under its own span.
         assert phases.calls["lower"] == 1
 
-        compiled = FastTimingSimulator(design.netlist, design.annotation, engine="compiled")
-        reference = FastTimingSimulator(design.netlist, design.annotation,
-                                        engine="reference")
-        # Neither builds at construction; "compiled" builds on its first
-        # call and reuses the program after.
-        assert len(builds) == 1
-        for other in (compiled, reference):
-            _assert_traces_equal(short, other.run_trace_multi(at_limit, clocks), clocks)
-            _assert_traces_equal(long, other.run_trace_multi(above, clocks), clocks)
-            for got, want in zip(split.timing, other.run_traces_multi(halves, clocks).timing):
-                _assert_traces_equal(got, want, clocks)
+        # A fresh simulator builds nothing at construction; forced packed,
+        # it builds on its first call and reuses the program after.
+        for kernel in ("packed", "levelised"):
+            other = FastTimingSimulator(design.netlist, design.annotation)
+            with forced_kernel(kernel):
+                _assert_traces_equal(short, other.run_trace_multi(at_limit, clocks), clocks)
+                _assert_traces_equal(long, other.run_trace_multi(above, clocks), clocks)
+                for got, want in zip(split.timing,
+                                     other.run_traces_multi(halves, clocks).timing):
+                    _assert_traces_equal(got, want, clocks)
         assert len(builds) == 2
 
     def test_width16_sample_matches_compiled(self):
@@ -327,12 +350,9 @@ class TestTimingEquivalence:
         assert len(entries) == 90
         for entry in entries:
             design = synthesize_entry(entry, 16, options)
-            compiled = FastTimingSimulator(design.netlist, design.annotation,
-                                           engine="compiled")
-            reference = FastTimingSimulator(design.netlist, design.annotation,
-                                            engine="reference")
-            _assert_traces_equal(compiled.run_trace_multi(operands, clocks),
-                                 reference.run_trace_multi(operands, clocks), clocks)
+            simulator = FastTimingSimulator(design.netlist, design.annotation)
+            _assert_traces_equal(_run_on("packed", simulator, operands, clocks),
+                                 _run_on("levelised", simulator, operands, clocks), clocks)
 
     def test_multiplier_family(self):
         family = get_family("multiplier")
@@ -341,7 +361,7 @@ class TestTimingEquivalence:
         options = SynthesisOptions()
         for index, entry in enumerate(family.design_space(8).entries(max_designs=6)):
             design = synthesize_entry(entry, 8, options)
-            self._assert_engines_agree(design, _random_operands(8, 150, 83 + index),
+            self._assert_kernels_agree(design, _random_operands(8, 150, 83 + index),
                                        list(clocks))
 
     def test_ragged_multi_trace_stack(self, exact_design):
@@ -352,19 +372,20 @@ class TestTimingEquivalence:
         clocks = [critical * 0.5, critical * 0.8, critical * 1.1]
         stack = [_random_operands(16, length, 89 + length)
                  for length in (2, 64, 65, 129, 300)]
-        runs = [simulator.run_traces_multi(stack, clocks, include_settled_values=True)
-                for simulator in (
-                    FastTimingSimulator(design.netlist, design.annotation, engine="reference"),
-                    FastTimingSimulator(design.netlist, design.annotation, engine="compiled"),
-                    ReferenceTimingSimulator(design.netlist, design.annotation))]
-        want = runs[-1]
-        for run in runs[:-1]:
+        simulator = FastTimingSimulator(design.netlist, design.annotation)
+        runs = []
+        for kernel in ("levelised", "packed"):
+            with forced_kernel(kernel):
+                runs.append(simulator.run_traces_multi(stack, clocks))
+        want = ReferenceTimingSimulator(design.netlist, design.annotation).run_traces_multi(
+            stack, clocks)
+        for run in runs:
             for got, expected in zip(run.timing, want.timing):
                 _assert_traces_equal(got, expected, clocks)
             for got, expected in zip(run.settled_values, want.settled_values):
                 assert np.array_equal(got, expected)
 
-    def test_long_reference_trace_crosses_chunks(self, exact_design, monkeypatch):
+    def test_long_levelised_trace_crosses_chunks(self, exact_design, monkeypatch):
         """With the byte budget cut to one word per chunk, a long
         levelised run spans many chunks and still equals the packed
         program."""
@@ -372,8 +393,8 @@ class TestTimingEquivalence:
         critical = design.critical_path_delay
         clocks = [critical * 0.6, critical * 0.95]
         operands = _random_operands(16, 1000, 97)
-        compiled = FastTimingSimulator(design.netlist, design.annotation, engine="compiled")
-        want = compiled.run_trace_multi(operands, clocks)
+        simulator = FastTimingSimulator(design.netlist, design.annotation)
+        want = _run_on("packed", simulator, operands, clocks)
 
         passes = []
         original = CompiledProgram.evaluate_transitions_many
@@ -383,8 +404,7 @@ class TestTimingEquivalence:
             return original(self, bit_inputs, transitions)
         monkeypatch.setattr(CompiledProgram, "evaluate_transitions_many", counting)
         monkeypatch.setattr(fast_sim, "_CHUNK_BYTES", 1)
-        reference = FastTimingSimulator(design.netlist, design.annotation, engine="reference")
-        _assert_traces_equal(reference.run_trace_multi(operands, clocks), want, clocks)
+        _assert_traces_equal(_run_on("levelised", simulator, operands, clocks), want, clocks)
         assert passes == [64] * 15 + [999 - 15 * 64]
 
     def test_clock_set_program_matches_single_clock_programs(self, exact_design,
@@ -507,7 +527,7 @@ class TestMultiTraceKernels:
         old_many, new_many = program.evaluate_transitions_many(stacked, longest - 1)
         for index, bits in enumerate(traces):
             length = lengths[index]
-            values = netlist.evaluate(bits, engine="reference")
+            values = evaluate_per_gate(netlist, bits)
             expected = np.stack([np.broadcast_to(np.asarray(values[net], dtype=np.uint8),
                                                  (length,))
                                  for net in program.net_id])

@@ -9,18 +9,16 @@ checks mirror the paper's headline observations.
 import numpy as np
 import pytest
 
-from repro.core.config import ISAConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.common import StudyConfig, characterize_design
 from repro.experiments.designs import (
     FIG10_QUADRUPLE,
     PAPER_QUADRUPLES,
-    DesignEntry,
     exact_entry,
     isa_entry,
     paper_design_entries,
 )
-from repro.experiments.fig9_rms import fig9_rows_from_characterization, run_fig9
+from repro.experiments.fig9_rms import fig9_rows_from_characterization
 from repro.experiments.fig10_distribution import run_fig10
 from repro.experiments.prediction import run_prediction_study, study_design
 

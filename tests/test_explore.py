@@ -379,6 +379,8 @@ class TestExploreCli:
             explore_main(["--length", "4"])
         with pytest.raises(SystemExit):
             explore_main(["--workloads", "noise"])
+        with pytest.raises(SystemExit):
+            explore_main(["--engine", "auto"])
 
     def test_uncached_run_reports_no_cache(self, tmp_path, repro_env):
         repro_env(REPRO_CACHE_DIR=None, REPRO_SYNTH_CACHE=None)

@@ -22,7 +22,6 @@ from repro.families.multiplier import (
     ApproximateArrayMultiplier,
     ExactMultiplier,
     MultiplierConfig,
-    MultiplierEntry,
     MultiplierSpace,
     exact_multiplier_entry,
     exact_multiplier_netlist,

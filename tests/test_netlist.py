@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuit.netlist import CONST0, CONST1, Netlist
+from repro.circuit.netlist import CONST1, Netlist
 from repro.exceptions import NetlistError, SimulationError
 
 

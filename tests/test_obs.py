@@ -35,7 +35,7 @@ from repro.obs import (
     trace_run,
 )
 from repro.obs.stats_cli import main as stats_main
-from repro.obs.trace import PHASES, PhaseTimes, collect_phases
+from repro.obs.trace import PHASES, collect_phases
 
 
 @pytest.fixture(autouse=True)
@@ -113,10 +113,14 @@ class TestPhasesCompat:
         assert "attributed" in phases.describe()
 
     def test_total_excludes_dotted_subphases(self):
-        times = PhaseTimes()
-        times.add("synthesize", 1.0)
-        times.add("synth.optimize", 0.4)
-        times.add("schedule.wait", 5.0)
+        with collect_phases() as times:
+            tracer = times.tracer
+            tracer.merge_span("synthesize", "synthesize", 1.0, 0.0, 1, {})
+            tracer.merge_span("synthesize/synth.optimize", "synth.optimize",
+                              0.4, 0.0, 1, {})
+            tracer.merge_span("schedule.wait", "schedule.wait", 5.0, 0.0, 1, {})
+        assert times.seconds == pytest.approx(
+            {"synthesize": 1.0, "synth.optimize": 0.4, "schedule.wait": 5.0})
         assert times.total() == pytest.approx(1.0)
         assert "schedule.wait" in PHASES
 

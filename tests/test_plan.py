@@ -10,10 +10,12 @@ scheduled fast-tier job costs one logic pass.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from reference_kernels import forced_kernel
 from repro.circuit.compiled import CompiledProgram, PackedTimingProgram, transition_chunks
 from repro.circuit.netlist import Netlist
 from repro.exceptions import CompilationError
@@ -267,25 +269,28 @@ class TestExecuteGroup:
         for job, got in zip(jobs, execute_group(jobs)):
             assert_bit_identical(execute_job(job), got)
 
-    @pytest.mark.parametrize("engine, quadruple, stats", [
-        ("compiled", (4, 0, 0, 2), False),
-        ("reference", (4, 0, 0, 2), False),
-        ("auto", None, False),
-        ("auto", (8, 0, 0, 4), True),
-    ], ids=["compiled", "reference", "exact", "structural-stats"])
-    def test_one_job_group_equals_execute_job(self, engine, quadruple, stats):
-        job = make_job(quadruple=quadruple, length=150, seed=17, engine=engine,
+    @pytest.mark.parametrize("kernel, quadruple, stats", [
+        ("packed", (4, 0, 0, 2), False),
+        ("levelised", (4, 0, 0, 2), False),
+        (None, None, False),
+        (None, (8, 0, 0, 4), True),
+    ], ids=["packed", "levelised", "exact", "structural-stats"])
+    def test_one_job_group_equals_execute_job(self, kernel, quadruple, stats):
+        """The group, on a forced kernel or by the size rule, equals
+        ``execute_job`` by the size rule (here the levelised pass)."""
+        job = make_job(quadruple=quadruple, length=150, seed=17,
                        collect_structural_stats=stats)
-        [got] = execute_group([job])
+        with forced_kernel(kernel) if kernel else nullcontext():
+            [got] = execute_group([job])
         assert_bit_identical(execute_job(job), got)
 
-    def test_one_job_group_on_the_auto_fallback(self, monkeypatch):
+    def test_one_job_group_on_the_overflow_fallback(self, monkeypatch):
         # A zero threshold-row budget aborts the packed timing compiler
         # on a call long enough, at a clock fast enough, to build it, so
-        # engine="auto" falls back to the levelised pass.
+        # the call falls back to the levelised pass.
         monkeypatch.setattr(PackedTimingProgram, "DEFAULT_ROWS_PER_GATE", 0)
         job = dataclasses.replace(
-            make_job(length=DENSE_MAX_TRANSITIONS + 2, seed=18, engine="auto"),
+            make_job(length=DENSE_MAX_TRANSITIONS + 2, seed=18),
             clock_periods=ClockPlan(cpr_levels=(0.05, 0.3)).periods)
         design = synthesize_job(job)
         with pytest.raises(CompilationError):
@@ -309,14 +314,13 @@ class TestProgramPerClockSet:
         monkeypatch.setattr(PackedTimingProgram, "__init__", counting)
         job = make_job()
         design = synthesize_job(job)
-        simulator = FastTimingSimulator(design.netlist, design.annotation,
-                                        engine="compiled")
-        levelised = FastTimingSimulator(design.netlist, design.annotation,
-                                        engine="reference")
+        simulator = FastTimingSimulator(design.netlist, design.annotation)
         operands = job.trace.as_operands()
         for periods in (PERIODS, OTHER_PERIODS, PERIODS[::-1]):
-            got = simulator.run_trace_multi(operands, periods)
-            want = levelised.run_trace_multi(operands, periods)
+            with forced_kernel("packed"):
+                got = simulator.run_trace_multi(operands, periods)
+            with forced_kernel("levelised"):
+                want = simulator.run_trace_multi(operands, periods)
             for clk in periods:
                 assert np.array_equal(got[clk].sampled_words, want[clk].sampled_words)
                 assert np.array_equal(got[clk].settled_words, want[clk].settled_words)
@@ -333,10 +337,11 @@ class TestProgramPerClockSet:
         entry = isa_entry((4, 0, 0, 2), width=16)
         jobs = [CharacterizationJob(
                     entry=entry, trace=uniform_workload(150, width=16, seed=seed),
-                    clock_periods=periods, simulator="fast", engine="compiled", width=16)
+                    clock_periods=periods, simulator="fast", width=16)
                 for seed, periods in ((5, PERIODS), (6, OTHER_PERIODS))]
         assert plan_groups(jobs) == [[(0, None)], [(1, None)]]
-        results = SerialBackend().run(jobs)
+        with forced_kernel("packed"):
+            results = SerialBackend().run(jobs)
         assert len(built) == 1
         for job, got in zip(jobs, results):
             assert_bit_identical(execute_job(job), got)

@@ -58,13 +58,12 @@ from repro.workloads.generators import WorkloadSpec, uniform_workload
 PERIODS = tuple(ClockPlan.paper().periods)
 
 
-def small_job(length=200, quadruple=(4, 0, 0, 2), simulator="fast", engine="auto",
-              seed=11, **kwargs):
+def small_job(length=200, quadruple=(4, 0, 0, 2), simulator="fast", seed=11, **kwargs):
     """A quick 16-bit characterization job (mirrors test_result_cache)."""
     entry = exact_entry(16) if quadruple is None else isa_entry(quadruple, width=16)
     trace = uniform_workload(length, width=16, seed=seed)
     return CharacterizationJob(entry=entry, trace=trace, clock_periods=PERIODS,
-                               simulator=simulator, engine=engine, width=16, **kwargs)
+                               simulator=simulator, width=16, **kwargs)
 
 
 def job_batch():

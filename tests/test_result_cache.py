@@ -2,7 +2,8 @@
 
 The contract under test: a cache hit returns the stored
 characterisation bit-identically to an uncached run, across both
-execution backends and both fast-tier engines; misses delegate to the
+execution backends and both fast-tier kernels; entries written before
+jobs stopped naming a kernel stay hits; misses delegate to the
 inner backend and persist atomically, as one ``result.pkl`` plus
 ``meta.json`` per job whatever the trace length; corrupted or truncated
 entries are recomputed, never raised; an entry in the chunked layout of
@@ -21,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from reference_kernels import forced_kernel
 from repro.circuit.compiled import transition_chunks
 from repro.exceptions import ConfigurationError
 from repro.experiments.common import (
@@ -30,6 +32,8 @@ from repro.experiments.common import (
     shutdown_backends,
 )
 from repro.experiments.designs import exact_entry, isa_entry
+from repro.explore.sweep import SweepSpec
+from repro.families.multiplier import multiplier_entry
 from repro.ml.dataset import collect_bit_datasets
 from repro.runtime import (
     CachingBackend,
@@ -42,7 +46,7 @@ from repro.runtime import (
 )
 from repro.synth.flow import SynthesisOptions
 from repro.timing.clocking import ClockPlan
-from repro.workloads.generators import uniform_workload
+from repro.workloads.generators import WorkloadSpec, uniform_workload
 
 PERIODS = tuple(ClockPlan.paper().periods)
 
@@ -51,13 +55,12 @@ PERIODS = tuple(ClockPlan.paper().periods)
 LONG = 65_600
 
 
-def small_job(length=200, quadruple=(4, 0, 0, 2), simulator="fast", engine="auto",
-              seed=11, **kwargs):
+def small_job(length=200, quadruple=(4, 0, 0, 2), simulator="fast", seed=11, **kwargs):
     """A quick 16-bit characterization job (mirrors test_runtime.small_job)."""
     entry = exact_entry(16) if quadruple is None else isa_entry(quadruple, width=16)
     trace = uniform_workload(length, width=16, seed=seed)
     return CharacterizationJob(entry=entry, trace=trace, clock_periods=PERIODS,
-                               simulator=simulator, engine=engine, width=16, **kwargs)
+                               simulator=simulator, width=16, **kwargs)
 
 
 def assert_bit_identical(reference, candidate):
@@ -90,9 +93,34 @@ class CountingBackend(SerialBackend):
         return super().run(jobs)
 
 
+#: ``job_digest`` of three jobs, recorded when jobs still named a fast-tier
+#: kernel and defaulted it to "auto": entries written then must stay hits.
+PINNED_DIGESTS = {
+    "isa16-fast": "edd53fabf09b855683e6e19e450d35c2c82e39f28ce863747140bfd3761d4ec9",
+    "isa16-event": "2957a85763ad538e732af1f31c4fab6b04a16ea80b6b5b045c2ff633c576ac3d",
+    "mul8-fast": "ffbb28ad2c860d474ce0341474909edc2a5b6892f7c0e783d889433272147a8d",
+}
+
+
 class TestJobDigest:
     def test_digest_is_deterministic(self):
         assert job_digest(small_job()) == job_digest(small_job())
+
+    def test_digests_recorded_before_kernels_left_jobs_still_hold(self):
+        multiplier = CharacterizationJob(
+            entry=multiplier_entry((2, 0, 0, 0), width=8),
+            trace=uniform_workload(200, width=8, seed=11), clock_periods=PERIODS,
+            simulator="fast", width=8)
+        jobs = {"isa16-fast": small_job(), "isa16-event": small_job(simulator="event"),
+                "mul8-fast": multiplier}
+        assert {name: job_digest(job) for name, job in jobs.items()} == PINNED_DIGESTS
+
+    def test_sweep_engine_accepts_only_auto(self):
+        fields = dict(entries=(isa_entry((4, 0, 0, 2), width=16),),
+                      workloads=(WorkloadSpec("uniform", 32, width=16),), width=16)
+        SweepSpec(engine="auto", **fields)
+        with pytest.raises(ConfigurationError):
+            SweepSpec(engine="compiled", **fields)
 
     def test_digest_covers_every_identity_axis(self):
         base = small_job()
@@ -100,7 +128,6 @@ class TestJobDigest:
             small_job(seed=12),                                   # trace content
             small_job(quadruple=(4, 2, 1, 2)),                    # design entry
             small_job(simulator="event"),                         # simulator tier
-            small_job(engine="reference"),                        # engine tier
             small_job(collect_structural_stats=True),             # stats request
             dataclasses.replace(base, clock_periods=PERIODS[:2]),  # clock plan
             dataclasses.replace(base, output_bus="cout"),          # output bus
@@ -137,19 +164,23 @@ class TestHitMissBitIdentity:
     def reference(self):
         return SerialBackend().run([small_job()])[0]
 
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @pytest.mark.parametrize("kernel", ["packed", "levelised"])
     @pytest.mark.parametrize("backend_factory",
                              [SerialBackend,
                               lambda: MultiprocessBackend(workers=2)],
                              ids=["serial", "multiprocess"])
-    def test_cold_and_warm_match_uncached(self, tmp_path, backend_factory, engine):
-        job = small_job(engine=engine)
+    def test_cold_and_warm_match_uncached(self, tmp_path, backend_factory, kernel):
+        # The uncached run takes the size rule (the levelised pass here);
+        # the cold run is forced onto ``kernel``, its workers forked
+        # inside the block.
+        job = small_job()
         uncached = SerialBackend().run([job])[0]
-        cold_cache = CachingBackend(backend_factory(), tmp_path / engine)
-        [cold] = cold_cache.run([job])
+        cold_cache = CachingBackend(backend_factory(), tmp_path / kernel)
+        with forced_kernel(kernel):
+            [cold] = cold_cache.run([job])
         assert (cold_cache.stats.hits, cold_cache.stats.misses) == (0, 1)
         # a *fresh* instance proves persistence, not in-memory reuse
-        warm_cache = CachingBackend(backend_factory(), tmp_path / engine)
+        warm_cache = CachingBackend(backend_factory(), tmp_path / kernel)
         [warm] = warm_cache.run([job])
         assert (warm_cache.stats.hits, warm_cache.stats.misses) == (1, 0)
         assert_bit_identical(uncached, cold)

@@ -2,7 +2,6 @@
 
 import os
 
-import numpy as np
 import pytest
 
 import repro
@@ -58,31 +57,28 @@ class TestRunnerCli:
 
     def test_parser_runtime_knobs(self):
         arguments = build_parser().parse_args(
-            ["--engine", "compiled", "--backend", "multiprocess", "--jobs", "4"])
-        assert arguments.engine == "compiled"
+            ["--backend", "multiprocess", "--jobs", "4"])
         assert arguments.backend == "multiprocess"
         assert arguments.jobs == 4
         defaults = build_parser().parse_args([])
-        assert defaults.engine == "auto"
         assert defaults.backend is None  # falls back to $REPRO_BACKEND or serial
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--engine", "spice"])
+            build_parser().parse_args(["--engine", "auto"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--backend", "cluster"])
 
-    def test_main_engine_and_backend_flow(self, tmp_path):
+    def test_main_simulator_and_backend_flow(self, tmp_path):
         output = tmp_path / "report.txt"
         # --no-cache keeps the footer's backend label exact even when the
         # suite itself runs under $REPRO_CACHE_DIR (the CI cache leg).
-        exit_code = main(["--scale", "0.05", "--simulator", "fast", "--engine", "compiled",
+        exit_code = main(["--scale", "0.05", "--simulator", "fast",
                           "--backend", "multiprocess", "--jobs", "2", "--no-cache",
                           "--figures", "fig10", "--output", str(output)])
         assert exit_code == 0
         text = output.read_text()
         assert "Fig. 10" in text
         expected = min(2, os.cpu_count() or 1)
-        assert f"backend=multiprocess[{expected}]" in text
-        assert "engine=compiled" in text
+        assert f"simulator=fast, backend=multiprocess[{expected}]" in text
 
     def test_run_all_fig9_only(self):
         config = StudyConfig(characterization_length=120, training_length=120,

@@ -2,9 +2,9 @@
 
 The backbone guarantee of the runtime is that every backend is
 *bit-identical* to the ``execute_job`` reference kernel at any worker
-count, for every simulator tier and engine, including ragged traces
-whose transition count does not divide the slice size.  These tests pin
-that down on small 16-bit designs so the suite stays fast.
+count, for every simulator tier and fast-tier kernel, including ragged
+traces whose transition count does not divide the slice size.  These
+tests pin that down on small 16-bit designs so the suite stays fast.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
+from reference_kernels import forced_kernel
 from repro.circuit.compiled import WORD_BITS, transition_chunks
 from repro.exceptions import ConfigurationError, SimulationError, WorkloadError
 from repro.experiments.common import StudyConfig, characterize_design, characterize_designs
@@ -41,13 +42,12 @@ PERIODS = tuple(ClockPlan.paper().periods)
 BAD_PERIODS = (float("nan"), float("inf"), 0.0, -1.0)
 
 
-def small_job(length=200, quadruple=(4, 0, 0, 2), simulator="fast", engine="auto",
-              seed=11, **kwargs):
+def small_job(length=200, quadruple=(4, 0, 0, 2), simulator="fast", seed=11, **kwargs):
     """A quick 16-bit characterization job for backend tests."""
     entry = exact_entry(16) if quadruple is None else isa_entry(quadruple, width=16)
     trace = uniform_workload(length, width=16, seed=seed)
     return CharacterizationJob(entry=entry, trace=trace, clock_periods=PERIODS,
-                               simulator=simulator, engine=engine, width=16, **kwargs)
+                               simulator=simulator, width=16, **kwargs)
 
 
 def assert_bit_identical(reference, candidate):
@@ -90,9 +90,10 @@ class TestJobValidation:
         with pytest.raises(ConfigurationError):
             small_job(simulator="spice")
 
-    def test_bad_engine(self):
-        with pytest.raises(ConfigurationError):
-            small_job(engine="verilog")
+    def test_engine_is_not_a_job_field(self):
+        """The fast tier picks its kernel per call; a job names none."""
+        with pytest.raises(TypeError):
+            small_job(engine="auto")
 
     def test_needs_clock_periods(self):
         entry = isa_entry((4, 0, 0, 2), width=16)
@@ -184,17 +185,21 @@ class TestBackendDeterminism:
         [parallel] = pool_of(2).run([job])
         assert_bit_identical(execute_job(job), parallel)
 
-    def test_reference_engine_jobs(self, pool_of):
-        job = small_job(length=96, engine="reference")
-        [parallel] = pool_of(2).run([job])
+    @pytest.mark.parametrize("kernel", ["packed", "levelised"])
+    def test_forced_kernel_jobs(self, pool_of, kernel):
+        # Workers fork inside the block and inherit the forced kernel;
+        # execute_job runs the size rule (the levelised pass here).
+        job = small_job(length=96)
+        with forced_kernel(kernel):
+            [parallel] = pool_of(2).run([job])
         assert_bit_identical(execute_job(job), parallel)
 
-    def test_auto_engine_fallback_path(self, monkeypatch, pool_of):
+    def test_overflow_fallback_path(self, monkeypatch, pool_of):
         # With the threshold-row budget forced to zero the packed timing
-        # compiler always aborts, so engine="auto" falls back to the
-        # dense reference path; backends must still agree bit for bit.
+        # compiler always aborts, so a long call falls back to the
+        # levelised pass; backends must still agree bit for bit.
         # (Workers inherit the patch through fork; on platforms where
-        # they do not, bit-exactness across engines keeps this valid.)
+        # they do not, the kernels' bit identity keeps this valid.)
         # The trace is long enough, and one clock fast enough, that the
         # serial run tries to build the packed program.
         from repro.circuit.compiled import PackedTimingProgram
@@ -304,7 +309,6 @@ class TestStudyConfigRuntimeKnobs:
     def test_defaults(self, repro_env):
         repro_env(REPRO_BACKEND=None, REPRO_WORKERS=None, REPRO_TRACE_SCALE=None)
         config = StudyConfig()
-        assert config.engine == "auto"
         assert config.backend == "serial"
         assert config.workers is None
         assert config.trace_scale == 1.0
@@ -327,8 +331,6 @@ class TestStudyConfigRuntimeKnobs:
         assert config.scaled_length(64) == 16
 
     def test_invalid_knobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StudyConfig(engine="fpga")
         with pytest.raises(ConfigurationError):
             StudyConfig(backend="cluster")
         with pytest.raises(ConfigurationError):

@@ -221,7 +221,7 @@ class TestSynthesizeJobReadThrough:
         synthesize_job(make_job())
         clear_design_cache()
         other = make_job(trace=uniform_workload(64, width=16, seed=99),
-                         clock_periods=(2.7e-10, 3e-10), engine="compiled")
+                         clock_periods=(2.7e-10, 3e-10))
         with collect_phases() as phases:
             synthesize_job(other)
         assert phases.calls.get("synthesize", 0) == 0

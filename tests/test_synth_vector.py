@@ -231,8 +231,7 @@ class TestSweepEquivalence:
         entries = tuple(DesignSpace(width=16).entries(max_designs=4))
         spec = SweepSpec(entries=entries, clock_plan=sweep_clock_plan((0.0, 0.10)),
                          workloads=(WorkloadSpec("uniform", 128, width=16, seed=3),),
-                         simulator="fast", engine="auto",
-                         synthesis=SynthesisOptions(), width=16)
+                         simulator="fast", synthesis=SynthesisOptions(), width=16)
         # The oracle pass synthesizes every design itself, even when a
         # persistent synthesis cache holds them already.
         with reference_kernels(), collect_phases() as phases:
