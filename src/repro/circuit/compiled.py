@@ -193,7 +193,6 @@ class CompiledProgram:
         for gate, gate_level in zip(order, gate_levels):
             self.gate_level[gate.output] = gate_level
             grouped.setdefault((gate_level, gate.cell), []).append(gate)
-        self.num_levels = max(gate_levels, default=0)
 
         self.batches: List[_EvalBatch] = []
         for (gate_level, cell_name) in sorted(grouped):

@@ -50,6 +50,7 @@ from repro.runtime import (
 from repro.settings import active_settings
 from repro.synth.flow import SynthesisOptions
 from repro.timing.clocking import ClockPlan
+from repro.utils.validation import is_positive_finite
 from repro.workloads.generators import uniform_workload
 from repro.workloads.traces import OperandTrace
 
@@ -108,12 +109,12 @@ class StudyConfig:
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(f"workers must be at least 1, got {self.workers}")
-        if self.trace_scale <= 0:
+        if not is_positive_finite(self.trace_scale):
             raise ConfigurationError(
-                f"trace_scale must be positive, got {self.trace_scale}")
-        if self.cache_limit_mb is not None and self.cache_limit_mb <= 0:
+                f"trace_scale must be positive and finite, got {self.trace_scale}")
+        if self.cache_limit_mb is not None and not is_positive_finite(self.cache_limit_mb):
             raise ConfigurationError(
-                f"cache_limit_mb must be positive, got {self.cache_limit_mb}")
+                f"cache_limit_mb must be positive and finite, got {self.cache_limit_mb}")
         for name in ("characterization_length", "training_length", "evaluation_length"):
             if getattr(self, name) < 16:
                 raise ConfigurationError(f"{name} must be at least 16 vectors")
@@ -149,8 +150,8 @@ class StudyConfig:
         single mechanism behind every trace-length adjustment — so the
         applied factor stays visible in reports.
         """
-        if factor <= 0:
-            raise ConfigurationError(f"factor must be positive, got {factor}")
+        if not is_positive_finite(factor):
+            raise ConfigurationError(f"factor must be positive and finite, got {factor}")
         return replace(self, trace_scale=self.trace_scale * factor)
 
     # ------------------------------------------------------------------ #

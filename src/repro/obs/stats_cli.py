@@ -8,9 +8,10 @@ the result cache earning its keep (hit-rate trend run over run), and
 are the multiprocess workers busy or starved (per-worker utilisation)?
 
 ``--cache-dir`` additionally inspects a result/synthesis cache
-directory through :meth:`repro.runtime.store.ResultStore.entry_inventory`
-— entry count, total bytes, age span and the largest entries — without
-loading a single payload.
+directory through one walk of
+:meth:`repro.runtime.store.ResultStore.entry_inventory` — entry count,
+total bytes, age span and the largest entries — without loading a
+single payload.
 
 Examples::
 
@@ -170,7 +171,7 @@ def render_telemetry(summary: dict, top: int) -> str:
 # Cache-directory inventory
 # --------------------------------------------------------------------- #
 def summarize_cache(cache_dir, top: int = 10) -> dict:
-    """Inventory of one cache directory via the store's existing index."""
+    """Inventory of one cache directory, from one walk of the store."""
     from repro.runtime.store import ResultStore  # deferred: keeps obs leaf-light
     store = ResultStore(cache_dir)
     inventory = store.entry_inventory()

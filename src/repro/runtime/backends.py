@@ -33,9 +33,9 @@ raised: both backends retry individual calls under a
 is deterministic, so a retried call is bit-identical by construction),
 and the multiprocess backend recovers from a broken pool by rebuilding
 its executor and re-dispatching only the calls whose futures did not
-complete — after ``max_rebuilds`` consecutive rebuilds without progress
-it degrades to in-process execution with a :class:`RuntimeWarning`
-instead of failing the batch.
+complete — after :attr:`MultiprocessBackend.MAX_REBUILDS` consecutive
+rebuilds without progress it degrades to in-process execution with a
+:class:`RuntimeWarning` instead of failing the batch.
 """
 
 from __future__ import annotations
@@ -176,23 +176,20 @@ class MultiprocessBackend(Backend):
     retry_policy:
         Call-level :class:`RetryPolicy` (default: the active runtime
         settings' — ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``).
-    max_rebuilds:
-        Consecutive pool rebuilds without a single completed call before
-        the backend degrades to in-process execution (with a
-        :class:`RuntimeWarning`) instead of thrashing a pool whose
-        workers die on every call.
     """
 
     name = "multiprocess"
 
+    #: Consecutive pool rebuilds without a single completed call before
+    #: the backend degrades to in-process execution (with a
+    #: :class:`RuntimeWarning`) instead of thrashing a pool whose workers
+    #: die on every call.
+    MAX_REBUILDS = 3
+
     def __init__(self, workers: Optional[int] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 max_rebuilds: int = 3) -> None:
+                 retry_policy: Optional[RetryPolicy] = None) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be at least 1, got {workers}")
-        if max_rebuilds < 1:
-            raise ConfigurationError(
-                f"max_rebuilds must be at least 1, got {max_rebuilds}")
         cpus = os.cpu_count() or 1
         if workers is not None and workers > cpus:
             warnings.warn(
@@ -202,7 +199,6 @@ class MultiprocessBackend(Backend):
             workers = cpus
         self.workers = workers if workers is not None else cpus
         self.retry_policy = retry_policy
-        self.max_rebuilds = max_rebuilds
         self._pool: Optional[ProcessPoolExecutor] = None
         self._degraded = False
         self._rebuilds_without_progress = 0
@@ -265,7 +261,7 @@ class MultiprocessBackend(Backend):
         metric_count("pool.rebuilds")
         self._rebuilds_without_progress = \
             (0 if progressed else self._rebuilds_without_progress) + 1
-        if self._rebuilds_without_progress >= self.max_rebuilds and not self._degraded:
+        if self._rebuilds_without_progress >= self.MAX_REBUILDS and not self._degraded:
             self._degraded = True
             metric_count("backend.degraded")
             warnings.warn(
@@ -291,7 +287,7 @@ class MultiprocessBackend(Backend):
           unresolved call charged one timeout attempt, so a genuinely
           stuck task exhausts its budget with a
           :class:`TaskTimeoutError` instead of re-dispatching forever;
-        * after ``max_rebuilds`` consecutive rebuilds without progress
+        * after :attr:`MAX_REBUILDS` consecutive rebuilds without progress
           the backend degrades to in-process execution (warned once).
 
         Under active telemetry a worker's record comes back with its

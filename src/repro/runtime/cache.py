@@ -14,18 +14,20 @@ adds a content-addressed store so that work survives across processes:
   yields a new key, which is the entire invalidation story: stale
   entries are never *wrong*, only unreachable.
 * :class:`ResultStore` is the on-disk layout: one directory per digest
-  holding the job's ``result.pkl``, whatever the trace length, plus a
-  best-effort ``meta.json``.  Every write goes to a temp file in the
-  same directory followed by :func:`os.replace`, so concurrent writers
-  (e.g. multiprocess runs sharing one cache directory) can never expose
-  a torn file.  Unreadable or truncated entries are discarded and
+  holding the job's ``result.pkl`` and nothing else, whatever the trace
+  length.  Every write goes to a temp file in the same directory
+  followed by :func:`os.replace`, so concurrent writers (e.g.
+  multiprocess runs sharing one cache directory) can never expose a
+  torn file.  Unreadable or truncated entries are discarded and
   recomputed, never raised.
-* :class:`ResultStore` optionally enforces a byte budget
+* :class:`ResultStore` optionally enforces an advisory byte budget
   (``limit_bytes`` / ``CachingBackend(limit_mb=...)``, or
   ``REPRO_CACHE_LIMIT_MB`` through
   :class:`~repro.experiments.common.StudyConfig`): after every batch
-  that wrote entries, whole entries are pruned oldest-first until the
-  store fits, so unbounded sweeps cannot fill the disk.
+  that wrote entries, whole entries are pruned least-recently-used
+  first until the store fits, so unbounded sweeps cannot fill the
+  disk.  The store is walked only when its own writes could have
+  overrun the budget; other processes' entries count from that walk.
 * :class:`CachingBackend` decorates any execution backend: hits
   deserialise stored :class:`~repro.runtime.jobs.DesignCharacterization`
   results bit-identically, and every miss runs through the inner
@@ -60,6 +62,7 @@ from repro.runtime.store import (  # noqa: F401 - re-exported cache machinery
     digest_of,
     trace_digest,
 )
+from repro.utils.validation import is_positive_finite
 
 #: Format counter of the job-result payloads; tracks :data:`STORE_FORMAT`
 #: (kept as a distinct name so the two can diverge if only one payload
@@ -119,9 +122,9 @@ class CachingBackend(Backend):
     name = "cache"
 
     def __init__(self, inner, cache_dir, limit_mb: Optional[float] = None) -> None:
-        if limit_mb is not None and limit_mb <= 0:
+        if limit_mb is not None and not is_positive_finite(limit_mb):
             raise ConfigurationError(
-                f"cache limit_mb must be positive, got {limit_mb}")
+                f"cache limit_mb must be positive and finite, got {limit_mb}")
         self.inner = get_backend(inner)
         self.stats = CacheStats()
         limit_bytes = None if limit_mb is None else max(int(limit_mb * 1024 * 1024), 1)
@@ -132,14 +135,6 @@ class CachingBackend(Backend):
 
     def close(self) -> None:
         self.inner.close()
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters so the next run reports only itself.
-
-        The stats object is shared with the store, so the reset is
-        in place rather than a reassignment.
-        """
-        self.stats.reset()
 
     # ------------------------------------------------------------------ #
     def run(self, jobs: Sequence[CharacterizationJob]) -> List[object]:
@@ -179,11 +174,3 @@ class CachingBackend(Backend):
         self.store.store(self.store.result_path(digest),
                          result if job.reduction is not None
                          else dataclasses.replace(result, trace=None))
-        self.store.write_meta(digest, {
-            "design": job.name,
-            "trace_length": job.trace.length,
-            "clock_periods": list(job.clock_periods),
-            "simulator": job.simulator,
-            "collect_structural_stats": job.collect_structural_stats,
-            "library_version": __version__,
-        })

@@ -42,11 +42,11 @@ from repro.families import family_of
 from repro.obs.trace import span
 from repro.runtime.synth_cache import active_synth_cache
 from repro.synth.flow import SynthesisOptions, SynthesizedDesign, synthesize
-from repro.timing.clocking import is_valid_period
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.event_sim import EventDrivenSimulator
 from repro.timing.fast_sim import FastTimingSimulator
 from repro.utils.lru import LRUDict
+from repro.utils.validation import is_positive_finite
 from repro.workloads.traces import OperandTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments -> runtime)
@@ -89,7 +89,7 @@ class CharacterizationJob:
         if not self.clock_periods:
             raise ConfigurationError("a characterization job needs at least one clock period")
         for clk in self.clock_periods:
-            if not is_valid_period(clk):
+            if not is_positive_finite(clk):
                 raise ConfigurationError(
                     f"clock periods must be positive and finite, got {clk}")
         if self.trace.length < 2:

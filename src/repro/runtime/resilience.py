@@ -39,6 +39,7 @@ from typing import Callable, Optional
 from repro.exceptions import ConfigurationError, TaskTimeoutError
 from repro.obs.metrics import metric_count
 from repro.settings import RuntimeSettings
+from repro.utils.validation import is_positive_finite
 
 #: Exception types worth retrying — transient by nature.  Everything
 #: else (assertion-style cross-check failures, configuration errors)
@@ -71,9 +72,9 @@ class RetryPolicy:
         if self.backoff_factor < 1:
             raise ConfigurationError(
                 f"backoff_factor must be at least 1, got {self.backoff_factor}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
+        if self.task_timeout is not None and not is_positive_finite(self.task_timeout):
             raise ConfigurationError(
-                f"task_timeout must be positive, got {self.task_timeout}")
+                f"task_timeout must be positive and finite, got {self.task_timeout}")
 
     def retryable(self, error: BaseException) -> bool:
         """Whether ``error`` is transient enough to be worth a re-run."""

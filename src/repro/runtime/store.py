@@ -6,8 +6,8 @@ it: the job-level result cache (:class:`~repro.runtime.cache.CachingBackend`)
 and the synthesis-level design cache
 (:class:`~repro.runtime.synth_cache.SynthesisCache`) both persist through
 the same :class:`ResultStore` machinery — atomic temp-file + rename
-writes, corruption-as-miss loads, an LRU byte budget and an
-incrementally maintained inventory index.
+writes, corruption-as-miss loads and an LRU byte budget enforced from
+one walk of the store.
 
 It also holds the *identity* helpers shared by every digest:
 :func:`_canonical` (stable canonical forms of key components),
@@ -30,7 +30,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -129,9 +129,8 @@ class CacheStats:
 
     Shared cache instances accumulate over a whole process; callers
     reporting a single run take a :meth:`snapshot` first and describe the
-    :meth:`since` delta (or call
-    :meth:`~repro.runtime.cache.CachingBackend.reset_counters`), so one
-    study's footer never shows another study's hits.
+    :meth:`since` delta, so one study's footer never shows another
+    study's hits.
     """
 
     hits: int = 0
@@ -150,11 +149,6 @@ class CacheStats:
             counter.name: getattr(self, counter.name) - getattr(baseline, counter.name)
             for counter in dataclasses.fields(self)})
 
-    def reset(self) -> None:
-        """Zero every counter in place (the object stays shared with its store)."""
-        for counter in dataclasses.fields(self):
-            setattr(self, counter.name, 0)
-
     def describe(self) -> str:
         """Footer-ready summary, e.g. ``"24 hits / 0 misses"``."""
         text = f"{self.hits} hits / {self.misses} misses"
@@ -170,8 +164,7 @@ class CacheStats:
 class ResultStore:
     """Content-addressed pickle store with atomic, corruption-safe entries.
 
-    Layout: ``<root>/<digest[:2]>/<digest>/`` holds one ``result.pkl``
-    plus a best-effort human-readable ``meta.json``.
+    Layout: ``<root>/<digest[:2]>/<digest>/`` holds one ``result.pkl``.
 
     ``limit_bytes`` puts the store on a byte budget: after a batch of
     writes, :meth:`prune_to_limit` deletes whole entries
@@ -181,15 +174,11 @@ class ResultStore:
     therefore never fill the disk; the evicted work simply becomes a
     recompute-miss on its next request.
 
-    The inventory behind the budget is an in-memory ``(newest mtime,
-    total bytes)`` index per entry, built by one full scan on first use
-    and updated incrementally by this store's own writes, reads and
-    prunes.  Work by *other* processes is detected through the mtimes of
-    the 256 prefix directories (entry creation and deletion touch them),
-    so a refresh costs O(prefixes) stats instead of O(entries x files);
-    a concurrent writer mutating files *inside* an existing entry goes
-    unseen until that entry is touched locally — acceptable, because the
-    inventory is advisory (budget enforcement), never load-bearing.
+    The budget is advisory.  A prune walks the store only when the
+    bytes it held at the last walk plus the bytes this store has written
+    since could exceed the budget (the first prune always walks), so a
+    store under budget prunes for free.  Entries written by *other*
+    processes are counted at the next walk.
     """
 
     def __init__(self, root, stats: Optional[CacheStats] = None,
@@ -202,12 +191,9 @@ class ResultStore:
         self.stats = stats if stats is not None else CacheStats()
         self.limit_bytes = limit_bytes
         self._write_warned = False
-        #: prefix dir -> {entry dir -> [newest mtime, total bytes]};
-        #: None until first use.  Bucketing by prefix keeps a prefix
-        #: rescan proportional to that prefix's entries, not the store.
-        self._index: Optional[Dict[Path, Dict[Path, List]]] = None
-        #: prefix dir -> st_mtime_ns at the last (re)scan.
-        self._prefix_signatures: Dict[Path, int] = {}
+        #: Bytes held at the last walk plus every byte written since;
+        #: ``None`` until the first prune walks the store.
+        self._counted: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     def entry_dir(self, digest: str) -> Path:
@@ -237,13 +223,15 @@ class ResultStore:
                 os.utime(path)
             except OSError:
                 pass
-            self._note_use(path)
             return wrapper["payload"]
         except FileNotFoundError:
             return None
         except Exception:
             self.stats.corrupt += 1
-            self._discard(path)
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
             return None
 
     def store(self, path: Path, payload) -> None:
@@ -265,17 +253,20 @@ class ResultStore:
         """
         try:
             fault_point(POINT_STORE_WRITE, str(path))
-            observation = self._observe_before_write(path)
-            replaced = self._size_of(path)
             self._publish(path, "wb", lambda stream: pickle.dump(
                 {"format": STORE_FORMAT, "payload": payload}, stream,
                 protocol=pickle.HIGHEST_PROTOCOL))
         except OSError as error:
             self._note_write_failure(path, error)
             return
-        self._note_write(path, replaced, observation)
+        try:
+            written = os.stat(path).st_size
+        except OSError:  # a concurrent prune already removed it
+            written = 0
+        if self._counted is not None:
+            self._counted += written
         if active_registries():
-            metric_count("store.bytes_written", self._size_of(path))
+            metric_count("store.bytes_written", written)
         # Post-publish hook: lets the fault harness corrupt the entry we
         # just wrote (exercising the corruption-as-miss read path).
         fault_point(POINT_STORE_WRITE_DONE, str(path))
@@ -315,6 +306,10 @@ class ResultStore:
                 f"miss and further write failures of this store will not be "
                 f"re-warned", RuntimeWarning, stacklevel=3)
 
+    # No cache writes meta.json any more: every entry is one result.pkl.
+    # The method stays, uncalled, because perfbench/ledger.py wraps it by
+    # name, looking it up in this class's own __dict__; deleting it would
+    # fail every traced benchmark run.  It goes when the benchmark changes.
     def write_meta(self, digest: str, meta: dict) -> None:
         """Best-effort ``meta.json`` describing the entry for humans.
 
@@ -324,182 +319,50 @@ class ResultStore:
         path = self.entry_dir(digest) / "meta.json"
         if path.exists():
             return
-        observation = self._observe_before_write(path)
         try:
             self._publish(path, "w", lambda stream: json.dump(
                 meta, stream, indent=2, sort_keys=True))
         except OSError:
-            return
-        self._note_write(path, 0, observation)
-
-    def _discard(self, path: Path) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            return
-        if self._index is not None:
-            # Corruption implies an outside actor already touched the
-            # entry, so the cheap size delta cannot be trusted — rescan
-            # this one entry (corruption is rare; the scan is per-file
-            # stats of a single directory).
-            entry = path.parent
-            bucket = self._index.setdefault(entry.parent, {})
-            record = self._scan_entry(entry)
-            if record is not None:
-                bucket[entry] = record
-            else:
-                bucket.pop(entry, None)
+            pass
 
     # ------------------------------------------------------------------ #
-    # Inventory index
+    # Inventory and byte budget
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _size_of(path: Path) -> int:
-        try:
-            return os.stat(path).st_size
-        except OSError:
-            return 0
-
-    def _observe_before_write(self, path: Path) -> Optional[Tuple[bool, Optional[int]]]:
-        """Snapshot taken before a write: is the entry dir new, and what
-        was the prefix's mtime at that moment?  ``None`` before first use."""
-        if self._index is None:
-            return None
-        entry = path.parent
-        if entry.is_dir():
-            return (False, None)
-        try:
-            return (True, entry.parent.stat().st_mtime_ns)
-        except OSError:
-            return (True, None)
-
-    def _note_write(self, path: Path, replaced_bytes: int,
-                    observation: Optional[Tuple[bool, Optional[int]]]) -> None:
-        """Fold one written file into the index (no-op before first use)."""
-        if self._index is None or observation is None:
-            return
-        try:
-            stat = os.stat(path)
-        except OSError:
-            return
-        entry = path.parent
-        bucket = self._index.setdefault(entry.parent, {})
-        record = bucket.get(entry)
-        if record is None:
-            bucket[entry] = [stat.st_mtime, stat.st_size]
-        else:
-            record[0] = max(record[0], stat.st_mtime)
-            record[1] = max(record[1] + stat.st_size - replaced_bytes, 0)
-        created_entry, prefix_sig_before = observation
-        if created_entry:
-            # Our mkdir changed the prefix mtime.  Re-record it only if
-            # nothing else had changed it since our last scan — else a
-            # concurrent writer's entries would be masked behind our own
-            # signature; leaving it stale forces a rescan that sees both.
-            prefix = entry.parent
-            if prefix_sig_before is not None and \
-                    self._prefix_signatures.get(prefix) == prefix_sig_before:
-                try:
-                    self._prefix_signatures[prefix] = prefix.stat().st_mtime_ns
-                except OSError:
-                    self._prefix_signatures.pop(prefix, None)
-
-    def _note_use(self, path: Path) -> None:
-        """Track a refreshed mtime so pruning sees the entry as recent."""
-        if self._index is None:
-            return
-        record = self._index.get(path.parent.parent, {}).get(path.parent)
-        if record is not None:
-            try:
-                record[0] = max(record[0], os.stat(path).st_mtime)
-            except OSError:
-                pass
-
-    def _scan_entry(self, entry: Path) -> Optional[List]:
-        newest, total = 0.0, 0
-        try:
-            for item in entry.iterdir():
-                stat = item.stat()
-                newest = max(newest, stat.st_mtime)
-                total += stat.st_size
-        except OSError:
-            return None
-        return [newest, total]
-
-    def _rescan_prefix(self, prefix: Path) -> None:
-        assert self._index is not None
-        try:
-            signature = prefix.stat().st_mtime_ns
-        except OSError:
-            signature = None
-        bucket: Dict[Path, List] = {}
-        try:
-            children = [child for child in prefix.iterdir() if child.is_dir()]
-        except OSError:
-            children = []
-        for entry in children:
-            record = self._scan_entry(entry)
-            if record is not None:
-                bucket[entry] = record
-        self._index[prefix] = bucket
-        if signature is not None:
-            self._prefix_signatures[prefix] = signature
-        else:
-            self._prefix_signatures.pop(prefix, None)
-
-    def _refresh_index(self) -> None:
-        """Build the index on first use; afterwards rescan only prefixes
-        whose mtime changed (external entry creation or deletion)."""
-        try:
-            prefixes = [child for child in self.root.iterdir() if child.is_dir()]
-        except OSError:
-            prefixes = []
-        if self._index is None:
-            self._index = {}
-            self._prefix_signatures = {}
-            for prefix in prefixes:
-                self._rescan_prefix(prefix)
-            return
-        current = set(prefixes)
-        for prefix in prefixes:
-            try:
-                signature = prefix.stat().st_mtime_ns
-            except OSError:
-                continue
-            if self._prefix_signatures.get(prefix) != signature:
-                self._rescan_prefix(prefix)
-        for prefix in list(self._index):
-            if prefix not in current:
-                self._index.pop(prefix, None)
-                self._prefix_signatures.pop(prefix, None)
-
     def entry_inventory(self) -> List[Tuple[float, int, Path]]:
         """Every entry directory as ``(newest_mtime, total_bytes, path)``.
 
-        Served from the incrementally maintained index — one full scan
-        on first use, O(prefix-dir stats) afterwards.  Entries deleted
-        by a concurrent pruner may linger until their prefix is
-        rescanned — the inventory is advisory, never load-bearing.
+        One fresh walk of prefix -> entry -> files; no payload is read.
+        An entry another process removes mid-walk is left out — the
+        inventory is advisory, never load-bearing.
         """
-        self._refresh_index()
-        assert self._index is not None
-        return [(record[0], record[1], entry)
-                for bucket in self._index.values()
-                for entry, record in bucket.items()]
+        inventory = []
+        for prefix in _subdirectories(self.root):
+            for entry in _subdirectories(prefix):
+                try:
+                    with os.scandir(entry) as items:
+                        stats = [item.stat() for item in items]
+                except OSError:
+                    continue
+                inventory.append((max((stat.st_mtime for stat in stats), default=0.0),
+                                  sum(stat.st_size for stat in stats), Path(entry)))
+        return inventory
 
     def total_bytes(self) -> int:
         """Bytes currently held by every entry of the store."""
         return sum(size for _, size, _ in self.entry_inventory())
 
     def prune_to_limit(self) -> int:
-        """Delete oldest entries until the store fits ``limit_bytes``.
+        """Delete least-recently-used entries until the store fits ``limit_bytes``.
 
         Returns the number of entries removed (also accumulated into
-        ``stats.pruned``).  A ``None`` budget is a no-op.  Eviction is
-        whole-entry: the directory goes with every file in it, so no
-        half-deleted entry or leftover file outlives its ``result.pkl``.
+        ``stats.pruned``).  A ``None`` budget is a no-op, and so is a
+        prune whose counted bytes still fit the budget; otherwise the
+        store is walked afresh.  Eviction is whole-entry: the directory
+        goes with every file in it, so no half-deleted entry or leftover
+        file outlives its ``result.pkl``.
         """
-        if self.limit_bytes is None:
+        if self.limit_bytes is None or (
+                self._counted is not None and self._counted <= self.limit_bytes):
             return 0
         inventory = sorted(self.entry_inventory())
         total = sum(size for _, size, _ in inventory)
@@ -508,14 +371,19 @@ class ResultStore:
             if total <= self.limit_bytes:
                 break
             shutil.rmtree(entry, ignore_errors=True)
-            if self._index is not None:
-                self._index.get(entry.parent, {}).pop(entry, None)
-            # The rmtree changed the prefix mtime; the recorded signature
-            # is deliberately left stale so the next refresh rescans the
-            # prefix — that also surfaces any concurrent writer's entries.
             total -= size
             removed += 1
+        self._counted = total
         self.stats.pruned += removed
         if removed:
             metric_count("store.entries_pruned", removed)
         return removed
+
+
+def _subdirectories(path) -> List[str]:
+    """Paths of the directories directly under ``path`` (none if unreadable)."""
+    try:
+        with os.scandir(path) as items:
+            return [item.path for item in items if item.is_dir()]
+    except OSError:
+        return []

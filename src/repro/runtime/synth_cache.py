@@ -55,6 +55,7 @@ from repro.runtime.store import (
     digest_of,
 )
 from repro.settings import activate_settings, active_settings
+from repro.utils.validation import is_positive_finite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.designs import DesignEntry
@@ -102,17 +103,19 @@ def synth_digest(entry: "DesignEntry", width: int,
 class SynthesisCache:
     """On-disk synthesized-design cache over a :class:`ResultStore`.
 
-    One entry per :func:`synth_digest`, holding the pickled
-    :class:`~repro.synth.flow.SynthesizedDesign`.  All the durability
-    properties of the store apply: concurrent writers publish complete
-    files atomically, corrupt entries are discarded and recomputed, and
-    ``limit_mb`` keeps the store on an LRU byte budget.
+    One entry per :func:`synth_digest`: a ``result.pkl`` holding the
+    pickled :class:`~repro.synth.flow.SynthesizedDesign`.  All the
+    durability properties of the store apply: concurrent writers publish
+    complete files atomically, and corrupt entries are discarded and
+    recomputed.  ``limit_mb`` puts the store on an advisory LRU byte
+    budget, checked after every stored design; the check walks the
+    store only when the designs this cache wrote could have overrun it.
     """
 
     def __init__(self, root, limit_mb: Optional[float] = None) -> None:
-        if limit_mb is not None and limit_mb <= 0:
+        if limit_mb is not None and not is_positive_finite(limit_mb):
             raise ConfigurationError(
-                f"synthesis cache limit_mb must be positive, got {limit_mb}")
+                f"synthesis cache limit_mb must be positive and finite, got {limit_mb}")
         self.stats = CacheStats()
         limit_bytes = None if limit_mb is None else max(int(limit_mb * 1024 * 1024), 1)
         self.store = ResultStore(root, stats=self.stats, limit_bytes=limit_bytes)
@@ -143,12 +146,6 @@ class SynthesisCache:
             return
         digest = synth_digest(entry, width, options)
         self.store.store(self.store.result_path(digest), synthesized)
-        self.store.write_meta(digest, {
-            "design": entry.name,
-            "width": width,
-            "gates": synthesized.netlist.num_gates,
-            "library_version": __version__,
-        })
         self.store.prune_to_limit()
 
 

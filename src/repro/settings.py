@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import is_positive_finite
 
 #: Names accepted by ``REPRO_BACKEND``, ``--backend`` and ``StudyConfig.backend``.
 BACKENDS = ("serial", "multiprocess")
@@ -43,13 +44,13 @@ def _backend(raw: str) -> str:
 
 
 def _number(kind: type, description: str, inclusive: bool = False) -> Callable[[str], object]:
-    """Parser of a ``kind`` number above zero (or at it, when ``inclusive``)."""
+    """Parser of a finite ``kind`` number above zero (or at it, when ``inclusive``)."""
     def parse(raw: str):
         try:
             value = kind(raw)
         except ValueError:
             raise ValueError(description) from None
-        if not (value > 0 or inclusive and value == 0):
+        if not (is_positive_finite(value) or inclusive and value == 0):
             raise ValueError(description)
         return value
     return parse
@@ -70,21 +71,21 @@ class RuntimeSettings:
         None, "REPRO_WORKERS", _number(int, "a positive integer worker count"), "--jobs")
     trace_scale: float = _knob(
         1.0, "REPRO_TRACE_SCALE",
-        _number(float, "a positive number (trace-length scale factor)"))
+        _number(float, "a positive finite number (trace-length scale factor)"))
     cache_dir: Optional[str] = _knob(None, "REPRO_CACHE_DIR", str, "--cache-dir")
     cache_limit_mb: Optional[float] = _knob(
-        None, "REPRO_CACHE_LIMIT_MB", _number(float, "a positive size in mebibytes"),
+        None, "REPRO_CACHE_LIMIT_MB", _number(float, "a positive finite size in mebibytes"),
         "--cache-limit-mb")
     synth_cache: Optional[str] = _knob(None, "REPRO_SYNTH_CACHE", str, "--synth-cache-dir")
     synth_cache_limit_mb: Optional[float] = _knob(
-        None, "REPRO_SYNTH_CACHE_LIMIT_MB", _number(float, "a positive number of mebibytes"))
+        None, "REPRO_SYNTH_CACHE_LIMIT_MB", _number(float, "a positive finite number of mebibytes"))
     # Two retries (three attempts) absorb one transient fault plus one
     # unlucky recurrence without masking a persistent failure for long.
     max_retries: int = _knob(
         2, "REPRO_MAX_RETRIES",
         _number(int, "a non-negative integer retry count", inclusive=True), "--max-retries")
     task_timeout: Optional[float] = _knob(
-        None, "REPRO_TASK_TIMEOUT", _number(float, "a positive number of seconds"),
+        None, "REPRO_TASK_TIMEOUT", _number(float, "a positive finite number of seconds"),
         "--task-timeout")
     telemetry_dir: Optional[str] = _knob(None, "REPRO_TELEMETRY_DIR", str, "--telemetry-dir")
     fault_plan: Optional[str] = _knob(None, "REPRO_FAULT_PLAN", str)
@@ -210,8 +211,8 @@ def settings_from_arguments(parser: argparse.ArgumentParser, arguments) -> Runti
         parser.error("--no-synth-cache and --synth-cache-dir are mutually exclusive")
     if arguments.max_retries is not None and arguments.max_retries < 0:
         parser.error("--max-retries must be non-negative")
-    if arguments.task_timeout is not None and arguments.task_timeout <= 0:
-        parser.error("--task-timeout must be positive")
+    if arguments.task_timeout is not None and not is_positive_finite(arguments.task_timeout):
+        parser.error("--task-timeout must be positive and finite")
     changes = {}
     for setting in SETTINGS:
         if setting.flag is not None:

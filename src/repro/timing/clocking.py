@@ -7,11 +7,11 @@ The paper synthesizes every design at a safe clock period of 0.3 ns
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.exceptions import TimingError
+from repro.utils.validation import is_positive_finite
 
 #: The paper's safe clock period in seconds (0.3 ns, i.e. 3.3 GHz).
 PAPER_SAFE_PERIOD = 0.3e-9
@@ -20,18 +20,8 @@ PAPER_SAFE_PERIOD = 0.3e-9
 PAPER_CPR_LEVELS = (0.05, 0.10, 0.15)
 
 
-def is_valid_period(period: float) -> bool:
-    """Whether ``period`` can be a clock period: finite and positive.
-
-    Every entry point that accepts clock periods checks them with this,
-    so a NaN (which fails every comparison) or an infinite period is
-    refused instead of silently sampling no late output.
-    """
-    return math.isfinite(period) and period > 0
-
-
 def _check_period(name: str, value: float) -> None:
-    if not is_valid_period(value):
+    if not is_positive_finite(value):
         raise TimingError(f"{name} must be positive and finite, got {value}")
 
 

@@ -28,9 +28,9 @@ import numpy as np
 from repro.circuit.netlist import Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.exceptions import SimulationError
-from repro.timing.clocking import is_valid_period
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.operands import expand_operand_traces, trace_length
+from repro.utils.validation import is_positive_finite
 
 
 @dataclass
@@ -180,7 +180,7 @@ class EventDrivenSimulator:
         costs a single simulation pass.
         """
         for clk in clock_periods:
-            if not is_valid_period(clk):
+            if not is_positive_finite(clk):
                 raise SimulationError(
                     f"clock period must be positive and finite, got {clk}")
         bit_traces = expand_operand_traces(self.netlist, operands)

@@ -58,13 +58,13 @@ from repro.circuit.netlist import Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.exceptions import CompilationError, SimulationError
 from repro.obs.trace import span
-from repro.timing.clocking import is_valid_period
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.operands import (
     expand_operand_traces,
     expand_operand_traces_interned,
     trace_length,
 )
+from repro.utils.validation import is_positive_finite
 
 #: Arrival-time value used for nets that do not switch in a cycle.
 STABLE = -np.inf
@@ -326,7 +326,7 @@ class FastTimingSimulator:
     @staticmethod
     def _check_clocks(clock_periods: Sequence[float]) -> None:
         for clk in clock_periods:
-            if not is_valid_period(clk):
+            if not is_positive_finite(clk):
                 raise SimulationError(
                     f"clock period must be positive and finite, got {clk}")
 

@@ -18,6 +18,7 @@ from repro.utils.validation import (
     check_non_negative_int,
     check_positive_int,
     check_probability,
+    is_positive_finite,
 )
 
 __all__ = [
@@ -37,4 +38,5 @@ __all__ = [
     "check_non_negative_int",
     "check_positive_int",
     "check_probability",
+    "is_positive_finite",
 ]

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 from repro.exceptions import ConfigurationError
 
 Number = Union[int, float]
+
+
+def is_positive_finite(value: Number) -> bool:
+    """Whether ``value`` is finite and above zero.
+
+    A NaN fails every comparison, so a bare ``value <= 0`` check lets it
+    through.  Every number that must be positive and finite — a clock
+    period, a trace scale, a cache budget, a task timeout — is checked
+    with this.
+    """
+    return 0 < value < math.inf
 
 
 def check_positive_int(name: str, value: int) -> int:

@@ -427,7 +427,7 @@ class TestMultiprocessResilience:
     def test_hopeless_pool_degrades_to_in_process_with_warning(self, arm_faults):
         reference = [execute_job(job) for job in job_batch()]
         arm_faults([{"kind": "kill-worker", "every": 1}])
-        backend = multiprocess_backend(workers=1, max_rebuilds=2)
+        backend = multiprocess_backend(workers=1)
         try:
             with metrics_run() as registry:
                 with pytest.warns(RuntimeWarning, match="degraded to in-process"):
@@ -437,7 +437,7 @@ class TestMultiprocessResilience:
         for expected, got in zip(reference, survived):
             assert_bit_identical(expected, got)
         assert registry.counters["backend.degraded"] == 1
-        assert registry.counters["pool.rebuilds"] == 2
+        assert registry.counters["pool.rebuilds"] == MultiprocessBackend.MAX_REBUILDS
 
 
 # --------------------------------------------------------------------- #

@@ -4,11 +4,13 @@ The contract under test: a cache hit returns the stored
 characterisation bit-identically to an uncached run, across both
 execution backends and both fast-tier kernels; entries written before
 jobs stopped naming a kernel stay hits; misses delegate to the
-inner backend and persist atomically, as one ``result.pkl`` plus
-``meta.json`` per job whatever the trace length; corrupted or truncated
-entries are recomputed, never raised; an entry in the chunked layout of
-earlier versions is one plain miss; a failed ``meta.json`` write leaves
-no temp file; and a fully warm run executes **zero** simulation jobs.
+inner backend and persist atomically, as one ``result.pkl`` per job
+whatever the trace length; corrupted or truncated entries are
+recomputed, never raised; an entry in the chunked layout of earlier
+versions is one plain miss; a failed ``meta.json`` write leaves no temp
+file; the entry inventory is a fresh walk of the store, and the byte
+budget walks it only when the store's own writes could overrun it; and
+a fully warm run executes **zero** simulation jobs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import errno
 import json
+import os
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 
@@ -276,7 +279,7 @@ class TestLongTraceEntries:
         assert_bit_identical(uncached, warm)
         assert np.array_equal(warm.structural_stats.position_counts,
                               uncached.structural_stats.position_counts)
-        assert entry_files(tmp_path, job) == ["meta.json", "result.pkl"]
+        assert entry_files(tmp_path, job) == ["result.pkl"]
 
     def test_chunked_entry_is_one_plain_miss(self, tmp_path, long_run):
         job, uncached = long_run
@@ -389,95 +392,61 @@ class TestConcurrentWriters:
             second.close()
 
 
-class TestInventoryIndex:
-    """The incrementally maintained (mtime, bytes) inventory index."""
+def fresh_walk(store):
+    """``{entry: (newest mtime, total bytes)}`` walked afresh with pathlib."""
+    walk = {}
+    for prefix in store.root.iterdir():
+        for entry in prefix.iterdir():
+            stats = [item.stat() for item in entry.iterdir()]
+            walk[entry] = (max((stat.st_mtime for stat in stats), default=0.0),
+                           sum(stat.st_size for stat in stats))
+    return walk
 
-    @staticmethod
-    def _ground_truth(store):
-        """Fresh-scan inventory, independent of the index."""
-        truth = {}
-        for prefix in store.root.iterdir():
-            if not prefix.is_dir():
-                continue
-            for entry in prefix.iterdir():
-                if not entry.is_dir():
-                    continue
-                total = sum(item.stat().st_size for item in entry.iterdir())
-                truth[entry] = total
-        return truth
 
-    def test_index_tracks_stores_and_prunes(self, tmp_path):
-        from repro.runtime import ResultStore
-        store = ResultStore(tmp_path, limit_bytes=10_000_000)
+def inventory_of(store):
+    return {entry: (mtime, size) for mtime, size, entry in store.entry_inventory()}
+
+
+class TestEntryInventory:
+    """``entry_inventory`` equals a fresh walk of the store directory."""
+
+    def test_own_writes_and_overwrites(self, tmp_path):
+        store = ResultStore(tmp_path)
         digests = [format(index, "02x") + "f" * 62 for index in range(6)]
         for index, digest in enumerate(digests):
             store.store(store.result_path(digest),
                         {"blob": np.arange(64 * (index + 1), dtype=np.uint64)})
-        truth = self._ground_truth(store)
-        indexed = {entry: size for _, size, entry in store.entry_inventory()}
-        assert indexed == truth
-        assert store.total_bytes() == sum(truth.values())
-        # grow one entry and overwrite another: index follows without rescans
+        assert inventory_of(store) == fresh_walk(store)
+        assert store.total_bytes() == sum(size for _, size in fresh_walk(store).values())
+        # grow one entry and overwrite another
         store.store(store.entry_dir(digests[0]) / "golden.pkl", {"golden": np.ones(128)})
         store.store(store.result_path(digests[1]),
                     {"blob": np.arange(1024, dtype=np.uint64)})
-        indexed = {entry: size for _, size, entry in store.entry_inventory()}
-        assert indexed == self._ground_truth(store)
+        assert inventory_of(store) == fresh_walk(store)
 
-    def test_index_avoids_rescans_after_first_use(self, tmp_path, monkeypatch):
-        from repro.runtime import ResultStore
-        store = ResultStore(tmp_path)
-        digests = [format(index, "02x") + "e" * 62 for index in range(4)]
-        for digest in digests:
-            store.store(store.result_path(digest), {"blob": np.zeros(8)})
-        store.entry_inventory()  # first use: full scan builds the index
-        scans = []
-        original = ResultStore._scan_entry
-
-        def counting_scan(self, entry):
-            scans.append(entry)
-            return original(self, entry)
-
-        monkeypatch.setattr(ResultStore, "_scan_entry", counting_scan)
-        store.store(store.result_path(digests[0]), {"blob": np.zeros(16)})
-        store.load(store.result_path(digests[1]))
-        store.entry_inventory()
-        assert scans == []  # in-process updates never rescan entries
-
-    def test_own_write_does_not_mask_concurrent_entry(self, tmp_path):
-        """Writing into a prefix must not hide another process's entry there.
-
-        Regression: recording the prefix mtime after our own write used
-        to swallow a concurrent writer's entry created in between.
-        """
-        from repro.runtime import ResultStore
+    def test_another_store_writes_into_a_shared_prefix(self, tmp_path):
         store = ResultStore(tmp_path)
         store.store(store.result_path("aa" + "1" * 62), {"blob": np.zeros(8)})
-        store.entry_inventory()  # index built
+        store.entry_inventory()
         other = ResultStore(tmp_path)  # another process, in spirit
         other.store(other.result_path("aa" + "2" * 62), {"blob": np.zeros(32)})
         # our next writes land in the same prefix: one into an existing
         # entry, one creating a new entry
         store.store(store.entry_dir("aa" + "1" * 62) / "golden.pkl", {"golden": np.zeros(4)})
         store.store(store.result_path("aa" + "3" * 62), {"blob": np.zeros(16)})
-        seen = {entry.name for _, _, entry in store.entry_inventory()}
-        assert "aa" + "2" * 62 in seen
-        assert len(seen) == 3
-        indexed = {entry: size for _, size, entry in store.entry_inventory()}
-        assert indexed == self._ground_truth(store)
+        assert {entry.name for entry in inventory_of(store)} == {
+            "aa" + "1" * 62, "aa" + "2" * 62, "aa" + "3" * 62}
+        assert inventory_of(store) == fresh_walk(store)
 
-    def test_index_sees_external_writers(self, tmp_path):
-        from repro.runtime import ResultStore
+    def test_another_store_writes_into_new_and_existing_prefixes(self, tmp_path):
         store = ResultStore(tmp_path)
         store.store(store.result_path("aa" + "d" * 62), {"blob": np.zeros(8)})
         store.entry_inventory()
-        # a second store (another process, in spirit) adds entries — one
-        # in a fresh prefix, one next to the existing entry
         other = ResultStore(tmp_path)
         other.store(other.result_path("bb" + "d" * 62), {"blob": np.zeros(32)})
         other.store(other.result_path("aa" + "c" * 62), {"blob": np.zeros(16)})
-        indexed = {entry: size for _, size, entry in store.entry_inventory()}
-        assert indexed == self._ground_truth(store)
+        assert len(inventory_of(store)) == 3
+        assert inventory_of(store) == fresh_walk(store)
 
     def test_load_refreshes_eviction_order(self, tmp_path):
         import os
@@ -490,23 +459,87 @@ class TestInventoryIndex:
         store.entry_inventory()
         # budget fits exactly one entry, so the prune must evict one
         store.limit_bytes = store.total_bytes() // 2 + 1
-        # loading the back-dated entry refreshes its mtime in the index,
-        # so the prune evicts the *other* entry
+        # loading the back-dated entry refreshes its mtime, so the prune
+        # evicts the *other* entry
         store.load(store.result_path(old_digest))
         assert store.prune_to_limit() == 1
         remaining = [entry for _, _, entry in store.entry_inventory()]
         assert remaining == [store.entry_dir(old_digest)]
 
-    def test_corrupt_discard_updates_index(self, tmp_path):
-        from repro.runtime import ResultStore
+    def test_corrupt_entry_discard(self, tmp_path):
         store = ResultStore(tmp_path)
         digest = "dd" + "a" * 62
         store.store(store.result_path(digest), {"blob": np.zeros(256)})
-        store.entry_inventory()
+        store.store(store.result_path("ee" + "a" * 62), {"blob": np.zeros(8)})
         store.result_path(digest).write_bytes(b"garbage")
         assert store.load(store.result_path(digest)) is None  # discarded
-        indexed = {entry: size for _, size, entry in store.entry_inventory()}
-        assert indexed == self._ground_truth(store)
+        assert inventory_of(store) == fresh_walk(store)
+
+    def test_prune(self, tmp_path):
+        store = ResultStore(tmp_path)
+        digests = [format(index, "02x") + "9" * 62 for index in range(4)]
+        for digest in digests:
+            store.store(store.result_path(digest), {"blob": np.zeros(64)})
+        store.limit_bytes = store.total_bytes() // 2 + 1
+        assert store.prune_to_limit() == 2
+        assert len(inventory_of(store)) == 2
+        assert inventory_of(store) == fresh_walk(store)
+
+
+class TestByteBudget:
+    """A prune walks the store only when the store's own writes could
+    have taken it past the budget, then evicts least-recently-used
+    entries whole until it fits."""
+
+    @staticmethod
+    def count_walks(monkeypatch):
+        walks = []
+        original = ResultStore.entry_inventory
+
+        def counting(self):
+            walks.append(self.root)
+            return original(self)
+
+        monkeypatch.setattr(ResultStore, "entry_inventory", counting)
+        return walks
+
+    def test_budget_never_reached_walks_once(self, tmp_path, monkeypatch):
+        walks = self.count_walks(monkeypatch)
+        store = ResultStore(tmp_path, limit_bytes=10_000_000)
+        for index in range(40):
+            store.store(store.result_path(format(index, "02x") + "a" * 62),
+                        {"blob": np.zeros(64)})
+            assert store.prune_to_limit() == 0
+        assert len(walks) == 1
+        assert store.stats.pruned == 0
+
+    def test_first_prune_past_the_budget_evicts_lru_entries_whole(self, tmp_path,
+                                                                  monkeypatch):
+        payload = {"blob": np.zeros(512)}
+        probe = ResultStore(tmp_path / "probe")
+        probe.store(probe.result_path("00" + "0" * 62), payload)
+        entry_bytes = probe.total_bytes()
+        # Room for three and a half entries.
+        store = ResultStore(tmp_path / "store", limit_bytes=7 * entry_bytes // 2)
+        walks = self.count_walks(monkeypatch)
+        digests = [format(index, "02x") + "b" * 62 for index in range(4)]
+        for index, digest in enumerate(digests[:3]):
+            store.store(store.result_path(digest), payload)
+            if index == 1:  # a second file, evicted with its entry
+                store.store(store.entry_dir(digest) / "golden.pkl", {"golden": 1})
+            for item in store.entry_dir(digest).iterdir():
+                os.utime(item, (index + 1, index + 1))  # write order = use order
+            assert store.prune_to_limit() == 0
+        assert len(walks) == 1  # the first prune walks; three entries fit
+        store.load(store.result_path(digests[0]))  # now the most recently used
+        store.store(store.result_path(digests[3]), payload)
+        assert store.prune_to_limit() == 1
+        assert len(walks) == 2
+        assert not store.entry_dir(digests[1]).exists()
+        assert sorted(entry.name for entry in inventory_of(store)) == sorted(
+            digests[index] for index in (0, 2, 3))
+        assert store.total_bytes() <= store.limit_bytes
+        assert store.stats.pruned == 1
 
 
 class TestStudyConfigIntegration:

@@ -260,8 +260,6 @@ class TestBackendApi:
     def test_invalid_worker_counts(self):
         with pytest.raises(ConfigurationError):
             MultiprocessBackend(workers=0)
-        with pytest.raises(ConfigurationError):
-            MultiprocessBackend(max_rebuilds=0)
 
     def test_empty_batch(self):
         assert MultiprocessBackend(workers=2).run([]) == []

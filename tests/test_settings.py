@@ -22,6 +22,8 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.common import StudyConfig
 from repro.experiments.runner import main as runner_main
 from repro.explore.cli import main as explore_main
+from repro.runtime import CachingBackend, RetryPolicy, SerialBackend
+from repro.runtime.synth_cache import SynthesisCache
 from repro.settings import SETTINGS, RuntimeSettings, active_settings, using_settings
 
 #: Per settings field: accepted raw values with what they parse to, and
@@ -29,13 +31,14 @@ from repro.settings import SETTINGS, RuntimeSettings, active_settings, using_set
 CASES = {
     "backend": ({"serial": "serial", "multiprocess": "multiprocess"}, ["cluster", "Serial"]),
     "workers": ({"2": 2, " 4 ": 4}, ["auto", "0", "-1", "1.5"]),
-    "trace_scale": ({"0.5": 0.5, "2": 2.0}, ["fast", "0", "-1", "nan"]),
+    "trace_scale": ({"0.5": 0.5, "2": 2.0}, ["fast", "0", "-1", "nan", "inf", "1e400"]),
     "cache_dir": ({"/tmp/c": "/tmp/c", " /tmp/c ": "/tmp/c"}, []),
-    "cache_limit_mb": ({"128.5": 128.5}, ["big", "0", "-3"]),
+    "cache_limit_mb": ({"128.5": 128.5}, ["big", "0", "-3", "nan", "inf", "1e400"]),
     "synth_cache": ({"/tmp/s": "/tmp/s"}, []),
-    "synth_cache_limit_mb": ({"2.5": 2.5}, ["not-a-number", "-1", "0"]),
+    "synth_cache_limit_mb": ({"2.5": 2.5},
+                             ["not-a-number", "-1", "0", "nan", "inf", "1e400"]),
     "max_retries": ({"5": 5, "0": 0}, ["banana", "-1", "1.5"]),
-    "task_timeout": ({"2.5": 2.5, "60": 60.0}, ["soon", "0", "-2.5"]),
+    "task_timeout": ({"2.5": 2.5, "60": 60.0}, ["soon", "0", "-2.5", "nan", "inf", "1e400"]),
     "telemetry_dir": ({"/tmp/t": "/tmp/t"}, []),
     "fault_plan": ({'{"faults": []}': '{"faults": []}', "plan.json": "plan.json"}, []),
 }
@@ -121,3 +124,51 @@ class TestCliEnvironment:
         assert dict(os.environ) == before
         if flag == "--synth-cache-dir":
             assert list((tmp_path / "synth").glob("*/*/result.pkl"))
+
+
+#: Numbers no positive-and-finite knob accepts (``1e400`` overflows to inf).
+NON_FINITE = ["nan", "inf", "1e400"]
+
+
+class TestNonFiniteNumbers:
+    """Every float knob refuses NaN and infinity, each with its own error."""
+
+    @pytest.mark.parametrize("raw", NON_FINITE + ["0"])
+    @pytest.mark.parametrize("field", ["trace_scale", "cache_limit_mb"])
+    def test_study_config(self, field, raw):
+        with pytest.raises(ConfigurationError, match=field):
+            StudyConfig(**{field: float(raw)})
+        with pytest.raises(ConfigurationError, match="factor"):
+            StudyConfig().scaled_down(float(raw))
+
+    @pytest.mark.parametrize("raw", NON_FINITE + ["0"])
+    def test_caching_backend(self, raw, tmp_path):
+        with pytest.raises(ConfigurationError, match="limit_mb"):
+            CachingBackend(SerialBackend(), tmp_path, limit_mb=float(raw))
+
+    @pytest.mark.parametrize("raw", NON_FINITE + ["0"])
+    def test_synthesis_cache(self, raw, tmp_path):
+        with pytest.raises(ConfigurationError, match="limit_mb"):
+            SynthesisCache(tmp_path, limit_mb=float(raw))
+
+    @pytest.mark.parametrize("raw", NON_FINITE + ["0"])
+    def test_retry_policy(self, raw):
+        with pytest.raises(ConfigurationError, match="task_timeout"):
+            RetryPolicy(task_timeout=float(raw))
+
+    @pytest.mark.parametrize("raw", NON_FINITE)
+    def test_scale_flag(self, raw):
+        with pytest.raises(ConfigurationError, match="trace_scale"):
+            runner_main(["--scale", raw, "--backend", "serial", "--no-cache"])
+
+    @pytest.mark.parametrize("raw", NON_FINITE)
+    def test_cache_limit_flag(self, raw, tmp_path):
+        with pytest.raises(ConfigurationError, match="cache_limit_mb"):
+            explore_main(["--backend", "serial", "--cache-dir", str(tmp_path),
+                          "--cache-limit-mb", raw])
+
+    @pytest.mark.parametrize("raw", NON_FINITE)
+    def test_task_timeout_flag(self, raw, capsys):
+        with pytest.raises(SystemExit):
+            explore_main(["--task-timeout", raw])
+        assert "--task-timeout must be positive and finite" in capsys.readouterr().err

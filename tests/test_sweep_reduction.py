@@ -40,6 +40,7 @@ from repro.obs.trace import collect_phases
 from repro.runtime import (
     CachingBackend,
     CharacterizationJob,
+    ResultStore,
     SerialBackend,
     execute_job,
     job_digest,
@@ -184,9 +185,10 @@ class TestSweepReductionContract:
         backend = CachingBackend(SerialBackend() if inner == "serial" else pool_of(2),
                                  tmp_path / "cache")
         assert run_sweep(spec, backend=backend).points == expected
-        backend.reset_counters()
+        cold = backend.stats.snapshot()
         assert run_sweep(spec, backend=backend).points == expected
-        assert (backend.stats.hits, backend.stats.misses) == (spec.job_count, 0)
+        warm = backend.stats.since(cold)
+        assert (warm.hits, warm.misses) == (spec.job_count, 0)
 
     def test_under_a_kill_worker_fault_plan(self, pool_of, tmp_path):
         spec = sweep_spec(max_designs=3)
@@ -228,11 +230,15 @@ class TestSweepReductionContract:
 # The result cache under reduced jobs
 # --------------------------------------------------------------------- #
 def entry_sizes(cache_dir: Path) -> dict:
-    """``{design: result.pkl bytes}`` of every entry of a result cache."""
+    """``{design: result.pkl bytes}`` of every entry of a result cache.
+
+    Each entry of a one-workload sweep holds one design's points.
+    """
+    store = ResultStore(cache_dir)
     sizes = {}
     for path in cache_dir.glob("*/*/result.pkl"):
-        meta = json.loads((path.parent / "meta.json").read_text(encoding="utf-8"))
-        sizes[meta["design"]] = path.stat().st_size
+        [design] = {point.design for point in store.load(path)}
+        sizes[design] = path.stat().st_size
     return sizes
 
 
@@ -244,9 +250,9 @@ class TestCachedSweeps:
         backend = CachingBackend(SerialBackend() if inner == "serial" else pool_of(2),
                                  tmp_path / "cache")
         assert run_sweep(spec, backend=backend).points == expected
-        backend.reset_counters()
+        cold = backend.stats.snapshot()
         assert run_sweep(spec, backend=backend).points == expected
-        assert backend.stats.misses == 0
+        assert backend.stats.since(cold).misses == 0
 
     def test_each_trace_ships_once_per_backend(self, monkeypatch, pool_of, tmp_path):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -328,6 +334,18 @@ class TestCachedSweeps:
         run_sweep(spec, backend=CachingBackend(SerialBackend(), cache_dir))
         files = sorted(path.name for path in cache_dir.glob("*/*/*.pkl"))
         assert files == ["result.pkl"] * spec.job_count
+
+    def test_every_entry_is_one_result_file(self, tmp_path):
+        """A cold cached sweep leaves one ``result.pkl`` per entry and
+        nothing else, in the result cache and in the synthesis cache."""
+        spec = sweep_spec()
+        with using_settings(synth_cache=str(tmp_path / "synth")):
+            run_sweep(spec, cache_dir=str(tmp_path / "cache"))
+        for store, entries in (("cache", spec.job_count), ("synth", len(spec.entries))):
+            entry_dirs = list((tmp_path / store).glob("*/*"))
+            assert len(entry_dirs) == entries, store
+            for entry in entry_dirs:
+                assert [item.name for item in entry.iterdir()] == ["result.pkl"], entry
 
     def test_sweep_cache_entries_hold_points_not_words(self, tmp_path):
         sizes = {}
