@@ -38,7 +38,7 @@ setup(
                 "Overclocked Inexact Speculative Adders' (DATE 2017)",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     install_requires=["numpy"],
     entry_points={
         "console_scripts": [

@@ -6,13 +6,14 @@ RTL outputs, to predict whether that bit is timing-erroneous at a given
 overclocked period.  Because this reproduction is fully self-contained,
 the learners are implemented from scratch on NumPy as one CART core: one
 node type, depth-first grower, per-split feature draw, predictor and
-walker (:mod:`repro.ml.tree`) and one bagging loop (:mod:`repro.ml.forest`).
-Each tree plugs in its criterion.  The classifier counts Gini impurity
-exactly over binary features; the regressor (:mod:`repro.ml.regress`),
-the surrogate the adaptive design-space explorer fits to quadruple
-features, scores squared error with prefix sums over sorted columns.  The
-feature construction, the per-bit model and the ABPER/AVPE evaluation
-metrics mirror Sections III and IV-B of the paper.
+walker (:mod:`repro.ml.tree`) and one bagging loop
+(:mod:`repro.ml.forest`).  Each tree plugs in its criterion.  The
+classifier counts Gini impurity exactly over binary features, as popcounts
+of bit-packed columns; the regressor (:mod:`repro.ml.regress`), the
+surrogate the adaptive design-space explorer fits to quadruple features,
+scores squared error with prefix sums over sorted columns.  The feature
+construction, the per-bit model and the ABPER/AVPE evaluation metrics
+mirror Sections III and IV-B of the paper.
 """
 
 from repro.ml.tree import DecisionTreeClassifier

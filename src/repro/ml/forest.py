@@ -6,7 +6,10 @@ the trees' expressiveness against their overfitting; the ablation
 benchmark compares forest sizes against a single tree.  Both forests
 spawn two streams per tree from a master seed, one for its resample and
 one for its feature draws, so a seed grows the same ensemble bit for bit
-in any process.  The classifier's ``balanced`` mode is a bootstrap hook.
+in any process.  Each tree is fitted through its class's ``fit`` on a
+row ``take`` of its resample.  The classifier's ``balanced`` mode is a
+bootstrap hook, and it rejects labels other than 0 and 1 before any
+tree grows.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ class _Forest:
 
     def _bag(self, X: np.ndarray, y: np.ndarray) -> "_Forest":
         """Fit every tree, through its class's ``fit``, on its own resample."""
-        X, y = _training_arrays(X, y, self._tree_class._dtype, "forest")
+        X, y = _training_arrays(X, y, self._tree_class, "forest")
         self.n_features_ = X.shape[1]
         self.trees_ = []
         streams = spawn_rngs(self.seed, self.n_estimators * 2)
@@ -46,7 +49,7 @@ class _Forest:
             chosen = self._bootstrap(y, streams[2 * index])
             tree = self._tree_class(self.max_depth, self.min_samples_split,
                                     self.max_features, seed=streams[2 * index + 1])
-            tree.fit(X[chosen], y[chosen])
+            tree.fit(X.take(chosen, axis=0), y.take(chosen))
             self.trees_.append(tree)
         return self
 

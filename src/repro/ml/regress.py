@@ -46,8 +46,9 @@ class DecisionTreeRegressor(_Tree):
         return columns, y, np.arange(y.shape[0]), np.argsort(columns, axis=1, kind="stable")
 
     @staticmethod
-    def _targets(rows: tuple) -> np.ndarray:
-        return rows[1][rows[2]]
+    def _targets(rows: tuple) -> Tuple[np.ndarray, int, float]:
+        y = rows[1][rows[2]]
+        return y, y.shape[0], float(y.mean())
 
     @staticmethod
     def _partition(rows: tuple, feature: int, threshold: float) -> Tuple[tuple, tuple]:

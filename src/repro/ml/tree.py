@@ -3,7 +3,10 @@
 One node type, grower, feature draw, predictor and walker serve both
 trees; each plugs in a criterion.  :class:`DecisionTreeClassifier` counts
 Gini impurity over the paper's binary features (0/1 operand and output
-bits, 0/1 labels), each child growing on a boolean-mask copy of its rows;
+bits, 0/1 labels).  A fit packs each column into a Python ``int`` once,
+bit ``r`` set where row ``r`` is above 0; a node is two such bitsets, its
+rows and its positive rows, with their counts, so a candidate's split
+counts are two popcounts and a child's rows two ``&``.
 :class:`~repro.ml.regress.DecisionTreeRegressor` sums squared error over
 columns presorted once per tree.  Rows with ``x[feature] > threshold`` go
 right (a binary feature splits at 0).
@@ -11,6 +14,7 @@ right (a binary feature splits at 0).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
@@ -57,21 +61,24 @@ def _check_tree_parameters(max_depth: object, min_samples_split: object,
             _check_integer("min_samples_split", min_samples_split, 2), max_features)
 
 
-def _training_arrays(X: np.ndarray, y: np.ndarray, dtype: type, learner: str) -> tuple:
-    """``X`` and ``y`` as ``dtype`` arrays, checked for a consistent fit."""
-    X = np.asarray(X, dtype=dtype)
-    y = np.asarray(y, dtype=dtype)
+def _training_arrays(X: np.ndarray, y: np.ndarray, tree: type, learner: str) -> tuple:
+    """``X`` and ``y`` as arrays of ``tree``'s dtype, checked for a consistent fit."""
+    X = np.asarray(X, dtype=tree._dtype)
+    y = np.asarray(y, dtype=tree._dtype)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ModelError(f"inconsistent shapes X{X.shape} y{y.shape}")
-    if X.shape[0] == 0:
+    if 0 in X.shape:
         raise ModelError(f"cannot fit a {learner} on an empty dataset")
+    tree._check_targets(y)
     return X, y
 
 
 class _Tree:
-    """CART grown depth-first.  Subclasses set ``_dtype`` (of ``X`` and ``y``), ``_impurity(y,
-    mean)``, ``_best_split(rows, y, candidates, impurity) -> (feature, threshold, gain)`` and
-    the hooks that hold a node's rows (default: copies of ``(X, y)``, ``y`` in training order)."""
+    """CART grown depth-first.  Subclasses set ``_dtype`` (of ``X`` and ``y``) and their
+    criterion's hooks: ``_root_rows(X, y)``, the root's rows; ``_targets(rows) -> (targets,
+    size, prediction)`` of a node; ``_impurity(targets, prediction)``; ``_best_split(rows,
+    targets, candidates, impurity) -> (feature, threshold, gain)``; ``_partition(rows,
+    feature, threshold)``, both children's rows; and optionally ``_check_targets(y)``."""
 
     _dtype: type
 
@@ -84,7 +91,7 @@ class _Tree:
         self.n_features_: Optional[int] = None
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> "_Tree":
-        X, y = _training_arrays(X, y, self._dtype, "tree")
+        X, y = _training_arrays(X, y, type(self), "tree")
         self.n_features_ = X.shape[1]
         self._root = self._grow(self._root_rows(X, y), depth=0)
         return self
@@ -93,33 +100,23 @@ class _Tree:
         """Features examined at one split: all, or one fresh random draw."""
         if self.max_features is None:
             return np.arange(self.n_features_)
-        count = (max(1, int(np.sqrt(self.n_features_))) if self.max_features == "sqrt"
+        count = (max(1, math.isqrt(self.n_features_)) if self.max_features == "sqrt"
                  else min(self.max_features, self.n_features_))
         return self._rng.choice(self.n_features_, size=count, replace=False)
 
     @staticmethod
-    def _root_rows(X: np.ndarray, y: np.ndarray) -> tuple:
-        return X, y
-
-    @staticmethod
-    def _targets(rows: tuple) -> np.ndarray:
-        return rows[1]
-
-    @staticmethod
-    def _partition(rows: tuple, feature: int, threshold: float) -> Tuple[tuple, tuple]:
-        X, y = rows
-        right = X[:, feature] > threshold
-        return (X[~right], y[~right]), (X[right], y[right])
+    def _check_targets(y: np.ndarray) -> None:
+        """Raise :class:`ModelError` for targets the criterion cannot fit."""
 
     def _grow(self, rows, depth: int) -> _Node:
-        y = self._targets(rows)
-        node = _Node(prediction=float(y.mean()))
-        if depth >= self.max_depth or y.shape[0] < self.min_samples_split:
+        targets, size, prediction = self._targets(rows)
+        node = _Node(prediction=prediction)
+        if depth >= self.max_depth or size < self.min_samples_split:
             return node
-        impurity = self._impurity(y, node.prediction)
+        impurity = self._impurity(targets, prediction)
         if impurity <= _TOLERANCE:
             return node
-        feature, threshold, gain = self._best_split(rows, y, self._candidates(), impurity)
+        feature, threshold, gain = self._best_split(rows, targets, self._candidates(), impurity)
         if not gain > _TOLERANCE:
             return node
         node.feature, node.threshold = feature, threshold
@@ -192,32 +189,70 @@ class DecisionTreeClassifier(_Tree):
         return self._fit(X, y)
 
     @staticmethod
-    def _impurity(y: np.ndarray, mean: float) -> float:
+    def _check_targets(y: np.ndarray) -> None:
+        if y.max() > 1:
+            raise ModelError(f"labels must be 0 or 1, got {int(y.max())}")
+
+    @staticmethod
+    def _root_rows(X: np.ndarray, y: np.ndarray) -> tuple:
+        """Every column of ``X`` as a bitset, then the root's rows, positive rows and counts."""
+        blocks = -(-X.shape[0] // 8)
+        bits = np.zeros((8 * blocks, -(-X.shape[1] // 8) * 8), dtype=bool)
+        np.not_equal(X, 0, out=bits[:X.shape[0], :X.shape[1]])
+        # A word holds one row's bits of 8 columns, one per byte.  Shifting row k of
+        # each 8-row block by k and OR-ing the 8 leaves each column's byte of the block.
+        words = bits.view("<u8").reshape(blocks, 8, -1)
+        packed = words[:, 0].copy()
+        for row in range(1, 8):
+            packed |= words[:, row] << np.uint64(row)
+        raw = packed.astype("<u8", copy=False).view(np.uint8).T[:X.shape[1]].tobytes()
+        positives = int.from_bytes(np.packbits(y, bitorder="little").tobytes(), "little")
+        return ([int.from_bytes(raw[start:start + blocks], "little")
+                 for start in range(0, len(raw), blocks)],
+                (1 << y.shape[0]) - 1, positives, y.shape[0], positives.bit_count())
+
+    @staticmethod
+    def _targets(rows: tuple) -> Tuple[Tuple[int, int], int, float]:
+        return rows[3:], rows[3], rows[4] / rows[3]
+
+    @staticmethod
+    def _partition(rows: tuple, feature: int, threshold: float) -> Tuple[tuple, tuple]:
+        """Both children's rows; the rows set in the split column go right."""
+        columns, members, positives = rows[:3]
+        right, right_positives = members & columns[feature], positives & columns[feature]
+        size, count = right.bit_count(), right_positives.bit_count()
+        return ((columns, members ^ right, positives ^ right_positives, rows[3] - size,
+                 rows[4] - count), (columns, right, right_positives, size, count))
+
+    @staticmethod
+    def _impurity(counts: Tuple[int, int], mean: float) -> float:
         """Gini impurity of 0/1 labels."""
-        total, positives = y.shape[0], float(y.sum())
+        total, positives = counts
         return 1.0 - (positives / total) ** 2 - ((total - positives) / total) ** 2
 
     @staticmethod
-    def _best_split(rows: tuple, y: np.ndarray, candidates: np.ndarray,
+    def _best_split(rows: tuple, counts: Tuple[int, int], candidates: np.ndarray,
                     impurity: float) -> Tuple[int, int, float]:
-        """Candidate of the largest Gini decrease, every candidate counted at once."""
-        total = y.shape[0]
-        ones_mask = rows[0][:, candidates].astype(bool)
-        count_right = ones_mask.sum(axis=0).astype(np.float64)
-        count_left = total - count_right
-        pos_right = (ones_mask & y[:, None].astype(bool)).sum(axis=0).astype(np.float64)
-        pos_left = float(y.sum()) - pos_right
-
-        def weighted_gini(count: np.ndarray, positive: np.ndarray) -> np.ndarray:
-            p = positive / np.maximum(count, 1)
-            return count * (1.0 - p ** 2 - (1.0 - p) ** 2)
-
-        gains = impurity - (weighted_gini(count_left, pos_left) +
-                            weighted_gini(count_right, pos_right)) / total
-        # Splits that send every sample to one side provide no information.
-        gains[(count_left == 0) | (count_right == 0)] = -np.inf
-        best = int(np.argmax(gains))
-        return int(candidates[best]), 0, float(gains[best])
+        """Candidate of the largest Gini decrease, counted by popcounts; the first drawn wins a
+        tie, and a split sending every row one way scores ``-inf``."""
+        columns, members, positives, total, positive_total = rows
+        candidates = candidates.tolist()
+        best, best_gain = candidates[0], -math.inf
+        for feature in candidates:
+            column = columns[feature]
+            count_right = (column & members).bit_count()
+            if 0 < count_right < total:
+                count_left = total - count_right
+                pos_right = (column & positives).bit_count()
+                p, q = (positive_total - pos_right) / count_left, pos_right / count_right
+                # Products, as NumPy squares arrays: Python's float ``** 2`` (kept by
+                # _impurity) can round an ulp off, and the oracle pins both bit for bit.
+                r, s = 1.0 - p, 1.0 - q
+                gain = impurity - (count_left * (1.0 - p * p - r * r)
+                                   + count_right * (1.0 - q * q - s * s)) / total
+                if gain > best_gain:
+                    best, best_gain = feature, gain
+        return best, 0, best_gain
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Probability of the positive class for every row of ``X``."""

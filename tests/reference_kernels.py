@@ -1,10 +1,10 @@
 """Reference implementations of the production kernels (test oracles).
 
-Five oracles live here: the synthesis kernels, the per-gate logic loop,
-the dense timing loop, the regression tree's split search and the Pareto
-mask.  Each is the straightforward formulation production replaced, kept
-as the executable specification the production code must match bit for
-bit.
+Six oracles live here: the synthesis kernels, the per-gate logic loop,
+the dense timing loop, the regression and classification trees' split
+searches and the Pareto mask.  Each is the straightforward formulation
+production replaced, kept as the executable specification the production
+code must match bit for bit.
 
 *Synthesis.*  Production synthesis runs levelised kernels: optimize over an
 integer-indexed design (:mod:`repro.synth.optimize`), sizing and static
@@ -43,6 +43,12 @@ every node again, one feature at a time (:func:`_best_threshold`);
 share the grower, the feature draw, the predictor and the bagging loop
 with :mod:`repro.ml.regress` (``tests/test_ml_learners.py``).
 
+*Classification trees.*  :class:`ReferenceTreeClassifier` grows on
+boolean-mask copies of ``(X, y)`` too, and counts every candidate's Gini
+split with NumPy sums over the node's rows; the production classifier
+counts the same splits with popcounts of bit-packed columns.
+:class:`ReferenceForestClassifier` bags it (``tests/test_ml_learners.py``).
+
 *Pareto mask.*  :func:`nondominated_mask` compares every pair of rows
 in blocks (``tests/test_explore.py``).
 """
@@ -59,7 +65,9 @@ import numpy as np
 from repro.circuit.library import TechnologyLibrary
 from repro.circuit.netlist import CONST0, CONST1, Netlist
 from repro.circuit.sdf import DelayAnnotation
+from repro.ml.forest import RandomForestClassifier
 from repro.ml.regress import DecisionTreeRegressor, RandomForestRegressor
+from repro.ml.tree import DecisionTreeClassifier
 from repro.runtime.jobs import clear_design_cache
 from repro.settings import using_settings
 from repro.synth import flow
@@ -510,22 +518,27 @@ def _best_threshold(column: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
     return float(sse[best]), float(0.5 * (sorted_x[split] + sorted_x[split + 1]))
 
 
-class ReferenceTreeRegressor(DecisionTreeRegressor):
-    """The regression tree grown on boolean-mask copies, one column at a time."""
+class _MaskCopies:
+    """A node's rows as boolean-mask copies of ``(X, y)``, ``y`` in training order."""
 
     @staticmethod
     def _root_rows(X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return X, y
 
     @staticmethod
-    def _targets(rows: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        return rows[1]
+    def _targets(rows: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, int, float]:
+        y = rows[1]
+        return y, y.shape[0], float(y.mean())
 
     @staticmethod
     def _partition(rows, feature: int, threshold: float) -> tuple:
         X, y = rows
         right = X[:, feature] > threshold
         return (X[~right], y[~right]), (X[right], y[right])
+
+
+class ReferenceTreeRegressor(_MaskCopies, DecisionTreeRegressor):
+    """The regression tree grown on boolean-mask copies, one column at a time."""
 
     @staticmethod
     def _impurity(y: np.ndarray, mean: float) -> float:
@@ -547,6 +560,48 @@ class ReferenceForestRegressor(RandomForestRegressor):
     """:class:`RandomForestRegressor` bagging :class:`ReferenceTreeRegressor`."""
 
     _tree_class = ReferenceTreeRegressor
+
+
+# --------------------------------------------------------------------- #
+# Classification trees: boolean-mask copies, every candidate counted at once
+# --------------------------------------------------------------------- #
+class ReferenceTreeClassifier(_MaskCopies, DecisionTreeClassifier):
+    """The classifier grown on boolean-mask copies of ``(X, y)``, its Gini counts summed
+    over the candidate columns with NumPy."""
+
+    @staticmethod
+    def _impurity(y: np.ndarray, mean: float) -> float:
+        """Gini impurity of 0/1 labels."""
+        total, positives = y.shape[0], float(y.sum())
+        return 1.0 - (positives / total) ** 2 - ((total - positives) / total) ** 2
+
+    @staticmethod
+    def _best_split(rows: tuple, y: np.ndarray, candidates: np.ndarray,
+                    impurity: float) -> Tuple[int, int, float]:
+        """Candidate of the largest Gini decrease, every candidate counted at once."""
+        total = y.shape[0]
+        ones_mask = rows[0][:, candidates].astype(bool)
+        count_right = ones_mask.sum(axis=0).astype(np.float64)
+        count_left = total - count_right
+        pos_right = (ones_mask & y[:, None].astype(bool)).sum(axis=0).astype(np.float64)
+        pos_left = float(y.sum()) - pos_right
+
+        def weighted_gini(count: np.ndarray, positive: np.ndarray) -> np.ndarray:
+            p = positive / np.maximum(count, 1)
+            return count * (1.0 - p ** 2 - (1.0 - p) ** 2)
+
+        gains = impurity - (weighted_gini(count_left, pos_left) +
+                            weighted_gini(count_right, pos_right)) / total
+        # Splits that send every sample to one side provide no information.
+        gains[(count_left == 0) | (count_right == 0)] = -np.inf
+        best = int(np.argmax(gains))
+        return int(candidates[best]), 0, float(gains[best])
+
+
+class ReferenceForestClassifier(RandomForestClassifier):
+    """:class:`RandomForestClassifier` bagging :class:`ReferenceTreeClassifier`."""
+
+    _tree_class = ReferenceTreeClassifier
 
 
 # --------------------------------------------------------------------- #

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_kernels import ReferenceForestRegressor
+from reference_kernels import (ReferenceForestClassifier, ReferenceForestRegressor,
+                               ReferenceTreeClassifier)
 from repro.exceptions import ModelError
 from repro.explore.adaptive import candidate_matrix
 from repro.families import get_family
@@ -86,6 +87,34 @@ class TestDecisionTree:
         with pytest.raises(ModelError):
             DecisionTreeClassifier().fit(np.zeros((0, 3), dtype=np.uint8),
                                          np.zeros(0, dtype=np.uint8))
+
+
+class TestClassifierLabels:
+    """Labels other than 0 and 1 are rejected: a node's mean would count a 2 twice."""
+
+    @pytest.mark.parametrize("learner", [DecisionTreeClassifier, RandomForestClassifier],
+                             ids=lambda learner: learner.__name__)
+    @pytest.mark.parametrize("label", [2, 3, 255, -1])
+    def test_labels_other_than_0_1_rejected(self, learner, label):
+        X, y = make_dataset(lambda X: X[:, 0], samples=200, features=6)
+        with pytest.raises(ModelError, match=r"^labels must be 0 or 1, got \d+$"):
+            learner(seed=0).fit(X, np.where(y == 1, label, 0))
+
+    def test_forest_rejects_a_label_its_resamples_miss(self):
+        """The forest checks all its labels, not only those a tree draws."""
+        X, y = make_dataset(lambda X: X[:, 0], samples=200, features=6)
+        y[17] = 2
+        with pytest.raises(ModelError, match="^labels must be 0 or 1"):
+            RandomForestClassifier(n_estimators=1, seed=0, class_weight="balanced").fit(X, y)
+
+    @pytest.mark.parametrize("learner", [DecisionTreeClassifier, RandomForestClassifier],
+                             ids=lambda learner: learner.__name__)
+    def test_boolean_and_wide_integer_labels_accepted(self, learner):
+        X, y = make_dataset(lambda X: X[:, 1] & X[:, 2])
+        fitted = [learner(seed=3).fit(X, labels).predict_proba(X)
+                  for labels in (y, y.astype(bool), y.astype(np.int64))]
+        assert fitted[0].tobytes() == fitted[1].tobytes() == fitted[2].tobytes()
+        assert fitted[0].min() >= 0.0 and fitted[0].max() <= 1.0
 
 
 class TestRandomForest:
@@ -289,6 +318,14 @@ class TestHyperparameterValidation:
                 learner(max_features=value)
 
 
+class TestEmptyMatrices:
+    @pytest.mark.parametrize("learner", LEARNERS, ids=lambda learner: learner.__name__)
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+    def test_no_rows_or_no_columns_rejected(self, learner, shape):
+        with pytest.raises(ModelError, match="empty dataset$"):
+            learner().fit(np.zeros(shape), np.zeros(shape[0]))
+
+
 def _adder_like_bits(samples, seed):
     """Binary rows shaped like a 32-bit adder's features: 130 columns
     (two operands now and one cycle earlier, plus two output bits) with
@@ -423,3 +460,103 @@ class TestRegressorMatchesOracle:
             assert values.tobytes() == expected_values.tobytes()
         probe = np.vstack([X, X[: size // 2] + 0.5])
         assert forests[0].predict_all(probe).tobytes() == forests[1].predict_all(probe).tobytes()
+
+
+def _classifier_rows(rows, columns, labels, seed):
+    """``rows`` x ``columns`` uint8 features: 0/1 bits, every fourth column valued 0-3, the
+    last a copy of the first (a tie the first drawn wins) and, past three columns, an
+    all-zero and an all-one column; labels from a noisy rule, rare, or constant."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2, size=(rows, columns)).astype(np.uint8)
+    X[:, 1::4] = rng.integers(0, 4, size=X[:, 1::4].shape)
+    X[:, -1] = X[:, 0]
+    if columns > 3:
+        X[:, 2], X[:, 3] = 0, 1
+    rule = (X[:, 0] + (X[:, 1] > 1) + X[:, columns // 2].astype(bool)) >= 2
+    y = {"rule": rule ^ (rng.random(rows) < 0.1), "rare": rule & (rng.random(rows) < 0.08),
+         "zeros": np.zeros(rows, dtype=bool), "ones": np.ones(rows, dtype=bool)}[labels]
+    return X, y.astype(np.uint8)
+
+
+def _assert_same_trees(trees, references):
+    for tree, reference in zip(trees, references, strict=True):
+        assert vars(tree).keys() == vars(reference).keys()
+        (features, values), (expected_features, expected_values) = (
+            _preorder(tree), _preorder(reference))
+        assert np.array_equal(features, expected_features)
+        assert values.tobytes() == expected_values.tobytes()
+
+
+class TestClassifierMatchesOracle:
+    """The popcount split search over packed columns grows the trees of the boolean-mask
+    oracle, node for node and bit for bit, and predicts the same bytes."""
+
+    @staticmethod
+    def check(X, y, max_features, class_weight, seed):
+        probe = np.vstack([X, np.random.default_rng(seed).integers(0, 4, size=(16, X.shape[1]))])
+        trees = [learner(max_features=max_features, seed=seed).fit(X, y)
+                 for learner in (DecisionTreeClassifier, ReferenceTreeClassifier)]
+        _assert_same_trees([trees[0]], [trees[1]])
+        assert trees[0].predict_proba(probe).tobytes() == trees[1].predict_proba(probe).tobytes()
+        forests = [learner(n_estimators=3, max_features=max_features, class_weight=class_weight,
+                           seed=seed).fit(X, y)
+                   for learner in (RandomForestClassifier, ReferenceForestClassifier)]
+        _assert_same_trees(forests[0].trees_, forests[1].trees_)
+        outputs = [forest.predict_proba(probe).tobytes() for forest in forests]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    @pytest.mark.parametrize("max_features", [None, 5, "sqrt"])
+    @pytest.mark.parametrize("columns", [3, 64, 65, 130])
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 65, 640, 2499])
+    def test_learners_match_reference(self, rows, columns, max_features, class_weight):
+        X, y = _classifier_rows(rows, columns, "rule", seed=rows * 131 + columns)
+        self.check(X, y, max_features, class_weight, seed=rows + columns)
+
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    @pytest.mark.parametrize("max_features", [None, 5, "sqrt"])
+    @pytest.mark.parametrize("labels", ["zeros", "ones", "rare"])
+    @pytest.mark.parametrize("rows,columns", [(9, 3), (640, 65), (2499, 130)])
+    def test_label_mixes_match_reference(self, rows, columns, labels, max_features,
+                                         class_weight):
+        X, y = _classifier_rows(rows, columns, labels, seed=rows * 131 + columns)
+        self.check(X, y, max_features, class_weight, seed=rows + columns)
+
+    def test_adder_like_forest_matches_reference(self):
+        X, y = _adder_like_bits(2499, seed=41)
+        self.check(X, y, "sqrt", None, seed=7)
+
+    def test_every_node_mean_and_impurity_match_reference(self):
+        """Equal trees can hide a float an ulp off: compare each node's mean and Gini
+        impurity, for every label count of up to 300 rows, bit for bit."""
+        X = np.zeros((300, 1), dtype=np.uint8)
+        for total in range(1, 301):
+            for positives in range(total + 1):
+                y = (np.arange(total) < positives).astype(np.uint8)
+                rows = DecisionTreeClassifier._root_rows(X[:total], y)
+                node = DecisionTreeClassifier._targets(rows)
+                expected = ReferenceTreeClassifier._targets((X[:total], y))
+                assert node[1:] == expected[1:]
+                assert (DecisionTreeClassifier._impurity(node[0], node[2])
+                        == ReferenceTreeClassifier._impurity(expected[0], expected[2]))
+
+    @pytest.mark.parametrize("positives", [33, 66, 132])
+    def test_every_split_of_a_node_scores_the_reference_gain(self, positives):
+        """Score every (rows, positives) split of a 164-row node, one candidate column at a
+        time, against the oracle's gain, bit for bit."""
+        rows = 164
+        y = (np.arange(rows) < positives).astype(np.uint8)
+        splits = [(right, right_positives) for right in range(rows + 1)
+                  for right_positives in range(max(0, right - rows + positives),
+                                               min(right, positives) + 1)]
+        X = np.zeros((rows, len(splits)), dtype=np.uint8)
+        for column, (right, right_positives) in enumerate(splits):
+            X[:right_positives, column] = 1
+            X[positives:positives + right - right_positives, column] = 1
+        packed = DecisionTreeClassifier._root_rows(X, y)
+        counts, _, mean = DecisionTreeClassifier._targets(packed)
+        impurity = DecisionTreeClassifier._impurity(counts, mean)
+        for column in range(X.shape[1]):
+            candidates = np.array([column])
+            assert (DecisionTreeClassifier._best_split(packed, counts, candidates, impurity)
+                    == ReferenceTreeClassifier._best_split((X, y), y, candidates, impurity))
