@@ -12,10 +12,11 @@ Python object graph on the hot path:
 Two programs are provided:
 
 :class:`CompiledProgram`
-    Zero-delay logic evaluation.  Bit-exact with the reference per-gate
-    ``uint8`` loop in :meth:`Netlist.evaluate`; used transparently by
-    :meth:`Netlist.evaluate` / :meth:`Netlist.compute_words` for 1-D
-    stimulus arrays.
+    Zero-delay logic evaluation: each gate batch runs its cell's one
+    bitwise kernel (:attr:`repro.circuit.cells.Cell.kernel`).  It is the
+    only logic evaluator: :meth:`Netlist.evaluate` and
+    :meth:`Netlist.compute_words` run it for every stimulus shape, and
+    the timing simulators take every net's settled values from it.
 
 :class:`PackedTimingProgram`
     The timing half of the compiled engine.  Per-gate transport delays
@@ -202,7 +203,7 @@ class CompiledProgram:
             operand_ids = tuple(
                 np.array([net_id[g.inputs[pin]] for g in gates], dtype=np.int64)
                 for pin in range(cell_def.arity))
-            self.batches.append(_EvalBatch(cell_def.packed_function, out_ids, operand_ids))
+            self.batches.append(_EvalBatch(cell_def.kernel, out_ids, operand_ids))
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -255,14 +256,9 @@ class CompiledProgram:
                  ) -> Dict[str, np.ndarray]:
         """Packed evaluation returning every net as a ``(length,)`` 0/1 array.
 
-        This is the compiled replacement for the reference per-gate loop
-        in :meth:`Netlist.evaluate`; inputs must already be validated.
+        :meth:`Netlist.evaluate` validates and flattens the stimulus.
         """
-        values = self.run_packed(
-            {net: pack_bits(np.ascontiguousarray(bits, dtype=np.uint8))
-             for net, bits in bit_inputs.items()},
-            packed_word_count(length))
-        unpacked = unpack_bits(values, length)
+        unpacked = unpack_bits(self.evaluate_bits(bit_inputs, length), length)
         return {net: unpacked[row] for net, row in self.net_id.items()}
 
     def decode_words(self, values: np.ndarray, nets: Sequence[str], length: int) -> np.ndarray:

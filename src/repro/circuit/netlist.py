@@ -10,18 +10,19 @@ Buses (e.g. the 32 bits of operand ``A``) are registered by the adder
 generators so that encoding integer operands into per-net values and
 decoding output words back into integers is uniform across the library.
 
-The stimulus shape picks the evaluation path.  A batch of equally long
-1-D cycle arrays runs the netlist lowered once into a bit-packed
+Every evaluation runs the netlist lowered once into a bit-packed
 :class:`~repro.circuit.compiled.CompiledProgram` (64 cycles per
-``uint64`` word); any other shape (scalars, matrices) walks the gates in
-topological order with per-gate ``uint8`` NumPy calls.  Both are
-bit-exact against each other.
+``uint64`` word), whatever the stimulus shape: a scalar, a cycle array
+or a matrix is broadcast, flattened into one cycle batch, evaluated and
+reshaped.  :meth:`Netlist.expand_operands` is the one expansion of
+word-level operands into per-net bits, shared by
+:meth:`Netlist.compute_words` and both timing simulators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,7 +72,6 @@ class Netlist:
         self._gate_names: Dict[str, Gate] = {}
         self._nets: Dict[str, None] = {CONST0: None, CONST1: None}
         self._order_cache: Optional[List[Gate]] = None
-        self._eval_plan: Optional[List[Tuple[Callable, Tuple[str, ...], str]]] = None
         self._compiled_cache = None  # CompiledProgram
 
     # ------------------------------------------------------------------ #
@@ -194,19 +194,7 @@ class Netlist:
     # ------------------------------------------------------------------ #
     def _invalidate_caches(self) -> None:
         self._order_cache = None
-        self._eval_plan = None
         self._compiled_cache = None
-
-    def evaluation_plan(self) -> List[Tuple[Callable, Tuple[str, ...], str]]:
-        """Cached ``(cell function, input nets, output net)`` triples.
-
-        Resolving each gate's cell definition once here keeps the
-        per-gate evaluation loop free of per-call dictionary lookups.
-        """
-        if self._eval_plan is None:
-            self._eval_plan = [(cell(gate.cell).function, gate.inputs, gate.output)
-                               for gate in self.topological_order()]
-        return self._eval_plan
 
     def compiled(self):
         """The cached bit-packed program for this netlist, compiled at
@@ -219,15 +207,13 @@ class Netlist:
     def __getstate__(self) -> Dict[str, object]:
         """Pickle without the derived caches.
 
-        The evaluation plan and the compiled programs hold kernel
-        references and large index arrays that are cheaper to rebuild in
-        the receiving process (where they are cached again) than to
-        serialise — this is what lets the multiprocess runtime backend
-        ship netlists to workers.
+        The compiled program holds kernel references and large index
+        arrays that are cheaper to rebuild in the receiving process
+        (where it is cached again) than to serialise — this is what lets
+        the multiprocess runtime backend ship netlists to workers.
         """
         state = self.__dict__.copy()
         state["_order_cache"] = None
-        state["_eval_plan"] = None
         state["_compiled_cache"] = None
         return state
 
@@ -252,69 +238,32 @@ class Netlist:
         return self._order_cache
 
     def evaluate(self, input_values: Mapping[str, BitValues]) -> Dict[str, np.ndarray]:
-        """Zero-delay logic evaluation.
+        """Zero-delay logic evaluation on the compiled program.
 
-        ``input_values`` maps every primary input net to a 0/1 scalar or
-        array; all arrays must share a shape.  Returns the value of every
-        net: from the bit-packed program when the stimulus is a batch of
-        equally long 1-D arrays, else from the per-gate ``uint8`` loop.
+        ``input_values`` maps every primary input net to 0/1 values: a
+        scalar or an array, all broadcastable to one shape.  Returns the
+        value of every net, constants included, as a ``uint8`` array of
+        that shape.
         """
-        checked: Dict[str, np.ndarray] = {}
+        checked = []
         for net in self.inputs:
             if net not in input_values:
                 raise SimulationError(f"missing value for primary input {net!r}")
-            arr = np.asarray(input_values[net], dtype=np.uint8)
-            if arr.size and arr.max() > 1:
-                raise SimulationError(f"input {net!r} carries non-binary values")
-            checked[net] = arr
-
-        length = self._packed_length(checked)
-        if length is not None:
-            return self.compiled().evaluate(checked, length)
-
-        values: Dict[str, np.ndarray] = {
-            CONST0: np.asarray(0, dtype=np.uint8),
-            CONST1: np.asarray(1, dtype=np.uint8),
-        }
-        values.update(checked)
-        for function, input_nets, output in self.evaluation_plan():
-            values[output] = function(*[values[net] for net in input_nets])
-        return values
-
-    def _packed_length(self, checked: Mapping[str, np.ndarray]) -> Optional[int]:
-        """Trace length when the stimulus fits the packed program, else None."""
-        length: Optional[int] = None
-        for arr in checked.values():
-            if arr.ndim != 1:
-                return None
-            if length is None:
-                length = int(arr.shape[0])
-            elif int(arr.shape[0]) != length:
-                return None
-        if not length:
-            return None
-        return length
+            checked.append(_binary(net, input_values[net]))
+        try:
+            stimulus = np.broadcast_arrays(*checked)
+        except ValueError:
+            raise SimulationError("input values do not broadcast to one shape") from None
+        shape = stimulus[0].shape if stimulus else ()
+        size = int(np.prod(shape))
+        values = self.compiled().evaluate(
+            {net: bits.reshape(size) for net, bits in zip(self.inputs, stimulus)}, size)
+        return {net: row.reshape(shape) for net, row in values.items()}
 
     def evaluate_outputs(self, input_values: Mapping[str, BitValues]) -> List[np.ndarray]:
-        """Zero-delay evaluation returning only the primary outputs, in order.
-
-        Constant or pass-through outputs are broadcast to the shape of the
-        primary-input stimulus so callers always receive consistent shapes.
-        """
+        """Zero-delay evaluation returning only the primary outputs, in order."""
         values = self.evaluate(input_values)
-        shape = ()
-        for net in self.inputs:
-            arr = np.asarray(values[net])
-            if arr.ndim > 0:
-                shape = arr.shape
-                break
-        outputs = []
-        for net in self.outputs:
-            arr = np.asarray(values[net], dtype=np.uint8)
-            if arr.shape != shape:
-                arr = np.broadcast_to(arr, shape).copy()
-            outputs.append(arr)
-        return outputs
+        return [values[net] for net in self.outputs]
 
     # ------------------------------------------------------------------ #
     # Word-level convenience
@@ -347,40 +296,65 @@ class Netlist:
             words = words | (bit << np.uint64(i))
         return words
 
+    def expand_operands(self, operands: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """Expand word-level operands into per-net 0/1 ``uint8`` values.
+
+        Keys of ``operands`` may be registered bus names (values are
+        integer words, one per cycle) or individual primary-input nets
+        (values are 0/1).  Every entry must have the same shape, every
+        value must fit its bus or be 0/1, and the expansion must drive
+        every primary input; a
+        :class:`~repro.exceptions.SimulationError` is raised otherwise.
+        This is the one expansion behind :meth:`compute_words` and both
+        timing simulators.
+        """
+        expanded: Dict[str, np.ndarray] = {}
+        shape: Optional[Tuple[int, ...]] = None
+        for name, values in operands.items():
+            values = np.asarray(values)
+            if name in self.buses:
+                expanded.update(self.encode_bus(name, values))
+            elif name in self.inputs:
+                expanded[name] = _binary(name, values)
+            else:
+                raise SimulationError(f"unknown operand {name!r}: not a bus or input net")
+            if shape is None:
+                shape = values.shape
+            elif values.shape != shape:
+                raise SimulationError("all operands must have the same shape")
+        missing = [net for net in self.inputs if net not in expanded]
+        if missing:
+            raise SimulationError(f"operand trace does not drive inputs {missing}")
+        return expanded
+
     def compute_words(self, operand_words: Mapping[str, np.ndarray],
                       output_bus: str = "S") -> np.ndarray:
         """Evaluate the netlist on word-level operands and decode an output bus.
 
-        Keys of ``operand_words`` may be registered bus names (values are
-        integer words) or individual primary-input nets (values are 0/1).
-        On the bit-packed program only the requested output bus is
-        unpacked from the packed value matrix, which keeps word-level
-        characterisation traffic proportional to the bus width rather
-        than the netlist size.
+        ``operand_words`` is what :meth:`expand_operands` takes, of any
+        shape; the words come back in that shape.  Only the requested
+        output bus is unpacked from the packed value matrix, which keeps
+        word-level characterisation traffic proportional to the bus
+        width rather than the netlist size.
         """
         if output_bus not in self.buses:
             raise NetlistError(f"netlist {self.name!r} has no bus {output_bus!r}")
-        input_values: Dict[str, np.ndarray] = {}
-        for name, words in operand_words.items():
-            if name in self.buses:
-                input_values.update(self.encode_bus(name, words))
-            elif name in self.inputs:
-                arr = np.asarray(words, dtype=np.uint8)
-                if arr.size and arr.max() > 1:
-                    raise SimulationError(f"input {name!r} carries non-binary values")
-                input_values[name] = arr
-            else:
-                raise NetlistError(f"unknown operand {name!r}: not a bus or input net")
-        missing = [net for net in self.inputs if net not in input_values]
-        if missing:
-            raise SimulationError(f"operands do not cover primary inputs {missing}")
-
-        length = self._packed_length(input_values)
-        if length is not None:
-            return self.compiled().compute_words(input_values, length,
-                                                 self.buses[output_bus])
-        return self.decode_bus(output_bus, self.evaluate(input_values))
+        bits = self.expand_operands(operand_words)
+        shape = next(iter(bits.values())).shape if bits else ()
+        size = int(np.prod(shape))
+        words = self.compiled().compute_words(
+            {net: values.reshape(size) for net, values in bits.items()}, size,
+            self.buses[output_bus])
+        return words.reshape(shape)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"Netlist({self.name!r}, gates={self.num_gates}, "
                 f"inputs={len(self.inputs)}, outputs={len(self.outputs)})")
+
+
+def _binary(net: str, values: BitValues) -> np.ndarray:
+    """``values`` of one input net as ``uint8``, checked to be 0/1 only."""
+    values = np.asarray(values)
+    if values.size and (values.max() > 1 or values.min() < 0):
+        raise SimulationError(f"input {net!r} carries non-binary values")
+    return values.astype(np.uint8, copy=False)

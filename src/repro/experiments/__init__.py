@@ -1,11 +1,10 @@
 """Experiment drivers reproducing the paper's evaluation figures.
 
-Each module regenerates one artefact of Section V of the paper:
+Each module regenerates artefacts of Section V of the paper:
 
-* :mod:`~repro.experiments.fig7_abper` — Fig. 7, bit-level prediction
-  error rate (ABPER) per design and CPR.
-* :mod:`~repro.experiments.fig8_avpe` — Fig. 8, value-level predictive
-  error (AVPE) per design and CPR.
+* :mod:`~repro.experiments.prediction` — Figs. 7 and 8, the bit-level
+  prediction error rate (ABPER) and the value-level predictive error
+  (AVPE) per design and CPR, from one trained prediction study.
 * :mod:`~repro.experiments.fig9_rms` — Fig. 9(a-c), structural / timing /
   joint relative-error RMS per design and CPR.
 * :mod:`~repro.experiments.fig10_distribution` — Fig. 10, bit-position
@@ -24,8 +23,6 @@ from repro.experiments.common import (
     characterize_designs,
 )
 from repro.experiments.designs import PAPER_QUADRUPLES, exact_entry, paper_design_entries
-from repro.experiments.fig7_abper import run_fig7
-from repro.experiments.fig8_avpe import run_fig8
 from repro.experiments.fig9_rms import Fig9Result, run_fig9
 from repro.experiments.fig10_distribution import Fig10Result, run_fig10
 from repro.experiments.prediction import PredictionStudyResult, run_prediction_study
@@ -39,8 +36,6 @@ __all__ = [
     "PAPER_QUADRUPLES",
     "paper_design_entries",
     "exact_entry",
-    "run_fig7",
-    "run_fig8",
     "run_fig9",
     "run_fig10",
     "Fig9Result",

@@ -7,8 +7,8 @@
 * :mod:`~repro.timing.event_sim` — event-driven (transport-delay)
   gate-level simulator used as the reference model and for glitch-aware
   studies.
-* :mod:`~repro.timing.operands` — word-level operand expansion shared by
-  both simulators.
+* :mod:`~repro.timing.operands` — the memoised operand expansion and
+  the trace length both simulators read.
 * :mod:`~repro.timing.clocking` — clock plans and Clock-Period-Reduction
   (CPR) helpers.
 * :mod:`~repro.timing.errors` — extraction of per-bit and word-level
@@ -19,7 +19,6 @@ from repro.timing.clocking import ClockPlan, cpr_to_period, period_to_cpr
 from repro.timing.errors import TimingErrorTrace, extract_timing_errors
 from repro.timing.event_sim import EventDrivenSimulator
 from repro.timing.fast_sim import FastTimingSimulator
-from repro.timing.operands import expand_operand_traces
 from repro.timing.sta import TimingReport, analyze_timing, arrival_times, critical_path, gate_slacks
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "extract_timing_errors",
     "EventDrivenSimulator",
     "FastTimingSimulator",
-    "expand_operand_traces",
     "TimingReport",
     "analyze_timing",
     "arrival_times",

@@ -10,10 +10,13 @@ The simulator is implemented with a plain event queue in Python and is
 therefore orders of magnitude slower than
 :class:`repro.timing.fast_sim.FastTimingSimulator`; it is used for unit
 tests, for validating the fast simulator (ablation A2 in DESIGN.md) and
-for small glitch-sensitivity studies.  Trace runs lean on the compiled
-bit-packed logic engine where they can: the settled values that seed
-every transition's initial state are computed once for the whole trace,
-64 cycles per word, before the per-cycle event loops start.
+for small glitch-sensitivity studies.  Each event evaluates its gate with
+the cell's one bitwise kernel (:attr:`repro.circuit.cells.Cell.kernel`)
+on 0/1 Python ints, masked with ``& 1``.  Trace runs expand their
+operands with :meth:`~repro.circuit.netlist.Netlist.expand_operands` and
+lean on the compiled bit-packed logic program: the settled values that
+seed every transition's initial state are computed once for the whole
+trace, 64 cycles per word, before the per-cycle event loops start.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.circuit.netlist import Netlist
 from repro.circuit.sdf import DelayAnnotation
 from repro.exceptions import SimulationError
 from repro.timing.errors import TimingErrorTrace
-from repro.timing.operands import expand_operand_traces, trace_length
+from repro.timing.operands import trace_length
 from repro.utils.validation import is_positive_finite
 
 
@@ -61,26 +64,6 @@ class Waveform:
                    if self.changes[i][1] != self.changes[i - 1][1])
 
 
-#: Plain-Python boolean functions per cell, used by the event loop (the
-#: vectorised NumPy cell models are too slow for per-event evaluation).
-_SCALAR_CELL_FUNCTIONS = {
-    "INV": lambda a: 1 - a,
-    "BUF": lambda a: a,
-    "AND2": lambda a, b: a & b,
-    "OR2": lambda a, b: a | b,
-    "NAND2": lambda a, b: 1 - (a & b),
-    "NOR2": lambda a, b: 1 - (a | b),
-    "XOR2": lambda a, b: a ^ b,
-    "XNOR2": lambda a, b: 1 - (a ^ b),
-    "AND3": lambda a, b, c: a & b & c,
-    "OR3": lambda a, b, c: a | b | c,
-    "MUX2": lambda d0, d1, sel: d1 if sel else d0,
-    "MAJ3": lambda a, b, c: (a & b) | (a & c) | (b & c),
-    "AOI21": lambda a, b, c: 1 - ((a & b) | c),
-    "OAI21": lambda a, b, c: 1 - ((a | b) & c),
-}
-
-
 class EventDrivenSimulator:
     """Transport-delay event-driven simulator over a delay-annotated netlist."""
 
@@ -90,14 +73,8 @@ class EventDrivenSimulator:
         self.annotation = annotation
         self._fanout = netlist.fanout_map()
         self._delays = {gate.name: annotation.delay_of(gate.name) for gate in netlist.gates}
-        # Per-gate scalar evaluators and per-net fanout closures for the hot loop.
-        self._gate_eval = {}
-        for gate in netlist.gates:
-            try:
-                self._gate_eval[gate.name] = _SCALAR_CELL_FUNCTIONS[gate.cell]
-            except KeyError:
-                raise SimulationError(
-                    f"no scalar model for cell {gate.cell!r} (gate {gate.name!r})") from None
+        # Per-gate cell kernels, resolved once for the hot loop.
+        self._gate_eval = {gate.name: gate.cell_def.kernel for gate in netlist.gates}
 
     # ------------------------------------------------------------------ #
     def simulate_transition(self, previous_inputs: Mapping[str, int],
@@ -140,7 +117,7 @@ class EventDrivenSimulator:
             current[net] = value
             waveforms[net].changes.append((time, value))
             for gate in fanout[net]:
-                output_value = evaluators[gate.name](*[current[n] for n in gate.inputs])
+                output_value = evaluators[gate.name](*[current[n] for n in gate.inputs]) & 1
                 heapq.heappush(queue, (time + delays[gate.name], sequence,
                                        gate.output, output_value))
                 sequence += 1
@@ -183,7 +160,7 @@ class EventDrivenSimulator:
             if not is_positive_finite(clk):
                 raise SimulationError(
                     f"clock period must be positive and finite, got {clk}")
-        bit_traces = expand_operand_traces(self.netlist, operands)
+        bit_traces = self.netlist.expand_operands(operands)
         total = trace_length(bit_traces)
         if total < 2:
             raise SimulationError("a timing trace needs at least two input vectors")
@@ -199,9 +176,7 @@ class EventDrivenSimulator:
         # initial state without a per-cycle logic pass.
         all_values = self.netlist.evaluate(bit_traces)
         net_names = list(all_values.keys())
-        value_matrix = np.vstack([
-            np.broadcast_to(np.asarray(all_values[net], dtype=np.uint8), (total,))
-            for net in net_names])
+        value_matrix = np.vstack([all_values[net] for net in net_names])
 
         for index in range(1, total):
             initial = dict(zip(net_names, value_matrix[:, index - 1].tolist()))
@@ -217,9 +192,8 @@ class EventDrivenSimulator:
 
     # ------------------------------------------------------------------ #
     def _settled_values(self, inputs: Mapping[str, int]) -> Dict[str, int]:
-        values = self.netlist.evaluate({net: np.asarray(int(inputs[net]) & 1, dtype=np.uint8)
-                                        for net in self.netlist.inputs})
-        return {net: int(np.asarray(value)) for net, value in values.items()}
+        values = self.netlist.evaluate({net: int(inputs[net]) & 1 for net in self.netlist.inputs})
+        return {net: int(value) for net, value in values.items()}
 
     def _output_nets(self, output_bus: str) -> Sequence[str]:
         if output_bus not in self.netlist.buses:

@@ -59,11 +59,7 @@ from repro.circuit.sdf import DelayAnnotation
 from repro.exceptions import CompilationError, SimulationError
 from repro.obs.trace import span
 from repro.timing.errors import TimingErrorTrace
-from repro.timing.operands import (
-    expand_operand_traces,
-    expand_operand_traces_interned,
-    trace_length,
-)
+from repro.timing.operands import expand_operand_traces_interned, trace_length
 from repro.utils.validation import is_positive_finite
 
 #: Arrival-time value used for nets that do not switch in a cycle.
@@ -159,7 +155,7 @@ class FastTimingSimulator:
         all requested clock periods.
         """
         self._check_clocks(clock_periods)
-        input_trace = expand_operand_traces(self.netlist, operands)
+        input_trace = self.netlist.expand_operands(operands)
         total = trace_length(input_trace)
         if total < 2:
             raise SimulationError("a timing trace needs at least two input vectors")

@@ -1,15 +1,17 @@
-"""Word-level operand expansion shared by the timing simulators.
+"""Memoised operand expansion and trace length for the timing simulators.
 
-Both simulators accept the same stimulus dict: keys are registered bus
-names (values are integer words, one per cycle) or individual primary
-input nets (values are 0/1 arrays).  This module centralises the
-expansion into per-net bit traces and its validation, which used to be
-copy-pasted between the fast and the event-driven simulator.
+Both simulators accept the stimulus dict of
+:meth:`~repro.circuit.netlist.Netlist.expand_operands`: keys are
+registered bus names (values are integer words, one per cycle) or
+individual primary input nets (values are 0/1 arrays).  That method is
+the one expansion into per-net bit traces and its validation; this
+module memoises it across designs for batched sweeps and reads the
+common cycle count of its result.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -22,39 +24,10 @@ from repro.utils.lru import IdentityMemo
 _INTERN_CACHE: "IdentityMemo[Dict[str, np.ndarray]]" = IdentityMemo(16)
 
 
-def expand_operand_traces(netlist: Netlist,
-                          operands: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Expand word-level buses / scalar nets into per-net 0/1 bit traces.
-
-    Every entry of ``operands`` must carry the same number of cycles, and
-    the expansion must drive every primary input of ``netlist``; a
-    :class:`~repro.exceptions.SimulationError` is raised otherwise.
-    """
-    expanded: Dict[str, np.ndarray] = {}
-    length: Optional[int] = None
-    for name, values in operands.items():
-        values = np.asarray(values)
-        if name in netlist.buses:
-            expanded.update(netlist.encode_bus(name, values.astype(np.uint64)))
-        elif name in netlist.inputs:
-            expanded[name] = values.astype(np.uint8)
-        else:
-            raise SimulationError(f"unknown operand {name!r}: not a bus or input net")
-        current_length = int(values.shape[0])
-        if length is None:
-            length = current_length
-        elif current_length != length:
-            raise SimulationError("all operand traces must have the same length")
-    missing = [net for net in netlist.inputs if net not in expanded]
-    if missing:
-        raise SimulationError(f"operand trace does not drive inputs {missing}")
-    return expanded
-
-
 def expand_operand_traces_interned(netlist: Netlist,
                                    operands: Mapping[str, np.ndarray]
                                    ) -> Dict[str, np.ndarray]:
-    """Like :func:`expand_operand_traces`, memoised per operand identity.
+    """:meth:`Netlist.expand_operands`, memoised per operand identity.
 
     A design-space sweep expands the *same* workload trace once per
     design; the expansion only depends on the operand arrays and the
@@ -81,15 +54,14 @@ def expand_operand_traces_interned(netlist: Netlist,
     anchors = tuple(sources)
     expanded = _INTERN_CACHE.get(anchors, extra=extra)
     if expanded is None:
-        expanded = _INTERN_CACHE.put(anchors,
-                                     expand_operand_traces(netlist, operands),
+        expanded = _INTERN_CACHE.put(anchors, netlist.expand_operands(operands),
                                      extra=extra)
     return expanded
 
 
 def trace_length(bit_traces: Mapping[str, np.ndarray]) -> int:
-    """Common cycle count of expanded bit traces (validated)."""
-    lengths = {int(values.shape[0]) for values in bit_traces.values()}
-    if len(lengths) != 1:
-        raise SimulationError("inconsistent trace lengths after expansion")
-    return lengths.pop()
+    """Common cycle count of expanded bit traces, which must be 1-D."""
+    shapes = {values.shape for values in bit_traces.values()}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise SimulationError("a timing trace needs one 1-D array per operand")
+    return shapes.pop()[0]

@@ -10,7 +10,7 @@ significant bit.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -54,42 +54,6 @@ def set_bit_field(value: IntOrArray, offset: int, width: int, field: IntOrArray)
     return (int(value) & ~(field_mask << offset)) | ((int(field) & field_mask) << offset)
 
 
-def extract_bit(value: IntOrArray, position: int) -> IntOrArray:
-    """Return bit ``position`` of ``value`` as 0/1."""
-    return bit_field(value, position, 1)
-
-
-def saturate_field(value: IntOrArray, offset: int, width: int, direction: int) -> IntOrArray:
-    """Saturate a bit field to all ones (``direction > 0``) or all zeros (``direction < 0``).
-
-    This is the primitive used by the ISA error-reduction (balancing)
-    mechanism: the ``width`` MSBs of the preceding block sum are forced
-    towards the direction of the missing/extra carry to reduce the
-    relative error of the result.
-    """
-    if direction == 0:
-        return value
-    field = mask(width) if direction > 0 else 0
-    return set_bit_field(value, offset, width, field)
-
-
-def int_to_bits(value: int, width: int) -> List[int]:
-    """Return the ``width`` LSB-first bits of ``value`` as a list of 0/1 ints."""
-    if width < 0:
-        raise ConfigurationError(f"width must be non-negative, got {width}")
-    return [(int(value) >> i) & 1 for i in range(width)]
-
-
-def bits_to_int(bits: Sequence[int]) -> int:
-    """Inverse of :func:`int_to_bits`: assemble LSB-first bits into an integer."""
-    value = 0
-    for i, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ConfigurationError(f"bit values must be 0 or 1, got {bit!r} at index {i}")
-        value |= bit << i
-    return value
-
-
 def extract_bits_matrix(values: np.ndarray, width: int) -> np.ndarray:
     """Unpack a vector of integers into a ``(len(values), width)`` 0/1 matrix.
 
@@ -99,47 +63,3 @@ def extract_bits_matrix(values: np.ndarray, width: int) -> np.ndarray:
     values = np.asarray(values, dtype=np.uint64)
     shifts = np.arange(width, dtype=np.uint64)
     return ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-
-
-def bit_length_of(value: int) -> int:
-    """Return the bit length of ``abs(value)`` (0 for value 0)."""
-    return int(abs(int(value))).bit_length()
-
-
-def signed_magnitude_position(error: int) -> int:
-    """Map an arithmetic error to its bit-position equivalent.
-
-    Following the paper's Fig. 10, an arithmetic error ``e`` is translated
-    to the position of its most significant erroneous bit, i.e.
-    ``floor(log2(|e|))``.  An error of zero has no position and raises.
-    """
-    if error == 0:
-        raise ConfigurationError("a zero error has no bit-position equivalent")
-    return bit_length_of(error) - 1
-
-
-def popcount(value: IntOrArray) -> IntOrArray:
-    """Count set bits of an integer or of every element of a uint64 array."""
-    if isinstance(value, np.ndarray):
-        v = value.astype(np.uint64)
-        count = np.zeros(v.shape, dtype=np.int64)
-        while np.any(v):
-            count += (v & np.uint64(1)).astype(np.int64)
-            v = v >> np.uint64(1)
-        return count
-    return bin(int(value)).count("1")
-
-
-def hamming_distance(a: IntOrArray, b: IntOrArray) -> IntOrArray:
-    """Number of differing bits between ``a`` and ``b``."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return popcount(np.asarray(a, dtype=np.uint64) ^ np.asarray(b, dtype=np.uint64))
-    return popcount(int(a) ^ int(b))
-
-
-def chunks(sequence: Sequence, size: int) -> Iterable[Sequence]:
-    """Yield successive chunks of ``sequence`` of length ``size`` (last may be short)."""
-    if size <= 0:
-        raise ConfigurationError(f"chunk size must be positive, got {size}")
-    for start in range(0, len(sequence), size):
-        yield sequence[start:start + size]

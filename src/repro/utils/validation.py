@@ -45,10 +45,3 @@ def check_probability(name: str, value: Number) -> float:
     if not 0.0 <= value <= 1.0:
         raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
     return value
-
-
-def check_in_range(name: str, value: Number, low: Number, high: Number) -> Number:
-    """Validate that ``low <= value <= high`` and return ``value``."""
-    if not low <= value <= high:
-        raise ConfigurationError(f"{name} must lie in [{low}, {high}], got {value}")
-    return value

@@ -22,11 +22,15 @@ so it runs only inside :func:`reference_kernels`, which swaps this
 module's STA passes into :mod:`repro.timing.sta` (and its optimize and
 sizing into :mod:`repro.synth.flow`) for a ``with`` block.
 
-*Logic.*  :func:`evaluate_per_gate` and :func:`compute_words_per_gate`
-walk :meth:`repro.circuit.netlist.Netlist.evaluation_plan` one gate at a
-time on ``uint8`` arrays and never touch the bit-packed program that
-``Netlist.evaluate`` and ``Netlist.compute_words`` run on a 1-D cycle
-batch.
+*Logic.*  :data:`CELL_FUNCTIONS` defines every cell again, on ``uint8``
+arrays with ``1 - x`` for inversion, apart from the one bitwise kernel
+per cell in :mod:`repro.circuit.cells` (``tests/test_cells_library.py``
+checks each kernel against it on every input combination).
+:func:`evaluate_per_gate` and :func:`compute_words_per_gate` walk the
+gates one at a time in topological order on those functions and never
+touch the bit-packed program that ``Netlist.evaluate`` and
+``Netlist.compute_words`` run for every stimulus shape; they share only
+the operand expansion, ``Netlist.expand_operands``.
 
 *Dense timing.*  :class:`ReferenceTimingSimulator` evaluates the logic
 with the per-gate loop and propagates one float64 arrival array per net,
@@ -76,7 +80,7 @@ from repro.synth.sizing import SizingOptions, SizingResult
 from repro.timing import fast_sim, sta
 from repro.timing.errors import TimingErrorTrace
 from repro.timing.fast_sim import STABLE, BatchedTraceRun
-from repro.timing.operands import expand_operand_traces, trace_length
+from repro.timing.operands import trace_length
 
 
 # --------------------------------------------------------------------- #
@@ -342,8 +346,81 @@ def reference_kernels() -> Iterator[None]:
 
 
 # --------------------------------------------------------------------- #
-# Logic: the per-gate loop
+# Logic: the uint8 cell functions and the per-gate loop
 # --------------------------------------------------------------------- #
+def _u8(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.uint8)
+
+
+def _inv(a):
+    return _u8(1) - _u8(a)
+
+
+def _buf(a):
+    return _u8(a)
+
+
+def _and2(a, b):
+    return _u8(a) & _u8(b)
+
+
+def _or2(a, b):
+    return _u8(a) | _u8(b)
+
+
+def _nand2(a, b):
+    return _inv(_and2(a, b))
+
+
+def _nor2(a, b):
+    return _inv(_or2(a, b))
+
+
+def _xor2(a, b):
+    return _u8(a) ^ _u8(b)
+
+
+def _xnor2(a, b):
+    return _inv(_xor2(a, b))
+
+
+def _and3(a, b, c):
+    return _u8(a) & _u8(b) & _u8(c)
+
+
+def _or3(a, b, c):
+    return _u8(a) | _u8(b) | _u8(c)
+
+
+def _mux2(d0, d1, sel):
+    sel = _u8(sel)
+    return (_u8(d0) & (_u8(1) - sel)) | (_u8(d1) & sel)
+
+
+def _maj3(a, b, c):
+    a, b, c = _u8(a), _u8(b), _u8(c)
+    return (a & b) | (a & c) | (b & c)
+
+
+def _aoi21(a, b, c):
+    """Inverted (a AND b) OR c — a common compact carry cell."""
+    return _inv((_u8(a) & _u8(b)) | _u8(c))
+
+
+def _oai21(a, b, c):
+    """Inverted (a OR b) AND c."""
+    return _inv((_u8(a) | _u8(b)) & _u8(c))
+
+
+#: Every cell's boolean function on 0/1 ``uint8`` values, written apart
+#: from the bitwise kernels of :mod:`repro.circuit.cells` that it checks.
+CELL_FUNCTIONS = {
+    "INV": _inv, "BUF": _buf, "AND2": _and2, "OR2": _or2, "NAND2": _nand2,
+    "NOR2": _nor2, "XOR2": _xor2, "XNOR2": _xnor2, "AND3": _and3, "OR3": _or3,
+    "MUX2": _mux2, "MAJ3": _maj3, "AOI21": _aoi21, "OAI21": _oai21,
+}
+
+
 def evaluate_per_gate(netlist: Netlist,
                       input_values: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Every net's zero-delay value, one ``uint8`` call per gate in
@@ -351,15 +428,15 @@ def evaluate_per_gate(netlist: Netlist,
     values = {CONST0: np.asarray(0, dtype=np.uint8), CONST1: np.asarray(1, dtype=np.uint8)}
     values.update({net: np.asarray(input_values[net], dtype=np.uint8)
                    for net in netlist.inputs})
-    for function, input_nets, output in netlist.evaluation_plan():
-        values[output] = function(*[values[net] for net in input_nets])
+    for gate in netlist.topological_order():
+        values[gate.output] = CELL_FUNCTIONS[gate.cell](*[values[net] for net in gate.inputs])
     return values
 
 
 def compute_words_per_gate(netlist: Netlist, operand_words: Mapping[str, np.ndarray],
                            output_bus: str = "S") -> np.ndarray:
     """``netlist.compute_words`` on the per-gate loop."""
-    bits = expand_operand_traces(netlist, operand_words)
+    bits = netlist.expand_operands(operand_words)
     return netlist.decode_bus(output_bus, evaluate_per_gate(netlist, bits))
 
 
@@ -405,7 +482,7 @@ class ReferenceTimingSimulator:
     def run_trace_multi(self, operands: Mapping[str, np.ndarray],
                         clock_periods: Sequence[float], output_bus: str = "S",
                         chunk_size: int = 4096) -> Dict[float, TimingErrorTrace]:
-        input_trace = expand_operand_traces(self.netlist, operands)
+        input_trace = self.netlist.expand_operands(operands)
         return self._run_trace_multi_dense(input_trace, trace_length(input_trace),
                                            clock_periods, self.netlist.buses[output_bus],
                                            chunk_size)

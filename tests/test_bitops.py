@@ -43,10 +43,6 @@ class TestBitField:
         updated = bitops.set_bit_field(values, 4, 4, 0b1010)
         assert updated.tolist() == [0xA0, 0xAF]
 
-    def test_extract_bit(self):
-        assert bitops.extract_bit(0b100, 2) == 1
-        assert bitops.extract_bit(0b100, 1) == 0
-
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=0, max_value=28),
            st.integers(min_value=1, max_value=8))
@@ -56,79 +52,9 @@ class TestBitField:
         assert rebuilt == value
 
 
-class TestSaturateField:
-    def test_saturate_up(self):
-        assert bitops.saturate_field(0b0000_0000, 4, 3, +1) == 0b0111_0000
-
-    def test_saturate_down(self):
-        assert bitops.saturate_field(0b0111_0000, 4, 3, -1) == 0
-
-    def test_zero_direction_is_identity(self):
-        assert bitops.saturate_field(0b1010, 0, 4, 0) == 0b1010
-
-
-class TestIntBitsConversion:
-    def test_int_to_bits_lsb_first(self):
-        assert bitops.int_to_bits(0b1101, 4) == [1, 0, 1, 1]
-
-    def test_bits_to_int(self):
-        assert bitops.bits_to_int([1, 0, 1, 1]) == 0b1101
-
-    def test_bits_to_int_rejects_non_binary(self):
-        with pytest.raises(ConfigurationError):
-            bitops.bits_to_int([0, 2, 1])
-
-    @given(st.integers(min_value=0, max_value=2**16 - 1))
-    def test_roundtrip(self, value):
-        assert bitops.bits_to_int(bitops.int_to_bits(value, 16)) == value
-
-
 class TestExtractBitsMatrix:
     def test_shape_and_values(self):
         matrix = bitops.extract_bits_matrix(np.array([0b0110, 0b1001], dtype=np.uint64), 4)
         assert matrix.shape == (2, 4)
         assert matrix[0].tolist() == [0, 1, 1, 0]
         assert matrix[1].tolist() == [1, 0, 0, 1]
-
-
-class TestErrorPositions:
-    def test_signed_magnitude_position(self):
-        assert bitops.signed_magnitude_position(1) == 0
-        assert bitops.signed_magnitude_position(-8) == 3
-        assert bitops.signed_magnitude_position(255) == 7
-
-    def test_zero_error_rejected(self):
-        with pytest.raises(ConfigurationError):
-            bitops.signed_magnitude_position(0)
-
-    def test_bit_length(self):
-        assert bitops.bit_length_of(0) == 0
-        assert bitops.bit_length_of(-16) == 5
-
-
-class TestPopcountHamming:
-    def test_popcount_scalar(self):
-        assert bitops.popcount(0b1011) == 3
-
-    def test_popcount_array(self):
-        values = np.array([0, 0xFF, 0b101], dtype=np.uint64)
-        assert bitops.popcount(values).tolist() == [0, 8, 2]
-
-    def test_hamming_distance(self):
-        assert bitops.hamming_distance(0b1100, 0b1010) == 2
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_hamming_distance_to_self_is_zero(self, value):
-        assert bitops.hamming_distance(value, value) == 0
-
-
-class TestChunks:
-    def test_even_chunks(self):
-        assert list(bitops.chunks([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
-
-    def test_trailing_chunk(self):
-        assert list(bitops.chunks([1, 2, 3], 2)) == [[1, 2], [3]]
-
-    def test_bad_size(self):
-        with pytest.raises(ConfigurationError):
-            list(bitops.chunks([1], 0))

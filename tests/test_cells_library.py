@@ -1,8 +1,11 @@
 """Unit tests for the cell models and the technology library."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from reference_kernels import CELL_FUNCTIONS
 from repro.circuit.cells import CELLS, cell
 from repro.circuit.library import DEFAULT_DELAYS_PS, CellTiming, TechnologyLibrary, default_library
 from repro.exceptions import ConfigurationError, NetlistError
@@ -49,6 +52,47 @@ class TestCells:
             for b in (0, 1):
                 for c in (0, 1):
                     assert int(cell("MAJ3").evaluate(a, b, c)) == (a + b + c) // 2
+
+
+def _combinations(name):
+    """Every 0/1 input combination of a cell, and the oracle's output for each."""
+    combos = list(itertools.product((0, 1), repeat=CELLS[name].arity))
+    return combos, [int(CELL_FUNCTIONS[name](*combo)) for combo in combos]
+
+
+class TestOneKernel:
+    """Each cell's one bitwise kernel equals the oracle's ``uint8``
+    function in every operand form it serves."""
+
+    def test_oracle_covers_every_cell(self):
+        assert set(CELL_FUNCTIONS) == set(CELLS)
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_python_ints(self, name):
+        combos, expected = _combinations(name)
+        got = [cell(name).kernel(*combo) & 1 for combo in combos]
+        assert got == expected
+        assert [cell(name).evaluate(*combo) for combo in combos] == expected
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_uint8_arrays(self, name):
+        combos, expected = _combinations(name)
+        columns = [np.array(column, dtype=np.uint8) for column in zip(*combos)]
+        got = cell(name).evaluate(*columns)
+        assert got.dtype == np.uint8
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_packed_words_all_lanes(self, name):
+        """Lane ``i`` of every operand word holds combination ``i`` modulo
+        their count, so all 64 lanes of the result are checked."""
+        combos, expected = _combinations(name)
+        words = [np.array([sum(combos[lane % len(combos)][pin] << lane
+                               for lane in range(64))], dtype=np.uint64)
+                 for pin in range(CELLS[name].arity)]
+        result = int(cell(name).kernel(*words)[0])
+        assert [(result >> lane) & 1 for lane in range(64)] == \
+            [expected[lane % len(combos)] for lane in range(64)]
 
 
 class TestCellTiming:

@@ -37,9 +37,9 @@ from repro.runtime.jobs import synthesize_entry
 from repro.synth.flow import SynthesisOptions, exact_adder_netlist, synthesize
 from repro.timing import fast_sim
 from repro.timing.clocking import ClockPlan
-from repro.timing.event_sim import Waveform
+from repro.timing.event_sim import EventDrivenSimulator, Waveform
 from repro.timing.fast_sim import DENSE_MAX_TRANSITIONS, FastTimingSimulator
-from repro.timing.operands import expand_operand_traces, trace_length
+from repro.timing.operands import trace_length
 from repro.workloads.generators import uniform_workload
 
 RAGGED_LENGTHS = (1, 5, 63, 64, 65, 130)
@@ -61,7 +61,7 @@ def _random_operands(width, length, seed):
 
 def _changed(netlist, operands):
     """Packed old-vs-new diff of one trace, as a one-trace stack."""
-    bits = expand_operand_traces(netlist, operands)
+    bits = netlist.expand_operands(operands)
     old, new = netlist.compiled().evaluate_transitions_many(
         {net: values[None, :] for net, values in bits.items()}, trace_length(bits) - 1)
     return old ^ new
@@ -124,8 +124,8 @@ class TestPacking:
 
 
 class TestLogicEquivalence:
-    """Packed evaluation (``Netlist.compute_words`` / ``evaluate`` on a
-    1-D cycle batch) vs the per-gate ``uint8`` oracle."""
+    """Packed evaluation (``Netlist.compute_words`` / ``evaluate``, any
+    stimulus shape) vs the per-gate ``uint8`` oracle."""
 
     def test_exact_adders_bit_exact(self, exact_design, rng):
         netlist = exact_design.netlist
@@ -146,34 +146,54 @@ class TestLogicEquivalence:
         assert np.array_equal(netlist.compute_words(operands),
                               compute_words_per_gate(netlist, operands))
 
-    def test_evaluate_every_net(self, exact_design):
-        """The full per-net value dict agrees with the oracle's."""
+    @pytest.mark.parametrize("shape", [(77,), (), (7, 11)], ids=["1d", "scalar", "2d"])
+    def test_evaluate_every_net(self, exact_design, shape):
+        """The full per-net value dict agrees with the oracle's, for a
+        cycle batch, a scalar stimulus and a matrix alike; every net,
+        constants included, comes back in the stimulus shape."""
         netlist = exact_design.netlist
-        operands = _random_operands(16, 77, 23)
-        bits = expand_operand_traces(netlist, operands)
-        packed = netlist.evaluate(bits)
-        reference = evaluate_per_gate(netlist, bits)
-        for net in netlist.nets:
-            ref = np.broadcast_to(np.asarray(reference[net], dtype=np.uint8), (77,))
-            assert np.array_equal(packed[net], ref), f"net {net} diverges"
-
-    def test_scalar_stimulus_stays_on_reference(self, monkeypatch):
-        """A scalar stimulus runs the per-gate loop; no program is built."""
-        netlist = exact_adder_netlist(8, "ripple")
-        monkeypatch.setattr(Netlist, "compiled", lambda self: pytest.fail("compiled"))
-        stimulus = {net: 1 for net in netlist.inputs}
+        rng = np.random.default_rng(23)
+        stimulus = {net: rng.integers(0, 2, shape).astype(np.uint8)
+                    for net in netlist.inputs}
         values = netlist.evaluate(stimulus)
         reference = evaluate_per_gate(netlist, stimulus)
         for net in netlist.nets:
-            assert int(np.asarray(values[net])) == int(np.asarray(reference[net]))
+            ref = np.broadcast_to(np.asarray(reference[net], dtype=np.uint8), shape)
+            assert values[net].shape == shape
+            assert np.array_equal(values[net], ref), f"net {net} diverges"
 
-    def test_compute_words_rejects_non_binary_scalar_nets(self):
-        """The packed path validates scalar input nets."""
-        netlist = exact_adder_netlist(8, "ripple")
+    @pytest.mark.parametrize("shape", [(), (3, 40)], ids=["scalar", "2d"])
+    def test_compute_words_any_shape(self, exact_design, shape):
+        """Words come back in the operands' shape and equal the oracle's."""
+        netlist = exact_design.netlist
+        rng = np.random.default_rng(29)
+        operands = {"A": rng.integers(0, 1 << 16, shape).astype(np.uint64),
+                    "B": rng.integers(0, 1 << 16, shape).astype(np.uint64),
+                    "cin": rng.integers(0, 2, shape).astype(np.uint64)}
+        words = netlist.compute_words(operands)
+        assert words.shape == shape
+        assert np.array_equal(words, compute_words_per_gate(netlist, operands))
+
+    @pytest.mark.parametrize("entry", ["compute_words", "fast", "fast-batched", "event"])
+    def test_non_binary_net_operand_rejected(self, entry):
+        """A single input net carrying 2 is rejected by the one expansion,
+        on the logic path and on both timing tiers alike."""
+        design = synthesize(exact_adder_netlist(8, "ripple"))
         operands = _random_operands(8, 16, 5)
         operands["cin"] = np.full(16, 2, dtype=np.uint64)
-        with pytest.raises(SimulationError):
-            netlist.compute_words(operands)
+        clocks = [design.critical_path_delay]
+        with pytest.raises(SimulationError, match="non-binary"):
+            if entry == "compute_words":
+                design.netlist.compute_words(operands)
+            elif entry == "fast":
+                FastTimingSimulator(design.netlist, design.annotation).run_trace_multi(
+                    operands, clocks)
+            elif entry == "fast-batched":
+                FastTimingSimulator(design.netlist, design.annotation).run_traces_multi(
+                    [operands], clocks)
+            else:
+                EventDrivenSimulator(design.netlist, design.annotation).run_trace_multi(
+                    operands, clocks)
 
 
 def _assert_traces_equal(got, want, clock_periods):
@@ -498,7 +518,7 @@ class TestMultiTraceKernels:
             rows = np.zeros((len(traces), words), dtype=np.uint64)
             stacked[net] = rows
         for index, operands in enumerate(traces):
-            bits = expand_operand_traces(netlist, operands)
+            bits = netlist.expand_operands(operands)
             packed = {net: pack_bits(values) for net, values in bits.items()}
             per_trace_packed.append(packed)
             for net, row in packed.items():
@@ -515,7 +535,7 @@ class TestMultiTraceKernels:
         vectors t and t + 1 on every bit that names a real transition."""
         netlist = exact_design.netlist
         program = netlist.compiled()
-        traces = [expand_operand_traces(netlist, _random_operands(16, length, 83 + length))
+        traces = [netlist.expand_operands(_random_operands(16, length, 83 + length))
                   for length in lengths]
         longest = max(lengths)
         stacked = {}
@@ -560,23 +580,28 @@ class TestMultiTraceKernels:
 class TestOperandExpansion:
     def test_unknown_operand(self, exact_design):
         with pytest.raises(SimulationError):
-            expand_operand_traces(exact_design.netlist,
-                                  {"Z": np.array([1, 2], dtype=np.uint64)})
+            exact_design.netlist.expand_operands({"Z": np.array([1, 2], dtype=np.uint64)})
 
     def test_length_mismatch(self, exact_design):
         with pytest.raises(SimulationError):
-            expand_operand_traces(exact_design.netlist,
-                                  {"A": np.array([1, 2], dtype=np.uint64),
-                                   "B": np.array([1], dtype=np.uint64)})
+            exact_design.netlist.expand_operands({"A": np.array([1, 2], dtype=np.uint64),
+                                                  "B": np.array([1], dtype=np.uint64)})
 
     def test_missing_inputs(self, exact_design):
         with pytest.raises(SimulationError):
-            expand_operand_traces(exact_design.netlist,
-                                  {"A": np.array([1, 2], dtype=np.uint64)})
+            exact_design.netlist.expand_operands({"A": np.array([1, 2], dtype=np.uint64)})
+
+    def test_simulators_need_1d_traces(self, exact_design):
+        """Scalar operands expand (``compute_words`` takes them) but are no trace."""
+        operands = {"A": np.uint64(1), "B": np.uint64(2), "cin": np.uint64(0)}
+        assert exact_design.netlist.compute_words(operands) == 3
+        simulator = FastTimingSimulator(exact_design.netlist, exact_design.annotation)
+        with pytest.raises(SimulationError):
+            simulator.run_trace_multi(operands, [exact_design.critical_path_delay])
 
     def test_expansion_drives_all_inputs(self, exact_design):
         operands = _random_operands(16, 10, 59)
-        bits = expand_operand_traces(exact_design.netlist, operands)
+        bits = exact_design.netlist.expand_operands(operands)
         assert set(exact_design.netlist.inputs) <= set(bits)
         for trace in bits.values():
             assert trace.shape == (10,)

@@ -106,6 +106,22 @@ class TestEvaluation:
         with pytest.raises(SimulationError):
             netlist.evaluate({"a": np.array([2]), "b": np.array([0])})
 
+    def test_scalar_and_array_inputs_broadcast(self):
+        netlist = build_xor_netlist()
+        values = netlist.evaluate({"a": 1, "b": np.array([[0, 1], [1, 1]])})
+        assert values["y"].tolist() == [[1, 0], [0, 0]]
+        assert values[CONST1].tolist() == [[1, 1], [1, 1]]
+
+    def test_shapes_that_do_not_broadcast_rejected(self):
+        netlist = build_xor_netlist()
+        with pytest.raises(SimulationError):
+            netlist.evaluate({"a": np.array([0, 1]), "b": np.array([0, 1, 1])})
+
+    def test_empty_stimulus(self):
+        netlist = build_xor_netlist()
+        values = netlist.evaluate({"a": np.zeros(0), "b": np.zeros(0)})
+        assert values["y"].shape == (0,)
+
 
 class TestWordLevel:
     def test_encode_decode_roundtrip(self):
@@ -136,5 +152,5 @@ class TestWordLevel:
 
     def test_compute_words_unknown_operand(self):
         netlist = build_xor_netlist()
-        with pytest.raises(NetlistError):
+        with pytest.raises(SimulationError):
             netlist.compute_words({"zzz": np.array([1])}, output_bus="Y")

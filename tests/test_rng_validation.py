@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
 from repro.utils.validation import (
-    check_in_range,
     check_non_negative_int,
     check_positive_int,
     check_probability,
@@ -75,8 +74,3 @@ class TestValidationHelpers:
         assert check_probability("p", 1.0) == 1.0
         with pytest.raises(ConfigurationError):
             check_probability("p", 1.5)
-
-    def test_in_range(self):
-        assert check_in_range("v", 5, 0, 10) == 5
-        with pytest.raises(ConfigurationError):
-            check_in_range("v", 11, 0, 10)
