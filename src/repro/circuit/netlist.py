@@ -175,13 +175,6 @@ class Netlist:
                 fanout[net].append(gate)
         return fanout
 
-    def cell_histogram(self) -> Dict[str, int]:
-        """Number of instances of each cell type."""
-        histogram: Dict[str, int] = {}
-        for gate in self.gates:
-            histogram[gate.cell] = histogram.get(gate.cell, 0) + 1
-        return histogram
-
     def logic_depth(self) -> int:
         """Maximum number of gates on any input-to-output path."""
         depth: Dict[str, int] = {net: 0 for net in self._nets}
@@ -260,11 +253,6 @@ class Netlist:
             {net: bits.reshape(size) for net, bits in zip(self.inputs, stimulus)}, size)
         return {net: row.reshape(shape) for net, row in values.items()}
 
-    def evaluate_outputs(self, input_values: Mapping[str, BitValues]) -> List[np.ndarray]:
-        """Zero-delay evaluation returning only the primary outputs, in order."""
-        values = self.evaluate(input_values)
-        return [values[net] for net in self.outputs]
-
     # ------------------------------------------------------------------ #
     # Word-level convenience
     # ------------------------------------------------------------------ #
@@ -278,23 +266,6 @@ class Netlist:
             raise SimulationError(f"word value exceeds {len(nets)}-bit bus {bus!r}")
         return {net: ((words >> np.uint64(i)) & np.uint64(1)).astype(np.uint8)
                 for i, net in enumerate(nets)}
-
-    def decode_bus(self, bus: str, values: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Assemble per-net values of a registered bus back into integer words."""
-        if bus not in self.buses:
-            raise NetlistError(f"netlist {self.name!r} has no bus {bus!r}")
-        nets = self.buses[bus]
-        shape = None
-        for net in nets:
-            arr = np.asarray(values[net])
-            if arr.ndim > 0:
-                shape = arr.shape
-                break
-        words = np.zeros(shape if shape is not None else (), dtype=np.uint64)
-        for i, net in enumerate(nets):
-            bit = np.asarray(values[net], dtype=np.uint64)
-            words = words | (bit << np.uint64(i))
-        return words
 
     def expand_operands(self, operands: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """Expand word-level operands into per-net 0/1 ``uint8`` values.

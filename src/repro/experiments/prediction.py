@@ -22,7 +22,7 @@ from repro.analysis.report import format_log_value, format_table
 from repro.experiments.common import StudyConfig
 from repro.experiments.designs import DesignEntry
 from repro.ml.metrics import floored
-from repro.ml.model import BitLevelTimingModel
+from repro.ml.model import BitLevelTimingModel, ForestPool
 from repro.runtime import DesignCharacterization
 from repro.workloads.traces import OperandTrace
 
@@ -102,18 +102,21 @@ class PredictionStudyResult:
 
 def rows_from_characterizations(config: StudyConfig,
                                 training: DesignCharacterization,
-                                evaluation: DesignCharacterization) -> List[PredictionRow]:
+                                evaluation: DesignCharacterization,
+                                pool: Optional[ForestPool] = None) -> List[PredictionRow]:
     """Train and evaluate the per-bit model from a design's two characterisations.
 
     ``training`` and ``evaluation`` are the runtime results of the same
     design over the training and the held-out trace; their golden words
     and timing traces drive the fit/evaluate cycle at every CPR level.
+    Every model fits through ``pool`` when one is given
+    (:meth:`BitLevelTimingModel.fit`).
     """
     rows: List[PredictionRow] = []
     for cpr, period in config.clock_plan.items():
         model = BitLevelTimingModel(design=training.name, clock_period=period,
                                     output_width=config.width + 1, options=config.model)
-        model.fit(training.trace, training.gold_words, training.timing_trace(period))
+        model.fit(training.trace, training.gold_words, training.timing_trace(period), pool)
         metrics = model.evaluate(evaluation.trace, evaluation.gold_words,
                                  evaluation.timing_trace(period))
         rows.append(PredictionRow(
@@ -147,7 +150,10 @@ def run_prediction_study(config: Optional[StudyConfig] = None) -> PredictionStud
     The heavy characterisation work — every design over both the
     training and the evaluation trace — is submitted as one job batch to
     the study's execution backend; model training then proceeds from the
-    returned characterisations.
+    returned characterisations.  Every model of the call fits through
+    one :data:`~repro.ml.model.ForestPool`, so a per-bit problem that
+    recurs (designs sharing their low blocks often train a bit on
+    identical data) is fitted once.
     """
     config = config or StudyConfig()
     training_trace = config.training_trace()
@@ -158,8 +164,9 @@ def run_prediction_study(config: Optional[StudyConfig] = None) -> PredictionStud
         jobs.append(config.job(entry, training_trace))
         jobs.append(config.job(entry, evaluation_trace))
     results = config.runtime_backend().run(jobs)
+    pool: ForestPool = {}
     rows: List[PredictionRow] = []
     for index in range(len(entries)):
         rows.extend(rows_from_characterizations(
-            config, results[2 * index], results[2 * index + 1]))
+            config, results[2 * index], results[2 * index + 1], pool))
     return PredictionStudyResult(rows=rows, cpr_levels=config.clock_plan.cpr_levels)

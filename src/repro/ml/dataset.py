@@ -54,6 +54,14 @@ class BitDataset:
         return float(self.labels.mean())
 
 
+def check_transitions(trace: OperandTrace, timing_trace: TimingErrorTrace) -> None:
+    """Raise :class:`ModelError` unless ``timing_trace`` covers every transition of ``trace``."""
+    if timing_trace.cycles != trace.transitions:
+        raise ModelError(
+            f"timing trace has {timing_trace.cycles} transitions but the stimulus "
+            f"has {trace.transitions}")
+
+
 def build_bit_datasets(trace: OperandTrace, gold_words: np.ndarray,
                        timing_trace: TimingErrorTrace,
                        family=None) -> List[BitDataset]:
@@ -77,10 +85,7 @@ def build_bit_datasets(trace: OperandTrace, gold_words: np.ndarray,
         shipped family currently delegates to).
     """
     gold_words = np.asarray(gold_words, dtype=np.uint64)
-    if timing_trace.cycles != trace.transitions:
-        raise ModelError(
-            f"timing trace has {timing_trace.cycles} transitions but the stimulus "
-            f"has {trace.transitions}")
+    check_transitions(trace, timing_trace)
     featurize = build_feature_matrix if family is None else family.feature_matrix
     error_bits = timing_trace.error_bits()
     datasets: List[BitDataset] = []

@@ -18,7 +18,6 @@ from typing import List
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.utils.bitops import extract_bits_matrix
 from repro.workloads.traces import OperandTrace
 
 FEATURE_DOC = "{A[t], B[t], A[t-1], B[t-1], yRTL_n[t-1], yRTL_n[t]} bit-expanded"
@@ -35,6 +34,17 @@ def feature_names(width: int) -> List[str]:
     return names
 
 
+def checked_gold_words(trace: OperandTrace, gold_words: np.ndarray) -> np.ndarray:
+    """``gold_words`` as ``uint64``, one word per vector of a trace of two or more vectors."""
+    gold_words = np.asarray(gold_words, dtype=np.uint64)
+    if gold_words.shape[0] != trace.length:
+        raise ModelError(
+            f"gold output length {gold_words.shape[0]} does not match trace length {trace.length}")
+    if trace.length < 2:
+        raise ModelError("feature extraction needs at least two input vectors")
+    return gold_words
+
+
 def build_feature_matrix(trace: OperandTrace, gold_words: np.ndarray, bit: int) -> np.ndarray:
     """Feature matrix for one output bit over all transitions of a trace.
 
@@ -47,26 +57,15 @@ def build_feature_matrix(trace: OperandTrace, gold_words: np.ndarray, bit: int) 
         the trace (length ``T``).
     bit:
         Output bit position the classifier is trained for.
+
+    The operand columns come from the trace's memoised
+    :meth:`~repro.workloads.traces.OperandTrace.operand_bits`, so only the
+    two golden-bit columns are derived per bit.
     """
-    gold_words = np.asarray(gold_words, dtype=np.uint64)
-    if gold_words.shape[0] != trace.length:
-        raise ModelError(
-            f"gold output length {gold_words.shape[0]} does not match trace length {trace.length}")
-    if trace.length < 2:
-        raise ModelError("feature extraction needs at least two input vectors")
-    width = trace.width
-
-    a_bits = extract_bits_matrix(trace.a, width)
-    b_bits = extract_bits_matrix(trace.b, width)
+    gold_words = checked_gold_words(trace, gold_words)
+    operands = trace.operand_bits()
     gold_bit = ((gold_words >> np.uint64(bit)) & np.uint64(1)).astype(np.uint8)
-
-    current = slice(1, None)
-    previous = slice(None, -1)
-    return np.hstack([
-        a_bits[current], b_bits[current],
-        a_bits[previous], b_bits[previous],
-        gold_bit[previous][:, None], gold_bit[current][:, None],
-    ]).astype(np.uint8)
+    return np.hstack([operands[1:], operands[:-1], gold_bit[:-1, None], gold_bit[1:, None]])
 
 
 def feature_count(width: int) -> int:

@@ -9,7 +9,8 @@ one for its feature draws, so a seed grows the same ensemble bit for bit
 in any process.  Each tree is fitted through its class's ``fit`` on a
 row ``take`` of its resample.  The classifier's ``balanced`` mode is a
 bootstrap hook, and it rejects labels other than 0 and 1 before any
-tree grows.
+tree grows.  The classifier packs a query's columns once and hands
+them to every tree.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from typing import List, Optional
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.ml.tree import DecisionTreeClassifier, _check_tree_parameters, _training_arrays
+from repro.ml.tree import (
+    DecisionTreeClassifier,
+    _check_tree_parameters,
+    _pack_columns,
+    _query_matrix,
+    _training_arrays,
+)
 from repro.utils.rng import SeedLike, spawn_rngs
 
 
@@ -112,12 +119,18 @@ class RandomForestClassifier(_Forest):
         return super()._bootstrap(y, rng)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Mean positive-class probability over the ensemble."""
+        """Mean positive-class probability over the ensemble.
+
+        ``X``'s columns are packed into bitsets once, and every tree routes
+        them (:meth:`~repro.ml.tree.DecisionTreeClassifier._leaf_values`);
+        the trees' values are summed in tree order.
+        """
         trees = self._fitted_trees()
-        X = np.asarray(X, dtype=np.uint8)
+        X = _query_matrix(X, np.uint8, self.n_features_)
         accumulator = np.zeros(X.shape[0], dtype=np.float64)
+        columns = _pack_columns(X)
         for tree in trees:
-            accumulator += tree.predict_proba(X)
+            accumulator += tree._leaf_values(columns, X.shape[0])
         return accumulator / len(trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -7,18 +7,23 @@ At prediction time it emits per-bit timing classes and deduces the
 predicted silver (over-clocked) output word by flipping the golden bits
 it believes are timing-erroneous — exactly how the paper converts
 timing-class vectors into arithmetic values for the AVPE metric.
+
+The models of one study can share a :data:`ForestPool`: designs that
+share their low blocks often train a bit on identical data, and a
+seeded forest grown again on the same problem is the same forest.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.ml.dataset import BitDataset, build_bit_datasets
-from repro.ml.features import build_feature_matrix
+from repro.ml.dataset import check_transitions
+from repro.ml.features import build_feature_matrix, checked_gold_words
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import abper, avpe, classification_summary
 from repro.timing.errors import TimingErrorTrace
@@ -49,6 +54,10 @@ class TimingModelOptions:
         )
 
 
+#: Fitted forests keyed by :meth:`BitLevelTimingModel._problem_key`.
+ForestPool = Dict[str, RandomForestClassifier]
+
+
 @dataclass
 class BitLevelTimingModel:
     """One trained classifier per output bit for a (design, clock) pair."""
@@ -66,30 +75,58 @@ class BitLevelTimingModel:
     # Training
     # ------------------------------------------------------------------ #
     def fit(self, trace: OperandTrace, gold_words: np.ndarray,
-            timing_trace: TimingErrorTrace) -> "BitLevelTimingModel":
-        """Train every per-bit classifier from a measured training trace."""
+            timing_trace: TimingErrorTrace,
+            pool: Optional[ForestPool] = None) -> "BitLevelTimingModel":
+        """Train every per-bit classifier from a measured training trace.
+
+        A bit whose labels are constant keeps that class and gets no
+        features or forest.  A bit whose problem is already in ``pool``
+        reuses that forest; a forest this fit grows joins the pool.
+        """
         if timing_trace.output_width != self.output_width:
             raise ModelError(
                 f"timing trace has {timing_trace.output_width} output bits, "
                 f"model expects {self.output_width}")
-        datasets = build_bit_datasets(trace, gold_words, timing_trace)
+        check_transitions(trace, timing_trace)
+        gold_words = checked_gold_words(trace, gold_words)
         self._classifiers.clear()
         self._constant_bits.clear()
-        for dataset in datasets:
-            self._fit_bit(dataset)
+        errors = timing_trace.error_bits()
+        positives = errors.sum(axis=0)
+        for bit in range(self.output_width):
+            if positives[bit] in (0, errors.shape[0]):
+                # A bit that is always correct (or, pathologically, always wrong)
+                # in training needs no classifier; remember the constant class.
+                self._constant_bits[bit] = int(positives[bit] > 0)
+                continue
+            self._classifiers[bit] = self._forest(
+                bit, build_feature_matrix(trace, gold_words, bit),
+                errors[:, bit].astype(np.uint8), pool)
         return self
 
-    def _fit_bit(self, dataset: BitDataset) -> None:
-        labels = dataset.labels
-        unique = np.unique(labels)
-        if unique.size == 1:
-            # A bit that is always correct (or, pathologically, always wrong)
-            # in training needs no classifier; remember the constant class.
-            self._constant_bits[dataset.bit] = int(unique[0])
-            return
-        classifier = self.options.make_classifier(dataset.bit)
-        classifier.fit(dataset.features, labels)
-        self._classifiers[dataset.bit] = classifier
+    def _forest(self, bit: int, features: np.ndarray, labels: np.ndarray,
+                pool: Optional[ForestPool]) -> RandomForestClassifier:
+        """The forest of one bit's problem: from ``pool``, or fitted (and pooled)."""
+        key = None if pool is None else self._problem_key(bit, features, labels)
+        if key is not None and key in pool:
+            return pool[key]
+        forest = self.options.make_classifier(bit).fit(features, labels)
+        if key is not None:
+            pool[key] = forest
+        return forest
+
+    def _problem_key(self, bit: int, features: np.ndarray,
+                     labels: np.ndarray) -> Optional[str]:
+        """SHA-256 of everything one bit's fit sees: the options, the bit, and the
+        features' and labels' bytes, dtypes and shape.  ``None`` when a second fit
+        would grow another forest: unseeded, or seeded from a ``Generator``."""
+        if self.options.seed is None or isinstance(self.options.seed, np.random.Generator):
+            return None
+        digest = hashlib.sha256(repr((self.options, bit, features.shape, features.dtype.str,
+                                      labels.dtype.str)).encode())
+        digest.update(features.tobytes())
+        digest.update(labels.tobytes())
+        return digest.hexdigest()
 
     @property
     def is_fitted(self) -> bool:
@@ -108,6 +145,7 @@ class BitLevelTimingModel:
         """Predicted timing-error flags, shape (transitions, output_width)."""
         if not self.is_fitted:
             raise ModelError("the model must be fitted before predicting")
+        gold_words = checked_gold_words(trace, gold_words)
         predictions = np.zeros((trace.transitions, self.output_width), dtype=np.uint8)
         for bit in range(self.output_width):
             if bit in self._classifiers:

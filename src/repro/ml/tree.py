@@ -1,15 +1,18 @@
 """The CART core of both learners, and the decision-tree classifier on it.
 
-One node type, grower, feature draw, predictor and walker serve both
-trees; each plugs in a criterion.  :class:`DecisionTreeClassifier` counts
-Gini impurity over the paper's binary features (0/1 operand and output
-bits, 0/1 labels).  A fit packs each column into a Python ``int`` once,
-bit ``r`` set where row ``r`` is above 0; a node is two such bitsets, its
-rows and its positive rows, with their counts, so a candidate's split
-counts are two popcounts and a child's rows two ``&``.
+One node type, grower, feature draw, index-set predictor and walker
+serve both trees; each plugs in a criterion.  :class:`DecisionTreeClassifier`
+counts Gini impurity over the paper's binary features (0/1 operand and
+output bits, 0/1 labels).  A fit packs each column into a Python ``int``
+once, bit ``r`` set where row ``r`` is above 0; a node is two such
+bitsets, its rows and its positive rows, with their counts, so a
+candidate's split counts are two popcounts and a child's rows two ``&``.
+A prediction packs the query's columns the same way and routes one row
+bitset down the tree with ``&``.
 :class:`~repro.ml.regress.DecisionTreeRegressor` sums squared error over
-columns presorted once per tree.  Rows with ``x[feature] > threshold`` go
-right (a binary feature splits at 0).
+columns presorted once per tree, and predicts by routing index sets.
+Rows with ``x[feature] > threshold`` go right (a binary feature splits
+at 0).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +74,32 @@ def _training_arrays(X: np.ndarray, y: np.ndarray, tree: type, learner: str) -> 
         raise ModelError(f"cannot fit a {learner} on an empty dataset")
     tree._check_targets(y)
     return X, y
+
+
+def _query_matrix(X: np.ndarray, dtype: type, n_features: int) -> np.ndarray:
+    """``X`` as a ``dtype`` array, checked to hold rows of ``n_features`` columns."""
+    X = np.asarray(X, dtype=dtype)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ModelError(
+            f"expected feature matrix with {n_features} columns, got shape {X.shape}")
+    return X
+
+
+def _pack_columns(X: np.ndarray) -> List[int]:
+    """Every column of ``X`` as a Python ``int``, bit ``r`` set where ``X[r, column]`` is
+    not 0."""
+    blocks, octets = -(-X.shape[0] // 8), -(-X.shape[1] // 8)
+    bits = np.zeros((8 * blocks, 8 * octets), dtype=bool)
+    np.not_equal(X, 0, out=bits[:X.shape[0], :X.shape[1]])
+    # A word holds one row's bits of 8 columns, one per byte.  Shifting row k of
+    # each 8-row block by k and OR-ing the 8 leaves each column's byte of the block.
+    words = bits.view("<u8").reshape(blocks, 8, octets)
+    packed = words[:, 0].copy()
+    for row in range(1, 8):
+        packed |= words[:, row] << np.uint64(row)
+    raw = packed.astype("<u8", copy=False).view(np.uint8).T[:X.shape[1]].tobytes()
+    return [int.from_bytes(raw[blocks * column:blocks * (column + 1)], "little")
+            for column in range(X.shape[1])]
 
 
 class _Tree:
@@ -133,10 +162,7 @@ class _Tree:
     def _predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf prediction of every row of ``X``, routing index sets down the tree."""
         root = self._fitted_root()
-        X = np.asarray(X, dtype=self._dtype)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
-            raise ModelError(
-                f"expected feature matrix with {self.n_features_} columns, got shape {X.shape}")
+        X = _query_matrix(X, self._dtype, self.n_features_)
         values = np.empty(X.shape[0], dtype=np.float64)
         stack = [(root, np.arange(X.shape[0]))]
         while stack:
@@ -196,20 +222,9 @@ class DecisionTreeClassifier(_Tree):
     @staticmethod
     def _root_rows(X: np.ndarray, y: np.ndarray) -> tuple:
         """Every column of ``X`` as a bitset, then the root's rows, positive rows and counts."""
-        blocks = -(-X.shape[0] // 8)
-        bits = np.zeros((8 * blocks, -(-X.shape[1] // 8) * 8), dtype=bool)
-        np.not_equal(X, 0, out=bits[:X.shape[0], :X.shape[1]])
-        # A word holds one row's bits of 8 columns, one per byte.  Shifting row k of
-        # each 8-row block by k and OR-ing the 8 leaves each column's byte of the block.
-        words = bits.view("<u8").reshape(blocks, 8, -1)
-        packed = words[:, 0].copy()
-        for row in range(1, 8):
-            packed |= words[:, row] << np.uint64(row)
-        raw = packed.astype("<u8", copy=False).view(np.uint8).T[:X.shape[1]].tobytes()
         positives = int.from_bytes(np.packbits(y, bitorder="little").tobytes(), "little")
-        return ([int.from_bytes(raw[start:start + blocks], "little")
-                 for start in range(0, len(raw), blocks)],
-                (1 << y.shape[0]) - 1, positives, y.shape[0], positives.bit_count())
+        return (_pack_columns(X), (1 << y.shape[0]) - 1, positives, y.shape[0],
+                positives.bit_count())
 
     @staticmethod
     def _targets(rows: tuple) -> Tuple[Tuple[int, int], int, float]:
@@ -256,7 +271,43 @@ class DecisionTreeClassifier(_Tree):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Probability of the positive class for every row of ``X``."""
-        return self._predict(X)
+        self._fitted_root()
+        X = _query_matrix(X, self._dtype, self.n_features_)
+        return self._leaf_values(_pack_columns(X), X.shape[0])
+
+    def _leaf_values(self, columns: List[int], count: int) -> np.ndarray:
+        """Leaf prediction of each of ``count`` rows, given as packed ``columns``.
+
+        The rows route down as one bitset: every split is at 0, so a row set
+        in the split column goes right.  Each leaf reached is numbered in
+        turn, and plane ``j`` collects the rows of the leaves whose number
+        has bit ``j``, so unpacking the planes gives every row its leaf.
+        """
+        predictions: List[float] = []
+        planes: List[int] = []
+        stack = [(self._fitted_root(), (1 << count) - 1)]
+        while stack:
+            node, rows = stack.pop()
+            if not rows:
+                continue
+            if node.feature >= 0:
+                right = rows & columns[node.feature]
+                stack += [(node.left, rows ^ right), (node.right, right)]
+                continue
+            leaf = len(predictions)
+            predictions.append(node.prediction)
+            planes += [0] * (leaf.bit_length() - len(planes))
+            for plane in range(leaf.bit_length()):
+                if leaf >> plane & 1:
+                    planes[plane] |= rows
+        size = -(-count // 8)
+        raw = b"".join(plane.to_bytes(size, "little") for plane in planes)
+        leaves = np.zeros(count, dtype=np.intp)
+        for plane, bits in enumerate(np.unpackbits(
+                np.frombuffer(raw, dtype=np.uint8).reshape(len(planes), size),
+                axis=1, count=count, bitorder="little")):
+            leaves |= bits.astype(np.intp) << plane
+        return np.array(predictions)[leaves]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most likely class (0/1) for every row of ``X``."""

@@ -25,9 +25,10 @@ adds a content-addressed store so that work survives across processes:
   ``REPRO_CACHE_LIMIT_MB`` through
   :class:`~repro.experiments.common.StudyConfig`): after every batch
   that wrote entries, whole entries are pruned least-recently-used
-  first until the store fits, so unbounded sweeps cannot fill the
-  disk.  The store is walked only when its own writes could have
-  overrun the budget; other processes' entries count from that walk.
+  first until the store holds at most 90 % of the budget, so unbounded
+  sweeps cannot fill the disk.  The store is walked only when its own
+  writes could have overrun the budget; other processes' entries count
+  from that walk.
 * :class:`CachingBackend` decorates any execution backend: hits
   deserialise stored :class:`~repro.runtime.jobs.DesignCharacterization`
   results bit-identically, and every miss runs through the inner

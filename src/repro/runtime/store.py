@@ -49,6 +49,12 @@ from repro.runtime.faultinject import (
 #: ``SYNTH_CACHE_FORMAT``) for payload-specific evolution.
 STORE_FORMAT = 1
 
+#: Fraction of the byte budget a pruning walk evicts down to.  Stopping
+#: below the budget leaves room for about a tenth of it to be written
+#: before the next walk; stopping at the budget would make every write
+#: after the store first fills walk the whole store again.
+LOW_WATER_FRACTION = 0.9
+
 
 # --------------------------------------------------------------------- #
 # Identity -> digest building blocks
@@ -170,9 +176,9 @@ class ResultStore:
     writes, :meth:`prune_to_limit` deletes whole entries
     least-recently-used-first (:meth:`load` refreshes the mtime of what
     it reads, so both writes and hits count as use) until the store
-    fits.  An unbounded design-space sweep can
-    therefore never fill the disk; the evicted work simply becomes a
-    recompute-miss on its next request.
+    holds at most :data:`LOW_WATER_FRACTION` of the budget.  An
+    unbounded design-space sweep can therefore never fill the disk; the
+    evicted work simply becomes a recompute-miss on its next request.
 
     The budget is advisory.  A prune walks the store only when the
     bytes it held at the last walk plus the bytes this store has written
@@ -352,23 +358,25 @@ class ResultStore:
         return sum(size for _, size, _ in self.entry_inventory())
 
     def prune_to_limit(self) -> int:
-        """Delete least-recently-used entries until the store fits ``limit_bytes``.
+        """Keep the store within ``limit_bytes``, evicting least-recently-used entries.
 
         Returns the number of entries removed (also accumulated into
         ``stats.pruned``).  A ``None`` budget is a no-op, and so is a
         prune whose counted bytes still fit the budget; otherwise the
-        store is walked afresh.  Eviction is whole-entry: the directory
-        goes with every file in it, so no half-deleted entry or leftover
-        file outlives its ``result.pkl``.
+        store is walked afresh and, if it is over the budget, emptied
+        down to :data:`LOW_WATER_FRACTION` of it.  Eviction is
+        whole-entry: the directory goes with every file in it, so no
+        half-deleted entry or leftover file outlives its ``result.pkl``.
         """
         if self.limit_bytes is None or (
                 self._counted is not None and self._counted <= self.limit_bytes):
             return 0
         inventory = sorted(self.entry_inventory())
         total = sum(size for _, size, _ in inventory)
+        target = self.limit_bytes * LOW_WATER_FRACTION if total > self.limit_bytes else total
         removed = 0
         for _, size, entry in inventory:
-            if total <= self.limit_bytes:
+            if total <= target:
                 break
             shutil.rmtree(entry, ignore_errors=True)
             total -= size

@@ -9,7 +9,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.exceptions import WorkloadError
-from repro.utils.bitops import mask
+from repro.utils.bitops import extract_bits_matrix, mask
 
 #: Trailing slice suffix of a derived trace name (``base[start:stop]``,
 #: with either bound possibly omitted as in ``base[:100]`` / ``base[50:]``).
@@ -51,6 +51,27 @@ class OperandTrace:
     def transitions(self) -> int:
         """Number of input transitions the timing simulators will exercise."""
         return max(self.length - 1, 0)
+
+    def operand_bits(self) -> np.ndarray:
+        """Read-only ``(length, 2 * width)`` 0/1 ``uint8`` matrix: ``A``'s bits, then ``B``'s,
+        each LSB first.
+
+        Every output bit's features (:func:`~repro.ml.features.build_feature_matrix`)
+        share these columns, so they are unpacked once and kept on the
+        instance; the memo never pickles (:meth:`__getstate__`).
+        """
+        cached = getattr(self, "_bits_cache", None)
+        if cached is None:
+            cached = np.hstack([extract_bits_matrix(self.a, self.width),
+                                extract_bits_matrix(self.b, self.width)])
+            cached.setflags(write=False)
+            object.__setattr__(self, "_bits_cache", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_bits_cache", None)
+        return state
 
     def as_operands(self, cin: int = 0) -> Dict[str, np.ndarray]:
         """Dict understood by the timing simulators (buses ``A``/``B`` plus ``cin``)."""

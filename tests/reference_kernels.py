@@ -30,7 +30,8 @@ checks each kernel against it on every input combination).
 gates one at a time in topological order on those functions and never
 touch the bit-packed program that ``Netlist.evaluate`` and
 ``Netlist.compute_words`` run for every stimulus shape; they share only
-the operand expansion, ``Netlist.expand_operands``.
+the operand expansion, ``Netlist.expand_operands``, and reassemble the
+output words with their own :func:`decode_bus`.
 
 *Dense timing.*  :class:`ReferenceTimingSimulator` evaluates the logic
 with the per-gate loop and propagates one float64 arrival array per net,
@@ -50,8 +51,11 @@ with :mod:`repro.ml.regress` (``tests/test_ml_learners.py``).
 *Classification trees.*  :class:`ReferenceTreeClassifier` grows on
 boolean-mask copies of ``(X, y)`` too, and counts every candidate's Gini
 split with NumPy sums over the node's rows; the production classifier
-counts the same splits with popcounts of bit-packed columns.
-:class:`ReferenceForestClassifier` bags it (``tests/test_ml_learners.py``).
+counts the same splits with popcounts of bit-packed columns.  It predicts
+by routing index sets down the tree, one gather per node, where the
+production classifier routes bitsets of packed query columns.
+:class:`ReferenceForestClassifier` bags it and sums its trees' values in
+tree order (``tests/test_ml_learners.py``).
 
 *Pareto mask.*  :func:`nondominated_mask` compares every pair of rows
 in blocks (``tests/test_explore.py``).
@@ -433,11 +437,20 @@ def evaluate_per_gate(netlist: Netlist,
     return values
 
 
+def decode_bus(netlist: Netlist, bus: str, values: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Words of a registered bus from its nets' 0/1 values, net ``i`` giving bit ``i``,
+    in the shape the nets' values broadcast to."""
+    words = np.zeros((), dtype=np.uint64)
+    for position, net in enumerate(netlist.buses[bus]):
+        words = words | (np.asarray(values[net], dtype=np.uint64) << np.uint64(position))
+    return words
+
+
 def compute_words_per_gate(netlist: Netlist, operand_words: Mapping[str, np.ndarray],
                            output_bus: str = "S") -> np.ndarray:
     """``netlist.compute_words`` on the per-gate loop."""
     bits = netlist.expand_operands(operand_words)
-    return netlist.decode_bus(output_bus, evaluate_per_gate(netlist, bits))
+    return decode_bus(netlist, output_bus, evaluate_per_gate(netlist, bits))
 
 
 # --------------------------------------------------------------------- #
@@ -674,11 +687,25 @@ class ReferenceTreeClassifier(_MaskCopies, DecisionTreeClassifier):
         best = int(np.argmax(gains))
         return int(candidates[best]), 0, float(gains[best])
 
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Leaf value of every row, routing index sets down the tree."""
+        return self._predict(X)
+
 
 class ReferenceForestClassifier(RandomForestClassifier):
-    """:class:`RandomForestClassifier` bagging :class:`ReferenceTreeClassifier`."""
+    """:class:`RandomForestClassifier` bagging :class:`ReferenceTreeClassifier`, and
+    predicting one index-set walk per tree."""
 
     _tree_class = ReferenceTreeClassifier
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Mean of the trees' leaf values, summed in tree order."""
+        trees = self._fitted_trees()
+        X = np.asarray(X, dtype=np.uint8)
+        accumulator = np.zeros(X.shape[0], dtype=np.float64)
+        for tree in trees:
+            accumulator += tree.predict_proba(X)
+        return accumulator / len(trees)
 
 
 # --------------------------------------------------------------------- #

@@ -6,6 +6,8 @@ traces and the fast simulator so the suite stays quick.  The qualitative
 checks mirror the paper's headline observations.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ from repro.experiments.designs import (
 from repro.experiments.fig9_rms import fig9_rows_from_characterization
 from repro.experiments.fig10_distribution import run_fig10
 from repro.experiments.prediction import run_prediction_study, study_design
+from repro.ml.forest import RandomForestClassifier
+from repro.ml.model import BitLevelTimingModel, TimingModelOptions
+from repro.ml.tree import DecisionTreeClassifier
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +193,8 @@ class TestPredictionStudy:
 
     def test_study_predicts_each_cell_once(self, tiny_config, monkeypatch):
         """Each (design, CPR) cell predicts its held-out trace once: one
-        error matrix, and one feature matrix per trained bit."""
+        error matrix, and one feature matrix per trained bit for the fit
+        and one for the prediction (a bit that trains constant gets none)."""
         import repro.ml.model as model_module
         calls = {"matrix": 0, "features": 0}
         predict, build = (model_module.BitLevelTimingModel.predict_error_matrix,
@@ -208,7 +214,7 @@ class TestPredictionStudy:
         rows = study_design(isa_entry((16, 1, 0, 2)), tiny_config,
                             tiny_config.training_trace(), tiny_config.evaluation_trace())
         assert calls["matrix"] == len(rows)
-        assert calls["features"] == sum(row.trained_bits for row in rows)
+        assert calls["features"] == 2 * sum(row.trained_bits for row in rows)
 
     def test_full_study_formatting(self, tiny_config):
         config = StudyConfig(characterization_length=100, training_length=120,
@@ -220,3 +226,56 @@ class TestPredictionStudy:
         assert "Fig. 7" in abper_table and "Fig. 8" in avpe_table
         assert "(16,7,0,8)" in abper_table
         assert "exact" in result.to_dict()["5%"]
+
+
+class TestForestPool:
+    """``run_prediction_study`` fits each distinct per-bit problem once, through one pool
+    of fitted forests, and its rows are those of models that each fit every bit."""
+
+    @staticmethod
+    def study(config, monkeypatch):
+        """The study's rows, and the ``(seed, X, y)`` of every forest and the count of
+        trees it fitted."""
+        fits, trees = [], []
+        forest_fit, tree_fit = RandomForestClassifier.fit, DecisionTreeClassifier.fit
+
+        def counted_forest(self, X, y):
+            fits.append((self.seed, X.shape, X.tobytes(), y.tobytes()))
+            return forest_fit(self, X, y)
+
+        def counted_tree(self, X, y):
+            trees.append(1)
+            return tree_fit(self, X, y)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RandomForestClassifier, "fit", counted_forest)
+            patch.setattr(DecisionTreeClassifier, "fit", counted_tree)
+            rows = run_prediction_study(config).rows
+        return rows, fits, len(trees)
+
+    def test_each_distinct_problem_fitted_once_and_rows_unchanged(self, tiny_config,
+                                                                  monkeypatch):
+        rows, fits, trees = self.study(tiny_config, monkeypatch)
+        fit = BitLevelTimingModel.fit
+
+        def fresh_pool(self, trace, gold_words, timing_trace, pool=None):
+            return fit(self, trace, gold_words, timing_trace, {})
+
+        # The same study with a fresh pool for every model: each fits every trained bit.
+        with monkeypatch.context() as patch:
+            patch.setattr(BitLevelTimingModel, "fit", fresh_pool)
+            unpooled_rows, every_fit, _ = self.study(tiny_config, monkeypatch)
+        assert repr(rows) == repr(unpooled_rows)
+        assert len(every_fit) == sum(row.trained_bits for row in rows)
+        assert len(fits) < len(every_fit)  # designs sharing a low block share problems
+        assert sorted(fits) == sorted(set(every_fit))
+        assert trees == tiny_config.model.n_estimators * len(fits)
+
+    @pytest.mark.parametrize("seed", [None, "generator"])
+    def test_a_forest_that_would_grow_again_differently_is_never_shared(
+            self, tiny_config, monkeypatch, seed):
+        seed = np.random.default_rng(11) if seed == "generator" else seed
+        config = dataclasses.replace(tiny_config, model=TimingModelOptions(seed=seed))
+        rows, fits, trees = self.study(config, monkeypatch)
+        assert len(fits) == sum(row.trained_bits for row in rows)
+        assert trees == config.model.n_estimators * len(fits)

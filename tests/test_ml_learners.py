@@ -489,7 +489,8 @@ def _assert_same_trees(trees, references):
 
 class TestClassifierMatchesOracle:
     """The popcount split search over packed columns grows the trees of the boolean-mask
-    oracle, node for node and bit for bit, and predicts the same bytes."""
+    oracle, node for node and bit for bit; routing bitsets of the packed query columns
+    predicts the bytes of the oracle's index-set walk."""
 
     @staticmethod
     def check(X, y, max_features, class_weight, seed):
@@ -497,13 +498,15 @@ class TestClassifierMatchesOracle:
         trees = [learner(max_features=max_features, seed=seed).fit(X, y)
                  for learner in (DecisionTreeClassifier, ReferenceTreeClassifier)]
         _assert_same_trees([trees[0]], [trees[1]])
-        assert trees[0].predict_proba(probe).tobytes() == trees[1].predict_proba(probe).tobytes()
         forests = [learner(n_estimators=3, max_features=max_features, class_weight=class_weight,
                            seed=seed).fit(X, y)
                    for learner in (RandomForestClassifier, ReferenceForestClassifier)]
         _assert_same_trees(forests[0].trees_, forests[1].trees_)
-        outputs = [forest.predict_proba(probe).tobytes() for forest in forests]
-        assert outputs[0] == outputs[1]
+        for learners in (trees, forests):
+            for query in (probe, probe[:0]):  # values 0-3 in both, then no rows
+                output, expected = (learner.predict_proba(query) for learner in learners)
+                assert output.dtype == expected.dtype and output.shape == expected.shape
+                assert output.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("class_weight", [None, "balanced"])
     @pytest.mark.parametrize("max_features", [None, 5, "sqrt"])
@@ -525,6 +528,17 @@ class TestClassifierMatchesOracle:
     def test_adder_like_forest_matches_reference(self):
         X, y = _adder_like_bits(2499, seed=41)
         self.check(X, y, "sqrt", None, seed=7)
+
+    @pytest.mark.parametrize("learner", [DecisionTreeClassifier, ReferenceTreeClassifier,
+                                         RandomForestClassifier, ReferenceForestClassifier],
+                             ids=lambda learner: learner.__name__)
+    @pytest.mark.parametrize("shape", [(5, 9), (5, 11), (0, 9), (10,)],
+                             ids=["5x9", "5x11", "0x9", "1d"])
+    def test_query_of_the_wrong_column_count_rejected(self, learner, shape):
+        X, y = _classifier_rows(40, 10, "rule", seed=3)
+        fitted = learner(seed=3).fit(X, y)
+        with pytest.raises(ModelError, match="with 10 columns"):
+            fitted.predict_proba(np.zeros(shape, dtype=np.uint8))
 
     def test_every_node_mean_and_impurity_match_reference(self):
         """Equal trees can hide a float an ulp off: compare each node's mean and Gini

@@ -201,6 +201,24 @@ class TestBitLevelTimingModel:
         with pytest.raises(ModelError):
             model.fit(trace, gold, timing)
 
+    @pytest.mark.parametrize("golden", [10, 80])
+    @pytest.mark.parametrize("method", ["predict_error_matrix", "predict_timing_classes",
+                                        "predict_silver", "evaluate"])
+    def test_golden_length_checked_whichever_bits_trained(self, method, golden):
+        """A model whose every bit trained constant builds no features, and still rejects
+        golden words that do not match the trace."""
+        trace = uniform_workload(40, width=8, seed=5)
+        gold = trace.a + trace.b
+        timing = TimingErrorTrace(clock_period=1e-10, sampled_words=gold[1:],
+                                  settled_words=gold[1:], output_width=9)
+        model = BitLevelTimingModel(design="clean", clock_period=1e-10, output_width=9)
+        model.fit(trace, gold, timing)
+        assert model.trained_bits == []
+        wrong = uniform_workload(golden, width=8, seed=6)
+        arguments = (trace, wrong.a + wrong.b) + ((timing,) if method == "evaluate" else ())
+        with pytest.raises(ModelError, match=f"gold output length {golden} does not match"):
+            getattr(model, method)(*arguments)
+
     def test_error_free_training_gives_constant_model(self):
         trace = uniform_workload(40, width=8, seed=5)
         gold = trace.a + trace.b

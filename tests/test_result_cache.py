@@ -47,6 +47,7 @@ from repro.runtime import (
     job_digest,
     trace_digest,
 )
+from repro.runtime.store import LOW_WATER_FRACTION
 from repro.synth.flow import SynthesisOptions
 from repro.timing.clocking import ClockPlan
 from repro.workloads.generators import WorkloadSpec, uniform_workload
@@ -457,8 +458,8 @@ class TestEntryInventory:
         store.store(store.result_path(new_digest), {"blob": np.zeros(64)})
         os.utime(store.result_path(old_digest), (1, 1))
         store.entry_inventory()
-        # budget fits exactly one entry, so the prune must evict one
-        store.limit_bytes = store.total_bytes() // 2 + 1
+        # budget fits one and a half entries, so the prune must evict one
+        store.limit_bytes = store.total_bytes() * 3 // 4
         # loading the back-dated entry refreshes its mtime, so the prune
         # evicts the *other* entry
         store.load(store.result_path(old_digest))
@@ -480,7 +481,7 @@ class TestEntryInventory:
         digests = [format(index, "02x") + "9" * 62 for index in range(4)]
         for digest in digests:
             store.store(store.result_path(digest), {"blob": np.zeros(64)})
-        store.limit_bytes = store.total_bytes() // 2 + 1
+        store.limit_bytes = store.total_bytes() * 5 // 8  # two and a half entries
         assert store.prune_to_limit() == 2
         assert len(inventory_of(store)) == 2
         assert inventory_of(store) == fresh_walk(store)
@@ -489,7 +490,7 @@ class TestEntryInventory:
 class TestByteBudget:
     """A prune walks the store only when the store's own writes could
     have taken it past the budget, then evicts least-recently-used
-    entries whole until it fits."""
+    entries whole until it holds at most the low-water fraction of it."""
 
     @staticmethod
     def count_walks(monkeypatch):
@@ -540,6 +541,31 @@ class TestByteBudget:
             digests[index] for index in (0, 2, 3))
         assert store.total_bytes() <= store.limit_bytes
         assert store.stats.pruned == 1
+
+    def test_a_full_store_walks_once_per_tenth_of_its_budget(self, tmp_path, monkeypatch):
+        """Evicting below the budget leaves room for the next writes: 80 writes past a
+        budget of 40.5 entries walk the store 16 times, not once per write."""
+        payload = {"blob": np.zeros(64)}
+        probe = ResultStore(tmp_path / "probe")
+        probe.store(probe.result_path("00" + "0" * 62), payload)
+        entry_bytes = probe.total_bytes()
+        root = tmp_path / "store"
+        store = ResultStore(root, limit_bytes=81 * entry_bytes // 2)
+        walks = self.count_walks(monkeypatch)
+        walked = []
+        for index in range(120):
+            store.store(store.result_path(f"{index:04x}" + "c" * 60), payload)
+            before = len(walks)
+            store.prune_to_limit()
+            held = sum(path.stat().st_size for path in root.rglob("result.pkl"))
+            assert held <= store.limit_bytes
+            if len(walks) > before:
+                walked.append(index)
+                assert index == 0 or held <= LOW_WATER_FRACTION * store.limit_bytes
+        # The first prune always walks; the 41st write passes the budget, and each
+        # walk from then on keeps 36 entries, so the fifth write after it walks again.
+        assert walked == [0] + list(range(40, 120, 5))
+        assert store.stats.pruned == 16 * 5
 
 
 class TestStudyConfigIntegration:

@@ -1,5 +1,7 @@
 """Tests for workload generators and operand traces."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,17 @@ class TestOperandTrace:
                              np.array([4, 5, 6], dtype=np.uint64), width=8, name="t")
         assert trace.length == 3 and len(trace) == 3
         assert trace.transitions == 2
+
+    def test_operand_bits_memoized_and_never_pickled(self):
+        trace = OperandTrace(np.array([1, 6], dtype=np.uint64),
+                             np.array([4, 3], dtype=np.uint64), width=3)
+        bits = trace.operand_bits()
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [[1, 0, 0, 0, 0, 1], [0, 1, 1, 1, 1, 0]]  # A, then B, LSB first
+        assert trace.operand_bits() is bits and not bits.flags.writeable
+        clone = pickle.loads(pickle.dumps(trace))
+        assert "_bits_cache" not in clone.__dict__
+        assert np.array_equal(clone.operand_bits(), bits)
 
     def test_as_operands_contains_cin(self):
         trace = uniform_workload(5, width=8, seed=0)
