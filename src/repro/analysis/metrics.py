@@ -6,6 +6,12 @@ workloads); the other metrics are the standard figures of merit used in
 the approximate-computing literature (error rate, mean/normalised error
 distance, worst case) and are reported by the examples and the
 design-space-exploration benchmark.
+
+Each metric is written once, in ``_statistics``, over the signed errors
+of a batch; :func:`error_statistics`, the single-metric functions and
+the sweep scorer all reach it.  Words convert to signed integers through
+:func:`repro.core.combination.signed_words`, so an unsigned word at or
+above ``2**63`` raises instead of wrapping negative.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import Union
 
 import numpy as np
 
+from repro.core.combination import root_mean_square, safe_denominator, signed_words
 from repro.exceptions import AnalysisError
 
 ArrayLike = Union[np.ndarray, list, tuple]
@@ -27,56 +34,35 @@ def _validate(exact: np.ndarray, approximate: np.ndarray) -> None:
         raise AnalysisError("error metrics need at least one sample")
 
 
-def _signed(values: ArrayLike) -> np.ndarray:
-    return np.asarray(values).astype(np.int64)
-
-
-def _relative(exact: np.ndarray, approximate: np.ndarray) -> np.ndarray:
-    denominator = np.where(exact == 0, np.int64(1), exact).astype(np.float64)
-    return (approximate - exact) / denominator
-
-
 def error_rate(exact: ArrayLike, approximate: ArrayLike) -> float:
     """Fraction of samples whose approximate value differs from the exact one."""
-    exact, approximate = _signed(exact), _signed(approximate)
-    _validate(exact, approximate)
-    return float(np.mean(exact != approximate))
+    return error_statistics(exact, approximate).error_rate
 
 
 def mean_error_distance(exact: ArrayLike, approximate: ArrayLike) -> float:
     """Mean absolute arithmetic error (MED)."""
-    exact, approximate = _signed(exact), _signed(approximate)
-    _validate(exact, approximate)
-    return float(np.mean(np.abs(approximate - exact)))
+    return error_statistics(exact, approximate).mean_error_distance
 
 
 def normalized_mean_error_distance(exact: ArrayLike, approximate: ArrayLike,
                                    width: int) -> float:
     """MED normalised by the maximum representable output (NMED)."""
-    if width <= 0:
-        raise AnalysisError(f"width must be positive, got {width}")
-    return mean_error_distance(exact, approximate) / float(2 ** width)
+    return error_statistics(exact, approximate, width).normalized_mean_error_distance
 
 
 def mean_relative_error_distance(exact: ArrayLike, approximate: ArrayLike) -> float:
     """Mean absolute relative error (MRED)."""
-    exact, approximate = _signed(exact), _signed(approximate)
-    _validate(exact, approximate)
-    return float(np.mean(np.abs(_relative(exact, approximate))))
+    return error_statistics(exact, approximate).mean_relative_error_distance
 
 
 def rms_relative_error(exact: ArrayLike, approximate: ArrayLike) -> float:
     """Root-mean-square of the signed relative error — the paper's main metric."""
-    exact, approximate = _signed(exact), _signed(approximate)
-    _validate(exact, approximate)
-    return float(np.sqrt(np.mean(_relative(exact, approximate) ** 2)))
+    return error_statistics(exact, approximate).rms_relative_error
 
 
 def worst_case_error(exact: ArrayLike, approximate: ArrayLike) -> int:
     """Largest absolute arithmetic error observed."""
-    exact, approximate = _signed(exact), _signed(approximate)
-    _validate(exact, approximate)
-    return int(np.max(np.abs(approximate - exact)))
+    return error_statistics(exact, approximate).worst_case_error
 
 
 @dataclass(frozen=True)
@@ -149,14 +135,30 @@ def structural_cost(design) -> StructuralCost:
 
 def error_statistics(exact: ArrayLike, approximate: ArrayLike, width: int = 32) -> ErrorStatistics:
     """Compute every metric at once over a batch of outputs."""
-    exact_arr, approx_arr = _signed(exact), _signed(approximate)
-    _validate(exact_arr, approx_arr)
+    exact, approximate = signed_words(exact), signed_words(approximate)
+    _validate(exact, approximate)
+    errors = approximate - exact
+    return _statistics(errors, errors / safe_denominator(exact), width)
+
+
+def _statistics(errors: np.ndarray, relative: np.ndarray, width: int) -> ErrorStatistics:
+    """Every metric from validated signed errors (approximate minus exact)
+    and their relative errors.
+
+    This is the one implementation of each metric: :func:`error_statistics`
+    and the sweep scorer, which converts each design's exact words once for
+    all its clock points, both call it.
+    """
+    if width <= 0:
+        raise AnalysisError(f"width must be positive, got {width}")
+    distances = np.abs(errors)
+    mean_distance = float(np.mean(distances))
     return ErrorStatistics(
-        samples=int(exact_arr.shape[0]),
-        error_rate=error_rate(exact_arr, approx_arr),
-        mean_error_distance=mean_error_distance(exact_arr, approx_arr),
-        normalized_mean_error_distance=normalized_mean_error_distance(exact_arr, approx_arr, width),
-        mean_relative_error_distance=mean_relative_error_distance(exact_arr, approx_arr),
-        rms_relative_error=rms_relative_error(exact_arr, approx_arr),
-        worst_case_error=worst_case_error(exact_arr, approx_arr),
+        samples=int(errors.shape[0]),
+        error_rate=float(np.mean(errors != 0)),
+        mean_error_distance=mean_distance,
+        normalized_mean_error_distance=mean_distance / float(2 ** width),
+        mean_relative_error_distance=float(np.mean(np.abs(relative))),
+        rms_relative_error=root_mean_square(relative),
+        worst_case_error=int(np.max(distances)),
     )

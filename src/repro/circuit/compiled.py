@@ -117,23 +117,53 @@ def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
                          bitorder="little")
 
 
+#: ``_SPREAD[256 * k + b]`` moves bit ``i`` of the byte ``b`` to bit ``8 * i + k`` of a
+#: little-endian ``uint64``: byte ``i`` of it then holds, at bit ``k``, cycle ``i`` of the
+#: 8 cycles ``b`` packs.
+_SPREAD = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                         bitorder="little").view("<u8").ravel()
+           << np.arange(8, dtype=np.uint64)[:, None]).astype("<u8").ravel()
+
+#: Table offset of each bit position: its place ``k`` within its byte of the word.
+_PLACE = (np.arange(WORD_BITS) % 8 * 256).astype(np.uint16)
+
+
 def rows_to_words(rows: np.ndarray, length: int) -> np.ndarray:
     """Assemble packed per-bit rows (LSB first) into ``uint64`` words.
 
     ``rows`` is a ``(bits, ..., words)`` packed array — bit positions
     along the first axis, packed words along the last, any batch axes in
     between.  The result has shape ``(..., length)``: bit ``k`` of every
-    word comes from ``rows[k]``.  The assembly is one broadcast
-    shift-and-reduce, not a per-position Python loop, so decoding a
-    stacked multi-trace batch costs one NumPy dispatch.
+    word comes from ``rows[k]``.
+
+    The decode is a byte-wise bit-matrix transpose (Warren, *Hacker's
+    Delight*, section 7-3).  One table lookup spreads a byte of row ``k``
+    (8 cycles of bit ``k``) into bit ``k % 8`` of 8 bytes, one per cycle;
+    OR-ing the lookups of 8 rows gives those cycles' bytes of the word,
+    which are written into the words through a little-endian byte view.
+    No unpacked per-cycle bit matrix is built, and a stacked batch costs
+    the same NumPy calls as one trace.
     """
     rows = np.ascontiguousarray(rows, dtype=np.uint64)
-    if rows.shape[0] == 0:
-        return np.zeros(rows.shape[1:-1] + (int(length),), dtype=np.uint64)
-    bits = unpack_bits(rows, length).astype(np.uint64)
-    shifts = np.arange(rows.shape[0], dtype=np.uint64)
-    return np.bitwise_or.reduce(
-        bits << shifts.reshape((-1,) + (1,) * (bits.ndim - 1)), axis=0)
+    bits, batch, length = rows.shape[0], rows.shape[1:-1], int(length)
+    if bits > WORD_BITS:
+        raise SimulationError(f"a word holds {WORD_BITS} bits, got {bits} rows")
+    words = np.zeros(batch + (length,), dtype="<u8")
+    if bits and length:
+        octets = -(-length // 8)
+        index = np.add(rows.view(np.uint8)[..., :octets],
+                       _PLACE[:bits].reshape((bits,) + (1,) * (len(batch) + 1)))
+        spread = _SPREAD.take(index)
+        # packed[g] ORs the lookups of rows 8g..8g+7: byte i of its entry m
+        # is byte g of the word of cycle 8m + i.
+        packed = spread[::8].copy()
+        for place in range(1, min(bits, 8)):
+            rest = spread[place::8]
+            packed[:rest.shape[0]] |= rest
+        out = words.view(np.uint8).reshape(batch + (length, 8))
+        for byte, cycles in enumerate(packed.view(np.uint8)):
+            out[..., byte] = cycles[..., :length]
+    return words.astype(np.uint64, copy=False)
 
 
 def levelise_netlist(netlist) -> Tuple[Dict[str, int], List[int]]:

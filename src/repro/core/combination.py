@@ -26,24 +26,36 @@ from repro.exceptions import AnalysisError
 ArrayLike = Union[Sequence[int], np.ndarray]
 
 
-def _as_signed(values: ArrayLike) -> np.ndarray:
-    """Convert unsigned outputs to signed 64-bit integers for error arithmetic."""
+def signed_words(values: ArrayLike) -> np.ndarray:
+    """Outputs as signed 64-bit integers for error arithmetic.
+
+    A word outside the signed 64-bit range raises
+    :class:`~repro.exceptions.AnalysisError` instead of wrapping: an
+    unsigned word at or above ``2**63``, or a float one (NumPy holds a
+    list of Python ints as floats when one of them does not fit).  The
+    error metrics and the sweep scorer convert through this function too.
+    """
     arr = np.asarray(values)
-    if arr.dtype == np.uint64:
-        if arr.size and int(arr.max()) > np.iinfo(np.int64).max:
-            raise AnalysisError("output values exceed the signed 64-bit range")
-        return arr.astype(np.int64)
+    if arr.size and arr.dtype.kind in "uf" and not (
+            -2 ** 63 <= arr.min() and arr.max() < 2 ** 63):
+        raise AnalysisError("output values exceed the signed 64-bit range")
     return arr.astype(np.int64)
 
 
-def _safe_denominator(ydiamond: np.ndarray) -> np.ndarray:
+def safe_denominator(ydiamond: np.ndarray) -> np.ndarray:
     """Denominator for relative errors; zero exact results are replaced by one.
 
-    With 32-bit unsigned random operands the exact result is zero only for
-    the all-zero input, so the substitution has no statistical effect; it
+    ``ydiamond`` holds signed exact outputs (:func:`signed_words`).  With
+    32-bit unsigned random operands the exact result is zero only for the
+    all-zero input, so the substitution has no statistical effect; it
     simply keeps the relative error finite.
     """
     return np.where(ydiamond == 0, np.int64(1), ydiamond).astype(np.float64)
+
+
+def root_mean_square(values: np.ndarray) -> float:
+    """RMS of a batch of (relative) errors."""
+    return float(np.sqrt(np.mean(values ** 2)))
 
 
 @dataclass(frozen=True)
@@ -77,9 +89,9 @@ class CombinedErrors:
     def rms_relative_errors(self) -> Dict[str, float]:
         """RMS of the structural, timing and joint relative errors (fractions)."""
         return {
-            "structural": float(np.sqrt(np.mean(self.re_struct ** 2))),
-            "timing": float(np.sqrt(np.mean(self.re_timing ** 2))),
-            "joint": float(np.sqrt(np.mean(self.re_joint ** 2))),
+            "structural": root_mean_square(self.re_struct),
+            "timing": root_mean_square(self.re_timing),
+            "joint": root_mean_square(self.re_joint),
         }
 
     def compensation_rate(self) -> float:
@@ -97,9 +109,9 @@ class CombinedErrors:
 
 def combine_errors(ydiamond: ArrayLike, ygold: ArrayLike, ysilver: ArrayLike) -> CombinedErrors:
     """Compute structural, timing and joint errors from the three output sets."""
-    ydiamond = _as_signed(ydiamond)
-    ygold = _as_signed(ygold)
-    ysilver = _as_signed(ysilver)
+    ydiamond = signed_words(ydiamond)
+    ygold = signed_words(ygold)
+    ysilver = signed_words(ysilver)
     if not (ydiamond.shape == ygold.shape == ysilver.shape):
         raise AnalysisError(
             f"output shapes differ: diamond {ydiamond.shape}, gold {ygold.shape}, "
@@ -107,7 +119,7 @@ def combine_errors(ydiamond: ArrayLike, ygold: ArrayLike, ysilver: ArrayLike) ->
     e_struct = ygold - ydiamond
     e_timing = ysilver - ygold
     e_joint = ysilver - ydiamond
-    denom = _safe_denominator(ydiamond)
+    denom = safe_denominator(ydiamond)
     re_struct = e_struct / denom
     re_timing = e_timing / denom
     re_joint = e_joint / denom
@@ -119,11 +131,11 @@ def combine_errors(ydiamond: ArrayLike, ygold: ArrayLike, ysilver: ArrayLike) ->
 
 def relative_errors(ydiamond: ArrayLike, y: ArrayLike) -> np.ndarray:
     """Signed relative error of ``y`` with respect to the exact result."""
-    ydiamond = _as_signed(ydiamond)
-    y = _as_signed(y)
+    ydiamond = signed_words(ydiamond)
+    y = signed_words(y)
     if ydiamond.shape != y.shape:
         raise AnalysisError(f"output shapes differ: {ydiamond.shape} vs {y.shape}")
-    return (y - ydiamond) / _safe_denominator(ydiamond)
+    return (y - ydiamond) / safe_denominator(ydiamond)
 
 
 SilverProvider = Callable[[object, float, np.ndarray, np.ndarray], np.ndarray]

@@ -36,10 +36,11 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.metrics import (
     ErrorStatistics,
     StructuralCost,
-    error_statistics,
+    _statistics,
+    _validate,
     structural_cost,
 )
-from repro.core.combination import combine_errors
+from repro.core.combination import root_mean_square, safe_denominator, signed_words
 from repro.exceptions import ConfigurationError
 from repro.experiments.designs import DesignEntry
 from repro.families import family_of
@@ -238,22 +239,29 @@ def _score_characterization(characterization: DesignCharacterization,
     provably_exact = family.is_provably_exact(entry)
     result_width = family.result_width(width)
     cost = structural_cost(characterization.synthesized)
-    diamond = characterization.diamond_words[1:]
-    gold = characterization.gold_words[1:]
+    # The structural error depends on the design alone: its exact
+    # (diamond) and golden words convert once, with their relative-error
+    # denominator and the structural RMS.  Each clock point then converts
+    # only its sampled (silver) words.
+    diamond = signed_words(characterization.diamond_words[1:])
+    gold = signed_words(characterization.gold_words[1:])
+    _validate(diamond, gold)
+    denominator = safe_denominator(diamond)
+    structural_rms = root_mean_square((gold - diamond) / denominator)
     points: List[SweepPoint] = []
     for cpr, period in clock_plan.items():
-        silver = characterization.timing_trace(period).sampled_words
-        errors = combine_errors(diamond, gold, silver)
-        rms = errors.rms_relative_errors()
+        silver = signed_words(characterization.timing_trace(period).sampled_words)
+        _validate(diamond, silver)
+        errors = silver - diamond
         points.append(SweepPoint(
             design=characterization.name,
             quadruple=quadruple,
             workload=workload,
             cpr=cpr,
             clock_period=period,
-            stats=error_statistics(diamond, silver, width=result_width),
-            structural_rms=rms["structural"],
-            timing_rms=rms["timing"],
+            stats=_statistics(errors, errors / denominator, result_width),
+            structural_rms=structural_rms,
+            timing_rms=root_mean_square((silver - gold) / denominator),
             cost=cost,
             provably_exact=provably_exact,
         ))

@@ -217,18 +217,25 @@ class FastTimingSimulator:
         out_ids = np.array([program.net_id[net] for net in output_nets],
                            dtype=np.int64)
         nets = list(input_traces[0])
+        # The decoded words of each chunk: settled, then each clock's sampled.
+        targets = [settled] + [sampled[clk] for clk in clock_periods]
 
         # Budget the chunk against everything a pass materialises per
         # packed word and trace, in uint64 rows: the stacked value
-        # tensors (num_nets, old + new), the decode temporaries of
-        # rows_to_words (unpacked uint64 bit matrices of ~64 rows per
-        # output bit, allocated per clock period), and the lateness
-        # source's own.  For the packed program that is its mask matrix
-        # (num_rows; a program built for a few clocks is small, and
-        # without the decode term the span would grow to match and the
-        # decode temporaries would dwarf the budget).  For the levelised
-        # pass it is a float64 arrival time and a bool changed flag per
-        # net and transition: 72 rows per net.
+        # tensors (num_nets, old + new), the decode's temporaries, and
+        # the lateness source's own.  For the packed program that is its
+        # mask matrix (num_rows; a program built for a few clocks is
+        # small, and without the decode term the span would grow to
+        # match).  For the levelised pass it is a float64 arrival time
+        # and a bool changed flag per net and transition: 72 rows per net.
+        #
+        # The decode term, 128 rows per output bit, over-reserves: the
+        # stacked decode holds about 19 rows per output bit and 64 for
+        # the words, per stacked row (1 + clocks), so 1,935 rows at 17
+        # bits and 4 clocks against 2,176 reserved.  It stays because a
+        # smaller term (16 rows per output bit + 64) lets the chunks grow:
+        # on sweep-long-mp (2-vCPU host, 4 alternating pairs) that raised
+        # peak RSS from 75.5 to 93 MB, and wall time from 1.2 to 1.4 s.
         per_word_rows = 2 * program.num_nets + 128 * max(len(output_nets), 1)
         if timing is not None:
             late_rows = {clk: timing.late_rows(output_nets, clk) for clk in clock_periods}
@@ -262,26 +269,27 @@ class FastTimingSimulator:
                     arrival = self._arrival(diff, chunk)[out_ids]
                     late = {clk: pack_bits(arrival > clk) for clk in clock_periods}
 
-                old_rows = old_values[out_ids]
-                new_rows = new_values[out_ids]
-                diff_rows = diff[out_ids]
-                settled_chunk = rows_to_words(new_rows, chunk)
-                for index in range(count):
-                    valid = min(stop, transitions[index]) - start
-                    if valid > 0:
-                        settled[index][start:start + valid] = settled_chunk[index, :valid]
                 if start == 0:
                     # The settled word of input vector 0 is the "old"
                     # side of transition 0; every later vector's settled
                     # word is the "new" side of its transition.
-                    first_cycle[:] = rows_to_words(old_rows[..., :1], 1)[:, 0]
-                for clk in clock_periods:
-                    sampled_chunk = rows_to_words(new_rows ^ (diff_rows & late[clk]), chunk)
-                    for index in range(count):
-                        valid = min(stop, transitions[index]) - start
-                        if valid > 0:
-                            sampled[clk][index][start:start + valid] = \
-                                sampled_chunk[index, :valid]
+                    first_cycle[:] = rows_to_words(old_values[out_ids, :, :1], 1)[:, 0]
+                # One decode for the chunk: its settled rows and every
+                # clock's sampled rows, stacked on the batch axis.
+                new_rows = new_values[out_ids]
+                diff_rows = diff[out_ids]
+                bus_rows = np.empty((len(out_ids), len(targets)) + new_rows.shape[1:],
+                                    dtype=np.uint64)
+                bus_rows[:, 0] = new_rows
+                for position, clk in enumerate(clock_periods, 1):
+                    np.bitwise_and(diff_rows, late[clk], out=bus_rows[:, position])
+                    bus_rows[:, position] ^= new_rows
+                words = rows_to_words(bus_rows, chunk)
+                for index in range(count):
+                    valid = min(stop, transitions[index]) - start
+                    if valid > 0:
+                        for target, chunk_words in zip(targets, words):
+                            target[index][start:start + valid] = chunk_words[index, :valid]
 
         timing_results = [
             {clk: TimingErrorTrace(clock_period=clk,

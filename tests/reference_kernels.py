@@ -1,10 +1,11 @@
 """Reference implementations of the production kernels (test oracles).
 
-Six oracles live here: the synthesis kernels, the per-gate logic loop,
-the dense timing loop, the regression and classification trees' split
-searches and the Pareto mask.  Each is the straightforward formulation
-production replaced, kept as the executable specification the production
-code must match bit for bit.
+Eight oracles live here: the synthesis kernels, the per-gate logic loop,
+the dense timing loop, the word decode, the regression and
+classification trees' split searches, the Pareto mask and the sweep
+scorer.  Each is the straightforward formulation production replaced,
+kept as the executable specification the production code must match bit
+for bit.
 
 *Synthesis.*  Production synthesis runs levelised kernels: optimize over an
 integer-indexed design (:mod:`repro.synth.optimize`), sizing and static
@@ -41,6 +42,12 @@ and the packed timing program — must match it on sampled and settled
 words (``tests/test_compiled_engine.py``); :func:`forced_kernel` pins
 which one a block of calls runs.
 
+*Word decode.*  :func:`unpacked_rows_to_words` unpacks every packed bit
+row into a ``uint64`` matrix with one entry per cycle, shifts each row
+into its bit position and ORs them; production's
+:func:`repro.circuit.compiled.rows_to_words` transposes bytes through a
+lookup table instead (``tests/test_compiled_engine.py``).
+
 *Regression trees.*  :class:`ReferenceTreeRegressor` grows on
 boolean-mask copies of ``(X, y)`` and sorts every candidate column of
 every node again, one feature at a time (:func:`_best_threshold`);
@@ -59,6 +66,13 @@ tree order (``tests/test_ml_learners.py``).
 
 *Pareto mask.*  :func:`nondominated_mask` compares every pair of rows
 in blocks (``tests/test_explore.py``).
+
+*Sweep scoring.*  :func:`score_per_cpr` scores a characterization one CPR
+level at a time with :func:`repro.core.combination.combine_errors` and
+:func:`error_statistics_per_metric`, which converts the words again for
+each metric it computes; production converts each design's exact and
+golden words once and shares every error array between the metrics that
+read it (``tests/test_sweep_reduction.py``, ``tests/test_analysis.py``).
 """
 
 from __future__ import annotations
@@ -70,9 +84,15 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.metrics import ErrorStatistics, structural_cost
+from repro.circuit.compiled import unpack_bits
 from repro.circuit.library import TechnologyLibrary
 from repro.circuit.netlist import CONST0, CONST1, Netlist
 from repro.circuit.sdf import DelayAnnotation
+from repro.core.combination import combine_errors
+from repro.exceptions import AnalysisError
+from repro.explore.sweep import SweepPoint
+from repro.families import family_of
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.regress import DecisionTreeRegressor, RandomForestRegressor
 from repro.ml.tree import DecisionTreeClassifier
@@ -587,6 +607,21 @@ class ReferenceTimingSimulator:
 
 
 # --------------------------------------------------------------------- #
+# Word decode: one unpacked uint64 entry per bit and cycle
+# --------------------------------------------------------------------- #
+def unpacked_rows_to_words(rows: np.ndarray, length: int) -> np.ndarray:
+    """``repro.circuit.compiled.rows_to_words`` as a broadcast
+    shift-and-reduce over the unpacked bit matrix."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    if rows.shape[0] == 0:
+        return np.zeros(rows.shape[1:-1] + (int(length),), dtype=np.uint64)
+    bits = unpack_bits(rows, length).astype(np.uint64)
+    shifts = np.arange(rows.shape[0], dtype=np.uint64)
+    return np.bitwise_or.reduce(
+        bits << shifts.reshape((-1,) + (1,) * (bits.ndim - 1)), axis=0)
+
+
+# --------------------------------------------------------------------- #
 # Regression trees: one stable argsort per candidate column per node
 # --------------------------------------------------------------------- #
 def _best_threshold(column: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
@@ -726,3 +761,72 @@ def nondominated_mask(values: np.ndarray) -> np.ndarray:
         strictly_better = (values[None, :, :] < block[:, None, :]).any(axis=2)
         mask[start:start + block_rows] = ~(no_worse & strictly_better).any(axis=1)
     return mask
+
+
+# --------------------------------------------------------------------- #
+# Sweep scoring: every CPR level, and every metric, converts again
+# --------------------------------------------------------------------- #
+def error_statistics_per_metric(exact, approximate, width: int = 32) -> ErrorStatistics:
+    """``repro.analysis.metrics.error_statistics`` with each metric on its
+    own fresh ``int64`` copies of the words."""
+    def signed():
+        exact_words = np.asarray(exact).astype(np.int64)
+        approximate_words = np.asarray(approximate).astype(np.int64)
+        if exact_words.shape != approximate_words.shape:
+            raise AnalysisError("shape mismatch")
+        if exact_words.size == 0:
+            raise AnalysisError("error metrics need at least one sample")
+        return exact_words, approximate_words
+
+    def relative():
+        exact_words, approximate_words = signed()
+        denominator = np.where(exact_words == 0, np.int64(1), exact_words).astype(np.float64)
+        return (approximate_words - exact_words) / denominator
+
+    def distance():
+        exact_words, approximate_words = signed()
+        return np.abs(approximate_words - exact_words)
+
+    if width <= 0:
+        raise AnalysisError(f"width must be positive, got {width}")
+    exact_words, approximate_words = signed()
+    return ErrorStatistics(
+        samples=int(exact_words.shape[0]),
+        error_rate=float(np.mean(exact_words != approximate_words)),
+        mean_error_distance=float(np.mean(distance())),
+        normalized_mean_error_distance=float(np.mean(distance())) / float(2 ** width),
+        mean_relative_error_distance=float(np.mean(np.abs(relative()))),
+        rms_relative_error=float(np.sqrt(np.mean(relative() ** 2))),
+        worst_case_error=int(np.max(distance())),
+    )
+
+
+def score_per_cpr(characterization, clock_plan, width: int,
+                  workload: str) -> List[SweepPoint]:
+    """``repro.explore.sweep.score_characterization`` with every CPR level
+    combining and scoring the raw words again."""
+    entry = characterization.entry
+    family = family_of(entry)
+    quadruple = family.quadruple_of(entry)
+    provably_exact = family.is_provably_exact(entry)
+    result_width = family.result_width(width)
+    cost = structural_cost(characterization.synthesized)
+    diamond = characterization.diamond_words[1:]
+    gold = characterization.gold_words[1:]
+    points: List[SweepPoint] = []
+    for cpr, period in clock_plan.items():
+        silver = characterization.timing_trace(period).sampled_words
+        errors = combine_errors(diamond, gold, silver)
+        points.append(SweepPoint(
+            design=characterization.name,
+            quadruple=quadruple,
+            workload=workload,
+            cpr=cpr,
+            clock_period=period,
+            stats=error_statistics_per_metric(diamond, silver, width=result_width),
+            structural_rms=float(np.sqrt(np.mean(errors.re_struct ** 2))),
+            timing_rms=float(np.sqrt(np.mean(errors.re_timing ** 2))),
+            cost=cost,
+            provably_exact=provably_exact,
+        ))
+    return points

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_kernels import error_statistics_per_metric
 from repro.analysis.distribution import BitErrorDistribution, bit_error_distribution
 from repro.analysis.metrics import (
     error_rate,
@@ -75,6 +76,44 @@ class TestScalarMetrics:
         assert 0 < stats.error_rate < 1
         assert stats.mean_relative_error_distance <= stats.error_rate
         assert stats.worst_case_error <= adder.worst_case_error_bound()
+
+
+class TestOneKernel:
+    """``error_statistics`` and every single-metric function share one
+    kernel; it must equal the metrics computed one at a time on fresh
+    copies of the words (the oracle), and refuse words it cannot convert."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_statistics_match_the_per_metric_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        exact = rng.integers(0, 2**33, 4099, dtype=np.uint64)
+        exact[::17] = 0  # the zero-denominator substitution
+        approximate = exact ^ (rng.integers(0, 2, 4099, dtype=np.uint64)
+                               << rng.integers(0, 33, 4099, dtype=np.uint64))
+        for width in (1, 17, 33):
+            got = error_statistics(exact, approximate, width=width)
+            assert repr(got) == repr(error_statistics_per_metric(exact, approximate, width))
+            assert got.mean_error_distance == mean_error_distance(exact, approximate)
+            assert got.normalized_mean_error_distance == normalized_mean_error_distance(
+                exact, approximate, width)
+            assert got.worst_case_error == worst_case_error(exact, approximate)
+
+    def test_words_at_or_above_2_63_raise(self):
+        """A word of 2**63 or more no longer wraps negative, whether it
+        comes as a ``uint64`` or among Python ints (which NumPy holds as
+        floats)."""
+        high = np.array([2**63 + 5, 7], dtype=np.uint64)
+        low = np.array([5, 7], dtype=np.uint64)
+        for exact, approximate in ((high, low), (low, high), ([2**63 + 5, 7], [5, 7]),
+                                   ([5, 7], [2**63, 7])):
+            with pytest.raises(AnalysisError, match="signed 64-bit range"):
+                error_statistics(exact, approximate, width=64)
+            for metric in (error_rate, mean_error_distance, mean_relative_error_distance,
+                           rms_relative_error, worst_case_error):
+                with pytest.raises(AnalysisError, match="signed 64-bit range"):
+                    metric(exact, approximate)
+        top = np.array([2**63 - 1, 7], dtype=np.uint64)
+        assert error_statistics(top, low, width=64).worst_case_error == 2**63 - 6
 
 
 class TestDistribution:

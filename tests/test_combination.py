@@ -38,6 +38,16 @@ class TestCombineErrors:
         with pytest.raises(AnalysisError):
             combine_errors([1, 2], [1], [1])
 
+    def test_words_above_the_int64_range_rejected(self):
+        for words in (np.array([2**63, 1], dtype=np.uint64), [2**63 + 5, 7], [1.0, np.nan]):
+            with pytest.raises(AnalysisError, match="signed 64-bit range"):
+                combine_errors(words, [1, 7], [1, 7])
+            with pytest.raises(AnalysisError, match="signed 64-bit range"):
+                relative_errors([1, 7], words)
+        top = np.array([2**63 - 1, 0], dtype=np.uint64)
+        assert combine_errors(top, top, top).e_joint.tolist() == [0, 0]
+        assert combine_errors([-2**63, 3.0], [0, 3], [0, 3]).ydiamond.tolist() == [-2**63, 3]
+
     def test_zero_diamond_handled(self):
         errors = combine_errors([0], [1], [2])
         assert np.isfinite(errors.re_joint).all()

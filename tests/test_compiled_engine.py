@@ -15,12 +15,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference_kernels import (
     ReferenceTimingSimulator,
     compute_words_per_gate,
     evaluate_per_gate,
     forced_kernel,
+    unpacked_rows_to_words,
 )
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.compiled import (CompiledProgram, PackedTimingProgram, pack_bits,
@@ -121,6 +123,75 @@ class TestPacking:
     def test_rows_to_words_empty_rows(self):
         assert np.array_equal(rows_to_words(np.empty((0, 2), dtype=np.uint64), 90),
                               np.zeros(90, dtype=np.uint64))
+
+    def test_rows_to_words_rejects_more_bits_than_a_word(self):
+        with pytest.raises(SimulationError):
+            rows_to_words(np.zeros((65, 1), dtype=np.uint64), 10)
+
+
+class TestDecodeMatchesOracle:
+    """The byte-table decode equals the unpacked shift-and-reduce oracle
+    (``reference_kernels.unpacked_rows_to_words``) on any rows, and the
+    fast simulator's words do not change when the oracle decodes them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bits=st.sampled_from([0, 1, 7, 8, 9, 16, 17, 33, 64]),
+           batch=st.sampled_from([(), (1,), (5,), (2, 3)]),
+           length=st.sampled_from([1, 7, 8, 63, 64, 65, 255, 4499]),
+           top=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_rows_to_words_matches_the_oracle(self, bits, batch, length, top, seed):
+        """Random rows, whose padding bits past ``length`` are set too, with
+        bit 63 of every word set when ``top``."""
+        rng = np.random.default_rng(seed)
+        shape = (bits,) + batch + (packed_word_count(length),)
+        rows = rng.integers(0, 2**64, shape, dtype=np.uint64)
+        if top:
+            rows |= np.uint64(1 << 63)
+        words = rows_to_words(rows, length)
+        assert words.shape == batch + (length,)
+        assert words.dtype == np.uint64
+        assert words.flags.writeable
+        assert np.array_equal(words, unpacked_rows_to_words(rows, length))
+
+    @pytest.fixture(scope="class")
+    def bus_designs(self):
+        """A 32-bit ISA (33-bit sum bus) and an approximate width-8
+        multiplier (16-bit product bus)."""
+        multiplier = get_family("multiplier").design_space(8).entries(max_designs=3)[1]
+        return [(synthesize(ISAConfig.from_quadruple((8, 0, 1, 4))), 32),
+                (synthesize_entry(multiplier, 8, SynthesisOptions()), 8)]
+
+    @pytest.mark.parametrize("kernel", ["packed", "levelised"])
+    def test_simulator_words_unchanged_under_the_oracle_decode(self, bus_designs, kernel,
+                                                               monkeypatch):
+        """A ragged two-trace stack long enough for several chunks on
+        either kernel: settled, sampled and golden words all equal a run
+        whose every decode is the oracle's."""
+        decodes = []
+
+        def counting(rows, length):
+            decodes.append(length)
+            return rows_to_words(rows, length)
+        for design, width in bus_designs:
+            critical = design.critical_path_delay
+            clocks = [critical * 0.6, critical * 0.8, critical * 0.95, critical * 1.1]
+            stack = [_random_operands(width, length, 101 + length)
+                     for length in (30_000, 17_001)]
+            runs = []
+            for decode in (counting, unpacked_rows_to_words):
+                monkeypatch.setattr(fast_sim, "rows_to_words", decode)
+                simulator = FastTimingSimulator(design.netlist, design.annotation)
+                with forced_kernel(kernel):
+                    runs.append(simulator.run_traces_multi(stack, clocks))
+            assert sum(length > 1 for length in decodes) >= 3  # several chunks
+            decodes.clear()
+            got, want = runs
+            for got_timing, want_timing in zip(got.timing, want.timing):
+                _assert_traces_equal(got_timing, want_timing, clocks)
+            for got_values, want_values in zip(got.settled_values, want.settled_values):
+                assert np.array_equal(got_values, want_values)
+            assert any(np.any(trace.sampled_words != trace.settled_words)
+                       for traces in got.timing for trace in traces.values())
 
 
 class TestLogicEquivalence:

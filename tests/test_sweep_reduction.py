@@ -14,6 +14,7 @@ cache entry is the value itself, stored in ``result.pkl``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -24,8 +25,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_kernels import score_per_cpr
 from repro.circuit.compiled import CompiledProgram
+from repro.exceptions import AnalysisError
 from repro.experiments.designs import isa_entry
+from repro.families import get_family
 from repro.explore.space import DesignSpace
 from repro.explore.sweep import (
     CHECKPOINT_BATCH,
@@ -93,6 +97,101 @@ def summary_job(length=400, quadruple=(4, 0, 0, 2)) -> CharacterizationJob:
         trace=uniform_workload(length, width=16, seed=41),
         clock_periods=tuple(ClockPlan.paper().periods), simulator="fast", width=16,
         reduction=WordsSummary())
+
+
+# --------------------------------------------------------------------- #
+# The scorer: each design's words converted once, every field unchanged
+# --------------------------------------------------------------------- #
+def _fields(points) -> list:
+    return [repr(dataclasses.asdict(point)) for point in points]
+
+
+def _with_silver(characterization, change):
+    """``characterization`` with ``change`` applied to every clock's
+    sampled words (and its settled words, which must keep their shape)."""
+    return replace(characterization, timing_traces={
+        period: replace(trace, sampled_words=change(trace.sampled_words),
+                        settled_words=change(trace.settled_words))
+        for period, trace in characterization.timing_traces.items()})
+
+
+class TestScorerMatchesOracle:
+    """``score_characterization`` converts each design's exact and golden
+    words once; the oracle ``reference_kernels.score_per_cpr`` combines
+    and scores the raw words again at every CPR level.  Every field of
+    every point must match, errors included."""
+
+    CPR_LEVELS = (0.0, 0.05, 0.10, 0.15)
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        """(characterization, clock plan, width) of the exact baseline and
+        an ISA design at width 16, and of an approximate multiplier at
+        width 8, each at its family's safe period and the sweep's CPRs."""
+        cases = []
+        for name, width in (("adder", 16), ("multiplier", 8)):
+            family = get_family(name)
+            plan = ClockPlan(safe_period=family.safe_period(width), cpr_levels=self.CPR_LEVELS)
+            entries = [family.exact_entry(width)] if name == "adder" else []
+            entries += family.design_space(width).entries(max_designs=3)[1:2]
+            spec = SweepSpec(entries=tuple(entries), clock_plan=plan, width=width,
+                             workloads=(WorkloadSpec("uniform", 700, width=width, seed=43),))
+            cases.extend((execute_job(job), plan, width) for job in spec.jobs())
+        return cases
+
+    @staticmethod
+    def _assert_matches(characterization, plan, width):
+        got = score_characterization(characterization, plan, width, "uniform")
+        assert _fields(got) == _fields(score_per_cpr(characterization, plan, width,
+                                                     "uniform"))
+        return got
+
+    def test_exact_isa_and_multiplier_designs(self, scored):
+        kinds, timing_errors = [], 0
+        for characterization, plan, width in scored:
+            points = self._assert_matches(characterization, plan, width)
+            assert [point.cpr for point in points] == list(self.CPR_LEVELS)
+            kinds.append((characterization.entry.family, points[0].is_exact))
+            timing_errors += sum(point.timing_rms > 0 for point in points)
+        assert kinds == [("adder", True), ("adder", False), ("multiplier", False)]
+        assert timing_errors > 0  # the timing terms are exercised, not all zero
+
+    def test_zero_diamond_words(self, scored):
+        """Exact words of 0 take the denominator 1, in both scorers."""
+        for characterization, plan, width in scored:
+            zeroed = characterization.diamond_words.copy()
+            zeroed[::3] = 0
+            self._assert_matches(replace(characterization, diamond_words=zeroed),
+                                 plan, width)
+
+    @pytest.mark.parametrize("words", ["diamond", "gold", "silver"])
+    def test_words_above_the_int64_range_raise(self, scored, words):
+        characterization, plan, width = scored[1]
+
+        def overflow(values):
+            values = values.copy()
+            values[4] = np.uint64(2**63 + 5)
+            return values
+        if words == "silver":
+            broken = _with_silver(characterization, overflow)
+        else:
+            broken = replace(characterization, **{
+                f"{words}_words": overflow(getattr(characterization, f"{words}_words"))})
+        for scorer in (score_characterization, score_per_cpr):
+            with pytest.raises(AnalysisError):
+                scorer(broken, plan, width, "uniform")
+
+    @pytest.mark.parametrize("words", ["diamond", "gold", "silver"])
+    def test_unequal_word_lengths_raise(self, scored, words):
+        characterization, plan, width = scored[1]
+        if words == "silver":
+            broken = _with_silver(characterization, lambda values: values[:-1])
+        else:
+            broken = replace(characterization, **{
+                f"{words}_words": getattr(characterization, f"{words}_words")[:-1]})
+        for scorer in (score_characterization, score_per_cpr):
+            with pytest.raises(AnalysisError):
+                scorer(broken, plan, width, "uniform")
 
 
 # --------------------------------------------------------------------- #
